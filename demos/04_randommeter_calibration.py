@@ -10,8 +10,9 @@ of constant or short-period input.
 
 import numpy as np
 
-from bellrm import BatteryConfig, compression_ratio, rejection_rate, run_battery
+from bellrm import BatteryConfig, compression_ratio, run_battery
 from bellrm.models import scenario_pattern
+from bellrm.randommeter import curve_from_reports
 
 cfg = BatteryConfig()
 gen = np.random.Generator(np.random.PCG64(20260808))
@@ -19,19 +20,21 @@ gen = np.random.Generator(np.random.PCG64(20260808))
 n_seq, length = 300, 10_000
 sequences = [gen.integers(0, 2, length).astype(np.uint8) for _ in range(n_seq)]
 
+reports = [run_battery(bits, cfg) for bits in sequences]
 per_test = {name: 0 for name in BatteryConfig.TEST_NAMES}
-for bits in sequences:
-    for res in run_battery(bits, cfg).results:
+for report in reports:
+    for res in report.results:
         per_test[res.test_name] += bool(res.applicable and res.rejected)
 
 print("rejections over %d full-entropy sequences of %d bits:" % (n_seq, length))
 for name, k in per_test.items():
     print("  %-16s %3d  (%.3f, target %.2f)" % (name, k, k / n_seq, cfg.alpha_sig))
 
-rate, (lo, hi) = rejection_rate(sequences, cfg)
+# the curve wants two slices; the second is left empty
+reading = curve_from_reports({0: reports, 1: []}, cfg).readings[0]
 print(
     "compound rate %.3f  [%.3f, %.3f];  independence approximation %.3f"
-    % (rate, lo, hi, cfg.false_alarm_rate)
+    % (reading.rejection_rate, reading.ci_low, reading.ci_high, cfg.false_alarm_rate)
 )
 
 print()

@@ -11,7 +11,7 @@ the synthetic data gives evidence against:
 """
 
 from bellrm import ModelKind, OutcomeModel, RunConfig, simulate_events
-from bellrm.cli import AnalysisConfig, analyze_run
+from bellrm.pipeline import AnalysisConfig, analyze_run
 
 SCENARIOS = (
     ModelKind.SCENARIO_LOCALITY_FALSE,

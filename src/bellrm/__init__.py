@@ -27,7 +27,6 @@ from .chsh import (
     ErgodicityReport,
     TSIRELSON_BOUND,
     WindowScanPoint,
-    chsh_by_slice,
     correlation_from_counts,
     ensemble_average,
     ergodicity_gap,
@@ -53,20 +52,17 @@ from .errors import (
 )
 from .models import (
     DEFAULT_DRIFT_PERIOD_S,
-    HiddenState,
-    JointOutcome,
     ModelKind,
     OutcomeModel,
     PairSampler,
-    evolve_lambda,
     local_hv_bit,
     normalize_angle,
     qm_correlation,
-    qm_joint_probability,
-    sample_outcome,
+    same_angle,
     sawtooth_correlation,
     scenario_pattern,
 )
+from .pipeline import AnalysisConfig, analyze_run
 from .randommeter import (
     BatteryConfig,
     RandomnessReport,
@@ -80,8 +76,6 @@ from .randommeter import (
     compression_ratio,
     cusum_test,
     monobit_test,
-    randommeter_curve,
-    rejection_rate,
     run_battery,
     runs_test,
     serial_test,

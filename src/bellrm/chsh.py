@@ -24,7 +24,7 @@ from .models import (
     ModelKind,
     OutcomeModel,
     local_hv_bit,
-    normalize_angle,
+    same_angle,
     stationary_lambda_samples,
 )
 from .streams import substream
@@ -107,13 +107,10 @@ class ChshEstimate:
         return sum(c.n_total for c in self.correlations)
 
 
-def _menu_indices_for_pair(settings_menu, pair, tol=1e-9) -> list[int]:
-    a, b = normalize_angle(pair[0]), normalize_angle(pair[1])
-    hits = []
-    for k, (ma, mb) in enumerate(settings_menu):
-        if abs(ma - a) < tol and abs(mb - b) < tol:
-            hits.append(k)
-    return hits
+def _menu_indices_for_pair(settings_menu, pair) -> list[int]:
+    menu = np.asarray(settings_menu, dtype=np.float64).reshape(-1, 2)
+    hits = same_angle(menu[:, 0], pair[0]) & same_angle(menu[:, 1], pair[1])
+    return np.flatnonzero(hits).tolist()
 
 
 def estimate_chsh(
@@ -156,18 +153,6 @@ def estimate_chsh(
         S=abs(s_value),
         std_err=math.sqrt(var),
     )
-
-
-def chsh_by_slice(
-    records: np.ndarray,
-    settings_menu,
-    n_slices: int,
-    angles: ChshAngles = ChshAngles(),
-) -> list[ChshEstimate]:
-    return [
-        estimate_chsh(records, settings_menu, angles, slice_index=k)
-        for k in range(n_slices)
-    ]
 
 
 def qm_chsh_value(angles: ChshAngles = ChshAngles()) -> float:

@@ -8,7 +8,8 @@ Configuration is one JSON object with "run", "model" and "analysis"
 sections (see README for the schema).  Any scalar can be overridden by an
 environment variable prefixed BELLRM_ (e.g. BELLRM_SEED,
 BELLRM_DARK_RATE_HZ, BELLRM_SLICES); command-line flags win over both.
-Exit codes: 0 ok, 2 configuration error, 3 data error.
+Exit codes: 0 ok, 2 configuration error, 3 data error.  The analysis
+itself lives in :mod:`bellrm.pipeline`.
 """
 
 from __future__ import annotations
@@ -17,79 +18,26 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, asdict
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .btag import STATION_LETTERS, BtagWriter, read_btag, split_stations, write_csv
-from .chsh import ChshAngles, estimate_chsh, write_chsh_csv
-from .errors import ConfigError, DataError, IncompleteSettingsError, UndefinedStatisticError
+from .btag import read_btag, write_csv
+from .chsh import write_chsh_csv
+from .errors import ConfigError, DataError
 from .models import OutcomeModel
-from .randommeter import (
-    BatteryConfig,
-    classify_scenario,
-    curve_from_reports,
-    run_battery,
-    write_curve_csv,
-    write_reports_csv,
-    write_verdict_json,
-    RandommeterCurve,
-    ScenarioVerdict,
-    Verdict,
-)
-from .source import RunConfig, iter_event_chunks, pulse_geometry, RunStats
-from .timetags import extract_sequence, match_coincidences, sequence_partition, slice_records
+from .pipeline import AnalysisConfig, analyze_run
+from .randommeter import write_curve_csv, write_reports_csv, write_verdict_json
+from .source import RunConfig, RunStats, pulse_geometry, simulate_to_btag
 
 ENV_PREFIX = "BELLRM_"
 
 EVENTS_FILENAME = "events.btag"
 MANIFEST_FILENAME = "manifest.json"
-
-
-@dataclass
-class AnalysisConfig:
-    n_slices: int = 2
-    window_ns: int = 2
-    alpha_sig: float = 0.01
-    sequence_length: int = 10000
-    block_size: int = 128
-    serial_m: int = 4
-
-    def validate(self) -> None:
-        if self.n_slices < 2:
-            raise ConfigError("analysis.n_slices must be >= 2")
-        if self.window_ns <= 0:
-            raise ConfigError("analysis.window_ns must be > 0")
-        if not 0.0 < self.alpha_sig < 1.0:
-            raise ConfigError("analysis.alpha_sig must lie in (0, 1)")
-        battery = self.battery()
-        if self.sequence_length < battery.min_length:
-            raise ConfigError(
-                f"analysis.sequence_length must be >= {battery.min_length} "
-                "for the configured battery"
-            )
-
-    def battery(self) -> BatteryConfig:
-        return BatteryConfig(
-            alpha_sig=self.alpha_sig, block_size=self.block_size, serial_m=self.serial_m
-        )
-
-    @staticmethod
-    def from_dict(obj: dict) -> "AnalysisConfig":
-        known = set(AnalysisConfig.__dataclass_fields__)
-        unknown = set(obj) - known
-        if unknown:
-            raise ConfigError(f"unknown analysis fields: {sorted(unknown)}")
-        cfg = AnalysisConfig(**obj)
-        cfg.validate()
-        return cfg
 
 
 def _env_overrides(keys) -> dict:
@@ -224,11 +172,8 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with output_lock(out_dir):
-        stats = RunStats()
         events_path = out_dir / EVENTS_FILENAME
-        with BtagWriter(events_path) as writer:
-            for chunk in iter_event_chunks(run, model, stats):
-                writer.write(chunk)
+        stats = simulate_to_btag(run, model, events_path)
         artifact_names = [EVENTS_FILENAME]
         if args.csv:
             write_csv(out_dir / "events.csv", read_btag(events_path))
@@ -247,74 +192,6 @@ def _load_manifest(directory: Path) -> dict:
         raise DataError(f"missing {path}")
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def analyze_run(
-    events: np.ndarray,
-    run: RunConfig,
-    analysis: AnalysisConfig,
-    angles: ChshAngles = ChshAngles(),
-):
-    """Full analysis pipeline on an in-memory event stream.
-
-    Returns (records, chsh_estimates, curve, verdict, report_rows); CHSH
-    estimates cover the slices that could be estimated.
-    """
-    geo = pulse_geometry(run)
-    battery = analysis.battery()
-    events_a, events_b = split_stations(events)
-    records = match_coincidences(
-        events_a,
-        events_b,
-        analysis.window_ns,
-        rep_rate_hz=run.rep_rate_hz,
-        settings_menu=run.settings_menu,
-    )
-    records = slice_records(records, analysis.n_slices, geo.pulse_duration_ns)
-
-    report_rows = []
-    reports_by_slice = {}
-    for slice_index in range(analysis.n_slices):
-        slice_reports = []
-        for station in (0, 1):
-            seq = extract_sequence(records, station, slice_index)
-            for i, block in enumerate(sequence_partition(seq.bits, analysis.sequence_length)):
-                sid = f"{STATION_LETTERS[station]}{slice_index}-{i}"
-                report = run_battery(block, battery, sequence_id=sid)
-                slice_reports.append(report)
-                report_rows.append((sid, slice_index, STATION_LETTERS[station], report))
-        reports_by_slice[slice_index] = slice_reports
-
-    chsh_estimates = []
-    chsh_failure = None
-    for slice_index in range(analysis.n_slices):
-        try:
-            chsh_estimates.append(
-                estimate_chsh(records, run.settings_menu, angles, slice_index)
-            )
-        except (IncompleteSettingsError, UndefinedStatisticError) as exc:
-            chsh_failure = str(exc)
-
-    try:
-        curve = curve_from_reports(reports_by_slice, battery)
-        verdict = classify_scenario(curve, chsh_estimates)
-        if chsh_failure is not None and verdict.label is not Verdict.INCONCLUSIVE:
-            verdict = ScenarioVerdict(
-                Verdict.INCONCLUSIVE, math.nan, math.nan, math.nan, math.nan, 0, 0,
-                verdict.per_slice_S, verdict.per_slice_R, chsh_failure,
-            )
-    except (ConfigError, UndefinedStatisticError) as exc:
-        curve = RandommeterCurve((), battery.alpha_sig, battery.false_alarm_rate)
-        verdict = ScenarioVerdict(
-            Verdict.INCONCLUSIVE, math.nan, math.nan, math.nan, math.nan, 0, 0,
-            (), (), f"no data: {exc}",
-        )
-    if records.size == 0:
-        verdict = ScenarioVerdict(
-            Verdict.INCONCLUSIVE, math.nan, math.nan, math.nan, math.nan, 0, 0,
-            verdict.per_slice_S, verdict.per_slice_R, "no data: no coincidences matched",
-        )
-    return records, chsh_estimates, curve, verdict, report_rows
 
 
 def cmd_analyze(args) -> int:

@@ -13,8 +13,11 @@ A model decides, pulse by pulse, which output port fires at each station
   correlations in every pulse slice while pinning the *sequence*
   randomness of one pulse half, one per classifier outcome.
 
-All samplers are pure functions of (model, hidden state, settings, time,
-generator state), so they can be evaluated in parallel across pulses.
+Sampling is vectorized over pulses and draws from a caller-supplied
+generator.  The SCENARIO_LOCALITY_FALSE and SCENARIO_ERGODICITY_FALSE
+samplers also carry their position in the deterministic pattern from one
+call to the next (``PairSampler._pattern_pos``), so their batches must be
+sampled in time order; every other kind keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -63,6 +66,20 @@ def normalize_angle(theta: float) -> float:
     return float(theta) % PI
 
 
+#: analyzer angles closer than this, modulo pi, are one setting.
+ANGLE_TOL = 1e-9
+
+
+def same_angle(a, b):
+    """Whether two analyzer angles name the same setting.
+
+    The package's one angle-identity rule: equal modulo pi within
+    ``ANGLE_TOL``.  Accepts scalars or numpy arrays.
+    """
+    d = np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)) % PI
+    return np.minimum(d, PI - d) < ANGLE_TOL
+
+
 @dataclass(frozen=True)
 class OutcomeModel:
     """A model kind plus its free parameters.
@@ -97,34 +114,6 @@ class OutcomeModel:
         return {"kind": self.kind.value, "parameters": dict(self.parameters)}
 
 
-@dataclass(frozen=True)
-class HiddenState:
-    """Hidden variable carried by a pulse: angle(s) plus its epoch time."""
-
-    lam: float
-    epoch_time: float = 0.0
-
-
-@dataclass(frozen=True)
-class JointOutcome:
-    bit_a: int
-    bit_b: int
-    detected: bool = True
-
-
-def qm_joint_probability(alpha: float, beta: float, a: int, b: int) -> float:
-    """Joint outcome probability for the symmetric entangled pair.
-
-    P(a, b) = cos^2(alpha-beta)/2 when a == b, sin^2(alpha-beta)/2 otherwise,
-    which gives the correlation E(alpha, beta) = cos 2(alpha-beta).
-    """
-    if a not in (0, 1) or b not in (0, 1):
-        raise ValueError("outcome bits must be 0 or 1")
-    delta = normalize_angle(alpha) - normalize_angle(beta)
-    same = math.cos(delta) ** 2
-    return 0.5 * same if a == b else 0.5 * (1.0 - same)
-
-
 def qm_correlation(alpha: float, beta: float) -> float:
     """E(alpha, beta) = cos 2(alpha - beta)."""
     return math.cos(2.0 * (alpha - beta))
@@ -137,10 +126,7 @@ def local_hv_bit(lam, theta):
     remote station.  Accepts scalars or numpy arrays.
     """
     value = np.cos(2.0 * (np.asarray(theta) - np.asarray(lam)))
-    bit = (value <= 0.0).astype(np.uint8)
-    if bit.ndim == 0:
-        return int(bit)
-    return bit
+    return (value <= 0.0).astype(np.uint8)
 
 
 def sawtooth_correlation(delta: float) -> float:
@@ -154,24 +140,6 @@ def sawtooth_correlation(delta: float) -> float:
     if d > PI / 2:
         d = PI - d
     return 1.0 - 4.0 * d / PI
-
-
-def evolve_lambda(
-    model: OutcomeModel, epoch_time: float, rng: np.random.Generator | None = None
-) -> HiddenState:
-    """Hidden state of the pulse that starts at ``epoch_time``.
-
-    LOCAL_ERGODIC draws a fresh uniform angle (ignores the time);
-    NONERGODIC returns the drifting angle (pi * t / drift_period) mod pi.
-    """
-    if model.kind is ModelKind.LOCAL_ERGODIC:
-        if rng is None:
-            raise ValueError("LOCAL_ERGODIC needs an rng to draw the hidden angle")
-        return HiddenState(lam=float(rng.random() * PI), epoch_time=epoch_time)
-    if model.kind is ModelKind.NONERGODIC:
-        omega = PI / model.drift_period_s
-        return HiddenState(lam=(omega * epoch_time) % PI, epoch_time=epoch_time)
-    raise UnsupportedModelError(f"{model.kind.value} has no hidden variable to evolve")
 
 
 def stationary_lambda_samples(
@@ -289,37 +257,3 @@ class PairSampler:
             return bits_a, bits_b
 
         raise ConfigError(f"unknown model kind {kind!r}")
-
-
-def sample_outcome(
-    model: OutcomeModel,
-    state: HiddenState | None,
-    alpha: float,
-    beta: float,
-    within_pulse_time: float,
-    pulse_duration: float,
-    rng: np.random.Generator,
-) -> JointOutcome:
-    """Single joint outcome for one pulse.
-
-    Scalar convenience over the vectorized :class:`PairSampler`; the
-    hidden-variable kinds consume ``state`` as-is (use
-    :func:`evolve_lambda` to produce it), so a fixed state gives a fixed
-    outcome.
-    """
-    if not 0.0 <= within_pulse_time <= pulse_duration:
-        raise ValueError("within_pulse_time must lie inside the pulse")
-    kind = model.kind
-    if kind is ModelKind.QM_NONLOCAL or kind is ModelKind.SCENARIO_REALISM_FALSE:
-        bit_a = int(rng.random() < 0.5)
-        flip = rng.random() < math.sin(alpha - beta) ** 2
-        return JointOutcome(bit_a, bit_a ^ int(flip))
-    if kind in HIDDEN_VARIABLE_KINDS:
-        if state is None:
-            raise ValueError("hidden-variable models need a HiddenState")
-        return JointOutcome(local_hv_bit(state.lam, alpha), local_hv_bit(state.lam, beta))
-    if kind in SCENARIO_KINDS:
-        raise UnsupportedModelError(
-            "scenario generators are sequential; sample them through PairSampler"
-        )
-    raise ConfigError(f"unknown model kind {kind!r}")

@@ -251,17 +251,6 @@ def wilson_interval(k: int, n: int, z: float = _WILSON_Z) -> tuple[float, float]
     return lo, hi
 
 
-def rejection_rate(
-    sequences, config: BatteryConfig = BatteryConfig()
-) -> tuple[float, tuple[float, float]]:
-    """Fraction of sequences flagged not-random, with 95% Wilson interval."""
-    sequences = list(sequences)
-    if not sequences:
-        raise UndefinedStatisticError("rejection rate of an empty sequence set")
-    rejected = sum(run_battery(s, config).overall_rejected for s in sequences)
-    return rejected / len(sequences), wilson_interval(rejected, len(sequences))
-
-
 # --------------------------------------------------------------------------
 # Randommeter curve and scenario classification
 # --------------------------------------------------------------------------
@@ -333,17 +322,6 @@ def curve_from_reports(reports_by_slice: dict, config: BatteryConfig) -> Randomm
     return RandommeterCurve(tuple(readings), config.alpha_sig, fa)
 
 
-def randommeter_curve(
-    sequences_by_slice: dict, config: BatteryConfig = BatteryConfig()
-) -> RandommeterCurve:
-    """Run the battery over per-slice sequence sets and build the curve."""
-    reports = {
-        s: [run_battery(bits, config, sequence_id=f"s{s}-{i}") for i, bits in enumerate(seqs)]
-        for s, seqs in sequences_by_slice.items()
-    }
-    return curve_from_reports(reports, config)
-
-
 class Verdict(Enum):
     LOCALITY_FALSE = "LOCALITY_FALSE"
     REALISM_FALSE = "REALISM_FALSE"
@@ -364,6 +342,14 @@ class ScenarioVerdict:
     per_slice_R: tuple
     reason: str = ""
 
+    @classmethod
+    def inconclusive(cls, reason: str, per_slice_S=(), per_slice_R=()) -> "ScenarioVerdict":
+        """A verdict that takes no side: no contrast statistic, no half counts."""
+        return cls(
+            Verdict.INCONCLUSIVE, math.nan, math.nan, math.nan, math.nan, 0, 0,
+            tuple(per_slice_S), tuple(per_slice_R), reason,
+        )
+
 
 def two_proportion_z(k1: int, n1: int, k2: int, n2: int) -> tuple[float, float]:
     """Pooled two-proportion z statistic and two-sided p-value."""
@@ -376,6 +362,26 @@ def two_proportion_z(k1: int, n1: int, k2: int, n2: int) -> tuple[float, float]:
         return 0.0, 1.0
     z = (p1 - p2) / math.sqrt(var)
     return z, float(erfc(abs(z) / math.sqrt(2.0)))
+
+
+def _unclassifiable(curve: RandommeterCurve, s_by_slice: dict, s_sigmas: float) -> str:
+    """Why :func:`classify_scenario` must answer INCONCLUSIVE, or "" if it need not."""
+    if curve.n_slices < 2:
+        return "fewer than two slices"
+    for reading in curve.readings:
+        if not reading.sufficient:
+            return f"slice {reading.slice_index} has too few sequences"
+        est = s_by_slice.get(reading.slice_index)
+        if est is None:
+            return f"slice {reading.slice_index} has no CHSH estimate"
+        if est.std_err <= 0 or (est.S - 2.0) / est.std_err < s_sigmas:
+            return (
+                f"slice {reading.slice_index}: S = {est.S:.3f} does not exceed 2 "
+                f"at {s_sigmas:.0f} sigma"
+            )
+    if len({2 * r.slice_index + 1 < curve.n_slices for r in curve.readings}) < 2:
+        return "slices do not cover both pulse halves"
+    return ""
 
 
 def classify_scenario(
@@ -401,31 +407,13 @@ def classify_scenario(
     )
     per_slice_r = tuple(r.rejection_rate for r in curve.readings)
 
-    def inconclusive(reason: str) -> ScenarioVerdict:
-        return ScenarioVerdict(
-            Verdict.INCONCLUSIVE, math.nan, math.nan, math.nan, math.nan, 0, 0,
-            per_slice_s, per_slice_r, reason,
-        )
-
-    if curve.n_slices < 2:
-        return inconclusive("fewer than two slices")
-    for reading in curve.readings:
-        if not reading.sufficient:
-            return inconclusive(f"slice {reading.slice_index} has too few sequences")
-        est = s_by_slice.get(reading.slice_index)
-        if est is None:
-            return inconclusive(f"slice {reading.slice_index} has no CHSH estimate")
-        if est.std_err <= 0 or (est.S - 2.0) / est.std_err < s_sigmas:
-            return inconclusive(
-                f"slice {reading.slice_index}: S = {est.S:.3f} does not exceed 2 "
-                f"at {s_sigmas:.0f} sigma"
-            )
+    reason = _unclassifiable(curve, s_by_slice, s_sigmas)
+    if reason:
+        return ScenarioVerdict.inconclusive(reason, per_slice_s, per_slice_r)
 
     n = curve.n_slices
     first = [r for r in curve.readings if 2 * r.slice_index + 1 < n]
     second = [r for r in curve.readings if 2 * r.slice_index + 1 >= n]
-    if not first or not second:
-        return inconclusive("slices do not cover both pulse halves")
     k1 = sum(r.n_rejected for r in first)
     n1 = sum(r.n_sequences for r in first)
     k2 = sum(r.n_rejected for r in second)
@@ -459,14 +447,14 @@ def write_reports_csv(path, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            ["sequence_id", "slice_index", "station", "length_source"]
+            ["sequence_id", "slice_index", "station"]
             + [f"p_{name}" for name in BatteryConfig.TEST_NAMES]
             + ["overall_rejected", "compression_ratio"]
         )
         for sequence_id, slice_index, station, report in rows:
             pvals = report.p_values()
             writer.writerow(
-                [sequence_id, slice_index, station, ""]
+                [sequence_id, slice_index, station]
                 + [
                     "" if math.isnan(pvals[name]) else f"{pvals[name]:.6g}"
                     for name in BatteryConfig.TEST_NAMES

@@ -8,8 +8,9 @@ landing on the same nanosecond at one station keep only the first
 (resolution-limited detector), with coincidence members taking priority.
 
 Generation is chunked over pulse blocks, each block fed by its own keyed
-random stream, so output is reproducible from (config, seed) and blocks
-could be produced out of order.
+random stream, so output is reproducible from (config, seed).  Blocks are
+produced in order: the SCENARIO_LOCALITY_FALSE and SCENARIO_ERGODICITY_FALSE
+samplers carry their pattern position from one block to the next.
 """
 
 from __future__ import annotations

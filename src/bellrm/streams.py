@@ -2,11 +2,11 @@
 
 Every stochastic choice in the package is drawn from a counter-based
 generator (Philox) keyed by hashing a single 64-bit master seed together
-with a purpose label and optional block indices.  Two consequences:
-
-* a run is bit-reproducible from (seed, config) alone, and
-* pulse-block generation can be evaluated in any order (or in parallel)
-  without changing the output.
+with a purpose label and optional block indices, so a run is
+bit-reproducible from (seed, config) alone and no pulse block's draws
+depend on another block's.  (Generation is still sequential: the
+SCENARIO_LOCALITY_FALSE and SCENARIO_ERGODICITY_FALSE samplers carry
+state across blocks, see ``models.PairSampler``.)
 
 Per-pulse quantities that must be recoverable for *any* pulse index
 without replaying the stream (the analyzer needs the setting of the pulse

@@ -16,6 +16,7 @@ import numpy as np
 
 from .btag import STATION_A, STATION_B
 from .errors import ConfigError, StreamOrderError
+from .models import same_angle
 from .source import pulse_start_ns
 
 COINC_DTYPE = np.dtype(
@@ -56,15 +57,10 @@ def _greedy_pairs_cluster(ta: np.ndarray, tb: np.ndarray, ia, ib, window: int):
 
 def _effective_setting_table(settings_menu) -> np.ndarray:
     """eff[sa, sb] = menu index of (alpha of sa, beta of sb), or -1."""
-    n = len(settings_menu)
-    index_of = {}
-    for k, (a, b) in enumerate(settings_menu):
-        index_of[(round(a * 1e12), round(b * 1e12))] = k
-    eff = np.full((n, n), -1, dtype=np.int32)
-    for sa in range(n):
-        for sb in range(n):
-            key = (round(settings_menu[sa][0] * 1e12), round(settings_menu[sb][1] * 1e12))
-            eff[sa, sb] = index_of.get(key, -1)
+    menu = np.asarray(settings_menu, dtype=np.float64).reshape(-1, 2)
+    eff = np.full((len(menu), len(menu)), -1, dtype=np.int32)
+    for k, (a, b) in enumerate(menu):  # a later duplicate entry wins
+        eff[np.ix_(same_angle(menu[:, 0], a), same_angle(menu[:, 1], b))] = k
     return eff
 
 

@@ -35,8 +35,9 @@ from bellrm import (
     split_stations,
     wilson_interval,
 )
-from bellrm.cli import AnalysisConfig, analyze_run, main
+from bellrm.cli import main
 from bellrm.models import PI
+from bellrm.pipeline import AnalysisConfig, analyze_run
 from bellrm.streams import substream
 from bellrm.timetags import COINC_DTYPE
 

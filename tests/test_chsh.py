@@ -14,7 +14,6 @@ from bellrm import (
     TSIRELSON_BOUND,
     UndefinedStatisticError,
     UnsupportedModelError,
-    chsh_by_slice,
     correlation_from_counts,
     ensemble_average,
     ergodicity_gap,
@@ -127,7 +126,7 @@ class TestChshEstimate:
 
     def test_per_slice_estimates(self):
         rec = sampled_records(QM, 5_000, seed=31, slices=np.tile([0, 1], 2500))
-        ests = chsh_by_slice(rec, CHSH_MENU, 2)
+        ests = [estimate_chsh(rec, CHSH_MENU, slice_index=k) for k in range(2)]
         assert [e.slice_index for e in ests] == [0, 1]
         assert all(e.n_records == 10_000 for e in ests)
 
@@ -139,7 +138,7 @@ class TestChshEstimate:
 
     def test_csv_emission(self, tmp_path):
         rec = sampled_records(QM, 2_000, seed=35, slices=np.tile([0, 1], 1000))
-        ests = chsh_by_slice(rec, CHSH_MENU, 2)
+        ests = [estimate_chsh(rec, CHSH_MENU, slice_index=k) for k in range(2)]
         path = tmp_path / "chsh.csv"
         write_chsh_csv(path, ests)
         lines = path.read_text().splitlines()

@@ -151,9 +151,10 @@ class TestAnalyze:
         with open(sim_dir / "sequences.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert rows, "no per-sequence rows"
-        assert {"sequence_id", "p_monobit", "p_cusum", "overall_rejected", "compression_ratio"} <= set(
-            rows[0]
-        )
+        assert list(rows[0]) == [
+            "sequence_id", "slice_index", "station", "p_monobit", "p_runs",
+            "p_block_frequency", "p_serial", "p_cusum", "overall_rejected", "compression_ratio",
+        ]
 
     def test_slice_refinement_consistency(self, sim_dir):
         main(["analyze", "--in", str(sim_dir), "--slices", "2"])

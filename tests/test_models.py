@@ -6,20 +6,18 @@ from scipy import stats
 
 from bellrm import (
     CHSH_MENU,
-    HiddenState,
+    ConfigError,
     ModelKind,
     OutcomeModel,
     PairSampler,
     UnsupportedModelError,
-    evolve_lambda,
     local_hv_bit,
     normalize_angle,
     qm_correlation,
-    qm_joint_probability,
-    sample_outcome,
     sawtooth_correlation,
     scenario_pattern,
 )
+from bellrm.models import stationary_lambda_samples
 from bellrm.streams import per_pulse_choice, substream
 
 PI = math.pi
@@ -27,6 +25,15 @@ PI = math.pi
 QM = OutcomeModel(ModelKind.QM_NONLOCAL)
 LOCAL = OutcomeModel(ModelKind.LOCAL_ERGODIC)
 NONERG = OutcomeModel(ModelKind.NONERGODIC)
+
+
+def sample_pairs(model, alphas, betas, times_s, rng):
+    """Bits of one PairSampler batch; every pair at the start of a 100 ns pulse."""
+    alphas = np.asarray(alphas, dtype=np.float64)
+    return PairSampler(model, seed=1).sample(
+        alphas, np.broadcast_to(betas, alphas.shape), np.broadcast_to(times_s, alphas.shape),
+        np.zeros(alphas.size, dtype=np.int64), 100, rng,
+    )
 
 
 def test_angle_normalization():
@@ -38,38 +45,38 @@ def test_angle_normalization():
 
 class TestQmJointProbability:
     def test_aligned_settings_identical_bits(self):
-        # alpha = beta: sequences identical, so mismatch has probability 0
-        assert qm_joint_probability(0.3, 0.3, 0, 0) == pytest.approx(0.5)
-        assert qm_joint_probability(0.3, 0.3, 1, 1) == pytest.approx(0.5)
-        assert qm_joint_probability(0.3, 0.3, 0, 1) == pytest.approx(0.0)
+        # alpha = beta: sequences identical, each bit a fair coin
+        bits_a, bits_b = sample_pairs(QM, np.full(100_000, 0.3), 0.3, 0.0, substream(1, "aligned"))
+        assert np.array_equal(bits_a, bits_b)
+        assert abs(bits_a.mean() - 0.5) < 4 * 0.5 / math.sqrt(bits_a.size)
 
     def test_orthogonal_settings_anticorrelated(self):
-        assert qm_joint_probability(0.3, 0.3 + PI / 2, 0, 1) == pytest.approx(0.5)
-        assert qm_joint_probability(0.3, 0.3 + PI / 2, 0, 0) == pytest.approx(0.0, abs=1e-15)
+        bits_a, bits_b = sample_pairs(
+            QM, np.full(100_000, 0.3), 0.3 + PI / 2, 0.0, substream(2, "orthogonal")
+        )
+        assert np.array_equal(bits_b, 1 - bits_a)
 
     def test_correlation_at_pi_over_8(self):
         # E = cos(pi/4) = sqrt(2)/2
-        e = sum(
-            qm_joint_probability(PI / 8, 0.0, a, b) * (1 if a == b else -1)
-            for a in (0, 1)
-            for b in (0, 1)
-        )
-        assert e == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
-        assert qm_correlation(PI / 8, 0.0) == pytest.approx(math.sqrt(2) / 2)
+        assert qm_correlation(PI / 8, 0.0) == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
+        n = 400_000
+        bits_a, bits_b = sample_pairs(QM, np.full(n, PI / 8), 0.0, 0.0, substream(3, "pi8"))
+        e = float(np.mean(np.where(bits_a == bits_b, 1.0, -1.0)))
+        assert abs(e - math.sqrt(2) / 2) < 4 / math.sqrt(n)
 
     def test_probabilities_sum_to_one_on_grid(self):
+        # sampled joint frequencies match P(a, b) = cos^2(d)/2 for a == b and
+        # sin^2(d)/2 otherwise; these four closed-form cells sum to one
+        n = 20_000
+        rng = substream(4, "joint-grid")
         for alpha in np.linspace(0, PI, 7):
             for beta in np.linspace(0, PI, 5):
-                total = sum(
-                    qm_joint_probability(alpha, beta, a, b)
-                    for a in (0, 1)
-                    for b in (0, 1)
-                )
-                assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            qm_joint_probability(0, 0, 2, 0)
+                same = math.cos(alpha - beta) ** 2
+                expected = np.array([same, 1 - same, 1 - same, same]) / 2
+                assert expected.sum() == pytest.approx(1.0, abs=1e-12)
+                bits_a, bits_b = sample_pairs(QM, np.full(n, alpha), beta, 0.0, rng)
+                freq = np.bincount(2 * bits_a.astype(int) + bits_b, minlength=4) / n
+                assert np.all(np.abs(freq - expected) < 5 * 0.5 / math.sqrt(n))
 
 
 class TestLocalHvBit:
@@ -98,26 +105,37 @@ class TestLocalHvBit:
 
 
 class TestEvolveLambda:
+    # analyzer angles offset from the sign rule's boundaries at lam +- pi/4
+    THETAS = np.linspace(0.0, PI, 16, endpoint=False) + 0.01
+
     def test_nonergodic_phase_origin(self):
-        state = evolve_lambda(NONERG, 0.0)
-        assert state.lam == 0.0
+        thetas = self.THETAS
+        bits_a, bits_b = sample_pairs(NONERG, thetas, thetas[::-1], 0.0, substream(5, "t0"))
+        assert np.array_equal(bits_a, local_hv_bit(0.0, thetas))
+        assert np.array_equal(bits_b, local_hv_bit(0.0, thetas[::-1]))
+        assert not np.array_equal(bits_a, local_hv_bit(PI / 2, thetas))
 
     def test_nonergodic_half_period(self):
-        state = evolve_lambda(NONERG, NONERG.drift_period_s / 2)
-        assert state.lam == pytest.approx(PI / 2)
+        t = NONERG.drift_period_s / 2
+        bits_a, _ = sample_pairs(NONERG, self.THETAS, 0.0, t, substream(5, "half"))
+        assert np.array_equal(bits_a, local_hv_bit(PI / 2, self.THETAS))
+        assert not np.array_equal(bits_a, local_hv_bit(0.0, self.THETAS))
 
     def test_ergodic_draws_uniform(self):
-        rng = substream(5, "test-lambda")
-        draws = np.array(
-            [evolve_lambda(LOCAL, 0.0, rng).lam for _ in range(2000)]
-        )
-        big = substream(6, "test-lambda-vec").random(100_000) * PI
-        ks = stats.kstest(np.concatenate([draws, big]) / PI, "uniform")
-        assert ks.pvalue > 0.01
+        lam = stationary_lambda_samples(LOCAL, 100_000, substream(6, "test-lambda"))
+        assert stats.kstest(lam / PI, "uniform").pvalue > 0.01
+        # the sampler's own angle is uniform too: a non-uniform density
+        # would bend the correlation away from the sawtooth
+        n = 100_000
+        rng = substream(7, "ergodic-sawtooth")
+        for delta in np.linspace(0.0, PI / 2, 7):
+            bits_a, bits_b = sample_pairs(LOCAL, np.full(n, delta), 0.0, 0.0, rng)
+            e = float(np.mean(np.where(bits_a == bits_b, 1.0, -1.0)))
+            assert abs(e - sawtooth_correlation(delta)) < 4 / math.sqrt(n)
 
     def test_rejects_non_hidden_variable_kinds(self):
         with pytest.raises(UnsupportedModelError):
-            evolve_lambda(QM, 0.0)
+            stationary_lambda_samples(QM, 10, substream(8, "qm"))
 
 
 class TestSampleOutcome:
@@ -131,13 +149,17 @@ class TestSampleOutcome:
         assert np.array_equal(bits_a, bits_b)
 
     def test_local_model_deterministic_given_state(self):
-        state = HiddenState(lam=0.3, epoch_time=0.0)
-        rng = substream(2, "irrelevant")
-        outs = {
-            sample_outcome(LOCAL, state, 0.9, 0.1, 0.0, 1.0, rng).bit_a
-            for _ in range(20)
-        }
-        assert len(outs) == 1
+        # the drifting angle is fixed by the pulse time: independent
+        # generator streams give the same bits
+        times = np.arange(1000) * 1e-5
+        alphas = np.full(times.size, 0.9)
+        runs = [
+            sample_pairs(NONERG, alphas, 0.1, times, substream(s, "irrelevant"))[0]
+            for s in (2, 3)
+        ]
+        assert np.array_equal(runs[0], runs[1])
+        lam = (PI / NONERG.drift_period_s * times) % PI
+        assert np.array_equal(runs[0], local_hv_bit(lam, alphas))
 
     def test_qm_chsh_reaches_quantum_bound(self):
         # oracle: S = |E1 - E2 + E3 + E4| with E = cos 2(alpha - beta)
@@ -162,16 +184,9 @@ class TestSampleOutcome:
             s += sign * e
         assert abs(s) == pytest.approx(expected, abs=0.01)
 
-    def test_time_outside_pulse_rejected(self):
-        with pytest.raises(ValueError):
-            sample_outcome(QM, None, 0, 0, 2.0, 1.0, substream(1, "x"))
-
     def test_unknown_kind_is_config_error(self):
-        with pytest.raises(Exception):
-            sample_outcome(
-                OutcomeModel.from_dict({"kind": "NO_SUCH_MODEL"}), None, 0, 0, 0, 1,
-                substream(1, "x"),
-            )
+        with pytest.raises(ConfigError):
+            OutcomeModel.from_dict({"kind": "NO_SUCH_MODEL"})
 
 
 class TestModelInvariants:

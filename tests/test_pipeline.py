@@ -1,0 +1,34 @@
+import math
+
+from bellrm import (
+    CHSH_MENU,
+    ModelKind,
+    OutcomeModel,
+    RunConfig,
+    Verdict,
+    simulate_events,
+    write_chsh_csv,
+)
+from bellrm.pipeline import AnalysisConfig, analyze_run
+
+
+def test_menu_without_a_chsh_pair_is_inconclusive(tmp_path):
+    # (a', b') is missing from the menu: both slices hold enough sequences,
+    # but none can be given a CHSH estimate
+    cfg = RunConfig(
+        seed=31, run_duration_s=8.0, detection_prob_per_pulse=0.0,
+        coincidence_prob_per_pulse=0.05, dark_rate_hz=0.0, settings_menu=CHSH_MENU[:3],
+    )
+    events, _ = simulate_events(cfg, OutcomeModel(ModelKind.SCENARIO_LOCALITY_FALSE))
+    records, chsh, curve, verdict, _ = analyze_run(events, cfg, AnalysisConfig())
+    assert records.size > 0 and chsh == []
+    assert all(reading.sufficient for reading in curve.readings)
+    assert verdict.label is Verdict.INCONCLUSIVE
+    assert verdict.reason == "slice 0 has no CHSH estimate"
+    assert len(verdict.per_slice_S) == 2 and all(math.isnan(s) for s in verdict.per_slice_S)
+
+    path = tmp_path / "chsh_per_slice.csv"
+    write_chsh_csv(path, chsh)
+    assert path.read_text().splitlines() == [
+        "slice_index,n_records,S,std_err,E_ab,E_ab_prime,E_a_prime_b,E_a_prime_b_prime"
+    ]

@@ -13,8 +13,6 @@ from bellrm import (
     correlation_from_counts,
     cusum_test,
     monobit_test,
-    randommeter_curve,
-    rejection_rate,
     run_battery,
     runs_test,
     serial_test,
@@ -24,6 +22,19 @@ from bellrm import (
 from bellrm.chsh import ChshEstimate
 from bellrm.models import scenario_pattern
 from bellrm.randommeter import curve_from_reports
+
+
+def battery_curve(sequences_by_slice, config=BatteryConfig()):
+    """Run the battery on every sequence and aggregate the reports per slice."""
+    reports = {
+        s: [run_battery(bits, config) for bits in seqs] for s, seqs in sequences_by_slice.items()
+    }
+    return curve_from_reports(reports, config)
+
+
+def rejection_reading(sequences):
+    """Reading of one sequence set; the curve needs a second, here empty, slice."""
+    return battery_curve({0: sequences, 1: []}).readings[0]
 
 
 def entropy_bits(n, seed=0):
@@ -225,28 +236,32 @@ class TestCompressionRatio:
 
 class TestRejectionRate:
     def test_certain_rejection(self):
-        rate, (lo, hi) = rejection_rate([np.zeros(10_000, dtype=np.uint8)] * 30)
-        assert rate == 1.0
-        assert hi == 1.0
+        reading = rejection_reading([np.zeros(10_000, dtype=np.uint8)] * 30)
+        assert reading.rejection_rate == 1.0
+        assert reading.ci_high == 1.0
 
     def test_mixed_population(self):
         # 50% all-zeros (always rejected) + 50% full entropy (~false-alarm level)
         seqs = [np.zeros(10_000, dtype=np.uint8)] * 50 + [
             entropy_bits(10_000, seed=s) for s in range(50)
         ]
-        rate, (lo, hi) = rejection_rate(seqs)
-        assert 0.5 <= rate <= 0.58
+        assert 0.5 <= rejection_reading(seqs).rejection_rate <= 0.58
 
     def test_empty_set_is_an_error(self):
         with pytest.raises(UndefinedStatisticError):
-            rejection_rate([])
+            wilson_interval(0, 0)
+        reading = rejection_reading([])
+        assert reading.n_sequences == 0 and not reading.sufficient
+        assert np.isnan(reading.rejection_rate) and np.isnan(reading.ci_low)
 
     def test_permutation_invariant(self):
         seqs = [np.zeros(10_000, dtype=np.uint8)] * 5 + [
             entropy_bits(10_000, seed=s) for s in range(25)
         ]
-        forward = rejection_rate(seqs)
-        assert rejection_rate(seqs[::-1]) == forward
+        forward, backward = rejection_reading(seqs), rejection_reading(seqs[::-1])
+        assert (forward.n_rejected, forward.ci_low, forward.ci_high) == (
+            backward.n_rejected, backward.ci_low, backward.ci_high
+        )
 
 
 class TestWilsonInterval:
@@ -299,7 +314,7 @@ class TestRandommeterCurve:
             0: [entropy_bits(10_000, seed=s) for s in range(30)],
             1: [np.zeros(10_000, dtype=np.uint8)] * 30,
         }
-        curve = randommeter_curve(seqs)
+        curve = battery_curve(seqs)
         assert curve.n_slices == 2
         assert curve.readings[0].rejection_rate <= 0.2
         assert curve.readings[1].rejection_rate == 1.0
@@ -311,13 +326,13 @@ class TestRandommeterCurve:
             0: [entropy_bits(10_000, seed=s) for s in range(30)],
             1: [entropy_bits(10_000, seed=100 + s) for s in range(5)],
         }
-        curve = randommeter_curve(seqs)
+        curve = battery_curve(seqs)
         assert curve.readings[0].sufficient
         assert not curve.readings[1].sufficient
 
     def test_needs_two_slices(self):
         with pytest.raises(ConfigError):
-            randommeter_curve({0: [entropy_bits(10_000)] * 30})
+            battery_curve({0: [entropy_bits(10_000)] * 30})
 
 
 class TestClassifyScenario:

@@ -5,6 +5,7 @@ import pytest
 
 from bellrm import (
     CHSH_MENU,
+    COINC_DTYPE,
     ConfigError,
     EVENT_DTYPE,
     IntegrityError,
@@ -14,6 +15,7 @@ from bellrm import (
     STATION_A,
     STATION_B,
     StreamOrderError,
+    estimate_chsh,
     extract_sequence,
     match_coincidences,
     pulse_geometry,
@@ -165,6 +167,21 @@ class TestMatchCoincidences:
         assert rec["setting_index"][0] == 1
         rec2 = match_coincidences(ea, eb, 500, rep_rate_hz=REP)
         assert rec2["setting_index"][0] == -1
+
+    def test_angle_identity_shared_with_chsh(self):
+        # entry 3 is (a' + 1e-11, b'); the CHSH estimator reads it as (a', b')
+        menu = list(CHSH_MENU)
+        menu[3] = (menu[3][0] + 1e-11, menu[3][1])
+        rec = np.zeros(400, dtype=COINC_DTYPE)
+        rec["setting_index"] = np.repeat(np.arange(4), 100)
+        rec["bit_a"] = rec["bit_b"] = np.tile([0, 1], 200)
+        assert estimate_chsh(rec, menu).S == estimate_chsh(rec, CHSH_MENU).S
+        # so the cross-pulse table reads its alpha as a': (alpha of 3, beta
+        # of 0) = (a', b) = menu entry 2
+        ea = make_events([900], STATION_A, settings=[3])
+        eb = make_events([1100], STATION_B, settings=[0])
+        rec = match_coincidences(ea, eb, 500, rep_rate_hz=REP, settings_menu=menu)
+        assert rec["setting_index"][0] == 2
 
 
 class TestSliceRecords:
