@@ -15,12 +15,11 @@ from bellrm import (
     OutcomeModel,
     RunConfig,
     extract_sequence,
-    match_coincidences,
+    match_events,
     pulse_geometry,
     read_btag,
     simulate_to_btag,
     slice_records,
-    split_stations,
 )
 
 cfg = RunConfig(
@@ -47,9 +46,8 @@ with tempfile.TemporaryDirectory() as tmp:
     )
     events = read_btag(path)
 
-events_a, events_b = split_stations(events)
-records = match_coincidences(
-    events_a, events_b, 2, rep_rate_hz=cfg.rep_rate_hz, settings_menu=cfg.settings_menu
+records = match_events(
+    events, 2, rep_rate_hz=cfg.rep_rate_hz, settings_menu=cfg.settings_menu
 )
 geo = pulse_geometry(cfg)
 records = slice_records(records, 2, geo.pulse_duration_ns)

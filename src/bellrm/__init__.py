@@ -100,6 +100,7 @@ from .timetags import (
     COINC_DTYPE,
     extract_sequence,
     match_coincidences,
+    match_events,
     sequence_partition,
     slice_records,
 )

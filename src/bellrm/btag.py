@@ -14,8 +14,11 @@ Layout, little-endian throughout:
       port_bit       u8   (0 = transmitted, 1 = reflected)
       setting_index  u16  index into the run's settings menu
 
-Records are sorted by (timestamp, station).  The CSV mirror carries one
-record per line in the same field order, station written as A/B.
+Records are strictly sorted by (timestamp, station): one station never
+holds two records on the same nanosecond.  ``read_btag`` checks the field
+ranges; the order is checked where the stream is matched
+(``timetags.match_events``).  The CSV mirror carries one record per line in
+the same field order, station written as A/B.
 """
 
 from __future__ import annotations
@@ -119,7 +122,16 @@ def read_btag(path: str | Path) -> np.ndarray:
             raise IntegrityError(
                 f"{path}: size {size} does not match header count {count}", offset
             )
-        return np.fromfile(fh, dtype=EVENT_DTYPE, count=count)
+        events = np.fromfile(fh, dtype=EVENT_DTYPE, count=count)
+    bad = np.flatnonzero((events["station"] | events["port_bit"]) > 1)
+    if bad.size:
+        i = int(bad[0])
+        raise IntegrityError(
+            f"{path}: record {i} has station {events['station'][i]} and port_bit "
+            f"{events['port_bit'][i]}; both must be 0 or 1",
+            HEADER_SIZE + i * RECORD_SIZE,
+        )
+    return events
 
 
 def split_stations(events: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

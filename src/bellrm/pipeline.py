@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .btag import STATION_LETTERS, split_stations
+from .btag import STATION_LETTERS
 from .chsh import ChshAngles, estimate_chsh
-from .errors import ConfigError, IncompleteSettingsError, UndefinedStatisticError
+from .errors import ConfigError, DataError, IncompleteSettingsError, UndefinedStatisticError
 from .randommeter import (
     BatteryConfig,
     RandommeterCurve,
@@ -22,7 +22,7 @@ from .randommeter import (
     run_battery,
 )
 from .source import RunConfig, pulse_geometry
-from .timetags import extract_sequence, match_coincidences, sequence_partition, slice_records
+from .timetags import extract_sequence, match_events, sequence_partition, slice_records
 
 
 @dataclass
@@ -35,6 +35,10 @@ class AnalysisConfig:
     serial_m: int = 4
 
     def validate(self) -> None:
+        for name in ("n_slices", "window_ns", "sequence_length", "block_size", "serial_m"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"analysis.{name} must be an integer, got {value!r}")
         if self.n_slices < 2:
             raise ConfigError("analysis.n_slices must be >= 2")
         if self.window_ns <= 0:
@@ -70,7 +74,7 @@ def analyze_run(
     analysis: AnalysisConfig,
     angles: ChshAngles = ChshAngles(),
 ):
-    """Full analysis pipeline on an in-memory event stream.
+    """Full analysis pipeline on a merged event stream, as read_btag returns it.
 
     Returns (records, chsh_estimates, curve, verdict, report_rows); CHSH
     estimates cover the slices that could be estimated, and a slice
@@ -78,13 +82,16 @@ def analyze_run(
     """
     geo = pulse_geometry(run)
     battery = analysis.battery()
-    events_a, events_b = split_stations(events)
-    records = match_coincidences(
-        events_a,
-        events_b,
-        analysis.window_ns,
-        rep_rate_hz=run.rep_rate_hz,
-        settings_menu=run.settings_menu,
+    n_menu = len(run.settings_menu)
+    outside = np.flatnonzero(events["setting_index"] >= n_menu)
+    if outside.size:
+        i = int(outside[0])
+        raise DataError(
+            f"record {i} has setting_index {events['setting_index'][i]}, "
+            f"outside the {n_menu}-entry settings menu"
+        )
+    records = match_events(
+        events, analysis.window_ns, rep_rate_hz=run.rep_rate_hz, settings_menu=run.settings_menu
     )
     records = slice_records(records, analysis.n_slices, geo.pulse_duration_ns)
 

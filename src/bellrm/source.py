@@ -62,7 +62,7 @@ class RunConfig:
         self.validate()
 
     def validate(self) -> None:
-        if not isinstance(self.seed, int):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ConfigError("seed must be an integer")
         if self.station_separation_m < 0:
             raise ConfigError("station_separation_m must be >= 0")
@@ -161,12 +161,16 @@ def pulse_start_ns(pulse_indices, rep_rate_hz: float) -> np.ndarray:
 
 
 def pulse_index_of(times_ns: np.ndarray, rep_rate_hz: float) -> np.ndarray:
-    """Pulse index containing each timestamp (floor division by the period)."""
-    period_ns = 1e9 / rep_rate_hz
+    """Pulse k with pulse_start_ns(k) <= t < pulse_start_ns(k + 1), per timestamp.
+
+    Floor division by the period can land one pulse off where
+    :func:`pulse_start_ns` rounded a boundary, so it is corrected against it.
+    """
     t = np.asarray(times_ns, dtype=np.int64)
-    if abs(period_ns - round(period_ns)) < 1e-9:
-        return t // np.int64(round(period_ns))
-    return np.floor(t / period_ns).astype(np.int64)
+    k = np.floor(t / (1e9 / rep_rate_hz)).astype(np.int64)
+    k -= pulse_start_ns(k, rep_rate_hz) > t
+    k += pulse_start_ns(k + 1, rep_rate_hz) <= t
+    return k
 
 
 @dataclass

@@ -1,11 +1,14 @@
 """Coincidence extraction and per-slice sequence building.
 
-The matcher is a greedy earliest-pair, one-to-one pass over the two
-sorted streams, which attains maximum cardinality for interval matching
-on a line.  It runs as a vectorized cluster decomposition: events closer
-than the window form chains, chains are isolated from each other, and
-the overwhelmingly common chain (one A plus one B event) is resolved
-without Python-level looping.
+:func:`match_events` is the one matcher.  It reads the merged stream in
+the (timestamp, station) order a BTAG file is written in, checks that
+order, and pairs events greedily, earliest pair first and one-to-one,
+which attains maximum cardinality for interval matching on a line.  It
+runs as a vectorized cluster decomposition: events closer than the
+window form chains, chains are isolated from each other, and the
+overwhelmingly common chain (one A plus one B event) is resolved without
+Python-level looping.  :func:`match_coincidences` merges two per-station
+streams into that order and hands them on.
 """
 
 from __future__ import annotations
@@ -33,9 +36,11 @@ COINC_DTYPE = np.dtype(
 )
 
 
-def _check_sorted(times: np.ndarray, label: str) -> None:
-    if times.size > 1 and not np.all(np.diff(times) > 0):
-        raise StreamOrderError(f"station {label} events are not strictly time-ordered")
+def _check_increasing(keys: np.ndarray, what: str) -> None:
+    """Raise StreamOrderError naming the first record not after its predecessor."""
+    if keys.size > 1 and not np.all(keys[1:] > keys[:-1]):
+        i = int(np.argmin(keys[1:] > keys[:-1])) + 1
+        raise StreamOrderError(f"{what}: record {i} is not after record {i - 1}")
 
 
 def _greedy_pairs_cluster(ta: np.ndarray, tb: np.ndarray, ia, ib, window: int):
@@ -64,19 +69,20 @@ def _effective_setting_table(settings_menu) -> np.ndarray:
     return eff
 
 
-def match_coincidences(
-    events_a: np.ndarray,
-    events_b: np.ndarray,
+def match_events(
+    events: np.ndarray,
     window_ns: int,
     *,
     rep_rate_hz: float,
     settings_menu=None,
 ) -> np.ndarray:
-    """Pair up detections across stations within ``window_ns``.
+    """Pair up detections of a merged stream across stations within ``window_ns``.
 
-    Greedy earliest-pair one-to-one matching in time order; ties go to the
-    earlier candidate partner.  Returns COINC_DTYPE records in coincidence
-    time order with slice_index unset (-1); run :func:`slice_records` next.
+    ``events`` must be strictly ordered by (timestamp, station), the order a
+    BTAG file is written in; a station other than B counts as A.  Greedy
+    earliest-pair one-to-one matching in time order; ties go to the earlier
+    candidate partner.  Returns COINC_DTYPE records in coincidence time
+    order with slice_index unset (-1); run :func:`slice_records` next.
 
     For pairs spanning two pulses (accidentals) the pulse and within-pulse
     time come from the station-A event, and the setting is the menu entry
@@ -86,94 +92,80 @@ def match_coincidences(
     if window_ns <= 0:
         raise ConfigError("coincidence window must be > 0 ns")
     window = int(window_ns)
-    ta = events_a["timestamp_ns"].astype(np.int64)
-    tb = events_b["timestamp_ns"].astype(np.int64)
-    _check_sorted(ta, "A")
-    _check_sorted(tb, "B")
-
-    if ta.size == 0 or tb.size == 0:
+    t = events["timestamp_ns"].astype(np.int64)
+    is_b = events["station"] == STATION_B
+    _check_increasing((t << 1) | is_b, "events out of (timestamp, station) order")
+    if t.size == 0:
         return np.empty(0, dtype=COINC_DTYPE)
 
-    t = np.concatenate([ta, tb])
-    from_b = np.zeros(t.size, dtype=bool)
-    from_b[ta.size :] = True
-    src = np.concatenate([np.arange(ta.size), np.arange(tb.size)])
-
-    order = np.lexsort((from_b, t))
-    ts = t[order]
-    bs = from_b[order]
-    si = src[order]
-
-    new_cluster = np.empty(ts.size, dtype=bool)
-    new_cluster[0] = True
-    np.greater(ts[1:] - ts[:-1], window, out=new_cluster[1:])
-    cid = np.cumsum(new_cluster) - 1
-    n_clusters = int(cid[-1]) + 1
-    sizes = np.bincount(cid, minlength=n_clusters)
-    n_b = np.bincount(cid, weights=bs, minlength=n_clusters).astype(np.int64)
+    # Chains: runs of events each within the window of the previous one.
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(t) > window) + 1, [t.size]))
+    sizes = np.diff(starts)
+    n_b = np.add.reduceat(is_b, starts[:-1], dtype=np.int64)
     n_a = sizes - n_b
-    starts = np.zeros(n_clusters + 1, dtype=np.int64)
-    np.cumsum(sizes, out=starts[1:])
 
     # Fast path: isolated A+B pair, guaranteed inside the window.
-    fast = (n_a == 1) & (n_b == 1)
-    f0 = starts[:-1][fast]
-    f1 = f0 + 1
-    first_is_b = bs[f0]
-    a_pos = np.where(first_is_b, f1, f0)
-    b_pos = np.where(first_is_b, f0, f1)
-    ia = si[a_pos]
-    ib = si[b_pos]
+    f0 = starts[:-1][(n_a == 1) & (n_b == 1)]
+    first_is_b = is_b[f0]
+    a_pos = np.where(first_is_b, f0 + 1, f0)
+    b_pos = np.where(first_is_b, f0, f0 + 1)
 
     # Slow path: chains of three or more with both stations present.
-    slow = (n_a >= 1) & (n_b >= 1) & (sizes >= 3)
-    if np.any(slow):
-        extra_a = []
-        extra_b = []
-        for c in np.flatnonzero(slow):
-            lo, hi = starts[c], starts[c + 1]
-            seg_b = bs[lo:hi]
-            seg_t = ts[lo:hi]
-            seg_i = si[lo:hi]
-            pairs = _greedy_pairs_cluster(
-                seg_t[~seg_b], seg_t[seg_b], seg_i[~seg_b], seg_i[seg_b], window
-            )
-            for pa, pb in pairs:
-                extra_a.append(pa)
-                extra_b.append(pb)
-        if extra_a:
-            ia = np.concatenate([ia, np.asarray(extra_a, dtype=ia.dtype)])
-            ib = np.concatenate([ib, np.asarray(extra_b, dtype=ib.dtype)])
-
-    if ia.size == 0:
-        return np.empty(0, dtype=COINC_DTYPE)
-
-    time_order = np.argsort(ta[ia], kind="stable")
-    ia = ia[time_order]
-    ib = ib[time_order]
-
-    records = np.empty(ia.size, dtype=COINC_DTYPE)
-    records["t_a_ns"] = ta[ia]
-    records["t_b_ns"] = tb[ib]
-    pulse_a = events_a["pulse_index"][ia].astype(np.int64)
-    pulse_b = events_b["pulse_index"][ib].astype(np.int64)
-    records["pulse_index"] = pulse_a
-    records["within_pulse_ns"] = ta[ia] - pulse_start_ns(pulse_a, rep_rate_hz)
-    records["bit_a"] = events_a["port_bit"][ia]
-    records["bit_b"] = events_b["port_bit"][ib]
-    records["slice_index"] = -1
-
-    setting_a = events_a["setting_index"][ia].astype(np.int64)
-    setting_b = events_b["setting_index"][ib].astype(np.int64)
-    same_pulse = pulse_a == pulse_b
-    if settings_menu is None:
-        records["setting_index"] = np.where(same_pulse, setting_a, -1)
-    else:
-        eff = _effective_setting_table(settings_menu)
-        records["setting_index"] = np.where(
-            same_pulse, setting_a, eff[setting_a, setting_b]
+    pairs = []
+    for c in np.flatnonzero((n_a >= 1) & (n_b >= 1) & (sizes >= 3)):
+        lo, hi = starts[c], starts[c + 1]
+        seg_b = is_b[lo:hi]
+        seg_t = t[lo:hi]
+        pos = np.arange(lo, hi)
+        pairs += _greedy_pairs_cluster(
+            seg_t[~seg_b], seg_t[seg_b], pos[~seg_b], pos[seg_b], window
         )
+    if pairs:
+        a_pos = np.concatenate([a_pos, [p for p, _ in pairs]])
+        b_pos = np.concatenate([b_pos, [q for _, q in pairs]])
+        time_order = np.argsort(a_pos)
+        a_pos, b_pos = a_pos[time_order], b_pos[time_order]
+
+    a, b = events[a_pos], events[b_pos]
+    pulse_a = a["pulse_index"].astype(np.int64)
+    setting_a = a["setting_index"].astype(np.int64)
+    records = np.empty(a_pos.size, dtype=COINC_DTYPE)
+    records["t_a_ns"] = a["timestamp_ns"]
+    records["t_b_ns"] = b["timestamp_ns"]
+    records["pulse_index"] = pulse_a
+    records["within_pulse_ns"] = records["t_a_ns"] - pulse_start_ns(pulse_a, rep_rate_hz)
+    records["bit_a"] = a["port_bit"]
+    records["bit_b"] = b["port_bit"]
+    records["slice_index"] = -1
+    if settings_menu is None:
+        cross = -1
+    else:
+        cross = _effective_setting_table(settings_menu)[setting_a, b["setting_index"]]
+    records["setting_index"] = np.where(pulse_a == b["pulse_index"], setting_a, cross)
     return records
+
+
+def match_coincidences(
+    events_a: np.ndarray,
+    events_b: np.ndarray,
+    window_ns: int,
+    *,
+    rep_rate_hz: float,
+    settings_menu=None,
+) -> np.ndarray:
+    """:func:`match_events` on two per-station streams, each strictly time-ordered.
+
+    The station field is set from the argument position, not read.
+    """
+    _check_increasing(events_a["timestamp_ns"], "station A events out of time order")
+    _check_increasing(events_b["timestamp_ns"], "station B events out of time order")
+    events = np.concatenate([events_a, events_b])
+    events["station"][: events_a.size] = STATION_A
+    events["station"][events_a.size :] = STATION_B
+    events = events[np.lexsort((events["station"], events["timestamp_ns"]))]
+    return match_events(
+        events, window_ns, rep_rate_hz=rep_rate_hz, settings_menu=settings_menu
+    )
 
 
 def slice_records(records: np.ndarray, n_slices: int, pulse_duration_ns: int) -> np.ndarray:

@@ -183,6 +183,44 @@ class TestAnalyze:
         assert main(["analyze", "--in", str(sim_dir)]) == 3
         assert "byte offset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field_offset, value, message",
+        [(12, 7, "station 7"), (13, 5, "port_bit 5")],
+    )
+    def test_out_of_range_field_exits_3(self, sim_dir, capsys, field_offset, value, message):
+        path = sim_dir / "events.btag"
+        data = bytearray(path.read_bytes())
+        data[32 + 3 * 16 + field_offset] = value
+        path.write_bytes(bytes(data))
+        assert main(["analyze", "--in", str(sim_dir)]) == 3
+        err = capsys.readouterr().err
+        assert message in err and f"byte offset {32 + 3 * 16}" in err
+        assert not (sim_dir / "verdict.json").exists()
+
+    def test_setting_outside_menu_exits_3(self, sim_dir, capsys):
+        path = sim_dir / "events.btag"
+        data = bytearray(path.read_bytes())
+        data[32 + 5 * 16 + 14 : 32 + 5 * 16 + 16] = (99).to_bytes(2, "little")
+        path.write_bytes(bytes(data))
+        assert main(["analyze", "--in", str(sim_dir)]) == 3
+        assert "record 5 has setting_index 99" in capsys.readouterr().err
+        assert not (sim_dir / "verdict.json").exists()
+
+    def test_records_out_of_order_exit_3(self, sim_dir, capsys):
+        path = sim_dir / "events.btag"
+        data = bytearray(path.read_bytes())
+        first, second = slice(32, 48), slice(48, 64)
+        data[first], data[second] = data[second], data[first]
+        path.write_bytes(bytes(data))
+        assert main(["analyze", "--in", str(sim_dir)]) == 3
+        assert "record 1 is not after record 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["BELLRM_SLICES", "BELLRM_WINDOW_NS"])
+    def test_fractional_integer_override_exits_2(self, sim_dir, capsys, monkeypatch, key):
+        monkeypatch.setenv(key, "2.5")
+        assert main(["analyze", "--in", str(sim_dir)]) == 2
+        assert "must be an integer, got 2.5" in capsys.readouterr().err
+
     def test_missing_manifest_exits_3(self, tmp_path, no_bellrm_env):
         empty = tmp_path / "nothing"
         empty.mkdir()

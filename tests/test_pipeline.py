@@ -1,7 +1,10 @@
 import math
 
+import pytest
+
 from bellrm import (
     CHSH_MENU,
+    ConfigError,
     ModelKind,
     OutcomeModel,
     RunConfig,
@@ -32,3 +35,12 @@ def test_menu_without_a_chsh_pair_is_inconclusive(tmp_path):
     assert path.read_text().splitlines() == [
         "slice_index,n_records,S,std_err,E_ab,E_ab_prime,E_a_prime_b,E_a_prime_b_prime"
     ]
+
+
+@pytest.mark.parametrize(
+    "field", ["n_slices", "window_ns", "sequence_length", "block_size", "serial_m"]
+)
+@pytest.mark.parametrize("value", [2.5, 4.0, True, "4"])
+def test_integer_fields_reject_other_types(field, value):
+    with pytest.raises(ConfigError, match=f"analysis.{field} must be an integer"):
+        AnalysisConfig.from_dict({field: value})

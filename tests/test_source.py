@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from bellrm import (
@@ -77,6 +79,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"seed": 1, "no_such_field": 2})
 
+    def test_bool_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            small_config(seed=True)
+
     def test_pulse_index_must_fit_32_bits(self):
         with pytest.raises(ConfigError):
             small_config(run_duration_s=5e3, rep_rate_hz=1e6)
@@ -88,6 +94,28 @@ class TestPulseArithmetic:
         starts = pulse_start_ns(idx, 1e6)
         assert np.array_equal(pulse_index_of(starts, 1e6), idx)
         assert np.array_equal(pulse_index_of(starts + 999, 1e6), idx)
+
+    @pytest.mark.parametrize("rep_rate_hz", [0.7e6, 1.1e6, 1.3e6, 2.9e6, 3e6])
+    def test_inverse_when_the_period_is_not_whole_ns(self, rep_rate_hz):
+        idx = np.arange(200_000)
+        starts = pulse_start_ns(idx, rep_rate_hz)
+        assert np.array_equal(pulse_index_of(starts, rep_rate_hz), idx)
+        assert np.array_equal(pulse_index_of(starts[1:] - 1, rep_rate_hz), idx[:-1])
+
+    @given(
+        rep_rate_hz=st.floats(1e3, 5e8),
+        k=st.integers(0, 2**32 - 2),
+    )
+    def test_round_trip(self, rep_rate_hz, k):
+        start, next_start = pulse_start_ns([k, k + 1], rep_rate_hz)
+        assert pulse_index_of(start, rep_rate_hz) == k
+        assert pulse_index_of(next_start - 1, rep_rate_hz) == k
+
+    @given(rep_rate_hz=st.floats(1e3, 5e8), t=st.integers(0, 10**13))
+    def test_every_timestamp_lies_in_its_pulse(self, rep_rate_hz, t):
+        k = int(pulse_index_of(t, rep_rate_hz))
+        start, next_start = pulse_start_ns([k, k + 1], rep_rate_hz)
+        assert start <= t < next_start
 
 
 class TestGenerateRun:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bellrm import (
     CHSH_MENU,
@@ -18,7 +20,9 @@ from bellrm import (
     estimate_chsh,
     extract_sequence,
     match_coincidences,
+    match_events,
     pulse_geometry,
+    pulse_index_of,
     read_btag,
     read_csv,
     sequence_partition,
@@ -184,6 +188,52 @@ class TestMatchCoincidences:
         assert rec["setting_index"][0] == 2
 
 
+class TestMatchEvents:
+    def merged(self, times_ns, stations):
+        ev = make_events(times_ns, STATION_A)
+        ev["station"] = stations
+        return ev
+
+    def test_b_before_a_on_one_ns_rejected(self):
+        ev = self.merged([100, 100, 200], [STATION_B, STATION_A, STATION_A])
+        with pytest.raises(StreamOrderError, match="record 1 is not after record 0"):
+            match_events(ev, 2, rep_rate_hz=REP)
+
+    def test_duplicate_ns_within_one_station_rejected(self):
+        ev = self.merged([100, 150, 150], [STATION_A, STATION_B, STATION_B])
+        with pytest.raises(StreamOrderError, match="record 2 is not after record 1"):
+            match_events(ev, 2, rep_rate_hz=REP)
+
+    def test_same_ns_pair_in_station_order_matches(self):
+        rec = match_events(
+            self.merged([100, 100], [STATION_A, STATION_B]), 2, rep_rate_hz=REP
+        )
+        assert rec.size == 1
+
+    def test_equals_per_station_matching_on_a_simulated_run(self):
+        # W = 100 ns with 100 kHz darks: many chains of three or more events
+        # (slow path) and pairs whose A and B events sit in different pulses
+        cfg = RunConfig(seed=41, run_duration_s=0.5, dark_rate_hz=1e5)
+        events, _ = simulate_events(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))
+        t = events["timestamp_ns"].astype(np.int64)
+        chain = np.cumsum(np.diff(t, prepend=t[0]) > 100)
+        n_b = np.bincount(chain, weights=events["station"])
+        n_a = np.bincount(chain) - n_b
+        assert np.count_nonzero((n_a >= 1) & (n_b >= 1) & (n_a + n_b >= 3)) > 1000
+
+        merged = match_events(
+            events, 100, rep_rate_hz=cfg.rep_rate_hz, settings_menu=CHSH_MENU
+        )
+        split = match_coincidences(
+            *split_stations(events), 100, rep_rate_hz=cfg.rep_rate_hz,
+            settings_menu=CHSH_MENU,
+        )
+        assert merged.tobytes() == split.tobytes()
+        cross = pulse_index_of(merged["t_b_ns"], cfg.rep_rate_hz) != merged["pulse_index"]
+        assert np.count_nonzero(cross) > 100
+        assert np.all(merged["setting_index"] >= 0)
+
+
 class TestSliceRecords:
     def duration(self):
         return 100
@@ -223,6 +273,34 @@ class TestSliceRecords:
             int(np.count_nonzero(sliced["slice_index"] == k)) for k in range(4)
         )
         assert total_by_slice == in_pulse
+
+    @staticmethod
+    def records_at(withins):
+        rec = np.zeros(len(withins), dtype=COINC_DTYPE)
+        rec["within_pulse_ns"] = withins
+        return rec
+
+    @given(
+        duration=st.integers(1, 10**4),
+        n_slices=st.integers(2, 64),
+        within=st.integers(-10**4, 2 * 10**4),
+    )
+    def test_slices_partition_the_pulse(self, duration, n_slices, within):
+        k = int(slice_records(self.records_at([within]), n_slices, duration)["slice_index"][0])
+        if 0 <= within < duration:
+            assert 0 <= k < n_slices
+            assert k * duration <= n_slices * within < (k + 1) * duration
+        else:
+            assert k == -1
+
+    @given(n_slices=st.integers(2, 64), q=st.integers(1, 200), data=st.data())
+    def test_record_on_a_boundary_goes_to_the_later_slice(self, n_slices, q, data):
+        k = data.draw(st.integers(1, n_slices - 1))
+        duration = q * n_slices // math.gcd(k, n_slices)  # boundary k is a whole ns
+        on_boundary = k * duration // n_slices
+        sliced = slice_records(self.records_at([on_boundary - 1, on_boundary]), n_slices, duration)
+        assert sliced["slice_index"].tolist()[1] == k
+        assert sliced["slice_index"].tolist()[0] < k
 
     def test_loophole_free_boundary_is_light_time(self):
         # first half of a 2L/c pulse ends at L/c
