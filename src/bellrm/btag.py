@@ -24,6 +24,7 @@ the same field order, station written as A/B.
 from __future__ import annotations
 
 import io
+import os
 from pathlib import Path
 
 import numpy as np
@@ -70,15 +71,20 @@ class BtagWriter:
         with BtagWriter(path) as w:
             for chunk in chunks:
                 w.write(chunk)
+
+    Records go to a temporary file beside ``path``, which replaces ``path``
+    only when the block ends without an exception; otherwise it is removed,
+    so ``path`` never holds a partial file.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        self._tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
         self._fh: io.BufferedWriter | None = None
         self.count = 0
 
     def __enter__(self) -> "BtagWriter":
-        self._fh = open(self.path, "wb")
+        self._fh = open(self._tmp, "wb")
         self._fh.write(_pack_header(0))
         return self
 
@@ -91,10 +97,15 @@ class BtagWriter:
     def __exit__(self, exc_type, exc, tb) -> None:
         fh = self._fh
         self._fh = None
-        if exc_type is None:
-            fh.seek(0)
-            fh.write(_pack_header(self.count))
-        fh.close()
+        try:
+            if exc_type is None:
+                fh.seek(0)
+                fh.write(_pack_header(self.count))
+            fh.close()
+            if exc_type is None:
+                os.replace(self._tmp, self.path)
+        finally:
+            self._tmp.unlink(missing_ok=True)
 
 
 def write_btag(path: str | Path, events: np.ndarray) -> None:

@@ -32,7 +32,13 @@ from .errors import ConfigError, DataError
 from .models import OutcomeModel
 from .pipeline import AnalysisConfig, analyze_run
 from .randommeter import write_curve_csv, write_reports_csv, write_verdict_json
-from .source import RunConfig, RunStats, pulse_geometry, simulate_to_btag
+from .source import (
+    GENERATOR_VERSION,
+    RunConfig,
+    RunStats,
+    pulse_geometry,
+    simulate_to_btag,
+)
 
 ENV_PREFIX = "BELLRM_"
 
@@ -63,6 +69,13 @@ def load_config(path) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if "config" in obj and isinstance(obj["config"], dict) and "run" in obj["config"]:
+        version = obj.get("generator_version", 1)
+        if version != GENERATOR_VERSION:
+            raise ConfigError(
+                f"manifest {path} comes from generator version {version}; this bellrm "
+                f"generates version {GENERATOR_VERSION} and would write other bytes "
+                "for its seed"
+            )
         obj = obj["config"]
     if "run" not in obj:
         raise ConfigError(f"config {path} lacks a 'run' section")
@@ -139,6 +152,7 @@ def write_manifest(
         "tool": "bellrm",
         "tool_version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
+        "generator_version": GENERATOR_VERSION,
         "seed": run.seed,
         "config": {
             "run": run.to_dict(),

@@ -15,13 +15,12 @@ from .chsh import ChshAngles, estimate_chsh
 from .errors import ConfigError, DataError, IncompleteSettingsError, UndefinedStatisticError
 from .randommeter import (
     BatteryConfig,
-    RandommeterCurve,
     ScenarioVerdict,
     classify_scenario,
     curve_from_reports,
     run_battery,
 )
-from .source import RunConfig, pulse_geometry
+from .source import RunConfig, pulse_geometry, require_finite
 from .timetags import extract_sequence, match_events, sequence_partition, slice_records
 
 
@@ -39,6 +38,7 @@ class AnalysisConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"analysis.{name} must be an integer, got {value!r}")
+        require_finite("analysis.alpha_sig", self.alpha_sig)
         if self.n_slices < 2:
             raise ConfigError("analysis.n_slices must be >= 2")
         if self.window_ns <= 0:
@@ -117,12 +117,10 @@ def analyze_run(
         except (IncompleteSettingsError, UndefinedStatisticError):
             pass  # classify_scenario answers INCONCLUSIVE for this slice
 
-    try:
-        curve = curve_from_reports(reports_by_slice, battery)
-        verdict = classify_scenario(curve, chsh_estimates)
-    except (ConfigError, UndefinedStatisticError) as exc:
-        curve = RandommeterCurve((), battery.alpha_sig, battery.false_alarm_rate)
-        verdict = ScenarioVerdict.inconclusive(f"no data: {exc}")
+    # slice_records has already refused fewer than two slices, and
+    # classify_scenario tests the halves only once each holds sequences.
+    curve = curve_from_reports(reports_by_slice, battery)
+    verdict = classify_scenario(curve, chsh_estimates)
     if records.size == 0:
         verdict = ScenarioVerdict.inconclusive(
             "no data: no coincidences matched", verdict.per_slice_S, verdict.per_slice_R

@@ -8,6 +8,9 @@ significance alpha_sig).  A dictionary-compression ratio is reported
 alongside as a complexity estimate.  Verdicts about which property the
 data falsifies come from contrasting R between the first and second
 pulse halves.
+
+``scipy.special`` is imported inside the functions that use it, so that
+importing the package (and running ``simulate``) does not pay for scipy.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import erfc, gammaincc, ndtr
 
 from .errors import ConfigError, InsufficientLengthError, UndefinedStatisticError
 
@@ -49,6 +51,8 @@ def _as_bits(bits) -> np.ndarray:
 
 def monobit_test(bits, alpha_sig: float = 0.01) -> TestResult:
     """Excess of ones versus zeros: s = |sum(2x-1)|/sqrt(n), p = erfc(s/sqrt 2)."""
+    from scipy.special import erfc
+
     x = _as_bits(bits)
     if x.size < 100:
         raise InsufficientLengthError("monobit needs at least 100 bits")
@@ -63,6 +67,8 @@ def runs_test(bits, alpha_sig: float = 0.01) -> TestResult:
     guard band the result is flagged not applicable (the monobit test
     rejects such sequences anyway).
     """
+    from scipy.special import erfc
+
     x = _as_bits(bits)
     n = x.size
     if n < 100:
@@ -78,6 +84,8 @@ def runs_test(bits, alpha_sig: float = 0.01) -> TestResult:
 
 def block_frequency_test(bits, block_size: int = 128, alpha_sig: float = 0.01) -> TestResult:
     """Chi-square of per-block ones proportions around 1/2."""
+    from scipy.special import gammaincc
+
     x = _as_bits(bits)
     if block_size < 2:
         raise ConfigError("block_size must be >= 2")
@@ -113,6 +121,8 @@ def _psi_squared(x: np.ndarray, m: int) -> float:
 def serial_test(bits, m: int = 4, alpha_sig: float = 0.01) -> TestResult:
     """Uniformity of overlapping m-bit patterns (first generalized serial
     statistic, del-psi^2 with chi-square on 2^(m-2) degrees of freedom)."""
+    from scipy.special import gammaincc
+
     x = _as_bits(bits)
     if m < 2:
         raise ConfigError("serial test order m must be >= 2")
@@ -125,6 +135,8 @@ def serial_test(bits, m: int = 4, alpha_sig: float = 0.01) -> TestResult:
 
 def cusum_test(bits, alpha_sig: float = 0.01) -> TestResult:
     """Maximum excursion of the +/-1 partial-sum walk (forward mode)."""
+    from scipy.special import ndtr
+
     x = _as_bits(bits)
     n = x.size
     if n < 100:
@@ -353,6 +365,8 @@ class ScenarioVerdict:
 
 def two_proportion_z(k1: int, n1: int, k2: int, n2: int) -> tuple[float, float]:
     """Pooled two-proportion z statistic and two-sided p-value."""
+    from scipy.special import erfc
+
     if n1 == 0 or n2 == 0:
         raise UndefinedStatisticError("two-proportion test needs data on both sides")
     p1, p2 = k1 / n1, k2 / n2

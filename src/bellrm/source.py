@@ -8,13 +8,22 @@ landing on the same nanosecond at one station keep only the first
 (resolution-limited detector), with coincidence members taking priority.
 
 Generation is chunked over pulse blocks, each block fed by its own keyed
-random stream, so output is reproducible from (config, seed).  Blocks are
-produced in order: the SCENARIO_LOCALITY_FALSE and SCENARIO_ERGODICITY_FALSE
-samplers carry their pattern position from one block to the next.
+random streams, so output is reproducible from (config, seed, block size);
+another ``chunk_pulses`` gives another stream.  Blocks are produced in
+order: the SCENARIO_LOCALITY_FALSE and SCENARIO_ERGODICITY_FALSE samplers
+carry their pattern position from one block to the next.  Within a block
+the pulses holding a pair or a single are found by drawing geometric gaps
+between hits, so the work follows the number of events, not of pulses.
+
+``GENERATOR_VERSION`` names the way a seed becomes bytes.  Version 1 drew
+a uniform per pulse; version 2 draws the gaps.  The manifest records it,
+and ``simulate`` refuses to replay a manifest of another version.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, asdict
 
@@ -37,8 +46,23 @@ CHSH_MENU = (
 
 CHSH_ANGLES = (0.0, PI / 4, PI / 8, 3 * PI / 8)
 
+#: version of the seed -> bytes mapping, recorded in every manifest.
+GENERATOR_VERSION = 2
+
 _MAX_PULSES = 2**32 - 1
 _DEFAULT_CHUNK = 1 << 22
+
+
+def require_finite(name: str, value) -> None:
+    """Raise ConfigError unless ``value`` is a finite real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass
@@ -64,6 +88,18 @@ class RunConfig:
     def validate(self) -> None:
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ConfigError("seed must be an integer")
+        for name in (
+            "station_separation_m",
+            "rep_rate_hz",
+            "pulse_duration_s",
+            "run_duration_s",
+            "detection_prob_per_pulse",
+            "coincidence_prob_per_pulse",
+            "dark_rate_hz",
+        ):
+            value = getattr(self, name)
+            if not (name == "pulse_duration_s" and value is None):
+                require_finite(name, value)
         if self.station_separation_m < 0:
             raise ConfigError("station_separation_m must be >= 0")
         if self.rep_rate_hz <= 0:
@@ -190,32 +226,57 @@ class RunStats:
         return asdict(self)
 
 
-def _station_chunk(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]):
-    """Combine (t, pulse, port, setting) category arrays for one station.
+def _hit_offsets(rng: np.random.Generator, p: float, m: int) -> np.ndarray:
+    """Sorted offsets in [0, m) of the pulses hit, each with probability p.
 
-    Categories arrive in priority order (coincidences first); equal
-    timestamps keep the earliest category.  Returns sorted, deduped
-    columns plus the number of dropped collisions.
+    Draws the geometric gaps between hits, not a uniform per pulse, in
+    batches sized for the expected count until the m pulses are covered.
+    A gap longer than the block is cut to m + 1, which still lands past it.
     """
-    t = np.concatenate([p[0] for p in parts])
-    pulse = np.concatenate([p[1] for p in parts])
-    port = np.concatenate([p[2] for p in parts])
-    setting = np.concatenate([p[3] for p in parts])
-    prio = np.concatenate(
-        [np.full(p[0].size, i, dtype=np.uint8) for i, p in enumerate(parts)]
+    if p <= 0:
+        return np.empty(0, dtype=np.int64)
+    mean = m * p
+    batch = int(mean + 4.0 * math.sqrt(mean)) + 16
+    runs = []
+    last = -1
+    while last < m - 1:
+        gaps = np.minimum(rng.geometric(p, batch), m + 1)
+        run = last + np.cumsum(gaps)
+        runs.append(run)
+        last = int(run[-1])
+    hits = np.concatenate(runs)
+    return hits[: np.searchsorted(hits, m)]
+
+
+def _merge_stations(parts_a: list, parts_b: list) -> tuple[np.ndarray, int]:
+    """One block's events from its (t, pulse, port, setting) category arrays.
+
+    Each station's categories come in priority order (coincidences,
+    singles, darks).  One stable sort on (t, station) orders them all; a
+    repeat of a key keeps its first, highest-priority record, and the
+    repeats are returned as the number of dropped collisions.
+    """
+    parts = parts_a + parts_b
+    key = np.concatenate(
+        [
+            (p[0] << 1) | station
+            for station, station_parts in ((STATION_A, parts_a), (STATION_B, parts_b))
+            for p in station_parts
+        ]
     )
-    order = np.lexsort((prio, t))
-    t = t[order]
-    keep = np.ones(t.size, dtype=bool)
-    keep[1:] = t[1:] != t[:-1]
-    dropped = int(t.size - keep.sum())
-    return (
-        t[keep],
-        pulse[order][keep],
-        port[order][keep],
-        setting[order][keep],
-        dropped,
-    )
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    keep = np.ones(key.size, dtype=bool)
+    keep[1:] = key[1:] != key[:-1]
+    order = order[keep]
+    key = key[keep]
+
+    events = np.empty(key.size, dtype=EVENT_DTYPE)
+    events["timestamp_ns"] = key >> 1
+    events["station"] = key & 1
+    for field, column in (("pulse_index", 1), ("port_bit", 2), ("setting_index", 3)):
+        events[field] = np.concatenate([p[column] for p in parts])[order]
+    return events, int(keep.size - key.size)
 
 
 def iter_event_chunks(
@@ -228,6 +289,8 @@ def iter_event_chunks(
 
     Chunks partition the pulse train; all events of a chunk fall inside
     its time window, so concatenating chunks preserves global order.
+    Each block of ``chunk_pulses`` pulses draws from its own substreams,
+    so the stream a seed gives depends on the block size.
     """
     geo = pulse_geometry(config)
     duration_ns = geo.pulse_duration_ns
@@ -246,24 +309,23 @@ def iter_event_chunks(
     p_single = config.detection_prob_per_pulse
     p_coinc = config.coincidence_prob_per_pulse
 
-    for block, start in enumerate(range(0, max(n_pulses, 1), chunk_pulses)):
-        if n_pulses == 0:
-            break
+    for block, start in enumerate(range(0, n_pulses, chunk_pulses)):
         stop = min(start + chunk_pulses, n_pulses)
         m = stop - start
         chunk_t0 = int(pulse_start_ns(start, config.rep_rate_hz))
         chunk_t1 = int(pulse_start_ns(stop, config.rep_rate_hz))
 
+        # (t, pulse, port, setting) per category, each station's in
+        # priority order: coincidences, singles, darks.
         parts_a: list = []
         parts_b: list = []
 
         # --- coincident pairs -------------------------------------------
         rng_c = substream(seed, "coincidence", block)
-        mask = rng_c.random(m) < p_coinc
-        local_idx = np.flatnonzero(mask)
+        local_idx = _hit_offsets(rng_c, p_coinc, m)
         k = local_idx.size
         if k:
-            pulses = (start + local_idx).astype(np.int64)
+            pulses = start + local_idx
             starts = pulse_start_ns(pulses, config.rep_rate_hz)
             within = rng_c.integers(0, duration_ns, k)
             t = starts + within
@@ -277,7 +339,7 @@ def iter_event_chunks(
                 rng_c,
             )
             parts_a.append((t, pulses, bits_a, settings))
-            parts_b.append((t.copy(), pulses.copy(), bits_b, settings.copy()))
+            parts_b.append((t, pulses, bits_b, settings))
             stats.n_coincidence_pairs += k
 
         # --- uncorrelated singles ---------------------------------------
@@ -288,11 +350,10 @@ def iter_event_chunks(
             if p_single <= 0:
                 continue
             rng_s = substream(seed, label, block)
-            mask = rng_s.random(m) < p_single
-            local_idx = np.flatnonzero(mask)
+            local_idx = _hit_offsets(rng_s, p_single, m)
             ks = local_idx.size
             if ks:
-                pulses = (start + local_idx).astype(np.int64)
+                pulses = start + local_idx
                 t = pulse_start_ns(pulses, config.rep_rate_hz) + rng_s.integers(
                     0, duration_ns, ks
                 )
@@ -315,29 +376,10 @@ def iter_event_chunks(
                     station_parts.append((t, pulses, bits, settings))
                     setattr(stats, attr, getattr(stats, attr) + kd)
 
-        # --- merge, dedupe, sort ------------------------------------------
-        columns = []
-        for station_code, parts in ((STATION_A, parts_a), (STATION_B, parts_b)):
-            if not parts:
-                continue
-            t, pulse, port, setting, dropped = _station_chunk(parts)
-            stats.n_collisions_dropped += dropped
-            columns.append((t, pulse, port, setting, station_code))
-        if not columns:
+        if not (parts_a or parts_b):
             continue
-
-        t_all = np.concatenate([c[0] for c in columns])
-        station_all = np.concatenate(
-            [np.full(c[0].size, c[4], dtype=np.uint8) for c in columns]
-        )
-        order = np.lexsort((station_all, t_all))
-
-        events = np.empty(t_all.size, dtype=EVENT_DTYPE)
-        events["timestamp_ns"] = t_all[order]
-        events["pulse_index"] = np.concatenate([c[1] for c in columns])[order]
-        events["port_bit"] = np.concatenate([c[2] for c in columns])[order]
-        events["setting_index"] = np.concatenate([c[3] for c in columns])[order]
-        events["station"] = station_all[order]
+        events, dropped = _merge_stations(parts_a, parts_b)
+        stats.n_collisions_dropped += dropped
         stats.n_events += events.size
         yield events
 

@@ -2,9 +2,13 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bellrm.source
 from bellrm import RunConfig, read_btag
 from bellrm.cli import main
 
@@ -128,6 +132,58 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "events.csv" in manifest["artifacts"]
 
+    def test_manifest_records_generator_version(self, sim_dir):
+        manifest = json.loads((sim_dir / "manifest.json").read_text())
+        assert manifest["generator_version"] == 2
+
+    @pytest.mark.parametrize("version", [None, 1])
+    def test_manifest_of_another_generator_version_exits_2(
+        self, sim_dir, tmp_path, capsys, version
+    ):
+        # a manifest without the field predates it: version 1
+        manifest = json.loads((sim_dir / "manifest.json").read_text())
+        del manifest["generator_version"]
+        if version is not None:
+            manifest["generator_version"] = version
+        old = tmp_path / "old_manifest.json"
+        old.write_text(json.dumps(manifest))
+        out = tmp_path / "replay"
+        assert main(["simulate", "--config", str(old), "--out", str(out)]) == 2
+        assert "generator version 1" in capsys.readouterr().err
+        assert not (out / "events.btag").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("BELLRM_DARK_RATE_HZ", "abc", "dark_rate_hz"),
+            ("BELLRM_DARK_RATE_HZ", "NaN", "dark_rate_hz"),
+            ("BELLRM_RUN_DURATION_S", "Infinity", "run_duration_s"),
+            ("BELLRM_REP_RATE_HZ", "true", "rep_rate_hz"),
+        ],
+    )
+    def test_non_finite_float_override_exits_2(
+        self, tmp_path, no_bellrm_env, monkeypatch, capsys, key, value, field
+    ):
+        monkeypatch.setenv(key, value)
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 2
+        assert f"{field} must be a finite number" in capsys.readouterr().err
+        assert not (out / "events.btag").exists()
+
+    def test_failed_simulate_leaves_no_partial_file(self, tmp_path, no_bellrm_env, monkeypatch):
+        generate = bellrm.source.iter_event_chunks
+
+        def fails_part_way(*args, **kwargs):
+            chunks = generate(*args, **kwargs)
+            yield next(chunks)
+            raise RuntimeError("generator failed")
+
+        monkeypatch.setattr(bellrm.source, "iter_event_chunks", fails_part_way)
+        out = tmp_path / "failed"
+        with pytest.raises(RuntimeError, match="generator failed"):
+            main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(out)])
+        assert list(out.iterdir()) == []
+
     def test_locked_directory_exits_3(self, tmp_path, no_bellrm_env):
         cfg = write_config(tmp_path)
         out = tmp_path / "locked"
@@ -176,6 +232,23 @@ class TestAnalyze:
         verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["label"] == "INCONCLUSIVE"
         assert "no data" in verdict["reason"]
+
+    def test_run_without_coincidences_is_inconclusive(self, tmp_path, no_bellrm_env):
+        obj = json.loads(json.dumps(BASE_CONFIG))
+        obj["run"].update(run_duration_s=1.0, coincidence_prob_per_pulse=0.0, dark_rate_hz=1000.0)
+        out = tmp_path / "darks"
+        main(["simulate", "--config", str(write_config(tmp_path, obj)), "--out", str(out)])
+        assert read_btag(out / "events.btag").size > 0
+        assert main(["analyze", "--in", str(out)]) == 0
+        verdict = json.loads((out / "verdict.json").read_text())
+        assert verdict["label"] == "INCONCLUSIVE"
+        assert verdict["reason"] == "no data: no coincidences matched"
+
+    @pytest.mark.parametrize("value", ["abc", "NaN", "Infinity"])
+    def test_non_finite_alpha_sig_exits_2(self, sim_dir, capsys, monkeypatch, value):
+        monkeypatch.setenv("BELLRM_ALPHA_SIG", value)
+        assert main(["analyze", "--in", str(sim_dir)]) == 2
+        assert "analysis.alpha_sig must be a finite number" in capsys.readouterr().err
 
     def test_corrupt_btag_exits_3_with_offset(self, sim_dir, capsys):
         data = (sim_dir / "events.btag").read_bytes()
@@ -260,3 +333,15 @@ class TestReport:
         assert summary.index("run: alpha") < summary.index("run: beta")
         verdicts = [l for l in summary.splitlines() if l.strip().startswith("verdict:")]
         assert len(verdicts) == 2
+
+
+def test_importing_the_cli_leaves_scipy_out():
+    # only the battery needs scipy; simulate, report and --version start without it
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = "import sys, bellrm, bellrm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

@@ -44,3 +44,9 @@ def test_menu_without_a_chsh_pair_is_inconclusive(tmp_path):
 def test_integer_fields_reject_other_types(field, value):
     with pytest.raises(ConfigError, match=f"analysis.{field} must be an integer"):
         AnalysisConfig.from_dict({field: value})
+
+
+@pytest.mark.parametrize("value", ["0.01", True, math.nan, math.inf])
+def test_alpha_sig_must_be_a_finite_number(value):
+    with pytest.raises(ConfigError, match="analysis.alpha_sig must be a finite number"):
+        AnalysisConfig.from_dict({"alpha_sig": value})

@@ -6,17 +6,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+from bellrm import source
 from bellrm import (
     CHSH_MENU,
+    EVENT_DTYPE,
     ConfigError,
     ModelKind,
     OutcomeModel,
     RunConfig,
+    iter_event_chunks,
     pulse_geometry,
     pulse_index_of,
     pulse_start_ns,
     simulate_events,
 )
+from bellrm.source import _hit_offsets
+from bellrm.streams import substream
 
 QM = OutcomeModel(ModelKind.QM_NONLOCAL)
 
@@ -83,6 +88,22 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="seed"):
             small_config(seed=True)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "station_separation_m", "rep_rate_hz", "pulse_duration_s", "run_duration_s",
+            "detection_prob_per_pulse", "coincidence_prob_per_pulse", "dark_rate_hz",
+        ],
+    )
+    @pytest.mark.parametrize("value", ["1", True, math.nan, math.inf, -math.inf, 10**400])
+    def test_float_fields_must_be_finite_numbers(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
+            small_config(**{field: value})
+
+    def test_float_fields_accept_integers(self):
+        cfg = small_config(rep_rate_hz=1_000_000, run_duration_s=1, pulse_duration_s=None)
+        assert cfg.n_pulses == 10**6
+
     def test_pulse_index_must_fit_32_bits(self):
         with pytest.raises(ConfigError):
             small_config(run_duration_s=5e3, rep_rate_hz=1e6)
@@ -144,11 +165,10 @@ class TestGenerateRun:
 
     def test_chunking_does_not_change_the_stream(self):
         cfg = small_config(detection_prob_per_pulse=0.05, dark_rate_hz=100.0)
-        from bellrm import iter_event_chunks
-
         fine = np.concatenate(list(iter_event_chunks(cfg, QM, chunk_pulses=1 << 22)))
         assert fine.size > 0
-        # the chunk size only controls buffering, not content
+        # each block has its own substreams, so only the same chunk size
+        # gives the same stream
         same = np.concatenate(list(iter_event_chunks(cfg, QM, chunk_pulses=1 << 22)))
         assert np.array_equal(fine, same)
 
@@ -207,3 +227,123 @@ class TestGenerateRun:
         b = events[events["station"] == 1]
         assert np.array_equal(a["timestamp_ns"], b["timestamp_ns"])
         assert np.array_equal(a["setting_index"], b["setting_index"])
+
+
+class TestHitOffsets:
+    """``_hit_offsets`` must give the per-pulse Bernoulli(p) process."""
+
+    @pytest.mark.parametrize("p", [0.02, 0.1])
+    def test_count_per_block_is_binomial(self, p):
+        m = 1 << 20
+        sigma = math.sqrt(m * p * (1 - p))
+        for block in range(8):
+            hits = _hit_offsets(substream(5, "hits", block), p, m)
+            assert abs(hits.size - m * p) < 4 * sigma
+            assert hits[0] >= 0 and hits[-1] < m
+            assert np.all(np.diff(hits) > 0)
+
+    @pytest.mark.parametrize("p", [0.02, 0.1, 0.5])
+    def test_gaps_are_geometric(self, p):
+        hits = _hit_offsets(substream(6, "hits"), p, 1 << 20)
+        gaps = np.diff(hits, prepend=-1)
+        n = gaps.size
+        # one bin per gap length while it expects >= 5 gaps, then one tail bin
+        support = np.arange(1, 10_000)
+        k = int(support[n * stats.geom.pmf(support, p) >= 5][-1])
+        observed = np.bincount(np.minimum(gaps, k + 1), minlength=k + 2)[1:]
+        expected = n * np.append(stats.geom.pmf(np.arange(1, k + 1), p), stats.geom.sf(k, p))
+        assert stats.chisquare(observed, expected).pvalue > 0.001
+
+    def test_block_edges_hit_at_rate_p(self):
+        # 1000 blocks of 1000 pulses: an off-by-one at a block edge would
+        # starve or double the first or the last pulse of every block
+        p = 0.3
+        cfg = small_config(coincidence_prob_per_pulse=p)
+        chunks = iter_event_chunks(cfg, QM, chunk_pulses=1000)
+        offsets = np.concatenate([c["pulse_index"][c["station"] == 0] for c in chunks]) % 1000
+        n_blocks = cfg.n_pulses // 1000
+        sigma = math.sqrt(n_blocks * p * (1 - p))
+        for edge in (0, 1, 998, 999):
+            assert abs(np.count_nonzero(offsets == edge) - n_blocks * p) < 4 * sigma, edge
+
+    def test_zero_probability_draws_nothing(self):
+        rng = substream(7, "hits")
+        assert _hit_offsets(rng, 0.0, 1000).size == 0
+        assert rng.random() == substream(7, "hits").random()
+
+    def test_probability_near_one(self):
+        m, p = 10**5, 0.999
+        hits = _hit_offsets(substream(8, "hits"), p, m)
+        assert abs(hits.size - m * p) < 4 * math.sqrt(m * p * (1 - p))
+        assert np.all(np.diff(hits) > 0) and hits[-1] < m
+        _, run_stats = simulate_events(
+            small_config(run_duration_s=0.01, coincidence_prob_per_pulse=p), QM
+        )
+        assert abs(run_stats.n_coincidence_pairs - 10**4 * p) < 4 * math.sqrt(10**4 * p * (1 - p))
+
+    def test_tiny_probability_ends(self):
+        # geometric gaps beyond int64 are clipped, not summed into an overflow
+        assert _hit_offsets(substream(9, "hits"), 1e-300, 1 << 22).size == 0
+
+
+# Oracle: the two-stage merge the generator used before _merge_stations,
+# a dedupe per station by (t, category), then a lexsort of both stations.
+
+
+def _station_chunk(parts):
+    t = np.concatenate([p[0] for p in parts])
+    pulse = np.concatenate([p[1] for p in parts])
+    port = np.concatenate([p[2] for p in parts])
+    setting = np.concatenate([p[3] for p in parts])
+    prio = np.concatenate([np.full(p[0].size, i, dtype=np.uint8) for i, p in enumerate(parts)])
+    order = np.lexsort((prio, t))
+    t = t[order]
+    keep = np.ones(t.size, dtype=bool)
+    keep[1:] = t[1:] != t[:-1]
+    dropped = int(t.size - keep.sum())
+    return t[keep], pulse[order][keep], port[order][keep], setting[order][keep], dropped
+
+
+def two_stage_merge(parts_a, parts_b):
+    columns = []
+    dropped = 0
+    for station_code, parts in ((0, parts_a), (1, parts_b)):
+        if not parts:
+            continue
+        t, pulse, port, setting, n = _station_chunk(parts)
+        dropped += n
+        columns.append((t, pulse, port, setting, station_code))
+    t_all = np.concatenate([c[0] for c in columns])
+    station_all = np.concatenate([np.full(c[0].size, c[4], dtype=np.uint8) for c in columns])
+    order = np.lexsort((station_all, t_all))
+    events = np.empty(t_all.size, dtype=EVENT_DTYPE)
+    events["timestamp_ns"] = t_all[order]
+    events["pulse_index"] = np.concatenate([c[1] for c in columns])[order]
+    events["port_bit"] = np.concatenate([c[2] for c in columns])[order]
+    events["setting_index"] = np.concatenate([c[3] for c in columns])[order]
+    events["station"] = station_all[order]
+    return events, dropped
+
+
+def test_one_sort_merge_equals_two_stage_merge(monkeypatch):
+    # 3 MHz darks on top of the default signal: thousands of same-ns repeats,
+    # within the darks and between darks and singles or pairs
+    seen = []
+
+    def recording(parts_a, parts_b):
+        out = merge(parts_a, parts_b)
+        seen.append((parts_a, parts_b, out))
+        return out
+
+    merge = source._merge_stations
+    monkeypatch.setattr(source, "_merge_stations", recording)
+    cfg = small_config(run_duration_s=0.2, detection_prob_per_pulse=0.1, dark_rate_hz=3e6)
+    list(source.iter_event_chunks(cfg, QM, chunk_pulses=50_000))
+    assert len(seen) == 4
+    total_dropped = 0
+    for parts_a, parts_b, (events, dropped) in seen:
+        expected, expected_dropped = two_stage_merge(parts_a, parts_b)
+        assert events.tobytes() == expected.tobytes()
+        assert dropped == expected_dropped
+        total_dropped += dropped
+    assert total_dropped > 1000
