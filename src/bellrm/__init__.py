@@ -27,7 +27,9 @@ from .chsh import (
     ErgodicityReport,
     TSIRELSON_BOUND,
     WindowScanPoint,
+    chsh_from_table,
     correlation_from_counts,
+    count_table,
     ensemble_average,
     ergodicity_gap,
     estimate_chsh,

@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import IntegrityError
 
 MAGIC = b"BTAG"
@@ -154,7 +155,7 @@ def split_stations(events: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_csv(path: str | Path, events: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
         for rec in events:
             fh.write(

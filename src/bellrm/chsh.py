@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import (
     ConfigError,
     IncompleteSettingsError,
@@ -113,20 +114,33 @@ def _menu_indices_for_pair(settings_menu, pair) -> list[int]:
     return np.flatnonzero(hits).tolist()
 
 
-def estimate_chsh(
-    records: np.ndarray,
+def count_table(records: np.ndarray, n_settings: int, n_slices: int) -> np.ndarray:
+    """Integer table ``counts[slice, setting, bit_a, bit_b]`` of the records.
+
+    Slices 0 .. n_slices - 1 are rows 0 .. n_slices - 1 and records outside
+    every slice (slice -1) are the last row, so ``counts[-1]`` reads them;
+    records whose setting is -1 are left out.  One ``np.bincount`` builds it.
+    Every slice index must lie in [-1, n_slices) and every setting index in
+    [-1, n_settings); a value outside would be counted in another cell.
+    """
+    rows, cols = n_slices + 1, n_settings + 1
+    key = records["slice_index"].astype(np.int64) % rows
+    key *= cols
+    key += records["setting_index"].astype(np.int64) % cols
+    key *= 4
+    key += 2 * records["bit_a"].astype(np.int64) + records["bit_b"]
+    counts = np.bincount(key, minlength=rows * cols * 4).reshape(rows, cols, 2, 2)
+    return counts[:, :n_settings]
+
+
+def chsh_from_table(
+    counts: np.ndarray,
     settings_menu,
     angles: ChshAngles = ChshAngles(),
     slice_index: int | None = None,
 ) -> ChshEstimate:
-    """CHSH estimate S = |E(a,b) - E(a,b') + E(a',b) + E(a',b')|.
-
-    ``slice_index`` of None pools every slice; otherwise only records of
-    that slice enter.  Raises IncompleteSettingsError when any of the four
-    settings pairs has no records.
-    """
-    if slice_index is not None:
-        records = records[records["slice_index"] == slice_index]
+    """CHSH estimate from a :func:`count_table`, for one slice or (None) all rows."""
+    table = counts.sum(axis=0) if slice_index is None else counts[slice_index]
     correlations = []
     s_value = 0.0
     var = 0.0
@@ -136,14 +150,13 @@ def estimate_chsh(
             raise IncompleteSettingsError(
                 f"settings menu has no entry for pair {pair}"
             )
-        mask = np.isin(records["setting_index"], menu_idx)
-        selected = records[mask]
-        if selected.size == 0:
+        (n00, n01), (n10, n11) = table[menu_idx].sum(axis=0).tolist()
+        if n00 + n01 + n10 + n11 == 0:
             raise IncompleteSettingsError(
                 f"no records for settings pair {pair}"
                 + (f" in slice {slice_index}" if slice_index is not None else "")
             )
-        est = estimate_correlation(selected, pair[0], pair[1])
+        est = correlation_from_counts(n00, n01, n10, n11, pair[0], pair[1])
         correlations.append(est)
         s_value += sign * est.E
         var += est.std_err**2
@@ -153,6 +166,28 @@ def estimate_chsh(
         S=abs(s_value),
         std_err=math.sqrt(var),
     )
+
+
+def estimate_chsh(
+    records: np.ndarray,
+    settings_menu,
+    angles: ChshAngles = ChshAngles(),
+    slice_index: int | None = None,
+) -> ChshEstimate:
+    """CHSH estimate S = |E(a,b) - E(a,b') + E(a',b) + E(a',b')|.
+
+    ``slice_index`` of None pools every record; otherwise only records of
+    that slice (-1: outside every slice) enter.  Raises
+    IncompleteSettingsError when any of the four settings pairs has no
+    records.  Built on :func:`count_table` and :func:`chsh_from_table`.
+    """
+    n_slices = 0 if slice_index is None else slice_index + 1
+    n_settings = len(np.asarray(settings_menu).reshape(-1, 2))
+    if records.size:
+        n_slices = max(n_slices, int(records["slice_index"].max()) + 1)
+        n_settings = max(n_settings, int(records["setting_index"].max()) + 1)
+    table = count_table(records, n_settings, n_slices)
+    return chsh_from_table(table, settings_menu, angles, slice_index)
 
 
 def qm_chsh_value(angles: ChshAngles = ChshAngles()) -> float:
@@ -389,7 +424,7 @@ def ergodicity_gap(
 
 
 def write_chsh_csv(path, estimates: list[ChshEstimate]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["slice_index", "n_records", "S", "std_err", "E_ab", "E_ab_prime", "E_a_prime_b", "E_a_prime_b_prime"]
@@ -407,7 +442,7 @@ def write_chsh_csv(path, estimates: list[ChshEstimate]) -> None:
 
 
 def write_ergodicity_csv(path, reports: list[ErgodicityReport]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["alpha", "window_s", "ensemble_avg", "time_avg", "gap", "threshold", "z"]

@@ -25,8 +25,11 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .btag import read_btag, write_csv
+from .atomic import atomic_open
+from .btag import HEADER_SIZE, read_btag, write_csv
 from .chsh import write_chsh_csv
 from .errors import ConfigError, DataError
 from .models import OutcomeModel
@@ -44,6 +47,8 @@ ENV_PREFIX = "BELLRM_"
 
 EVENTS_FILENAME = "events.btag"
 MANIFEST_FILENAME = "manifest.json"
+ANALYSIS_OUTPUTS = ("chsh_per_slice.csv", "sequences.csv", "curve.csv", "verdict.json")
+REPORT_OUTPUTS = ("summary.txt", "combined_curves.csv")
 
 
 def _env_overrides(keys) -> dict:
@@ -174,7 +179,7 @@ def write_manifest(
             for name in artifact_names
         },
     }
-    with open(directory / MANIFEST_FILENAME, "w", encoding="utf-8") as fh:
+    with atomic_open(directory / MANIFEST_FILENAME, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     return manifest
@@ -186,6 +191,9 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with output_lock(out_dir):
+        # files derived from an earlier events.btag would no longer match it
+        for name in ("events.csv", *ANALYSIS_OUTPUTS, *REPORT_OUTPUTS):
+            (out_dir / name).unlink(missing_ok=True)
         events_path = out_dir / EVENTS_FILENAME
         stats = simulate_to_btag(run, model, events_path)
         artifact_names = [EVENTS_FILENAME]
@@ -200,19 +208,42 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_manifest(directory: Path) -> dict:
+def _load_manifest(directory: Path) -> tuple[dict, dict, int]:
+    """The run and analysis sections and the events.btag size a manifest records."""
     path = directory / MANIFEST_FILENAME
     if not path.exists():
         raise DataError(f"missing {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        config = manifest["config"]
+        run_dict, analysis_dict = dict(config["run"]), dict(config.get("analysis", {}))
+        events_bytes = manifest["artifacts"][EVENTS_FILENAME]["bytes"]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"{path} is not a bellrm manifest: {exc!r}") from exc
+    return run_dict, analysis_dict, events_bytes
+
+
+def _read_events(directory: Path, expected_bytes: int) -> np.ndarray:
+    """read_btag, plus a check that the file is the size the manifest records."""
+    path = directory / EVENTS_FILENAME
+    if not path.exists():
+        raise DataError(f"missing {path}")
+    events = read_btag(path)
+    size = HEADER_SIZE + events.nbytes
+    if size != expected_bytes:
+        raise DataError(
+            f"{path} holds {size} bytes but {MANIFEST_FILENAME} records {expected_bytes}; "
+            "it is not the file this manifest describes"
+        )
+    return events
 
 
 def cmd_analyze(args) -> int:
     in_dir = Path(getattr(args, "in"))
-    manifest = _load_manifest(in_dir)
-    run = RunConfig.from_dict(manifest["config"]["run"])
-    analysis_dict = _merge_analysis_env(dict(manifest["config"].get("analysis", {})))
+    run_dict, analysis_dict, events_bytes = _load_manifest(in_dir)
+    run = RunConfig.from_dict(run_dict)
+    analysis_dict = _merge_analysis_env(analysis_dict)
     for key, flag in (
         ("n_slices", args.slices),
         ("window_ns", args.window_ns),
@@ -222,9 +253,9 @@ def cmd_analyze(args) -> int:
         if flag is not None:
             analysis_dict[key] = flag
     analysis = AnalysisConfig.from_dict(analysis_dict)
-    events = read_btag(in_dir / EVENTS_FILENAME)
 
     with output_lock(in_dir):
+        events = _read_events(in_dir, events_bytes)
         records, chsh_estimates, curve, verdict, report_rows = analyze_run(
             events, run, analysis
         )
@@ -296,10 +327,10 @@ def cmd_report(args) -> int:
         summary_lines.append("")
 
     summary_path = out_dir / "summary.txt"
-    with open(summary_path, "w", encoding="utf-8") as fh:
+    with atomic_open(summary_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(summary_lines))
     combined_path = out_dir / "combined_curves.csv"
-    with open(combined_path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(combined_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(
             fh,
             fieldnames=[

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .btag import STATION_LETTERS
-from .chsh import ChshAngles, estimate_chsh
-from .errors import ConfigError, DataError, IncompleteSettingsError, UndefinedStatisticError
+from .chsh import ChshAngles, chsh_from_table, count_table
+from .errors import ConfigError, DataError, IncompleteSettingsError
 from .randommeter import (
     BatteryConfig,
     ScenarioVerdict,
@@ -108,13 +108,14 @@ def analyze_run(
                 report_rows.append((sid, slice_index, STATION_LETTERS[station], report))
         reports_by_slice[slice_index] = slice_reports
 
+    counts = count_table(records, n_menu, analysis.n_slices)
     chsh_estimates = []
     for slice_index in range(analysis.n_slices):
         try:
             chsh_estimates.append(
-                estimate_chsh(records, run.settings_menu, angles, slice_index)
+                chsh_from_table(counts, run.settings_menu, angles, slice_index)
             )
-        except (IncompleteSettingsError, UndefinedStatisticError):
+        except IncompleteSettingsError:
             pass  # classify_scenario answers INCONCLUSIVE for this slice
 
     # slice_records has already refused fewer than two slices, and

@@ -9,23 +9,72 @@ alongside as a complexity estimate.  Verdicts about which property the
 data falsifies come from contrasting R between the first and second
 pulse halves.
 
-``scipy.special`` is imported inside the functions that use it, so that
-importing the package (and running ``simulate``) does not pay for scipy.
+The p-values need only three special functions: ``math.erfc``, the normal
+CDF :func:`ndtr` built on it, and the regularized upper incomplete gamma
+:func:`gammaincc`, so the battery runs on the standard library and numpy.
 """
 
 from __future__ import annotations
 
 import json
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import ConfigError, InsufficientLengthError, UndefinedStatisticError
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def ndtr(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of a 1-d array, elementwise: erfc(-x / sqrt 2) / 2."""
+    return 0.5 * np.fromiter(map(math.erfc, (-_SQRT_HALF * x).tolist()), np.float64, len(x))
+
+
+def gammaincc(a: float, x: float) -> float:
+    """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x) / Gamma(a).
+
+    Below x = a + 1 the series for P = 1 - Q converges fast and Q is not
+    small; above it the continued fraction for Q does (modified Lentz).
+    Both scale by x^a e^-x / Gamma(a), taken through logarithms so that a
+    large ``a`` does not overflow.  NaN unless a > 0 and x >= 0.
+    """
+    if not (0 < a < math.inf and x >= 0):
+        return math.nan
+    if x == 0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    scale = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1:
+        term = total = 1.0 / a
+        n = a
+        while term > total * 1e-17:
+            n += 1
+            term *= x / n
+            total += term
+        return 1.0 - total * scale
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in itertools.count(1):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            return h * scale
 
 
 @dataclass(frozen=True)
@@ -51,13 +100,11 @@ def _as_bits(bits) -> np.ndarray:
 
 def monobit_test(bits, alpha_sig: float = 0.01) -> TestResult:
     """Excess of ones versus zeros: s = |sum(2x-1)|/sqrt(n), p = erfc(s/sqrt 2)."""
-    from scipy.special import erfc
-
     x = _as_bits(bits)
     if x.size < 100:
         raise InsufficientLengthError("monobit needs at least 100 bits")
     s = abs(2.0 * int(np.count_nonzero(x)) - x.size) / math.sqrt(x.size)
-    return _result("monobit", s, erfc(s / math.sqrt(2.0)), alpha_sig)
+    return _result("monobit", s, math.erfc(s / math.sqrt(2.0)), alpha_sig)
 
 
 def runs_test(bits, alpha_sig: float = 0.01) -> TestResult:
@@ -67,8 +114,6 @@ def runs_test(bits, alpha_sig: float = 0.01) -> TestResult:
     guard band the result is flagged not applicable (the monobit test
     rejects such sequences anyway).
     """
-    from scipy.special import erfc
-
     x = _as_bits(bits)
     n = x.size
     if n < 100:
@@ -79,13 +124,11 @@ def runs_test(bits, alpha_sig: float = 0.01) -> TestResult:
     v = int(np.count_nonzero(np.diff(x))) + 1
     denom = 2.0 * math.sqrt(2.0 * n) * pi_hat * (1.0 - pi_hat)
     stat = abs(v - 2.0 * n * pi_hat * (1.0 - pi_hat)) / denom
-    return _result("runs", float(v), erfc(stat), alpha_sig)
+    return _result("runs", float(v), math.erfc(stat), alpha_sig)
 
 
 def block_frequency_test(bits, block_size: int = 128, alpha_sig: float = 0.01) -> TestResult:
     """Chi-square of per-block ones proportions around 1/2."""
-    from scipy.special import gammaincc
-
     x = _as_bits(bits)
     if block_size < 2:
         raise ConfigError("block_size must be >= 2")
@@ -121,8 +164,6 @@ def _psi_squared(x: np.ndarray, m: int) -> float:
 def serial_test(bits, m: int = 4, alpha_sig: float = 0.01) -> TestResult:
     """Uniformity of overlapping m-bit patterns (first generalized serial
     statistic, del-psi^2 with chi-square on 2^(m-2) degrees of freedom)."""
-    from scipy.special import gammaincc
-
     x = _as_bits(bits)
     if m < 2:
         raise ConfigError("serial test order m must be >= 2")
@@ -135,8 +176,6 @@ def serial_test(bits, m: int = 4, alpha_sig: float = 0.01) -> TestResult:
 
 def cusum_test(bits, alpha_sig: float = 0.01) -> TestResult:
     """Maximum excursion of the +/-1 partial-sum walk (forward mode)."""
-    from scipy.special import ndtr
-
     x = _as_bits(bits)
     n = x.size
     if n < 100:
@@ -146,8 +185,16 @@ def cusum_test(bits, alpha_sig: float = 0.01) -> TestResult:
     sqrt_n = math.sqrt(n)
     k1 = np.arange(math.floor((-n / z + 1) / 4), math.floor((n / z - 1) / 4) + 1)
     k2 = np.arange(math.floor((-n / z - 3) / 4), math.floor((n / z - 1) / 4) + 1)
-    term1 = np.sum(ndtr((4 * k1 + 1) * z / sqrt_n) - ndtr((4 * k1 - 1) * z / sqrt_n))
-    term2 = np.sum(ndtr((4 * k2 + 3) * z / sqrt_n) - ndtr((4 * k2 + 1) * z / sqrt_n))
+    # both sums take the normal CDF at odd multiples j of z / sqrt(n);
+    # evaluate it once for each j
+    lo = min(4 * k1[0] - 1, 4 * k2[0] + 1)
+    cdf = ndtr(np.arange(lo, 4 * k1[-1] + 4, 2) * z / sqrt_n)
+
+    def at(j):
+        return cdf[(j - lo) // 2]
+
+    term1 = np.sum(at(4 * k1 + 1) - at(4 * k1 - 1))
+    term2 = np.sum(at(4 * k2 + 3) - at(4 * k2 + 1))
     return _result("cusum", float(z), 1.0 - term1 + term2, alpha_sig)
 
 
@@ -365,8 +412,6 @@ class ScenarioVerdict:
 
 def two_proportion_z(k1: int, n1: int, k2: int, n2: int) -> tuple[float, float]:
     """Pooled two-proportion z statistic and two-sided p-value."""
-    from scipy.special import erfc
-
     if n1 == 0 or n2 == 0:
         raise UndefinedStatisticError("two-proportion test needs data on both sides")
     p1, p2 = k1 / n1, k2 / n2
@@ -375,7 +420,7 @@ def two_proportion_z(k1: int, n1: int, k2: int, n2: int) -> tuple[float, float]:
     if var == 0:
         return 0.0, 1.0
     z = (p1 - p2) / math.sqrt(var)
-    return z, float(erfc(abs(z) / math.sqrt(2.0)))
+    return z, math.erfc(abs(z) / math.sqrt(2.0))
 
 
 def _unclassifiable(curve: RandommeterCurve, s_by_slice: dict, s_sigmas: float) -> str:
@@ -458,7 +503,7 @@ def classify_scenario(
 
 def write_reports_csv(path, rows) -> None:
     """rows: iterable of (sequence_id, slice_index, station, report)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["sequence_id", "slice_index", "station"]
@@ -478,7 +523,7 @@ def write_reports_csv(path, rows) -> None:
 
 
 def write_curve_csv(path, curve: RandommeterCurve) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             [
@@ -515,6 +560,6 @@ def write_verdict_json(path, verdict: ScenarioVerdict) -> None:
         "per_slice_R": [_clean(r) for r in verdict.per_slice_R],
         "reason": verdict.reason,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")

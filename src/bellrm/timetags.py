@@ -7,8 +7,10 @@ which attains maximum cardinality for interval matching on a line.  It
 runs as a vectorized cluster decomposition: events closer than the
 window form chains, chains are isolated from each other, and the
 overwhelmingly common chain (one A plus one B event) is resolved without
-Python-level looping.  :func:`match_coincidences` merges two per-station
-streams into that order and hands them on.
+Python-level looping.  Events with no neighbour within the window, most
+of them at the paper's rates, are set aside before the chains are built.
+:func:`match_coincidences` merges two per-station streams into that order
+and hands them on.
 """
 
 from __future__ import annotations
@@ -41,6 +43,20 @@ def _check_increasing(keys: np.ndarray, what: str) -> None:
     if keys.size > 1 and not np.all(keys[1:] > keys[:-1]):
         i = int(np.argmin(keys[1:] > keys[:-1])) + 1
         raise StreamOrderError(f"{what}: record {i} is not after record {i - 1}")
+
+
+def _check_merged_order(dt: np.ndarray, is_b: np.ndarray) -> None:
+    """Check (timestamp, station) order from the time steps ``dt = diff(t)``.
+
+    A step of zero is allowed only from an A record to a B record.
+    """
+    ties = np.flatnonzero(dt <= 0)
+    bad = ties[(dt[ties] < 0) | ~is_b[ties + 1] | is_b[ties]]
+    if bad.size:
+        i = int(bad[0]) + 1
+        raise StreamOrderError(
+            f"events out of (timestamp, station) order: record {i} is not after record {i - 1}"
+        )
 
 
 def _greedy_pairs_cluster(ta: np.ndarray, tb: np.ndarray, ia, ib, window: int):
@@ -92,56 +108,77 @@ def match_events(
     if window_ns <= 0:
         raise ConfigError("coincidence window must be > 0 ns")
     window = int(window_ns)
-    t = events["timestamp_ns"].astype(np.int64)
+    ts = events["timestamp_ns"]
     is_b = events["station"] == STATION_B
-    _check_increasing((t << 1) | is_b, "events out of (timestamp, station) order")
-    if t.size == 0:
-        return np.empty(0, dtype=COINC_DTYPE)
+    # time steps as int64 differences, without an int64 copy of the timestamps
+    dt = np.subtract(ts[1:], ts[:-1], dtype=np.int64, casting="unsafe")
+    _check_merged_order(dt, is_b)
+
+    # An event without a neighbour within the window can never match, and
+    # leaving it out changes no chain of two or more events, so the chain
+    # decomposition sees only the events that have one.
+    near = dt <= window
+    del dt
+    kept = np.zeros(ts.size, dtype=bool)
+    kept[1:] = near
+    kept[:-1] |= near
+    heads = kept.copy()
+    heads[1:] &= ~near
+    del near
 
     # Chains: runs of events each within the window of the previous one.
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(t) > window) + 1, [t.size]))
-    sizes = np.diff(starts)
-    n_b = np.add.reduceat(is_b, starts[:-1], dtype=np.int64)
-    n_a = sizes - n_b
+    # A chain's events are consecutive in the stream and in the kept events.
+    chain_pos = np.flatnonzero(heads)
+    starts = np.flatnonzero(heads[kept])
+    is_b_kept = is_b[kept]
+    sizes = np.diff(starts, append=is_b_kept.size)
+    n_b = np.add.reduceat(is_b_kept, starts, dtype=np.int64)
+    del kept, heads, starts, is_b_kept
 
     # Fast path: isolated A+B pair, guaranteed inside the window.
-    f0 = starts[:-1][(n_a == 1) & (n_b == 1)]
+    f0 = chain_pos[(sizes == 2) & (n_b == 1)]
     first_is_b = is_b[f0]
     a_pos = np.where(first_is_b, f0 + 1, f0)
     b_pos = np.where(first_is_b, f0, f0 + 1)
 
     # Slow path: chains of three or more with both stations present.
     pairs = []
-    for c in np.flatnonzero((n_a >= 1) & (n_b >= 1) & (sizes >= 3)):
-        lo, hi = starts[c], starts[c + 1]
+    for c in np.flatnonzero((sizes >= 3) & (n_b >= 1) & (n_b < sizes)):
+        lo = chain_pos[c]
+        hi = lo + sizes[c]
         seg_b = is_b[lo:hi]
-        seg_t = t[lo:hi]
-        pos = np.arange(lo, hi)
+        seg_t = ts[lo:hi].astype(np.int64)
+        seg_pos = np.arange(lo, hi)
         pairs += _greedy_pairs_cluster(
-            seg_t[~seg_b], seg_t[seg_b], pos[~seg_b], pos[seg_b], window
+            seg_t[~seg_b], seg_t[seg_b], seg_pos[~seg_b], seg_pos[seg_b], window
         )
+    del is_b, chain_pos, sizes, n_b
     if pairs:
         a_pos = np.concatenate([a_pos, [p for p, _ in pairs]])
         b_pos = np.concatenate([b_pos, [q for _, q in pairs]])
         time_order = np.argsort(a_pos)
         a_pos, b_pos = a_pos[time_order], b_pos[time_order]
 
-    a, b = events[a_pos], events[b_pos]
-    pulse_a = a["pulse_index"].astype(np.int64)
-    setting_a = a["setting_index"].astype(np.int64)
+    # Built field by field: no structured copy of the matched events.
     records = np.empty(a_pos.size, dtype=COINC_DTYPE)
-    records["t_a_ns"] = a["timestamp_ns"]
-    records["t_b_ns"] = b["timestamp_ns"]
-    records["pulse_index"] = pulse_a
-    records["within_pulse_ns"] = records["t_a_ns"] - pulse_start_ns(pulse_a, rep_rate_hz)
-    records["bit_a"] = a["port_bit"]
-    records["bit_b"] = b["port_bit"]
+    records["t_a_ns"] = ts[a_pos]
+    records["t_b_ns"] = ts[b_pos]
+    records["pulse_index"] = events["pulse_index"][a_pos]
+    records["within_pulse_ns"] = records["t_a_ns"] - pulse_start_ns(
+        records["pulse_index"], rep_rate_hz
+    )
+    records["bit_a"] = events["port_bit"][a_pos]
+    records["bit_b"] = events["port_bit"][b_pos]
     records["slice_index"] = -1
+    setting_a = events["setting_index"][a_pos].astype(np.int32)
     if settings_menu is None:
         cross = -1
     else:
-        cross = _effective_setting_table(settings_menu)[setting_a, b["setting_index"]]
-    records["setting_index"] = np.where(pulse_a == b["pulse_index"], setting_a, cross)
+        cross = _effective_setting_table(settings_menu)[
+            setting_a, events["setting_index"][b_pos]
+        ]
+    same_pulse = records["pulse_index"] == events["pulse_index"][b_pos]
+    records["setting_index"] = np.where(same_pulse, setting_a, cross)
     return records
 
 

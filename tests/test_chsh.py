@@ -6,6 +6,8 @@ import pytest
 from bellrm import (
     CHSH_MENU,
     COINC_DTYPE,
+    ChshAngles,
+    ChshEstimate,
     IncompleteSettingsError,
     ModelKind,
     OutcomeModel,
@@ -14,7 +16,9 @@ from bellrm import (
     TSIRELSON_BOUND,
     UndefinedStatisticError,
     UnsupportedModelError,
+    chsh_from_table,
     correlation_from_counts,
+    count_table,
     ensemble_average,
     ergodicity_gap,
     estimate_chsh,
@@ -22,6 +26,7 @@ from bellrm import (
     local_hv_bit,
     model_time_average,
     qm_chsh_value,
+    same_angle,
     s_vs_window,
     simulate_events,
     split_stations,
@@ -144,6 +149,84 @@ class TestChshEstimate:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("slice_index,n_records,S,std_err,E_ab")
         assert len(lines) == 3
+
+
+def estimate_chsh_by_isin(records, settings_menu, slice_index=None):
+    """The per-pair np.isin selection CHSH was computed with before count_table."""
+    if slice_index is not None:
+        records = records[records["slice_index"] == slice_index]
+    menu = np.asarray(settings_menu, dtype=np.float64).reshape(-1, 2)
+    correlations, s_value, var = [], 0.0, 0.0
+    for sign, pair in zip((1.0, -1.0, 1.0, 1.0), ChshAngles().pairs):
+        hits = same_angle(menu[:, 0], pair[0]) & same_angle(menu[:, 1], pair[1])
+        selected = records[np.isin(records["setting_index"], np.flatnonzero(hits))]
+        est = estimate_correlation(selected, pair[0], pair[1])
+        correlations.append(est)
+        s_value += sign * est.E
+        var += est.std_err**2
+    return ChshEstimate(slice_index, tuple(correlations), abs(s_value), math.sqrt(var))
+
+
+def mixed_records(rng, n=4000, n_settings=4, n_slices=3):
+    rec = records_from_bits(
+        rng.integers(0, 2, n), rng.integers(0, 2, n),
+        rng.integers(-1, n_settings, n), rng.integers(-1, n_slices, n),
+    )
+    return rec
+
+
+class TestCountTable:
+    def test_cells_count_the_records(self, rng):
+        rec = mixed_records(rng)
+        table = count_table(rec, 4, 3)
+        assert table.shape == (4, 4, 2, 2)
+        for k in (0, 1, 2, -1):
+            for s in range(4):
+                for a in (0, 1):
+                    for b in (0, 1):
+                        expected = np.count_nonzero(
+                            (rec["slice_index"] == k) & (rec["setting_index"] == s)
+                            & (rec["bit_a"] == a) & (rec["bit_b"] == b)
+                        )
+                        assert table[k, s, a, b] == expected
+
+    def test_sums_give_the_records_per_slice(self, rng):
+        # records with setting -1 are left out; slice -1 is the last row
+        rec = mixed_records(rng)
+        table = count_table(rec, 4, 3)
+        kept = rec[rec["setting_index"] >= 0]
+        per_slice = table.sum(axis=(1, 2, 3))
+        assert per_slice.tolist() == [
+            np.count_nonzero(kept["slice_index"] == k) for k in (0, 1, 2, -1)
+        ]
+        assert per_slice.sum() == kept.size < rec.size
+
+    def test_pooled_estimate_counts_records_outside_every_slice(self, rng):
+        rec = mixed_records(rng)
+        pooled = estimate_chsh(rec, CHSH_MENU)
+        assert pooled.n_records == np.count_nonzero(rec["setting_index"] >= 0)
+        assert pooled == chsh_from_table(count_table(rec, 4, 3), CHSH_MENU)
+        assert pooled == estimate_chsh_by_isin(rec, CHSH_MENU)
+        for k in (0, 1, 2, -1):
+            assert estimate_chsh(rec, CHSH_MENU, slice_index=k) == estimate_chsh_by_isin(
+                rec, CHSH_MENU, k
+            )
+
+    def test_duplicate_menu_entry_equals_isin(self, rng):
+        # entry 4 repeats (a, b): both indices count toward E(a, b)
+        menu = list(CHSH_MENU) + [CHSH_MENU[0]]
+        rec = mixed_records(rng, n_settings=5, n_slices=2)
+        for k in (None, 0, 1, -1):
+            est = estimate_chsh(rec, menu, slice_index=k)
+            assert est == estimate_chsh_by_isin(rec, menu, k)
+        assert est.correlations[0].n_total == np.count_nonzero(
+            (rec["slice_index"] == -1) & np.isin(rec["setting_index"], [0, 4])
+        )
+
+    def test_empty_slice_is_incomplete(self, rng):
+        rec = mixed_records(rng, n_slices=2)
+        with pytest.raises(IncompleteSettingsError, match="in slice 5"):
+            estimate_chsh(rec, CHSH_MENU, slice_index=5)
 
 
 class TestEnsembleAverage:

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import bellrm.source
-from bellrm import RunConfig, read_btag
+from bellrm import RunConfig, read_btag, write_btag
+from bellrm.atomic import atomic_open
 from bellrm.cli import main
 
 BASE_CONFIG = {
@@ -184,6 +185,22 @@ class TestSimulate:
             main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(out)])
         assert list(out.iterdir()) == []
 
+    def test_simulate_removes_outputs_of_the_previous_run(self, sim_dir, capsys):
+        cfg = write_config(sim_dir.parent, name="csv_config.json")
+        main(["simulate", "--config", str(cfg), "--out", str(sim_dir), "--csv"])
+        main(["analyze", "--in", str(sim_dir)])
+        main(["report", "--in", str(sim_dir)])
+        derived = (
+            "events.csv", "chsh_per_slice.csv", "sequences.csv", "curve.csv",
+            "verdict.json", "summary.txt", "combined_curves.csv",
+        )
+        assert all((sim_dir / name).exists() for name in derived)
+        assert main(["simulate", "--config", str(cfg), "--out", str(sim_dir), "--seed", "78"]) == 0
+        assert sorted(p.name for p in sim_dir.iterdir()) == ["events.btag", "manifest.json"]
+        capsys.readouterr()
+        assert main(["report", "--in", str(sim_dir)]) == 3
+        assert "verdict.json" in capsys.readouterr().err
+
     def test_locked_directory_exits_3(self, tmp_path, no_bellrm_env):
         cfg = write_config(tmp_path)
         out = tmp_path / "locked"
@@ -294,6 +311,27 @@ class TestAnalyze:
         assert main(["analyze", "--in", str(sim_dir)]) == 2
         assert "must be an integer, got 2.5" in capsys.readouterr().err
 
+    def test_btag_of_another_size_than_the_manifest_exits_3(self, sim_dir, capsys):
+        # a valid BTAG file, one record short of the one the manifest describes
+        path = sim_dir / "events.btag"
+        write_btag(path, read_btag(path)[:-1])
+        assert main(["analyze", "--in", str(sim_dir)]) == 3
+        err = capsys.readouterr().err
+        assert "manifest.json records" in err and str(path.stat().st_size + 16) in err
+        assert not (sim_dir / "verdict.json").exists()
+
+    @pytest.mark.parametrize("text", ["{", "[]", '{"config": {}}', '{"config": {"run": {}}}'])
+    def test_unusable_manifest_exits_3(self, sim_dir, capsys, text):
+        (sim_dir / "manifest.json").write_text(text)
+        assert main(["analyze", "--in", str(sim_dir)]) == 3
+        assert "is not a bellrm manifest" in capsys.readouterr().err
+
+    def test_missing_btag_exits_3(self, sim_dir, capsys):
+        (sim_dir / "events.btag").unlink()
+        assert main(["analyze", "--in", str(sim_dir)]) == 3
+        assert "missing" in capsys.readouterr().err
+        assert not (sim_dir / ".lock").exists()
+
     def test_missing_manifest_exits_3(self, tmp_path, no_bellrm_env):
         empty = tmp_path / "nothing"
         empty.mkdir()
@@ -335,13 +373,62 @@ class TestReport:
         assert len(verdicts) == 2
 
 
-def test_importing_the_cli_leaves_scipy_out():
-    # only the battery needs scipy; simulate, report and --version start without it
+def _run_python(code: str) -> str:
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    code = "import sys, bellrm, bellrm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_importing_the_cli_leaves_scipy_out():
+    # scipy is a test dependency only: it gives the reference values
+    assert _run_python(f"import sys, bellrm, bellrm.cli; print({SCIPY_MODULES})") == "[]"
+
+
+def test_analyze_runs_without_scipy(sim_dir):
+    code = (
+        "import sys; from bellrm.cli import main; "
+        f"code = main(['analyze', '--in', {str(sim_dir)!r}]); "
+        f"print(code, {SCIPY_MODULES})"
+    )
+    assert _run_python(code).splitlines()[-1] == "0 []"
+    assert json.loads((sim_dir / "verdict.json").read_text())["label"] == "LOCALITY_FALSE"
+
+
+@pytest.mark.parametrize(
+    "name", ["manifest.json", "chsh_per_slice.csv", "sequences.csv", "curve.csv", "verdict.json"]
+)
+def test_output_is_renamed_into_place(sim_dir, monkeypatch, name):
+    # each output is written to a hidden temporary file beside it, then renamed
+    renames = []
+    replace = os.replace
+
+    def recording(src, dst):
+        renames.append((Path(src), Path(dst)))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording)
+    cfg = write_config(sim_dir.parent, name="again.json")
+    main(["simulate", "--config", str(cfg), "--out", str(sim_dir)])
+    main(["analyze", "--in", str(sim_dir)])
+    (src, dst), = [(s, d) for s, d in renames if d.name == name]
+    assert dst == sim_dir / name
+    assert src.parent == sim_dir and src.name.startswith(f".{name}.")
+    assert not src.exists()
+
+
+def test_failed_write_leaves_the_old_file(tmp_path):
+    path = tmp_path / "verdict.json"
+    path.write_text("old")
+    with pytest.raises(RuntimeError):
+        with atomic_open(path, "w") as fh:
+            fh.write("partial")
+            raise RuntimeError("writer failed")
+    assert path.read_text() == "old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["verdict.json"]

@@ -9,6 +9,7 @@ from bellrm import (
     OutcomeModel,
     RunConfig,
     Verdict,
+    estimate_chsh,
     simulate_events,
     write_chsh_csv,
 )
@@ -35,6 +36,19 @@ def test_menu_without_a_chsh_pair_is_inconclusive(tmp_path):
     assert path.read_text().splitlines() == [
         "slice_index,n_records,S,std_err,E_ab,E_ab_prime,E_a_prime_b,E_a_prime_b_prime"
     ]
+
+
+def test_per_slice_chsh_equals_estimate_chsh_on_the_records():
+    # the pipeline reads every slice from one count table; slice -1 and
+    # cross-pulse records with setting -1 (the fifth entry's alpha with
+    # another entry's beta is not in the menu) are present and must stay out
+    menu = [*CHSH_MENU, (0.3, 0.7)]
+    cfg = RunConfig(seed=33, run_duration_s=3.0, dark_rate_hz=1e5, settings_menu=menu)
+    events, _ = simulate_events(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))
+    analysis = AnalysisConfig(n_slices=3, window_ns=100)
+    records, chsh, _, _, _ = analyze_run(events, cfg, analysis)
+    assert (records["slice_index"] == -1).any() and (records["setting_index"] == -1).any()
+    assert chsh == [estimate_chsh(records, cfg.settings_menu, slice_index=k) for k in range(3)]
 
 
 @pytest.mark.parametrize(

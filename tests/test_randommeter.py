@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import special
 
 from bellrm import (
     BatteryConfig,
@@ -21,7 +24,7 @@ from bellrm import (
 )
 from bellrm.chsh import ChshEstimate
 from bellrm.models import scenario_pattern
-from bellrm.randommeter import curve_from_reports
+from bellrm.randommeter import curve_from_reports, gammaincc, ndtr
 
 
 def battery_curve(sequences_by_slice, config=BatteryConfig()):
@@ -395,3 +398,37 @@ class TestTwoProportion:
     def test_degenerate_pooled_rate(self):
         z, p = two_proportion_z(0, 100, 0, 100)
         assert z == 0.0 and p == 1.0
+
+
+class TestSpecialFunctions:
+    """The standard-library p-value functions against scipy.special."""
+
+    def test_erfc(self):
+        y = np.linspace(0.0, 26.0, 2601)  # erfc(26) ~ 6e-296
+        got = np.array([math.erfc(v) for v in y])
+        assert np.max(np.abs(got - special.erfc(y)) / special.erfc(y)) < 1e-10
+
+    def test_ndtr(self):
+        x = np.concatenate([np.linspace(-37.0, 9.0, 4601), [-1e-9, 0.0, 1e-9]])
+        ref = special.ndtr(x)
+        assert np.max(np.abs(ndtr(x) - ref) / ref) < 1e-10
+
+    @pytest.mark.parametrize(
+        "a", [0.5, 1, 1.5, 2, 4, 8, 10, 10.5, 39, 39.5, 100.5, 625, 1000, 2047.5, 4000]
+    )
+    def test_gammaincc(self, a):
+        # odd block counts give a half-integer a; x runs from 0 past a into
+        # the far tail, where Q falls to about 1e-290
+        xs = [0.0, 1e-8, 0.1, 0.5 * a, max(0.0, a - math.sqrt(a)), a, a + 0.5, a + 1, a + 1.01]
+        x = a + math.sqrt(a)
+        while special.gammaincc(a, x) > 1e-290:
+            xs.append(x)
+            x = 1.3 * x + 1.0
+        for x in xs:
+            ref = special.gammaincc(a, x)
+            assert abs(gammaincc(a, x) - ref) <= 1e-10 * ref, (a, x)
+
+    def test_gammaincc_outside_its_domain(self):
+        assert math.isnan(gammaincc(2.0, -1e-12))
+        assert math.isnan(gammaincc(0.0, 1.0))
+        assert gammaincc(2.0, math.inf) == 0.0

@@ -163,7 +163,7 @@ class TestGenerateRun:
         )
         assert not np.array_equal(e1, e3)
 
-    def test_chunking_does_not_change_the_stream(self):
+    def test_same_chunking_replays_the_stream(self):
         cfg = small_config(detection_prob_per_pulse=0.05, dark_rate_hz=100.0)
         fine = np.concatenate(list(iter_event_chunks(cfg, QM, chunk_pulses=1 << 22)))
         assert fine.size > 0

@@ -48,6 +48,8 @@ def make_events(times_ns, station, ports=None, settings=None, rep_rate_hz=REP):
 
 
 from matching_oracle import max_matching_count
+from bellrm.source import pulse_start_ns
+from bellrm.timetags import _effective_setting_table
 
 
 class TestMatchCoincidences:
@@ -232,6 +234,147 @@ class TestMatchEvents:
         cross = pulse_index_of(merged["t_b_ns"], cfg.rep_rate_hz) != merged["pulse_index"]
         assert np.count_nonzero(cross) > 100
         assert np.all(merged["setting_index"] >= 0)
+
+
+# Oracle: the matcher as it was before lone events were set aside, with the
+# chain decomposition over every event and whole-record gathers.
+
+
+def _greedy_pairs_before(ta, tb, ia, ib, window):
+    out = []
+    i = j = 0
+    while i < ta.size and j < tb.size:
+        dt = tb[j] - ta[i]
+        if dt < -window:
+            j += 1
+        elif dt > window:
+            i += 1
+        else:
+            out.append((ia[i], ib[j]))
+            i += 1
+            j += 1
+    return out
+
+
+def match_events_before(events, window_ns, *, rep_rate_hz, settings_menu=None):
+    window = int(window_ns)
+    t = events["timestamp_ns"].astype(np.int64)
+    is_b = events["station"] == STATION_B
+    keys = (t << 1) | is_b
+    assert np.all(keys[1:] > keys[:-1])
+    if t.size == 0:
+        return np.empty(0, dtype=COINC_DTYPE)
+
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(t) > window) + 1, [t.size]))
+    sizes = np.diff(starts)
+    n_b = np.add.reduceat(is_b, starts[:-1], dtype=np.int64)
+    n_a = sizes - n_b
+
+    f0 = starts[:-1][(n_a == 1) & (n_b == 1)]
+    first_is_b = is_b[f0]
+    a_pos = np.where(first_is_b, f0 + 1, f0)
+    b_pos = np.where(first_is_b, f0, f0 + 1)
+
+    pairs = []
+    for c in np.flatnonzero((n_a >= 1) & (n_b >= 1) & (sizes >= 3)):
+        lo, hi = starts[c], starts[c + 1]
+        seg_b = is_b[lo:hi]
+        seg_t = t[lo:hi]
+        pos = np.arange(lo, hi)
+        pairs += _greedy_pairs_before(
+            seg_t[~seg_b], seg_t[seg_b], pos[~seg_b], pos[seg_b], window
+        )
+    if pairs:
+        a_pos = np.concatenate([a_pos, [p for p, _ in pairs]])
+        b_pos = np.concatenate([b_pos, [q for _, q in pairs]])
+        time_order = np.argsort(a_pos)
+        a_pos, b_pos = a_pos[time_order], b_pos[time_order]
+
+    a, b = events[a_pos], events[b_pos]
+    pulse_a = a["pulse_index"].astype(np.int64)
+    setting_a = a["setting_index"].astype(np.int64)
+    records = np.empty(a_pos.size, dtype=COINC_DTYPE)
+    records["t_a_ns"] = a["timestamp_ns"]
+    records["t_b_ns"] = b["timestamp_ns"]
+    records["pulse_index"] = pulse_a
+    records["within_pulse_ns"] = records["t_a_ns"] - pulse_start_ns(pulse_a, rep_rate_hz)
+    records["bit_a"] = a["port_bit"]
+    records["bit_b"] = b["port_bit"]
+    records["slice_index"] = -1
+    if settings_menu is None:
+        cross = -1
+    else:
+        cross = _effective_setting_table(settings_menu)[setting_a, b["setting_index"]]
+    records["setting_index"] = np.where(pulse_a == b["pulse_index"], setting_a, cross)
+    return records
+
+
+def has_neighbour(events, window):
+    near = np.diff(events["timestamp_ns"].astype(np.int64)) <= window
+    kept = np.zeros(events.size, dtype=bool)
+    kept[1:] = near
+    kept[:-1] |= near
+    return kept
+
+
+class TestMatcherOracle:
+    def assert_same(self, events, window, rep_rate_hz=REP, settings_menu=CHSH_MENU):
+        new = match_events(events, window, rep_rate_hz=rep_rate_hz, settings_menu=settings_menu)
+        old = match_events_before(
+            events, window, rep_rate_hz=rep_rate_hz, settings_menu=settings_menu
+        )
+        assert new.dtype == old.dtype
+        assert new.tobytes() == old.tobytes()
+        return new
+
+    @pytest.mark.parametrize("window", [2, 100])
+    def test_simulated_stream(self, window):
+        cfg = RunConfig(seed=43, run_duration_s=0.5, dark_rate_hz=1e5)
+        events, _ = simulate_events(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))
+        # most events are lone ones and get set aside
+        assert np.count_nonzero(has_neighbour(events, window)) < 0.5 * events.size
+        records = self.assert_same(events, window, cfg.rep_rate_hz)
+        assert records.size > 1000
+
+    def test_dense_stream_keeps_every_event(self):
+        cfg = RunConfig(
+            seed=44, run_duration_s=0.2, detection_prob_per_pulse=0.0,
+            coincidence_prob_per_pulse=0.3, dark_rate_hz=0.0,
+        )
+        events, _ = simulate_events(cfg, OutcomeModel(ModelKind.SCENARIO_LOCALITY_FALSE))
+        assert has_neighbour(events, 2).all()
+        assert self.assert_same(events, 2, cfg.rep_rate_hz).size == events.size // 2
+
+    def test_empty_stream_and_single_event(self):
+        empty = np.empty(0, dtype=EVENT_DTYPE)
+        assert self.assert_same(empty, 2).size == 0
+        assert self.assert_same(make_events([100], STATION_B), 2).size == 0
+
+    def test_no_event_within_the_window_of_another(self):
+        ev = make_events(np.arange(20) * 10, STATION_A)
+        ev["station"] = np.arange(20) % 2
+        assert not has_neighbour(ev, 2).any()
+        assert self.assert_same(ev, 2).size == 0
+
+    def test_one_long_chain(self, rng):
+        n = 3000
+        ev = make_events(np.cumsum(rng.integers(1, 3, n)), STATION_A)
+        ev["station"] = rng.integers(0, 2, n)
+        ev["port_bit"] = rng.integers(0, 2, n)
+        ev["setting_index"] = rng.integers(0, 4, n)
+        records = self.assert_same(ev, 2)
+        assert records.size > n // 4
+
+    @given(st.lists(st.tuples(st.integers(0, 3000), st.booleans()), max_size=60))
+    def test_random_streams(self, tagged):
+        # distinct (t, station) keys in order: a stream the matcher accepts
+        keys = sorted({2 * t + int(b) for t, b in tagged})
+        ev = make_events([k >> 1 for k in keys], STATION_A)
+        ev["station"] = [k & 1 for k in keys]
+        ev["setting_index"] = [k % 4 for k in keys]
+        for window in (1, 5, 40):
+            for menu in (None, CHSH_MENU):
+                self.assert_same(ev, window, settings_menu=menu)
 
 
 class TestSliceRecords:
