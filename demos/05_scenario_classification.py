@@ -28,7 +28,7 @@ for kind in SCENARIOS:
         dark_rate_hz=0.0,
     )
     events, _ = simulate_events(cfg, OutcomeModel(kind))
-    records, chsh, curve, verdict, _ = analyze_run(events, cfg, AnalysisConfig())
+    _, chsh, curve, verdict, _ = analyze_run(events, cfg, AnalysisConfig())
 
     print("=" * 64)
     print("generator:", kind.value)

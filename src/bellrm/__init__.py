@@ -14,6 +14,7 @@ from .btag import (
     STATION_A,
     STATION_B,
     BtagWriter,
+    iter_btag,
     read_btag,
     read_csv,
     split_stations,
@@ -104,5 +105,6 @@ from .timetags import (
     match_coincidences,
     match_events,
     sequence_partition,
+    slice_index_of,
     slice_records,
 )

@@ -15,16 +15,20 @@ Layout, little-endian throughout:
       setting_index  u16  index into the run's settings menu
 
 Records are strictly sorted by (timestamp, station): one station never
-holds two records on the same nanosecond.  ``read_btag`` checks the field
-ranges; the order is checked where the stream is matched
-(``timetags.match_events``).  The CSV mirror carries one record per line in
-the same field order, station written as A/B.
+holds two records on the same nanosecond.  ``iter_btag`` reads a file in
+pieces of ``PIECE_RECORDS`` records, so a reader's memory does not grow
+with the file; it checks the header, the size and the field ranges, and
+names a bad record by its index and byte offset in the whole file.
+``read_btag`` is its one-piece case.  The order is checked where the
+stream is matched (``timetags.match_events``).  The CSV mirror carries one
+record per line in the same field order, station written as A/B.
 """
 
 from __future__ import annotations
 
 import io
 import os
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +40,9 @@ MAGIC = b"BTAG"
 VERSION = 1
 HEADER_SIZE = 32
 RECORD_SIZE = 16
+# Records per read in iter_btag: 1 MiB, small next to the interpreter and
+# numpy, large enough that the per-piece work stays in numpy.
+PIECE_RECORDS = 65_536
 
 STATION_A = 0
 STATION_B = 1
@@ -114,8 +121,17 @@ def write_btag(path: str | Path, events: np.ndarray) -> None:
         writer.write(events)
 
 
-def read_btag(path: str | Path) -> np.ndarray:
-    """Read and validate a BTAG file; returns the merged event array."""
+def iter_btag(
+    path: str | Path, piece_records: int | None = PIECE_RECORDS
+) -> Iterator[np.ndarray]:
+    """Read and validate a BTAG file in pieces of at most ``piece_records`` records.
+
+    Yields the merged event array piece by piece, in file order (``None``
+    reads the file as one piece); an empty file yields nothing.  The header
+    and size are checked before the first piece and the field ranges on
+    each piece; an ``IntegrityError`` gives the byte offset in the whole
+    file.
+    """
     path = Path(path)
     size = path.stat().st_size
     if size < HEADER_SIZE:
@@ -134,16 +150,29 @@ def read_btag(path: str | Path) -> np.ndarray:
             raise IntegrityError(
                 f"{path}: size {size} does not match header count {count}", offset
             )
-        events = np.fromfile(fh, dtype=EVENT_DTYPE, count=count)
-    bad = np.flatnonzero((events["station"] | events["port_bit"]) > 1)
-    if bad.size:
-        i = int(bad[0])
-        raise IntegrityError(
-            f"{path}: record {i} has station {events['station'][i]} and port_bit "
-            f"{events['port_bit'][i]}; both must be 0 or 1",
-            HEADER_SIZE + i * RECORD_SIZE,
-        )
-    return events
+        first = 0
+        while first < count:
+            n = count - first if piece_records is None else min(piece_records, count - first)
+            events = np.fromfile(fh, dtype=EVENT_DTYPE, count=n)
+            if events.size != n:
+                offset = HEADER_SIZE + (first + events.size) * RECORD_SIZE
+                raise IntegrityError(f"{path}: file ends early", offset)
+            bad = np.flatnonzero((events["station"] | events["port_bit"]) > 1)
+            if bad.size:
+                i = int(bad[0])
+                raise IntegrityError(
+                    f"{path}: record {first + i} has station {events['station'][i]} and "
+                    f"port_bit {events['port_bit'][i]}; both must be 0 or 1",
+                    HEADER_SIZE + (first + i) * RECORD_SIZE,
+                )
+            yield events
+            first += n
+
+
+def read_btag(path: str | Path) -> np.ndarray:
+    """Read and validate a whole BTAG file; returns the merged event array."""
+    pieces = list(iter_btag(path, piece_records=None))
+    return pieces[0] if pieces else np.empty(0, dtype=EVENT_DTYPE)
 
 
 def split_stations(events: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

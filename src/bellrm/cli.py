@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -25,15 +26,13 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .atomic import atomic_open
-from .btag import HEADER_SIZE, read_btag, write_csv
+from .btag import iter_btag, read_btag, write_csv
 from .chsh import write_chsh_csv
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, IntegrityError
 from .models import OutcomeModel
-from .pipeline import AnalysisConfig, analyze_run
+from .pipeline import AnalysisConfig, analyze_pieces
 from .randommeter import write_curve_csv, write_reports_csv, write_verdict_json
 from .source import (
     GENERATOR_VERSION,
@@ -49,6 +48,7 @@ EVENTS_FILENAME = "events.btag"
 MANIFEST_FILENAME = "manifest.json"
 ANALYSIS_OUTPUTS = ("chsh_per_slice.csv", "sequences.csv", "curve.csv", "verdict.json")
 REPORT_OUTPUTS = ("summary.txt", "combined_curves.csv")
+CURVE_NUMBERS = ("rejection_rate", "ci_low", "ci_high", "mean_compression_ratio", "randomness_level")
 
 
 def _env_overrides(keys) -> dict:
@@ -224,19 +224,20 @@ def _load_manifest(directory: Path) -> tuple[dict, dict, int]:
     return run_dict, analysis_dict, events_bytes
 
 
-def _read_events(directory: Path, expected_bytes: int) -> np.ndarray:
-    """read_btag, plus a check that the file is the size the manifest records."""
+def _events_path(directory: Path, expected_bytes: int) -> Path:
+    """The run's events.btag, once its size is the one the manifest records."""
     path = directory / EVENTS_FILENAME
-    if not path.exists():
-        raise DataError(f"missing {path}")
-    events = read_btag(path)
-    size = HEADER_SIZE + events.nbytes
+    try:
+        size = path.stat().st_size
+    except FileNotFoundError:
+        raise DataError(f"missing {path}") from None
     if size != expected_bytes:
-        raise DataError(
+        raise IntegrityError(
             f"{path} holds {size} bytes but {MANIFEST_FILENAME} records {expected_bytes}; "
-            "it is not the file this manifest describes"
+            "it is not the file this manifest describes",
+            min(size, expected_bytes),
         )
-    return events
+    return path
 
 
 def cmd_analyze(args) -> int:
@@ -255,8 +256,8 @@ def cmd_analyze(args) -> int:
     analysis = AnalysisConfig.from_dict(analysis_dict)
 
     with output_lock(in_dir):
-        events = _read_events(in_dir, events_bytes)
-        records, chsh_estimates, curve, verdict, report_rows = analyze_run(
+        events = iter_btag(_events_path(in_dir, events_bytes))
+        n_coincidences, chsh_estimates, curve, verdict, report_rows = analyze_pieces(
             events, run, analysis
         )
         write_chsh_csv(in_dir / "chsh_per_slice.csv", chsh_estimates)
@@ -265,15 +266,41 @@ def cmd_analyze(args) -> int:
         write_verdict_json(in_dir / "verdict.json", verdict)
 
     print(
-        f"analyze: {records.size} coincidences, {len(report_rows)} sequences, "
+        f"analyze: {n_coincidences} coincidences, {len(report_rows)} sequences, "
         f"verdict {verdict.label.value}"
     )
     return 0
 
 
-def _read_csv_rows(path: Path) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+def _read_json_object(path: Path) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise DataError(f"{path} does not hold a JSON object")
+    return obj
+
+
+def _read_csv_rows(path: Path, numeric: tuple[str, ...]) -> list[dict]:
+    """Rows of an analysis CSV, each complete, with slice_index and ``numeric`` numbers."""
+    try:
+        text = path.read_text(encoding="utf-8")
+        rows = list(csv.DictReader(io.StringIO(text)))
+    except (OSError, ValueError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if not text.endswith("\n"):
+        raise DataError(f"{path} ends in the middle of a line")
+    for line, row in enumerate(rows, start=2):
+        if None in row or None in row.values():
+            raise DataError(f"{path}: line {line} does not have one value per column")
+        for name in ("slice_index", *numeric):
+            try:
+                float(row[name])
+            except (KeyError, ValueError):
+                raise DataError(f"{path}: line {line} has no number in column {name}") from None
+    return rows
 
 
 def cmd_report(args) -> int:
@@ -291,15 +318,20 @@ def cmd_report(args) -> int:
     summary_lines = []
     combined_rows = []
     for d in run_dirs:
-        with open(d / "verdict.json", "r", encoding="utf-8") as fh:
-            verdict = json.load(fh)
-        chsh_rows = {row["slice_index"]: row for row in _read_csv_rows(d / "chsh_per_slice.csv")}
-        curve_rows = _read_csv_rows(d / "curve.csv")
+        verdict = _read_json_object(d / "verdict.json")
+        if not isinstance(verdict.get("label"), str):
+            raise DataError(f"{d / 'verdict.json'} has no verdict label")
+        chsh_rows = {
+            row["slice_index"]: row
+            for row in _read_csv_rows(d / "chsh_per_slice.csv", ("S", "std_err"))
+        }
+        curve_rows = _read_csv_rows(d / "curve.csv", CURVE_NUMBERS)
+        if not curve_rows:
+            raise DataError(f"{d / 'curve.csv'} holds no slices")
         seed = ""
         manifest_path = d / MANIFEST_FILENAME
         if manifest_path.exists():
-            with open(manifest_path, "r", encoding="utf-8") as fh:
-                seed = json.load(fh).get("seed", "")
+            seed = _read_json_object(manifest_path).get("seed", "")
         summary_lines.append(f"run: {d.name}" + (f" (seed {seed})" if seed != "" else ""))
         for row in curve_rows:
             s_row = chsh_rows.get(row["slice_index"])

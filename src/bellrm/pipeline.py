@@ -1,16 +1,28 @@
 """The analysis pipeline: match -> slice -> battery and CHSH -> verdict.
 
-``analyze_run`` takes an in-memory event stream and returns everything the
-``analyze`` command writes; ``AnalysisConfig`` holds its parameters.
+``analyze_pieces`` takes an event stream as a sequence of pieces, such as
+``btag.iter_btag`` reads from a file, and returns everything the
+``analyze`` command writes; ``analyze_run`` is its one-piece call on an
+in-memory stream, and ``AnalysisConfig`` holds the parameters.
+
+``cut_at_gaps`` re-cuts the pieces after their last gap wider than the
+coincidence window.  No chain of events crosses such a gap, so matching
+each part on its own gives the records one pass over the whole stream
+gives.  Between parts the pipeline carries only the integer CHSH count
+table, the coincidence count and, per (slice, station), the bits not yet
+in a full ``sequence_length`` block; each full block goes to the battery
+as soon as it is complete.  Memory therefore does not grow with the
+length of the run.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .btag import STATION_LETTERS
+from .btag import STATION_A, STATION_B, STATION_LETTERS
 from .chsh import ChshAngles, chsh_from_table, count_table
 from .errors import ConfigError, DataError, IncompleteSettingsError
 from .randommeter import (
@@ -21,7 +33,7 @@ from .randommeter import (
     run_battery,
 )
 from .source import RunConfig, pulse_geometry, require_finite
-from .timetags import extract_sequence, match_events, sequence_partition, slice_records
+from .timetags import extract_sequence, match_events, sequence_partition, slice_index_of
 
 
 @dataclass
@@ -41,6 +53,8 @@ class AnalysisConfig:
         require_finite("analysis.alpha_sig", self.alpha_sig)
         if self.n_slices < 2:
             raise ConfigError("analysis.n_slices must be >= 2")
+        if self.n_slices > 32767:
+            raise ConfigError("analysis.n_slices must be <= 32767")
         if self.window_ns <= 0:
             raise ConfigError("analysis.window_ns must be > 0")
         if not 0.0 < self.alpha_sig < 1.0:
@@ -68,49 +82,153 @@ class AnalysisConfig:
         return cfg
 
 
+def _after_last_gap(ts: np.ndarray, window: int) -> int:
+    """Index of the first event after the last step in ``ts`` wider than ``window``, or 0.
+
+    The steps near the end are looked at first: at the paper's rates the last
+    gap is a few events from the end, and a whole piece needs a diff only
+    when its tail holds none.
+    """
+    for lo in (max(ts.size - 1024, 0), 0):
+        tail = ts[lo:]
+        gaps = np.flatnonzero(
+            np.subtract(tail[1:], tail[:-1], dtype=np.int64, casting="unsafe") > window
+        )
+        if gaps.size:
+            return lo + int(gaps[-1]) + 1
+    return 0
+
+
+def _join(parts: list[np.ndarray]) -> np.ndarray:
+    """Concatenate event arrays as whole records: numpy copies a structured
+    array field by field, about 20 times slower."""
+    dtype = parts[0].dtype
+    raw = np.dtype((np.void, dtype.itemsize))
+    return np.concatenate([part.view(raw) for part in parts]).view(dtype)
+
+
+def cut_at_gaps(
+    pieces: Iterable[np.ndarray], window_ns: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Re-cut a merged stream's pieces after their last gap wider than ``window_ns``.
+
+    Yields ``(first, events)``: the index of ``events[0]`` in the whole
+    stream and a run of consecutive events that ends at the end of the
+    stream or before a gap wider than the window.  Events after a piece's
+    last gap are carried into the next piece; a piece without such a gap is
+    carried whole, so a chain longer than a piece is never cut.  A step
+    back in time is never a gap, so an order fault stays inside one part,
+    where ``match_events`` finds it.
+    """
+    window = int(window_ns)
+    carry: list[np.ndarray] = []  # events since the last gap, no gap among them
+    first = 0
+    for piece in pieces:
+        if piece.size == 0:
+            continue
+        ts = piece["timestamp_ns"]
+        cut = _after_last_gap(ts, window)
+        if cut == 0 and not (
+            carry and int(ts[0]) - int(carry[-1]["timestamp_ns"][-1]) > window
+        ):
+            carry.append(piece)
+            continue
+        part = _join([*carry, piece[:cut]]) if carry else piece[:cut]
+        if part.size:
+            yield first, part
+            first += part.size
+        carry = [piece[cut:]]
+    if carry:
+        yield first, _join(carry)
+
+
+class _BlockCutter:
+    """One (slice, station) bit stream, handed out in ``sequence_length`` blocks.
+
+    The blocks and their order are those ``sequence_partition`` gives on the
+    whole stream; bits short of a full block wait for the next part.
+    """
+
+    def __init__(self, length: int):
+        self.length = length
+        self.pending = np.empty(0, dtype=np.uint8)
+
+    def push(self, bits: np.ndarray) -> list[np.ndarray]:
+        bits = np.concatenate([self.pending, bits])
+        blocks = sequence_partition(bits, self.length)
+        self.pending = bits[len(blocks) * self.length :].copy()
+        return blocks
+
+
 def analyze_run(
     events: np.ndarray,
     run: RunConfig,
     analysis: AnalysisConfig,
     angles: ChshAngles = ChshAngles(),
 ):
-    """Full analysis pipeline on a merged event stream, as read_btag returns it.
+    """:func:`analyze_pieces` on a merged event stream held in memory."""
+    return analyze_pieces([events], run, analysis, angles)
 
-    Returns (records, chsh_estimates, curve, verdict, report_rows); CHSH
-    estimates cover the slices that could be estimated, and a slice
-    without one makes the verdict INCONCLUSIVE.
+
+def analyze_pieces(
+    pieces: Iterable[np.ndarray],
+    run: RunConfig,
+    analysis: AnalysisConfig,
+    angles: ChshAngles = ChshAngles(),
+):
+    """Full analysis pipeline on a merged event stream given piece by piece.
+
+    The pieces, in stream order, are what ``read_btag`` or ``iter_btag``
+    return.  Returns (n_coincidences, chsh_estimates, curve, verdict,
+    report_rows); CHSH estimates cover the slices that could be estimated,
+    and a slice without one makes the verdict INCONCLUSIVE.  An event whose
+    setting lies outside the menu, or one out of stream order, raises a
+    ``DataError`` naming its index in the whole stream.
     """
+    analysis.validate()  # before n_slices sizes the tables
     geo = pulse_geometry(run)
     battery = analysis.battery()
     n_menu = len(run.settings_menu)
-    outside = np.flatnonzero(events["setting_index"] >= n_menu)
-    if outside.size:
-        i = int(outside[0])
-        raise DataError(
-            f"record {i} has setting_index {events['setting_index'][i]}, "
-            f"outside the {n_menu}-entry settings menu"
+    n_slices = analysis.n_slices
+    keys = [(s, station) for s in range(n_slices) for station in (STATION_A, STATION_B)]
+    cutters = {key: _BlockCutter(analysis.sequence_length) for key in keys}
+    reports = {key: [] for key in keys}
+    counts = np.zeros((n_slices + 1, n_menu, 2, 2), dtype=np.int64)
+    n_coincidences = 0
+
+    for first, events in cut_at_gaps(pieces, analysis.window_ns):
+        outside = np.flatnonzero(events["setting_index"] >= n_menu)
+        if outside.size:
+            i = int(outside[0])
+            raise DataError(
+                f"record {first + i} has setting_index {events['setting_index'][i]}, "
+                f"outside the {n_menu}-entry settings menu"
+            )
+        records = match_events(
+            events, analysis.window_ns, rep_rate_hz=run.rep_rate_hz,
+            settings_menu=run.settings_menu, first_record=first,
         )
-    records = match_events(
-        events, analysis.window_ns, rep_rate_hz=run.rep_rate_hz, settings_menu=run.settings_menu
-    )
-    records = slice_records(records, analysis.n_slices, geo.pulse_duration_ns)
+        records["slice_index"] = slice_index_of(
+            records["within_pulse_ns"], n_slices, geo.pulse_duration_ns
+        )
+        counts += count_table(records, n_menu, n_slices)
+        n_coincidences += records.size
+        for (slice_index, station), cutter in cutters.items():
+            done = reports[slice_index, station]
+            for block in cutter.push(extract_sequence(records, station, slice_index).bits):
+                sid = f"{STATION_LETTERS[station]}{slice_index}-{len(done)}"
+                done.append(run_battery(block, battery, sequence_id=sid))
 
-    report_rows = []
-    reports_by_slice = {}
-    for slice_index in range(analysis.n_slices):
-        slice_reports = []
-        for station in (0, 1):
-            seq = extract_sequence(records, station, slice_index)
-            for i, block in enumerate(sequence_partition(seq.bits, analysis.sequence_length)):
-                sid = f"{STATION_LETTERS[station]}{slice_index}-{i}"
-                report = run_battery(block, battery, sequence_id=sid)
-                slice_reports.append(report)
-                report_rows.append((sid, slice_index, STATION_LETTERS[station], report))
-        reports_by_slice[slice_index] = slice_reports
-
-    counts = count_table(records, n_menu, analysis.n_slices)
+    report_rows = [
+        (report.sequence_id, slice_index, STATION_LETTERS[station], report)
+        for (slice_index, station) in keys
+        for report in reports[slice_index, station]
+    ]
+    reports_by_slice = {
+        s: reports[s, STATION_A] + reports[s, STATION_B] for s in range(n_slices)
+    }
     chsh_estimates = []
-    for slice_index in range(analysis.n_slices):
+    for slice_index in range(n_slices):
         try:
             chsh_estimates.append(
                 chsh_from_table(counts, run.settings_menu, angles, slice_index)
@@ -118,12 +236,12 @@ def analyze_run(
         except IncompleteSettingsError:
             pass  # classify_scenario answers INCONCLUSIVE for this slice
 
-    # slice_records has already refused fewer than two slices, and
+    # validate has already refused fewer than two slices, and
     # classify_scenario tests the halves only once each holds sequences.
     curve = curve_from_reports(reports_by_slice, battery)
     verdict = classify_scenario(curve, chsh_estimates)
-    if records.size == 0:
+    if n_coincidences == 0:
         verdict = ScenarioVerdict.inconclusive(
             "no data: no coincidences matched", verdict.per_slice_S, verdict.per_slice_R
         )
-    return records, chsh_estimates, curve, verdict, report_rows
+    return n_coincidences, chsh_estimates, curve, verdict, report_rows

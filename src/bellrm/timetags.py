@@ -9,8 +9,14 @@ window form chains, chains are isolated from each other, and the
 overwhelmingly common chain (one A plus one B event) is resolved without
 Python-level looping.  Events with no neighbour within the window, most
 of them at the paper's rates, are set aside before the chains are built.
-:func:`match_coincidences` merges two per-station streams into that order
-and hands them on.
+No chain crosses a gap wider than the window, so a stream cut at such gaps
+can be matched piece by piece with the same result (``bellrm.pipeline``
+does so).  :func:`match_coincidences` merges two per-station streams into
+that order and hands them on.
+
+:func:`slice_index_of` holds the pulse-slice boundary rule;
+:func:`extract_sequence` and :func:`sequence_partition` turn sliced
+records into the bit blocks the randomness battery tests.
 """
 
 from __future__ import annotations
@@ -45,15 +51,16 @@ def _check_increasing(keys: np.ndarray, what: str) -> None:
         raise StreamOrderError(f"{what}: record {i} is not after record {i - 1}")
 
 
-def _check_merged_order(dt: np.ndarray, is_b: np.ndarray) -> None:
+def _check_merged_order(dt: np.ndarray, is_b: np.ndarray, first_record: int) -> None:
     """Check (timestamp, station) order from the time steps ``dt = diff(t)``.
 
     A step of zero is allowed only from an A record to a B record.
+    ``first_record`` is the index of the first event in the whole stream.
     """
     ties = np.flatnonzero(dt <= 0)
     bad = ties[(dt[ties] < 0) | ~is_b[ties + 1] | is_b[ties]]
     if bad.size:
-        i = int(bad[0]) + 1
+        i = first_record + int(bad[0]) + 1
         raise StreamOrderError(
             f"events out of (timestamp, station) order: record {i} is not after record {i - 1}"
         )
@@ -91,6 +98,7 @@ def match_events(
     *,
     rep_rate_hz: float,
     settings_menu=None,
+    first_record: int = 0,
 ) -> np.ndarray:
     """Pair up detections of a merged stream across stations within ``window_ns``.
 
@@ -98,7 +106,9 @@ def match_events(
     BTAG file is written in; a station other than B counts as A.  Greedy
     earliest-pair one-to-one matching in time order; ties go to the earlier
     candidate partner.  Returns COINC_DTYPE records in coincidence time
-    order with slice_index unset (-1); run :func:`slice_records` next.
+    order with slice_index unset (-1); :func:`slice_index_of` gives it.
+    ``first_record`` is the index of ``events[0]`` in a longer stream, for
+    the record numbers a ``StreamOrderError`` names.
 
     For pairs spanning two pulses (accidentals) the pulse and within-pulse
     time come from the station-A event, and the setting is the menu entry
@@ -112,7 +122,7 @@ def match_events(
     is_b = events["station"] == STATION_B
     # time steps as int64 differences, without an int64 copy of the timestamps
     dt = np.subtract(ts[1:], ts[:-1], dtype=np.int64, casting="unsafe")
-    _check_merged_order(dt, is_b)
+    _check_merged_order(dt, is_b, first_record)
 
     # An event without a neighbour within the window can never match, and
     # leaving it out changes no chain of two or more events, so the chain
@@ -205,22 +215,28 @@ def match_coincidences(
     )
 
 
-def slice_records(records: np.ndarray, n_slices: int, pulse_duration_ns: int) -> np.ndarray:
-    """Assign equal-width pulse slices (copy returned).
+def slice_index_of(
+    within_pulse_ns: np.ndarray, n_slices: int, pulse_duration_ns: int
+) -> np.ndarray:
+    """Equal-width pulse slice of each within-pulse time, as int16.
 
-    Slice k covers [k*D/n, (k+1)*D/n); a record exactly on a boundary goes
-    to the later slice.  Records outside the pulse window get the sentinel
+    Slice k covers [k*D/n, (k+1)*D/n); a time exactly on a boundary goes
+    to the later slice.  Times outside the pulse window get the sentinel
     slice -1 and are excluded from per-slice sequences.
     """
     if n_slices < 2:
         raise ConfigError("n_slices must be >= 2 (first/second pulse half)")
     if n_slices > 32767:
         raise ConfigError("n_slices too large")
+    idx = (n_slices * within_pulse_ns) // pulse_duration_ns
+    idx[(within_pulse_ns < 0) | (within_pulse_ns >= pulse_duration_ns)] = -1
+    return idx.astype(np.int16)
+
+
+def slice_records(records: np.ndarray, n_slices: int, pulse_duration_ns: int) -> np.ndarray:
+    """A copy of ``records`` with :func:`slice_index_of` written into slice_index."""
     out = records.copy()
-    within = out["within_pulse_ns"]
-    idx = (n_slices * within) // pulse_duration_ns
-    idx[(within < 0) | (within >= pulse_duration_ns)] = -1
-    out["slice_index"] = idx.astype(np.int16)
+    out["slice_index"] = slice_index_of(out["within_pulse_ns"], n_slices, pulse_duration_ns)
     return out
 
 

@@ -305,6 +305,37 @@ class TestAnalyze:
         assert main(["analyze", "--in", str(sim_dir)]) == 3
         assert "record 1 is not after record 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("swap", "record 200004 is not after record 200003"),
+            ("station", "record 200003 has station 7 and port_bit"),
+            ("setting", "record 200003 has setting_index 99"),
+        ],
+    )
+    def test_fault_past_the_first_piece_names_its_place_in_the_file(
+        self, sim_dir, capsys, fault, message
+    ):
+        # the file is read in pieces of 65,536 records; record 200,003 lies
+        # in the fourth, and the error must still give its index in the file
+        path = sim_dir / "events.btag"
+        data = bytearray(path.read_bytes())
+        assert len(data) > 32 + 16 * 300_000
+        at = 32 + 16 * 200_003
+        if fault == "swap":
+            data[at : at + 16], data[at + 16 : at + 32] = data[at + 16 : at + 32], data[at : at + 16]
+        elif fault == "station":
+            data[at + 12] = 7
+        else:
+            data[at + 14 : at + 16] = (99).to_bytes(2, "little")
+        path.write_bytes(bytes(data))
+        assert main(["analyze", "--in", str(sim_dir)]) == 3
+        err = capsys.readouterr().err
+        assert message in err
+        if fault == "station":
+            assert f"byte offset {at}" in err
+        assert not (sim_dir / "verdict.json").exists()
+
     @pytest.mark.parametrize("key", ["BELLRM_SLICES", "BELLRM_WINDOW_NS"])
     def test_fractional_integer_override_exits_2(self, sim_dir, capsys, monkeypatch, key):
         monkeypatch.setenv(key, "2.5")
@@ -355,6 +386,25 @@ class TestReport:
         err = capsys.readouterr().err
         assert "verdict.json" in err and "curve.csv" in err
 
+    @pytest.mark.parametrize(
+        "name, damage",
+        [
+            ("verdict.json", lambda text: "{"),
+            ("manifest.json", lambda text: text[: len(text) // 2]),
+            ("chsh_per_slice.csv", lambda text: text[:-12]),
+            ("curve.csv", lambda text: text[:20]),
+            ("curve.csv", lambda text: text.splitlines(keepends=True)[0]),
+        ],
+        ids=["verdict-not-json", "manifest-cut", "chsh-cut", "curve-cut", "curve-no-rows"],
+    )
+    def test_malformed_input_exits_3(self, sim_dir, capsys, name, damage):
+        assert main(["analyze", "--in", str(sim_dir)]) == 0
+        path = sim_dir / name
+        path.write_text(damage(path.read_text()))
+        assert main(["report", "--in", str(sim_dir)]) == 3
+        assert str(path) in capsys.readouterr().err
+        assert not (sim_dir / "summary.txt").exists()
+
     def test_two_runs_merge_in_order(self, tmp_path, no_bellrm_env):
         cfg = write_config(tmp_path)
         dirs = []
@@ -399,6 +449,43 @@ def test_analyze_runs_without_scipy(sim_dir):
     )
     assert _run_python(code).splitlines()[-1] == "0 []"
     assert json.loads((sim_dir / "verdict.json").read_text())["label"] == "LOCALITY_FALSE"
+
+
+# Started from a small Python process: a child forked from the test
+# process would count the test process's own pages in its ru_maxrss.
+PEAK_RSS_OF_CHILD = """
+import os, subprocess, sys
+child = subprocess.Popen([sys.executable, *sys.argv[1:]], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss * 1024)
+"""
+
+
+def _peak_rss_bytes(args: list[str]) -> int:
+    """ru_maxrss of a Python child run with ``args``, in bytes."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("BELLRM_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_OF_CHILD, *args],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    code, peak = proc.stdout.split()
+    assert code == "0", proc.stderr
+    return int(peak)
+
+
+def test_analyze_memory_does_not_grow_with_the_file(tmp_path, no_bellrm_env):
+    # a 10 s default run: about 38 MB of events.btag; analyze reads it in
+    # pieces, so it needs well under half of that above the bare start-up
+    cfg = write_config(tmp_path, {"run": {"seed": 5, "run_duration_s": 10.0}})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    size = (out / "events.btag").stat().st_size
+    assert size > 30e6
+    start_up = _peak_rss_bytes(["-c", "import bellrm.cli"])
+    analyze = _peak_rss_bytes(["-m", "bellrm.cli", "analyze", "--in", str(out)])
+    assert analyze - start_up < size / 2
 
 
 @pytest.mark.parametrize(

@@ -1,19 +1,28 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellrm import (
     CHSH_MENU,
+    EVENT_DTYPE,
     ConfigError,
     ModelKind,
     OutcomeModel,
     RunConfig,
     Verdict,
     estimate_chsh,
+    iter_btag,
+    match_events,
+    pulse_geometry,
     simulate_events,
+    slice_records,
+    write_btag,
     write_chsh_csv,
 )
-from bellrm.pipeline import AnalysisConfig, analyze_run
+from bellrm.pipeline import AnalysisConfig, analyze_pieces, analyze_run, cut_at_gaps
 
 
 def test_menu_without_a_chsh_pair_is_inconclusive(tmp_path):
@@ -24,8 +33,8 @@ def test_menu_without_a_chsh_pair_is_inconclusive(tmp_path):
         coincidence_prob_per_pulse=0.05, dark_rate_hz=0.0, settings_menu=CHSH_MENU[:3],
     )
     events, _ = simulate_events(cfg, OutcomeModel(ModelKind.SCENARIO_LOCALITY_FALSE))
-    records, chsh, curve, verdict, _ = analyze_run(events, cfg, AnalysisConfig())
-    assert records.size > 0 and chsh == []
+    n_coincidences, chsh, curve, verdict, _ = analyze_run(events, cfg, AnalysisConfig())
+    assert n_coincidences > 0 and chsh == []
     assert all(reading.sufficient for reading in curve.readings)
     assert verdict.label is Verdict.INCONCLUSIVE
     assert verdict.reason == "slice 0 has no CHSH estimate"
@@ -46,7 +55,12 @@ def test_per_slice_chsh_equals_estimate_chsh_on_the_records():
     cfg = RunConfig(seed=33, run_duration_s=3.0, dark_rate_hz=1e5, settings_menu=menu)
     events, _ = simulate_events(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))
     analysis = AnalysisConfig(n_slices=3, window_ns=100)
-    records, chsh, _, _, _ = analyze_run(events, cfg, analysis)
+    n_coincidences, chsh, _, _, _ = analyze_run(events, cfg, analysis)
+    records = slice_records(
+        match_events(events, 100, rep_rate_hz=cfg.rep_rate_hz, settings_menu=menu),
+        3, pulse_geometry(cfg).pulse_duration_ns,
+    )
+    assert n_coincidences == records.size
     assert (records["slice_index"] == -1).any() and (records["setting_index"] == -1).any()
     assert chsh == [estimate_chsh(records, cfg.settings_menu, slice_index=k) for k in range(3)]
 
@@ -60,7 +74,107 @@ def test_integer_fields_reject_other_types(field, value):
         AnalysisConfig.from_dict({field: value})
 
 
+def test_n_slices_must_fit_the_int16_slice_index():
+    # the pipeline sizes its tables from n_slices before any record is sliced
+    assert AnalysisConfig.from_dict({"n_slices": 32767}).n_slices == 32767
+    with pytest.raises(ConfigError, match="analysis.n_slices must be <= 32767"):
+        AnalysisConfig.from_dict({"n_slices": 32768})
+
+
 @pytest.mark.parametrize("value", ["0.01", True, math.nan, math.inf])
 def test_alpha_sig_must_be_a_finite_number(value):
     with pytest.raises(ConfigError, match="analysis.alpha_sig must be a finite number"):
         AnalysisConfig.from_dict({"alpha_sig": value})
+
+
+# --- cutting the stream at gaps wider than the window ---------------------
+
+
+def assert_cut_matches_one_pass(events, pieces, window, rep_rate_hz=1e6):
+    """The parts tile the stream, every cut lies on a gap wider than the
+    window, and matching part by part gives the records of one pass."""
+    parts = list(cut_at_gaps(pieces, window))
+    sizes = [part.size for _, part in parts]
+    assert [first for first, _ in parts] == [sum(sizes[:k]) for k in range(len(parts))]
+    joined = np.concatenate([events[:0], *(part for _, part in parts)])
+    assert joined.tobytes() == events.tobytes()
+    ts = events["timestamp_ns"].astype(np.int64)
+    for first, _ in parts[1:]:
+        assert ts[first] - ts[first - 1] > window
+    one_pass = match_events(events, window, rep_rate_hz=rep_rate_hz, settings_menu=CHSH_MENU)
+    by_part = [
+        match_events(part, window, rep_rate_hz=rep_rate_hz, settings_menu=CHSH_MENU)
+        for _, part in parts
+    ]
+    assert np.concatenate([one_pass[:0], *by_part]).tobytes() == one_pass.tobytes()
+    return parts
+
+
+@pytest.mark.parametrize("window, chain_size, n_chains", [(2, 2, 500), (100, 3, 200)])
+def test_cutting_at_every_gap_matches_one_pass(window, chain_size, n_chains):
+    # one-event pieces: cut_at_gaps cuts at every gap wider than W; at
+    # W = 100 ns the 100 kHz darks make chains of three or more events
+    cfg = RunConfig(seed=43, run_duration_s=0.05, dark_rate_hz=1e5)
+    events, _ = simulate_events(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))
+    ts = events["timestamp_ns"].astype(np.int64)
+    n_gaps = np.count_nonzero(np.diff(ts) > window)
+    parts = assert_cut_matches_one_pass(events, np.split(events, events.size), window)
+    assert len(parts) == n_gaps + 1
+    assert sum(part.size >= chain_size for _, part in parts) > n_chains
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 3000), st.booleans()), max_size=80),
+    st.lists(st.integers(1, 40), min_size=1, max_size=10),
+    st.sampled_from([1, 5, 40]),
+)
+def test_cutting_random_streams_at_random_pieces(tagged, sizes, window):
+    keys = sorted({2 * t + int(b) for t, b in tagged})
+    events = np.zeros(len(keys), dtype=EVENT_DTYPE)
+    events["timestamp_ns"] = [k >> 1 for k in keys]
+    events["pulse_index"] = events["timestamp_ns"] // 1000
+    events["station"] = [k & 1 for k in keys]
+    events["port_bit"] = [k % 3 == 0 for k in keys]
+    events["setting_index"] = [k % 4 for k in keys]
+    bounds = np.cumsum(sizes * (len(keys) // sum(sizes) + 1))
+    pieces = np.split(events, bounds[bounds < len(keys)])
+    assert_cut_matches_one_pass(events, pieces, window)
+
+
+def test_a_chain_longer_than_a_piece_is_carried_whole():
+    # lone events, then 3,000 events each 1-2 ns after the last, then lone
+    # events again; in pieces of 500 the chain spans seven pieces
+    rng = np.random.default_rng(7)
+    t = np.concatenate([
+        np.arange(0, 50_000, 1000),
+        60_000 + np.cumsum(rng.integers(1, 3, 3000)),
+        np.arange(80_000, 130_000, 1000),
+    ])
+    events = np.zeros(t.size, dtype=EVENT_DTYPE)
+    events["timestamp_ns"] = t
+    events["pulse_index"] = t // 1000
+    events["station"] = rng.integers(0, 2, t.size)
+    events["port_bit"] = rng.integers(0, 2, t.size)
+    bounds = np.arange(500, t.size, 500)
+    parts = assert_cut_matches_one_pass(events, np.split(events, bounds), 2)
+    chain = [(first, part.size) for first, part in parts if part.size >= 3000]
+    assert len(chain) == 1
+    first, size = chain[0]
+    assert first <= 50 and first + size >= 3050
+
+
+def test_reading_in_small_pieces_gives_the_same_analysis(tmp_path):
+    # the file read in pieces of 1,000 records, against the whole stream
+    cfg = RunConfig(
+        seed=45, run_duration_s=2.0, detection_prob_per_pulse=0.01,
+        coincidence_prob_per_pulse=0.05, dark_rate_hz=1e4,
+    )
+    events, _ = simulate_events(cfg, OutcomeModel(ModelKind.SCENARIO_LOCALITY_FALSE))
+    path = tmp_path / "events.btag"
+    write_btag(path, events)
+    analysis = AnalysisConfig(window_ns=5)
+    whole = analyze_run(events, cfg, analysis)
+    pieces = analyze_pieces(iter_btag(path, piece_records=1000), cfg, analysis)
+    assert whole[0] > 0 and len(whole[4]) >= 16
+    assert repr(pieces) == repr(whole)

@@ -19,6 +19,7 @@ from bellrm import (
     StreamOrderError,
     estimate_chsh,
     extract_sequence,
+    iter_btag,
     match_coincidences,
     match_events,
     pulse_geometry,
@@ -552,6 +553,23 @@ class TestBtagFormat:
         with pytest.raises(IntegrityError) as err:
             read_btag(path)
         assert err.value.offset == len(data) - 7
+
+    def test_pieces_join_to_the_whole_file(self, tmp_path, rng):
+        ev = self.events(rng)
+        path = tmp_path / "events.btag"
+        write_btag(path, ev)
+        pieces = list(iter_btag(path, piece_records=7))
+        assert [p.size for p in pieces] == [7] * 14 + [2]
+        assert np.concatenate(pieces).tobytes() == read_btag(path).tobytes() == ev.tobytes()
+
+    def test_bad_field_in_a_later_piece_reports_its_offset_in_the_file(self, tmp_path, rng):
+        path = tmp_path / "events.btag"
+        ev = self.events(rng)
+        ev["port_bit"][61] = 2
+        write_btag(path, ev)
+        with pytest.raises(IntegrityError, match="record 61 has station") as err:
+            list(iter_btag(path, piece_records=20))
+        assert err.value.offset == 32 + 61 * 16
 
     def test_bad_magic_rejected(self, tmp_path, rng):
         path = tmp_path / "events.btag"
