@@ -19,7 +19,7 @@ from bellrm import (
     pulse_geometry,
     read_btag,
     simulate_to_btag,
-    slice_records,
+    slice_index_of,
 )
 
 cfg = RunConfig(
@@ -50,7 +50,7 @@ records = match_events(
     events, 2, rep_rate_hz=cfg.rep_rate_hz, settings_menu=cfg.settings_menu
 )
 geo = pulse_geometry(cfg)
-records = slice_records(records, 2, geo.pulse_duration_ns)
+records["slice_index"] = slice_index_of(records["within_pulse_ns"], 2, geo.pulse_duration_ns)
 print("matched %d coincidences in a +/-2 ns window" % records.size)
 
 in_pulse = records[records["slice_index"] >= 0]
@@ -64,9 +64,9 @@ seq_b = extract_sequence(records, 1, 0)
 print(
     "first-half-of-pulse key, station A vs B (first 64 bits):\n  %s\n  %s"
     % (
-        "".join(map(str, seq_a.bits[:64])),
-        "".join(map(str, seq_b.bits[:64])),
+        "".join(map(str, seq_a[:64])),
+        "".join(map(str, seq_b[:64])),
     )
 )
-mismatch = int(np.count_nonzero(seq_a.bits != seq_b.bits))
-print("key length %d, mismatches %d (accidentals only)" % (len(seq_a), mismatch))
+mismatch = int(np.count_nonzero(seq_a != seq_b))
+print("key length %d, mismatches %d (accidentals only)" % (seq_a.size, mismatch))

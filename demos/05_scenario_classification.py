@@ -11,7 +11,7 @@ the synthetic data gives evidence against:
 """
 
 from bellrm import ModelKind, OutcomeModel, RunConfig, simulate_events
-from bellrm.pipeline import AnalysisConfig, analyze_run
+from bellrm.pipeline import AnalysisConfig, analyze_pieces
 
 SCENARIOS = (
     ModelKind.SCENARIO_LOCALITY_FALSE,
@@ -28,7 +28,7 @@ for kind in SCENARIOS:
         dark_rate_hz=0.0,
     )
     events, _ = simulate_events(cfg, OutcomeModel(kind))
-    _, chsh, curve, verdict, _ = analyze_run(events, cfg, AnalysisConfig())
+    _, chsh, curve, verdict, _ = analyze_pieces([events], cfg, AnalysisConfig())
 
     print("=" * 64)
     print("generator:", kind.value)

@@ -13,7 +13,6 @@ from bellrm import (
     RunConfig,
     s_vs_window,
     simulate_events,
-    split_stations,
 )
 
 cfg = RunConfig(
@@ -29,9 +28,8 @@ print(
     % (stats.n_coincidence_pairs, stats.n_darks_a, stats.n_darks_b, cfg.run_duration_s)
 )
 
-events_a, events_b = split_stations(events)
 scan = s_vs_window(
-    events_a, events_b, [5, 10, 25, 50, 75, 100, 150, 200], cfg.settings_menu,
+    events, [5, 10, 25, 50, 75, 100, 150, 200], cfg.settings_menu,
     rep_rate_hz=cfg.rep_rate_hz, run_duration_s=cfg.run_duration_s,
 )
 

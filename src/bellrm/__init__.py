@@ -17,7 +17,6 @@ from .btag import (
     iter_btag,
     read_btag,
     read_csv,
-    split_stations,
     write_btag,
     write_csv,
 )
@@ -65,7 +64,7 @@ from .models import (
     sawtooth_correlation,
     scenario_pattern,
 )
-from .pipeline import AnalysisConfig, analyze_run
+from .pipeline import AnalysisConfig, analyze_pieces
 from .randommeter import (
     BatteryConfig,
     RandomnessReport,
@@ -99,12 +98,9 @@ from .source import (
     simulate_to_btag,
 )
 from .timetags import (
-    BinarySequence,
     COINC_DTYPE,
     extract_sequence,
-    match_coincidences,
     match_events,
     sequence_partition,
     slice_index_of,
-    slice_records,
 )

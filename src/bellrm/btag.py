@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
-from .errors import IntegrityError
+from .errors import ConfigError, IntegrityError
 
 MAGIC = b"BTAG"
 VERSION = 1
@@ -127,11 +127,13 @@ def iter_btag(
     """Read and validate a BTAG file in pieces of at most ``piece_records`` records.
 
     Yields the merged event array piece by piece, in file order (``None``
-    reads the file as one piece); an empty file yields nothing.  The header
-    and size are checked before the first piece and the field ranges on
-    each piece; an ``IntegrityError`` gives the byte offset in the whole
-    file.
+    reads the file as one piece, and fewer than one record is a
+    ``ConfigError``); an empty file yields nothing.  The header and size
+    are checked before the first piece and the field ranges on each piece;
+    an ``IntegrityError`` gives the byte offset in the whole file.
     """
+    if piece_records is not None and piece_records < 1:
+        raise ConfigError(f"piece_records must be >= 1, got {piece_records}")
     path = Path(path)
     size = path.stat().st_size
     if size < HEADER_SIZE:
@@ -173,14 +175,6 @@ def read_btag(path: str | Path) -> np.ndarray:
     """Read and validate a whole BTAG file; returns the merged event array."""
     pieces = list(iter_btag(path, piece_records=None))
     return pieces[0] if pieces else np.empty(0, dtype=EVENT_DTYPE)
-
-
-def split_stations(events: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-station views of a merged stream, original order preserved."""
-    return (
-        events[events["station"] == STATION_A],
-        events[events["station"] == STATION_B],
-    )
 
 
 def write_csv(path: str | Path, events: np.ndarray) -> None:

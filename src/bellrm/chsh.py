@@ -1,7 +1,9 @@
 """Correlation, CHSH and ergodicity estimators.
 
-All estimators are pure aggregations over coincidence records; counts are
+The estimators are pure aggregations over coincidence records; counts are
 exact integers so partial results can be reduced in any order.
+:func:`s_vs_window` takes the merged event stream instead and matches it
+with ``timetags.match_events`` once per window.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import atomic_open
+from .btag import STATION_B
 from .errors import (
     ConfigError,
     IncompleteSettingsError,
@@ -29,7 +32,7 @@ from .models import (
     stationary_lambda_samples,
 )
 from .streams import substream
-from .timetags import match_coincidences
+from .timetags import match_events
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -213,8 +216,7 @@ class WindowScanPoint:
 
 
 def s_vs_window(
-    events_a: np.ndarray,
-    events_b: np.ndarray,
+    events: np.ndarray,
     windows_ns,
     settings_menu,
     *,
@@ -222,8 +224,9 @@ def s_vs_window(
     run_duration_s: float,
     angles: ChshAngles = ChshAngles(),
 ) -> list[WindowScanPoint]:
-    """Measured S(W) plus the uncorrelated-accidentals prediction.
+    """Measured S(W) on a merged event stream plus the uncorrelated-accidentals prediction.
 
+    ``events`` is in the (timestamp, station) order ``match_events`` needs.
     The prediction anchors on the smallest window: the matched pairs there
     are taken as true coincidences, per-station leftover rates give the
     accidental-pair rate 2*rA*rB*W*T, and a survival factor
@@ -240,16 +243,15 @@ def s_vs_window(
 
     measured = []
     for w in windows:
-        records = match_coincidences(
-            events_a, events_b, w, rep_rate_hz=rep_rate_hz, settings_menu=settings_menu
-        )
+        records = match_events(events, w, rep_rate_hz=rep_rate_hz, settings_menu=settings_menu)
         est = estimate_chsh(records, settings_menu, angles)
         measured.append((w, records.size, est.S, est.std_err))
 
     w0, n0, s0, se0 = measured[0]
     t_run = float(run_duration_s)
-    rate_a = max(0.0, (events_a.size - n0) / t_run)
-    rate_b = max(0.0, (events_b.size - n0) / t_run)
+    n_b = int(np.count_nonzero(events["station"] == STATION_B))
+    rate_a = max(0.0, (events.size - n_b - n0) / t_run)
+    rate_b = max(0.0, (n_b - n0) / t_run)
 
     def accidental(w):
         return 2.0 * rate_a * rate_b * (w * 1e-9) * t_run

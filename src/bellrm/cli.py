@@ -73,6 +73,8 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config {path} does not hold a JSON object")
     if "config" in obj and isinstance(obj["config"], dict) and "run" in obj["config"]:
         version = obj.get("generator_version", 1)
         if version != GENERATOR_VERSION:
@@ -103,15 +105,23 @@ def _merge_analysis_env(analysis_dict: dict) -> dict:
     return analysis_dict
 
 
+def _section(obj: dict, name: str, default: dict) -> dict:
+    """A copy of the config section ``name``, which must be a JSON object."""
+    section = obj.get(name, default)
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section '{name}' must be a JSON object, got {section!r}")
+    return dict(section)
+
+
 def effective_configs(obj: dict, seed_flag: int | None = None):
     """Merge file values with environment overrides and the --seed flag."""
-    run_dict = dict(obj.get("run", {}))
+    run_dict = _section(obj, "run", {})
     run_dict.update(_env_overrides(RunConfig.__dataclass_fields__))
     if seed_flag is not None:
         run_dict["seed"] = seed_flag
     run = RunConfig.from_dict(run_dict)
-    model = OutcomeModel.from_dict(obj.get("model", {"kind": "QM_NONLOCAL"}))
-    analysis_dict = _merge_analysis_env(dict(obj.get("analysis", {})))
+    model = OutcomeModel.from_dict(_section(obj, "model", {"kind": "QM_NONLOCAL"}))
+    analysis_dict = _merge_analysis_env(_section(obj, "analysis", {}))
     analysis = AnalysisConfig.from_dict(analysis_dict)
     return run, model, analysis
 
@@ -221,6 +231,10 @@ def _load_manifest(directory: Path) -> tuple[dict, dict, int]:
         events_bytes = manifest["artifacts"][EVENTS_FILENAME]["bytes"]
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"{path} is not a bellrm manifest: {exc!r}") from exc
+    if isinstance(events_bytes, bool) or not isinstance(events_bytes, int) or events_bytes < 0:
+        raise DataError(
+            f"{path} is not a bellrm manifest: {EVENTS_FILENAME} bytes is {events_bytes!r}"
+        )
     return run_dict, analysis_dict, events_bytes
 
 
@@ -245,14 +259,10 @@ def cmd_analyze(args) -> int:
     run_dict, analysis_dict, events_bytes = _load_manifest(in_dir)
     run = RunConfig.from_dict(run_dict)
     analysis_dict = _merge_analysis_env(analysis_dict)
-    for key, flag in (
-        ("n_slices", args.slices),
-        ("window_ns", args.window_ns),
-        ("alpha_sig", args.alpha_sig),
-        ("sequence_length", args.sequence_length),
-    ):
+    for env_key, cfg_key in _ANALYSIS_ENV_KEYS:  # each flag's dest is its env key
+        flag = getattr(args, env_key)
         if flag is not None:
-            analysis_dict[key] = flag
+            analysis_dict[cfg_key] = flag
     analysis = AnalysisConfig.from_dict(analysis_dict)
 
     with output_lock(in_dir):

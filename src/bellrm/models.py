@@ -107,8 +107,10 @@ class OutcomeModel:
             kind = ModelKind(obj["kind"])
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"unknown model kind in {obj!r}") from exc
-        params = dict(obj.get("parameters", {}))
-        return OutcomeModel(kind, params)
+        params = obj.get("parameters", {})
+        if not isinstance(params, dict):
+            raise ConfigError(f"model parameters must be a JSON object, got {params!r}")
+        return OutcomeModel(kind, dict(params))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind.value, "parameters": dict(self.parameters)}

@@ -1,9 +1,9 @@
 """The analysis pipeline: match -> slice -> battery and CHSH -> verdict.
 
-``analyze_pieces`` takes an event stream as a sequence of pieces, such as
-``btag.iter_btag`` reads from a file, and returns everything the
-``analyze`` command writes; ``analyze_run`` is its one-piece call on an
-in-memory stream, and ``AnalysisConfig`` holds the parameters.
+``analyze_pieces`` takes a merged event stream as a sequence of pieces,
+such as ``btag.iter_btag`` reads from a file (a stream held in memory is
+the one piece ``[events]``), and returns everything the ``analyze``
+command writes; ``AnalysisConfig`` holds the parameters.
 
 ``cut_at_gaps`` re-cuts the pieces after their last gap wider than the
 coincidence window.  No chain of events crosses such a gap, so matching
@@ -160,16 +160,6 @@ class _BlockCutter:
         return blocks
 
 
-def analyze_run(
-    events: np.ndarray,
-    run: RunConfig,
-    analysis: AnalysisConfig,
-    angles: ChshAngles = ChshAngles(),
-):
-    """:func:`analyze_pieces` on a merged event stream held in memory."""
-    return analyze_pieces([events], run, analysis, angles)
-
-
 def analyze_pieces(
     pieces: Iterable[np.ndarray],
     run: RunConfig,
@@ -215,7 +205,7 @@ def analyze_pieces(
         n_coincidences += records.size
         for (slice_index, station), cutter in cutters.items():
             done = reports[slice_index, station]
-            for block in cutter.push(extract_sequence(records, station, slice_index).bits):
+            for block in cutter.push(extract_sequence(records, station, slice_index)):
                 sid = f"{STATION_LETTERS[station]}{slice_index}-{len(done)}"
                 done.append(run_battery(block, battery, sequence_id=sid))
 

@@ -152,8 +152,20 @@ class RunConfig:
             raise ConfigError("run config must provide a seed")
         kwargs = dict(obj)
         if "settings_menu" in kwargs:
-            kwargs["settings_menu"] = tuple(tuple(p) for p in kwargs["settings_menu"])
+            kwargs["settings_menu"] = _menu_from_list(kwargs["settings_menu"])
         return RunConfig(**kwargs)
+
+
+def _menu_from_list(menu) -> tuple:
+    """A settings menu given as a list of [alpha, beta] pairs of finite numbers."""
+    if not isinstance(menu, (list, tuple)):
+        raise ConfigError(f"settings_menu must be a list of [alpha, beta] pairs, got {menu!r}")
+    for k, pair in enumerate(menu):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ConfigError(f"settings_menu[{k}] must be an [alpha, beta] pair, got {pair!r}")
+        for angle in pair:
+            require_finite(f"settings_menu[{k}] angle", angle)
+    return tuple(tuple(pair) for pair in menu)
 
 
 @dataclass(frozen=True)

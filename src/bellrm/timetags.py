@@ -11,17 +11,15 @@ Python-level looping.  Events with no neighbour within the window, most
 of them at the paper's rates, are set aside before the chains are built.
 No chain crosses a gap wider than the window, so a stream cut at such gaps
 can be matched piece by piece with the same result (``bellrm.pipeline``
-does so).  :func:`match_coincidences` merges two per-station streams into
-that order and hands them on.
+does so).
 
-:func:`slice_index_of` holds the pulse-slice boundary rule;
+:func:`slice_index_of` holds the pulse-slice boundary rule; callers write
+its result into the records' ``slice_index`` column.
 :func:`extract_sequence` and :func:`sequence_partition` turn sliced
 records into the bit blocks the randomness battery tests.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,13 +40,6 @@ COINC_DTYPE = np.dtype(
         ("slice_index", "<i2"),
     ]
 )
-
-
-def _check_increasing(keys: np.ndarray, what: str) -> None:
-    """Raise StreamOrderError naming the first record not after its predecessor."""
-    if keys.size > 1 and not np.all(keys[1:] > keys[:-1]):
-        i = int(np.argmin(keys[1:] > keys[:-1])) + 1
-        raise StreamOrderError(f"{what}: record {i} is not after record {i - 1}")
 
 
 def _check_merged_order(dt: np.ndarray, is_b: np.ndarray, first_record: int) -> None:
@@ -97,7 +88,7 @@ def match_events(
     window_ns: int,
     *,
     rep_rate_hz: float,
-    settings_menu=None,
+    settings_menu,
     first_record: int = 0,
 ) -> np.ndarray:
     """Pair up detections of a merged stream across stations within ``window_ns``.
@@ -111,9 +102,9 @@ def match_events(
     the record numbers a ``StreamOrderError`` names.
 
     For pairs spanning two pulses (accidentals) the pulse and within-pulse
-    time come from the station-A event, and the setting is the menu entry
-    matching (alpha of A's pulse, beta of B's pulse) when the menu contains
-    it, else -1 (such records are skipped by per-setting estimators).
+    time come from the station-A event, and the setting is the entry of
+    ``settings_menu`` matching (alpha of A's pulse, beta of B's pulse) when
+    the menu contains it, else -1 (such records are skipped by per-setting estimators).
     """
     if window_ns <= 0:
         raise ConfigError("coincidence window must be > 0 ns")
@@ -181,38 +172,10 @@ def match_events(
     records["bit_b"] = events["port_bit"][b_pos]
     records["slice_index"] = -1
     setting_a = events["setting_index"][a_pos].astype(np.int32)
-    if settings_menu is None:
-        cross = -1
-    else:
-        cross = _effective_setting_table(settings_menu)[
-            setting_a, events["setting_index"][b_pos]
-        ]
+    cross = _effective_setting_table(settings_menu)[setting_a, events["setting_index"][b_pos]]
     same_pulse = records["pulse_index"] == events["pulse_index"][b_pos]
     records["setting_index"] = np.where(same_pulse, setting_a, cross)
     return records
-
-
-def match_coincidences(
-    events_a: np.ndarray,
-    events_b: np.ndarray,
-    window_ns: int,
-    *,
-    rep_rate_hz: float,
-    settings_menu=None,
-) -> np.ndarray:
-    """:func:`match_events` on two per-station streams, each strictly time-ordered.
-
-    The station field is set from the argument position, not read.
-    """
-    _check_increasing(events_a["timestamp_ns"], "station A events out of time order")
-    _check_increasing(events_b["timestamp_ns"], "station B events out of time order")
-    events = np.concatenate([events_a, events_b])
-    events["station"][: events_a.size] = STATION_A
-    events["station"][events_a.size :] = STATION_B
-    events = events[np.lexsort((events["station"], events["timestamp_ns"]))]
-    return match_events(
-        events, window_ns, rep_rate_hz=rep_rate_hz, settings_menu=settings_menu
-    )
 
 
 def slice_index_of(
@@ -233,44 +196,15 @@ def slice_index_of(
     return idx.astype(np.int16)
 
 
-def slice_records(records: np.ndarray, n_slices: int, pulse_duration_ns: int) -> np.ndarray:
-    """A copy of ``records`` with :func:`slice_index_of` written into slice_index."""
-    out = records.copy()
-    out["slice_index"] = slice_index_of(out["within_pulse_ns"], n_slices, pulse_duration_ns)
-    return out
-
-
-@dataclass
-class BinarySequence:
-    """Ordered outcome bits of one station, one slice, optional setting."""
-
-    station: int
-    slice_index: int
-    bits: np.ndarray
-    setting_index: int | None = None
-
-    def __len__(self) -> int:
-        return int(self.bits.size)
-
-
-def extract_sequence(
-    records: np.ndarray,
-    station: int,
-    slice_index: int,
-    setting_index: int | None = None,
-) -> BinarySequence:
-    """Bits of one station's coincidences in time order, filtered by slice.
+def extract_sequence(records: np.ndarray, station: int, slice_index: int) -> np.ndarray:
+    """Bits of one station's coincidences in one slice, in time order, as uint8.
 
     An empty selection is a valid empty sequence, not an error.
     """
     if station not in (STATION_A, STATION_B):
         raise ConfigError("station must be 0 (A) or 1 (B)")
-    mask = records["slice_index"] == slice_index
-    if setting_index is not None:
-        mask &= records["setting_index"] == setting_index
     column = "bit_a" if station == STATION_A else "bit_b"
-    bits = records[column][mask].astype(np.uint8)
-    return BinarySequence(station, slice_index, bits, setting_index)
+    return records[column][records["slice_index"] == slice_index]
 
 
 def sequence_partition(bits: np.ndarray, target_length: int) -> list[np.ndarray]:

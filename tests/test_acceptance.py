@@ -25,19 +25,19 @@ from bellrm import (
     cusum_test,
     ergodicity_gap,
     estimate_chsh,
-    match_coincidences,
+    match_events,
     monobit_test,
     pulse_geometry,
     runs_test,
     s_vs_window,
     serial_test,
     simulate_events,
-    split_stations,
+    slice_index_of,
     wilson_interval,
 )
 from bellrm.cli import main
 from bellrm.models import PI
-from bellrm.pipeline import AnalysisConfig, analyze_run
+from bellrm.pipeline import AnalysisConfig, analyze_pieces
 from bellrm.streams import substream
 from bellrm.timetags import COINC_DTYPE
 
@@ -106,13 +106,12 @@ def test_criterion_03_qm_correlations_per_slice():
         coincidence_prob_per_pulse=0.1, dark_rate_hz=0.0,
     )
     events, _ = simulate_events(cfg, QM)
-    ea, eb = split_stations(events)
-    records = match_coincidences(
-        ea, eb, 2, rep_rate_hz=cfg.rep_rate_hz, settings_menu=cfg.settings_menu
+    records = match_events(
+        events, 2, rep_rate_hz=cfg.rep_rate_hz, settings_menu=cfg.settings_menu
     )
-    from bellrm import slice_records
-
-    records = slice_records(records, 4, pulse_geometry(cfg).pulse_duration_ns)
+    records["slice_index"] = slice_index_of(
+        records["within_pulse_ns"], 4, pulse_geometry(cfg).pulse_duration_ns
+    )
     per_pair = min(
         int(np.count_nonzero(records["setting_index"] == k)) for k in range(4)
     )
@@ -150,7 +149,7 @@ def test_criterion_04_local_bound():
 
 
 def test_criterion_05_sequence_identity():
-    from bellrm import extract_sequence, slice_records
+    from bellrm import extract_sequence
 
     outcomes = {}
     for label, beta_offset in (("aligned", 0.0), ("orthogonal", PI / 2)):
@@ -160,14 +159,17 @@ def test_criterion_05_sequence_identity():
             settings_menu=[(0.3, 0.3 + beta_offset)],
         )
         events, _ = simulate_events(cfg, QM)
-        ea, eb = split_stations(events)
-        records = match_coincidences(ea, eb, 2, rep_rate_hz=cfg.rep_rate_hz)
-        records = slice_records(records, 2, pulse_geometry(cfg).pulse_duration_ns)
+        records = match_events(
+            events, 2, rep_rate_hz=cfg.rep_rate_hz, settings_menu=cfg.settings_menu
+        )
+        records["slice_index"] = slice_index_of(
+            records["within_pulse_ns"], 2, pulse_geometry(cfg).pulse_duration_ns
+        )
         mismatches = 0
         total = 0
         for s in (0, 1):
-            bits_a = extract_sequence(records, 0, s).bits
-            bits_b = extract_sequence(records, 1, s).bits
+            bits_a = extract_sequence(records, 0, s)
+            bits_b = extract_sequence(records, 1, s)
             expected = bits_b if beta_offset == 0.0 else 1 - bits_b
             mismatches += int(np.count_nonzero(bits_a != expected))
             total += bits_a.size
@@ -241,10 +243,9 @@ def test_criterion_08_s_vs_window_decay():
         coincidence_prob_per_pulse=0.001, dark_rate_hz=30_000.0,
     )
     events, _ = simulate_events(cfg, QM)
-    ea, eb = split_stations(events)
     windows = [5, 10, 25, 50, 75, 100]
     scan = s_vs_window(
-        ea, eb, windows, cfg.settings_menu,
+        events, windows, cfg.settings_menu,
         rep_rate_hz=cfg.rep_rate_hz, run_duration_s=cfg.run_duration_s,
     )
     tracks = all(abs(p.S - p.S_pred) <= 3 * p.std_err for p in scan)
@@ -269,7 +270,7 @@ def scenario_run(kind, seed):
         coincidence_prob_per_pulse=0.05, dark_rate_hz=0.0,
     )
     events, _ = simulate_events(cfg, OutcomeModel(kind))
-    _, _, _, verdict, _ = analyze_run(events, cfg, AnalysisConfig())
+    _, _, _, verdict, _ = analyze_pieces([events], cfg, AnalysisConfig())
     return verdict
 
 
@@ -291,6 +292,7 @@ def test_criterion_09_end_to_end_classification():
 
 
 def test_criterion_10_matching_oracle_equivalence():
+    from conftest import merge_stations
     from matching_oracle import max_matching_count
 
     rng = np.random.default_rng(1010)
@@ -308,8 +310,9 @@ def test_criterion_10_matching_oracle_equivalence():
         ta = np.sort(rng.choice(np.arange(4000), na, replace=False))
         tb = np.sort(rng.choice(np.arange(4000), nb, replace=False))
         window = int(rng.integers(1, 60))
-        greedy = match_coincidences(
-            events_from(ta), events_from(tb), window, rep_rate_hz=1e6
+        greedy = match_events(
+            merge_stations(events_from(ta), events_from(tb)), window, rep_rate_hz=1e6,
+            settings_menu=CHSH_MENU,
         ).size
         if greedy != max_matching_count(ta, tb, window):
             all_equal = False

@@ -8,11 +8,13 @@ from bellrm import (
     COINC_DTYPE,
     ChshAngles,
     ChshEstimate,
+    ConfigError,
     IncompleteSettingsError,
     ModelKind,
     OutcomeModel,
     PairSampler,
     RunConfig,
+    StreamOrderError,
     TSIRELSON_BOUND,
     UndefinedStatisticError,
     UnsupportedModelError,
@@ -29,7 +31,6 @@ from bellrm import (
     same_angle,
     s_vs_window,
     simulate_events,
-    split_stations,
     time_average_trace,
     write_chsh_csv,
     write_ergodicity_csv,
@@ -329,23 +330,22 @@ def noisy_run():
         dark_rate_hz=30_000.0,
     )
     events, _ = simulate_events(cfg, QM)
-    ea, eb = split_stations(events)
-    return cfg, ea, eb
+    return cfg, events
 
 
 class TestSVsWindow:
     def test_small_window_recovers_in_pulse_s(self, noisy_run):
-        cfg, ea, eb = noisy_run
+        cfg, events = noisy_run
         scan = s_vs_window(
-            ea, eb, [2], cfg.settings_menu,
+            events, [2], cfg.settings_menu,
             rep_rate_hz=cfg.rep_rate_hz, run_duration_s=cfg.run_duration_s,
         )
         assert scan[0].S == pytest.approx(2 * math.sqrt(2), abs=5 * scan[0].std_err)
 
     def test_decay_tracks_prediction(self, noisy_run):
-        cfg, ea, eb = noisy_run
+        cfg, events = noisy_run
         scan = s_vs_window(
-            ea, eb, [5, 25, 50, 100], cfg.settings_menu,
+            events, [5, 25, 50, 100], cfg.settings_menu,
             rep_rate_hz=cfg.rep_rate_hz, run_duration_s=cfg.run_duration_s,
         )
         assert scan[-1].S < scan[0].S - 5 * scan[0].std_err  # visible decay
@@ -354,17 +354,36 @@ class TestSVsWindow:
 
     def test_dominant_accidentals_wash_out_the_violation(self, noisy_run):
         # uncorrelated limit: a huge window matches mostly dark-dark pairs
-        cfg, ea, eb = noisy_run
+        cfg, events = noisy_run
         scan = s_vs_window(
-            ea, eb, [2, 50_000], cfg.settings_menu,
+            events, [2, 50_000], cfg.settings_menu,
             rep_rate_hz=cfg.rep_rate_hz, run_duration_s=cfg.run_duration_s,
         )
         assert scan[1].S < 0.5
 
     def test_empty_window_list_rejected(self, noisy_run):
-        cfg, ea, eb = noisy_run
-        with pytest.raises(Exception):
+        cfg, events = noisy_run
+        with pytest.raises(ConfigError, match="empty window list"):
             s_vs_window(
-                ea, eb, [], cfg.settings_menu,
+                events, [], cfg.settings_menu,
+                rep_rate_hz=cfg.rep_rate_hz, run_duration_s=cfg.run_duration_s,
+            )
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0])
+    def test_nonpositive_run_duration_rejected(self, noisy_run, duration):
+        cfg, events = noisy_run
+        with pytest.raises(ConfigError, match="run_duration_s must be > 0"):
+            s_vs_window(
+                events, [2], cfg.settings_menu,
+                rep_rate_hz=cfg.rep_rate_hz, run_duration_s=duration,
+            )
+
+    def test_out_of_order_stream_rejected(self, noisy_run):
+        cfg, events = noisy_run
+        swapped = events[:100].copy()
+        swapped[[40, 41]] = swapped[[41, 40]]
+        with pytest.raises(StreamOrderError, match="record 41 is not after record 40"):
+            s_vs_window(
+                swapped, [2], cfg.settings_menu,
                 rep_rate_hz=cfg.rep_rate_hz, run_duration_s=cfg.run_duration_s,
             )

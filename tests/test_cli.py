@@ -117,6 +117,41 @@ class TestSimulate:
         assert code == 2
         assert "detection_prob_per_pulse" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, menu_env, message",
+        [
+            (5, None, "does not hold a JSON object"),
+            ({**BASE_CONFIG, "run": [1, 2]}, None, "section 'run' must be a JSON object"),
+            ({**BASE_CONFIG, "analysis": "x"}, None, "section 'analysis' must be a JSON object"),
+            ({**BASE_CONFIG, "model": 5}, None, "section 'model' must be a JSON object"),
+            (
+                {**BASE_CONFIG, "run": {**BASE_CONFIG["run"], "settings_menu": [[1]]}},
+                None,
+                "settings_menu[0] must be an [alpha, beta] pair",
+            ),
+            (BASE_CONFIG, "5", "settings_menu must be a list of [alpha, beta] pairs"),
+            (BASE_CONFIG, '[[0, "x"]]', "settings_menu[0] angle must be a finite number"),
+            (
+                {**BASE_CONFIG, "model": {"kind": "QM_NONLOCAL", "parameters": 5}},
+                None,
+                "model parameters must be a JSON object",
+            ),
+        ],
+        ids=[
+            "top-level-number", "run-list", "analysis-string", "model-number",
+            "menu-entry-of-one", "menu-env-number", "menu-angle-string", "parameters-number",
+        ],
+    )
+    def test_malformed_config_shape_exits_2(
+        self, tmp_path, no_bellrm_env, monkeypatch, capsys, config, menu_env, message
+    ):
+        if menu_env is not None:
+            monkeypatch.setenv("BELLRM_SETTINGS_MENU", menu_env)
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "events.btag").exists()
+
     def test_missing_config_exits_2(self, tmp_path, no_bellrm_env):
         assert (
             main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")])
@@ -351,7 +386,14 @@ class TestAnalyze:
         assert "manifest.json records" in err and str(path.stat().st_size + 16) in err
         assert not (sim_dir / "verdict.json").exists()
 
-    @pytest.mark.parametrize("text", ["{", "[]", '{"config": {}}', '{"config": {"run": {}}}'])
+    @pytest.mark.parametrize(
+        "text",
+        ["{", "[]", '{"config": {}}', '{"config": {"run": {}}}']
+        + [
+            '{"config": {"run": {}}, "artifacts": {"events.btag": {"bytes": %s}}}' % size
+            for size in ('"abc"', "null", "-1", "true", "1.5")
+        ],
+    )
     def test_unusable_manifest_exits_3(self, sim_dir, capsys, text):
         (sim_dir / "manifest.json").write_text(text)
         assert main(["analyze", "--in", str(sim_dir)]) == 3

@@ -18,11 +18,11 @@ from bellrm import (
     match_events,
     pulse_geometry,
     simulate_events,
-    slice_records,
+    slice_index_of,
     write_btag,
     write_chsh_csv,
 )
-from bellrm.pipeline import AnalysisConfig, analyze_pieces, analyze_run, cut_at_gaps
+from bellrm.pipeline import AnalysisConfig, analyze_pieces, cut_at_gaps
 
 
 def test_menu_without_a_chsh_pair_is_inconclusive(tmp_path):
@@ -33,7 +33,7 @@ def test_menu_without_a_chsh_pair_is_inconclusive(tmp_path):
         coincidence_prob_per_pulse=0.05, dark_rate_hz=0.0, settings_menu=CHSH_MENU[:3],
     )
     events, _ = simulate_events(cfg, OutcomeModel(ModelKind.SCENARIO_LOCALITY_FALSE))
-    n_coincidences, chsh, curve, verdict, _ = analyze_run(events, cfg, AnalysisConfig())
+    n_coincidences, chsh, curve, verdict, _ = analyze_pieces([events], cfg, AnalysisConfig())
     assert n_coincidences > 0 and chsh == []
     assert all(reading.sufficient for reading in curve.readings)
     assert verdict.label is Verdict.INCONCLUSIVE
@@ -55,10 +55,10 @@ def test_per_slice_chsh_equals_estimate_chsh_on_the_records():
     cfg = RunConfig(seed=33, run_duration_s=3.0, dark_rate_hz=1e5, settings_menu=menu)
     events, _ = simulate_events(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))
     analysis = AnalysisConfig(n_slices=3, window_ns=100)
-    n_coincidences, chsh, _, _, _ = analyze_run(events, cfg, analysis)
-    records = slice_records(
-        match_events(events, 100, rep_rate_hz=cfg.rep_rate_hz, settings_menu=menu),
-        3, pulse_geometry(cfg).pulse_duration_ns,
+    n_coincidences, chsh, _, _, _ = analyze_pieces([events], cfg, analysis)
+    records = match_events(events, 100, rep_rate_hz=cfg.rep_rate_hz, settings_menu=menu)
+    records["slice_index"] = slice_index_of(
+        records["within_pulse_ns"], 3, pulse_geometry(cfg).pulse_duration_ns
     )
     assert n_coincidences == records.size
     assert (records["slice_index"] == -1).any() and (records["setting_index"] == -1).any()
@@ -174,7 +174,7 @@ def test_reading_in_small_pieces_gives_the_same_analysis(tmp_path):
     path = tmp_path / "events.btag"
     write_btag(path, events)
     analysis = AnalysisConfig(window_ns=5)
-    whole = analyze_run(events, cfg, analysis)
+    whole = analyze_pieces([events], cfg, analysis)
     pieces = analyze_pieces(iter_btag(path, piece_records=1000), cfg, analysis)
     assert whole[0] > 0 and len(whole[4]) >= 16
     assert repr(pieces) == repr(whole)

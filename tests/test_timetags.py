@@ -20,7 +20,6 @@ from bellrm import (
     estimate_chsh,
     extract_sequence,
     iter_btag,
-    match_coincidences,
     match_events,
     pulse_geometry,
     pulse_index_of,
@@ -28,8 +27,7 @@ from bellrm import (
     read_csv,
     sequence_partition,
     simulate_events,
-    slice_records,
-    split_stations,
+    slice_index_of,
     write_btag,
     write_csv,
 )
@@ -48,48 +46,49 @@ def make_events(times_ns, station, ports=None, settings=None, rep_rate_hz=REP):
     return ev
 
 
+from conftest import merge_stations
 from matching_oracle import max_matching_count
 from bellrm.source import pulse_start_ns
 from bellrm.timetags import _effective_setting_table
 
+# Four entries with distinct alphas and distinct betas: (alpha of i, beta
+# of j) is an entry only for i == j, so every cross-pulse pair between
+# different settings gets -1.
+DIAGONAL_MENU = ((0.1, 0.2), (0.3, 0.4), (0.5, 0.6), (0.7, 0.8))
 
-class TestMatchCoincidences:
+
+def match_stations(events_a, events_b, window_ns, settings_menu=CHSH_MENU):
+    """match_events on the merged stream of two per-station event arrays."""
+    return match_events(
+        merge_stations(events_a, events_b), window_ns, rep_rate_hz=REP,
+        settings_menu=settings_menu,
+    )
+
+
+class TestMatchEventsOnTwoStations:
     def test_exact_simultaneity_matches(self):
-        rec = match_coincidences(
-            make_events([1000], STATION_A), make_events([1000], STATION_B), 2,
-            rep_rate_hz=REP,
-        )
+        rec = match_stations(make_events([1000], STATION_A), make_events([1000], STATION_B), 2)
         assert rec.size == 1
         assert rec["t_a_ns"][0] == rec["t_b_ns"][0] == 1000
 
     def test_outside_window_does_not_match(self):
-        rec = match_coincidences(
-            make_events([1000], STATION_A), make_events([1004], STATION_B), 2,
-            rep_rate_hz=REP,
-        )
+        rec = match_stations(make_events([1000], STATION_A), make_events([1004], STATION_B), 2)
         assert rec.size == 0
 
     def test_tie_goes_to_earlier_candidate(self):
-        rec = match_coincidences(
-            make_events([100], STATION_A), make_events([98, 102], STATION_B), 5,
-            rep_rate_hz=REP,
-        )
+        rec = match_stations(make_events([100], STATION_A), make_events([98, 102], STATION_B), 5)
         assert rec.size == 1
         assert rec["t_b_ns"][0] == 98
 
     def test_unsorted_stream_rejected(self):
-        with pytest.raises(StreamOrderError):
-            match_coincidences(
-                make_events([5, 3], STATION_A), make_events([1], STATION_B), 2,
-                rep_rate_hz=REP,
-            )
+        ev = make_events([1, 5, 3], STATION_A)
+        ev["station"] = [STATION_B, STATION_A, STATION_A]
+        with pytest.raises(StreamOrderError, match="record 2 is not after record 1"):
+            match_events(ev, 2, rep_rate_hz=REP, settings_menu=CHSH_MENU)
 
     def test_nonpositive_window_rejected(self):
         with pytest.raises(ConfigError):
-            match_coincidences(
-                make_events([1], STATION_A), make_events([1], STATION_B), 0,
-                rep_rate_hz=REP,
-            )
+            match_stations(make_events([1], STATION_A), make_events([1], STATION_B), 0)
 
     def test_greedy_equals_max_matching_on_random_streams(self, rng):
         for trial in range(30):
@@ -97,10 +96,7 @@ class TestMatchCoincidences:
             ta = np.sort(rng.choice(np.arange(2000), na, replace=False))
             tb = np.sort(rng.choice(np.arange(2000), nb, replace=False))
             window = int(rng.integers(1, 40))
-            rec = match_coincidences(
-                make_events(ta, STATION_A), make_events(tb, STATION_B), window,
-                rep_rate_hz=REP,
-            )
+            rec = match_stations(make_events(ta, STATION_A), make_events(tb, STATION_B), window)
             assert rec.size == max_matching_count(ta, tb, window), (
                 trial, window, ta.tolist(), tb.tolist()
             )
@@ -112,10 +108,10 @@ class TestMatchCoincidences:
         bits_b = rng.integers(0, 2, tb.size)
         ea = make_events(ta, STATION_A, ports=bits_a)
         eb = make_events(tb, STATION_B, ports=bits_b)
-        fwd = match_coincidences(ea, eb, 8, rep_rate_hz=REP)
+        fwd = match_stations(ea, eb, 8)
         ea_sw = make_events(tb, STATION_A, ports=bits_b)
         eb_sw = make_events(ta, STATION_B, ports=bits_a)
-        rev = match_coincidences(ea_sw, eb_sw, 8, rep_rate_hz=REP)
+        rev = match_stations(ea_sw, eb_sw, 8)
         pairs_fwd = {(a, b) for a, b in zip(fwd["t_a_ns"], fwd["t_b_ns"])}
         pairs_rev = {(b, a) for a, b in zip(rev["t_a_ns"], rev["t_b_ns"])}
         assert pairs_fwd == pairs_rev
@@ -127,10 +123,7 @@ class TestMatchCoincidences:
         ta = np.sort(rng.choice(np.arange(3000), 50, replace=False))
         tb = np.sort(rng.choice(np.arange(3000), 50, replace=False))
         ea, eb = make_events(ta, STATION_A), make_events(tb, STATION_B)
-        counts = [
-            match_coincidences(ea, eb, w, rep_rate_hz=REP).size
-            for w in (1, 2, 5, 10, 30, 100)
-        ]
+        counts = [match_stations(ea, eb, w).size for w in (1, 2, 5, 10, 30, 100)]
         assert counts == sorted(counts)
 
     def test_planted_pairs_plus_accidentals(self, rng):
@@ -149,10 +142,7 @@ class TestMatchCoincidences:
         darks_b = np.unique(darks_b)
         ta = np.unique(np.concatenate([planted, darks_a]))
         tb = np.unique(np.concatenate([planted, darks_b]))
-        rec = match_coincidences(
-            make_events(ta, STATION_A), make_events(tb, STATION_B), window,
-            rep_rate_hz=REP,
-        )
+        rec = match_stations(make_events(ta, STATION_A), make_events(tb, STATION_B), window)
         accidental = 2 * rate * rate * (window * 1e-9) * t_run_s
         expected = n_planted + accidental
         assert abs(rec.size - expected) < 3 * math.sqrt(accidental + n_planted * 0.01) + 3
@@ -168,11 +158,13 @@ class TestMatchCoincidences:
         # A in pulse 0 with setting 0 = (a, b); B in pulse 1 with setting 3 = (a', b')
         ea = make_events([900], STATION_A, settings=[0])
         eb = make_events([1100], STATION_B, settings=[3])
-        rec = match_coincidences(ea, eb, 500, rep_rate_hz=REP, settings_menu=CHSH_MENU)
+        rec = match_stations(ea, eb, 500)
         # effective pair (alpha of 0, beta of 3) = (a, b') = menu entry 1
         assert rec.size == 1
         assert rec["setting_index"][0] == 1
-        rec2 = match_coincidences(ea, eb, 500, rep_rate_hz=REP)
+        # a menu without (alpha of 0, beta of 3) leaves the setting unset
+        rec2 = match_stations(ea, eb, 500, settings_menu=DIAGONAL_MENU)
+        assert rec2.size == 1
         assert rec2["setting_index"][0] == -1
 
     def test_angle_identity_shared_with_chsh(self):
@@ -187,7 +179,7 @@ class TestMatchCoincidences:
         # of 0) = (a', b) = menu entry 2
         ea = make_events([900], STATION_A, settings=[3])
         eb = make_events([1100], STATION_B, settings=[0])
-        rec = match_coincidences(ea, eb, 500, rep_rate_hz=REP, settings_menu=menu)
+        rec = match_stations(ea, eb, 500, settings_menu=menu)
         assert rec["setting_index"][0] == 2
 
 
@@ -200,20 +192,21 @@ class TestMatchEvents:
     def test_b_before_a_on_one_ns_rejected(self):
         ev = self.merged([100, 100, 200], [STATION_B, STATION_A, STATION_A])
         with pytest.raises(StreamOrderError, match="record 1 is not after record 0"):
-            match_events(ev, 2, rep_rate_hz=REP)
+            match_events(ev, 2, rep_rate_hz=REP, settings_menu=CHSH_MENU)
 
     def test_duplicate_ns_within_one_station_rejected(self):
         ev = self.merged([100, 150, 150], [STATION_A, STATION_B, STATION_B])
         with pytest.raises(StreamOrderError, match="record 2 is not after record 1"):
-            match_events(ev, 2, rep_rate_hz=REP)
+            match_events(ev, 2, rep_rate_hz=REP, settings_menu=CHSH_MENU)
 
     def test_same_ns_pair_in_station_order_matches(self):
         rec = match_events(
-            self.merged([100, 100], [STATION_A, STATION_B]), 2, rep_rate_hz=REP
+            self.merged([100, 100], [STATION_A, STATION_B]), 2, rep_rate_hz=REP,
+            settings_menu=CHSH_MENU,
         )
         assert rec.size == 1
 
-    def test_equals_per_station_matching_on_a_simulated_run(self):
+    def test_equals_the_oracle_on_a_simulated_run(self):
         # W = 100 ns with 100 kHz darks: many chains of three or more events
         # (slow path) and pairs whose A and B events sit in different pulses
         cfg = RunConfig(seed=41, run_duration_s=0.5, dark_rate_hz=1e5)
@@ -227,11 +220,10 @@ class TestMatchEvents:
         merged = match_events(
             events, 100, rep_rate_hz=cfg.rep_rate_hz, settings_menu=CHSH_MENU
         )
-        split = match_coincidences(
-            *split_stations(events), 100, rep_rate_hz=cfg.rep_rate_hz,
-            settings_menu=CHSH_MENU,
+        oracle = match_events_before(
+            events, 100, rep_rate_hz=cfg.rep_rate_hz, settings_menu=CHSH_MENU
         )
-        assert merged.tobytes() == split.tobytes()
+        assert merged.tobytes() == oracle.tobytes()
         cross = pulse_index_of(merged["t_b_ns"], cfg.rep_rate_hz) != merged["pulse_index"]
         assert np.count_nonzero(cross) > 100
         assert np.all(merged["setting_index"] >= 0)
@@ -257,7 +249,7 @@ def _greedy_pairs_before(ta, tb, ia, ib, window):
     return out
 
 
-def match_events_before(events, window_ns, *, rep_rate_hz, settings_menu=None):
+def match_events_before(events, window_ns, *, rep_rate_hz, settings_menu):
     window = int(window_ns)
     t = events["timestamp_ns"].astype(np.int64)
     is_b = events["station"] == STATION_B
@@ -302,10 +294,7 @@ def match_events_before(events, window_ns, *, rep_rate_hz, settings_menu=None):
     records["bit_a"] = a["port_bit"]
     records["bit_b"] = b["port_bit"]
     records["slice_index"] = -1
-    if settings_menu is None:
-        cross = -1
-    else:
-        cross = _effective_setting_table(settings_menu)[setting_a, b["setting_index"]]
+    cross = _effective_setting_table(settings_menu)[setting_a, b["setting_index"]]
     records["setting_index"] = np.where(pulse_a == b["pulse_index"], setting_a, cross)
     return records
 
@@ -374,55 +363,50 @@ class TestMatcherOracle:
         ev["station"] = [k & 1 for k in keys]
         ev["setting_index"] = [k % 4 for k in keys]
         for window in (1, 5, 40):
-            for menu in (None, CHSH_MENU):
+            for menu in (DIAGONAL_MENU, CHSH_MENU):
                 self.assert_same(ev, window, settings_menu=menu)
 
 
-class TestSliceRecords:
-    def duration(self):
-        return 100
+def with_slices(records, n_slices, pulse_duration_ns):
+    """``records`` with slice_index written in place, as the pipeline does."""
+    records["slice_index"] = slice_index_of(
+        records["within_pulse_ns"], n_slices, pulse_duration_ns
+    )
+    return records
 
-    def make_records(self, withins):
+
+class TestSliceIndexOf:
+    DURATION = 100
+
+    def matched_slices(self, withins, n_slices):
+        """Slice of each matched pair at the given within-pulse times."""
         ea = make_events([int(w) for w in withins], STATION_A)
         eb = make_events([int(w) for w in withins], STATION_B)
-        return match_coincidences(ea, eb, 1, rep_rate_hz=REP)
+        rec = match_stations(ea, eb, 1)
+        return slice_index_of(rec["within_pulse_ns"], n_slices, self.DURATION)
 
     def test_boundaries(self):
-        rec = self.make_records([0, 49, 50, 99])
-        sliced = slice_records(rec, 2, self.duration())
-        assert sliced["slice_index"].tolist() == [0, 0, 1, 1]
+        assert self.matched_slices([0, 49, 50, 99], 2).tolist() == [0, 0, 1, 1]
 
     def test_outside_pulse_gets_sentinel(self):
-        rec = self.make_records([120, 500])
-        sliced = slice_records(rec, 2, self.duration())
-        assert sliced["slice_index"].tolist() == [-1, -1]
+        assert self.matched_slices([120, 500], 2).tolist() == [-1, -1]
 
     def test_requires_at_least_two_slices(self):
         with pytest.raises(ConfigError):
-            slice_records(self.make_records([1]), 1, self.duration())
+            self.matched_slices([1], 1)
 
     def test_refinement_consistency(self):
-        rec = self.make_records(list(range(100)))
-        two = slice_records(rec, 2, self.duration())
-        four = slice_records(rec, 4, self.duration())
-        coarse0 = np.count_nonzero(two["slice_index"] == 0)
-        fine01 = np.count_nonzero((four["slice_index"] == 0) | (four["slice_index"] == 1))
+        two = self.matched_slices(range(100), 2)
+        four = self.matched_slices(range(100), 4)
+        coarse0 = np.count_nonzero(two == 0)
+        fine01 = np.count_nonzero((four == 0) | (four == 1))
         assert coarse0 == fine01 == 50
 
     def test_slice_counts_partition_in_pulse_records(self):
-        rec = self.make_records(list(range(0, 130, 3)))
-        sliced = slice_records(rec, 4, self.duration())
-        in_pulse = np.count_nonzero(sliced["slice_index"] >= 0)
-        total_by_slice = sum(
-            int(np.count_nonzero(sliced["slice_index"] == k)) for k in range(4)
-        )
+        sliced = self.matched_slices(range(0, 130, 3), 4)
+        in_pulse = np.count_nonzero(sliced >= 0)
+        total_by_slice = sum(int(np.count_nonzero(sliced == k)) for k in range(4))
         assert total_by_slice == in_pulse
-
-    @staticmethod
-    def records_at(withins):
-        rec = np.zeros(len(withins), dtype=COINC_DTYPE)
-        rec["within_pulse_ns"] = withins
-        return rec
 
     @given(
         duration=st.integers(1, 10**4),
@@ -430,7 +414,7 @@ class TestSliceRecords:
         within=st.integers(-10**4, 2 * 10**4),
     )
     def test_slices_partition_the_pulse(self, duration, n_slices, within):
-        k = int(slice_records(self.records_at([within]), n_slices, duration)["slice_index"][0])
+        k = int(slice_index_of(np.array([within]), n_slices, duration)[0])
         if 0 <= within < duration:
             assert 0 <= k < n_slices
             assert k * duration <= n_slices * within < (k + 1) * duration
@@ -442,9 +426,9 @@ class TestSliceRecords:
         k = data.draw(st.integers(1, n_slices - 1))
         duration = q * n_slices // math.gcd(k, n_slices)  # boundary k is a whole ns
         on_boundary = k * duration // n_slices
-        sliced = slice_records(self.records_at([on_boundary - 1, on_boundary]), n_slices, duration)
-        assert sliced["slice_index"].tolist()[1] == k
-        assert sliced["slice_index"].tolist()[0] < k
+        sliced = slice_index_of(np.array([on_boundary - 1, on_boundary]), n_slices, duration)
+        assert sliced.tolist()[1] == k
+        assert sliced.tolist()[0] < k
 
     def test_loophole_free_boundary_is_light_time(self):
         # first half of a 2L/c pulse ends at L/c
@@ -465,42 +449,35 @@ class TestSequences:
             settings_menu=menu,
         )
         events, _ = simulate_events(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))
-        ea, eb = split_stations(events)
-        rec = match_coincidences(
-            ea, eb, 2, rep_rate_hz=cfg.rep_rate_hz, settings_menu=cfg.settings_menu
+        rec = match_events(
+            events, 2, rep_rate_hz=cfg.rep_rate_hz, settings_menu=cfg.settings_menu
         )
-        return slice_records(rec, 2, pulse_geometry(cfg).pulse_duration_ns)
+        return with_slices(rec, 2, pulse_geometry(cfg).pulse_duration_ns)
 
     def test_aligned_settings_give_identical_sequences(self):
         rec = self.qm_records([(0.3, 0.3)])
         for s in (0, 1):
             seq_a = extract_sequence(rec, STATION_A, s)
             seq_b = extract_sequence(rec, STATION_B, s)
-            assert len(seq_a) > 100
-            assert np.array_equal(seq_a.bits, seq_b.bits)
+            assert seq_a.size > 100
+            assert np.array_equal(seq_a, seq_b)
 
     def test_orthogonal_settings_give_complementary_sequences(self):
         rec = self.qm_records([(0.3, 0.3 + math.pi / 2)])
         for s in (0, 1):
             seq_a = extract_sequence(rec, STATION_A, s)
             seq_b = extract_sequence(rec, STATION_B, s)
-            assert np.array_equal(seq_a.bits, 1 - seq_b.bits)
+            assert np.array_equal(seq_a, 1 - seq_b)
 
     def test_bits_follow_record_time_order(self):
         ea = make_events(np.arange(10) * 1000, STATION_A, ports=[0, 1] * 5)
         eb = make_events(np.arange(10) * 1000, STATION_B, ports=[1, 0] * 5)
-        rec = match_coincidences(ea, eb, 2, rep_rate_hz=REP)
-        rec = slice_records(rec, 2, 100)
+        rec = with_slices(match_stations(ea, eb, 2), 2, 100)
         seq = extract_sequence(rec, STATION_A, 0)
-        assert seq.bits.tolist() == [0, 1] * 5
-        assert len(extract_sequence(rec, STATION_B, 1)) == 0  # empty, not an error
-
-    def test_setting_filter(self):
-        ea = make_events(np.arange(6) * 1000, STATION_A, settings=[0, 1] * 3)
-        eb = make_events(np.arange(6) * 1000, STATION_B, settings=[0, 1] * 3)
-        rec = match_coincidences(ea, eb, 2, rep_rate_hz=REP)
-        rec = slice_records(rec, 2, 100)
-        assert len(extract_sequence(rec, STATION_A, 0, setting_index=1)) == 3
+        assert seq.dtype == np.uint8
+        assert seq.tolist() == [0, 1] * 5
+        empty = extract_sequence(rec, STATION_B, 1)  # empty, not an error
+        assert empty.dtype == np.uint8 and empty.size == 0
 
 
 class TestSequencePartition:
@@ -561,6 +538,14 @@ class TestBtagFormat:
         pieces = list(iter_btag(path, piece_records=7))
         assert [p.size for p in pieces] == [7] * 14 + [2]
         assert np.concatenate(pieces).tobytes() == read_btag(path).tobytes() == ev.tobytes()
+
+    @pytest.mark.parametrize("piece_records", [0, -1])
+    def test_piece_of_fewer_than_one_record_rejected(self, tmp_path, rng, piece_records):
+        # 0 would yield empty pieces forever, -1 would read the whole file
+        path = tmp_path / "events.btag"
+        write_btag(path, self.events(rng))
+        with pytest.raises(ConfigError, match="piece_records must be >= 1"):
+            next(iter_btag(path, piece_records=piece_records))
 
     def test_bad_field_in_a_later_piece_reports_its_offset_in_the_file(self, tmp_path, rng):
         path = tmp_path / "events.btag"
