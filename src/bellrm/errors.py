@@ -2,7 +2,11 @@
 
 Two broad families matter for the CLI exit codes: ConfigError (bad
 parameters, exit 2) and DataError (bad or missing input data, exit 3).
+:func:`require_finite` is the shared check for a number a config supplies.
 """
+
+import math
+import numbers
 
 
 class BellrmError(Exception):
@@ -43,3 +47,15 @@ class UndefinedStatisticError(DataError):
 
 class IncompleteSettingsError(DataError):
     """CHSH estimate requested but a settings pair has no records."""
+
+
+def require_finite(name: str, value) -> None:
+    """Raise ConfigError unless ``value`` is a finite real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")

@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, UnsupportedModelError
+from .errors import ConfigError, UnsupportedModelError, require_finite
 
 PI = math.pi
 
@@ -60,6 +60,12 @@ SCENARIO_KINDS = frozenset(
     }
 )
 
+#: the parameters each kind reads; a kind not listed reads none.
+KIND_PARAMETERS = {
+    ModelKind.NONERGODIC: frozenset({"drift_period_s"}),
+    **{kind: frozenset({"period"}) for kind in SCENARIO_KINDS},
+}
+
 
 def normalize_angle(theta: float) -> float:
     """Fold an analyzer angle into [0, pi); polarization has period pi."""
@@ -88,6 +94,7 @@ class OutcomeModel:
       drift_period_s   (NONERGODIC)  - period of the hidden-angle drift.
       period           (SCENARIO_*)  - length in bits of the compressible
                                        deterministic pattern.
+    :meth:`from_dict` refuses any other parameter and any out-of-range value.
     """
 
     kind: ModelKind
@@ -110,6 +117,20 @@ class OutcomeModel:
         params = obj.get("parameters", {})
         if not isinstance(params, dict):
             raise ConfigError(f"model parameters must be a JSON object, got {params!r}")
+        unknown = set(params) - KIND_PARAMETERS.get(kind, frozenset())
+        if unknown:
+            raise ConfigError(f"model {kind.value} takes no parameters {sorted(unknown)}")
+        if "period" in params:
+            period = params["period"]
+            if isinstance(period, bool) or not isinstance(period, int) or period < 2 or period % 2:
+                raise ConfigError(
+                    f"model parameter period must be an even integer >= 2, got {period!r}"
+                )
+        if "drift_period_s" in params:
+            drift = params["drift_period_s"]
+            require_finite("model parameter drift_period_s", drift)
+            if drift <= 0:
+                raise ConfigError(f"model parameter drift_period_s must be > 0, got {drift!r}")
         return OutcomeModel(kind, dict(params))
 
     def to_dict(self) -> dict:

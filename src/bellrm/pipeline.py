@@ -24,7 +24,7 @@ import numpy as np
 
 from .btag import STATION_A, STATION_B, STATION_LETTERS
 from .chsh import ChshAngles, chsh_from_table, count_table
-from .errors import ConfigError, DataError, IncompleteSettingsError
+from .errors import ConfigError, DataError, IncompleteSettingsError, require_finite
 from .randommeter import (
     BatteryConfig,
     ScenarioVerdict,
@@ -32,7 +32,7 @@ from .randommeter import (
     curve_from_reports,
     run_battery,
 )
-from .source import RunConfig, pulse_geometry, require_finite
+from .source import RunConfig, pulse_geometry
 from .timetags import extract_sequence, match_events, sequence_partition, slice_index_of
 
 

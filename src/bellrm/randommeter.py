@@ -92,10 +92,13 @@ def _result(name: str, statistic: float, p_value: float, alpha_sig: float) -> Te
 
 
 def _as_bits(bits) -> np.ndarray:
-    arr = np.asarray(bits, dtype=np.uint8)
+    """``bits`` as a 1-d uint8 array; every value must be 0 or 1."""
+    arr = np.asarray(bits)
     if arr.ndim != 1:
         raise ConfigError("bit sequence must be one-dimensional")
-    return arr
+    if arr.dtype.kind not in "biuf" or not np.all((arr == 0) | (arr == 1)):
+        raise ConfigError("bit sequence must hold only 0 and 1")
+    return arr.astype(np.uint8, copy=False)
 
 
 def monobit_test(bits, alpha_sig: float = 0.01) -> TestResult:
@@ -203,6 +206,21 @@ def cusum_test(bits, alpha_sig: float = 0.01) -> TestResult:
 # --------------------------------------------------------------------------
 
 
+def _max_trie_nodes(n: int) -> int:
+    """Most trie nodes an ``n``-bit parse can make, the root included.
+
+    Phrases are distinct, so at most all strings of length 1, 2, ... fit,
+    shortest first, plus as many of the next length as the remaining bits
+    allow.
+    """
+    nodes, length = 1, 1
+    while n >= length << length:
+        n -= length << length
+        nodes += 1 << length
+        length += 1
+    return nodes + n // length
+
+
 def compression_ratio(bits) -> float:
     """Incremental-parsing dictionary compression ratio (compressed/original).
 
@@ -212,28 +230,32 @@ def compression_ratio(bits) -> float:
     scheme is fixed so ratios are comparable across runs: incompressible
     input lands slightly above 1, constant input near 0.1, short-period
     input well below 1.
+
+    The phrases live in a flat list trie: a node with id ``k`` is kept as
+    ``2k`` and its child on bit ``b`` at ``child[2k + b]`` (0 when absent),
+    sized by :func:`_max_trie_nodes` (1,203 nodes for 10,000 bits).  The
+    cost follows from the phrase count P alone:
+    sum over p = 1..P of (bit_length(p - 1) + 1), which is
+    P + L*P - 2^L + 1 with L = bit_length(P - 1), plus bit_length(P) for a
+    last phrase cut off by the end of the input.
     """
     x = _as_bits(bits)
     n = x.size
     if n < 1000:
         raise InsufficientLengthError("compression_ratio needs at least 1000 bits")
-    children: dict[int, int] = {}
+    child = [0] * (2 * _max_trie_nodes(n))
     node = 0
-    next_id = 1
-    phrases = 0
-    cost = 0
-    for bit in x.tolist():
-        key = (node << 1) | bit
-        child = children.get(key)
-        if child is not None:
-            node = child
-        else:
-            phrases += 1
-            cost += (phrases - 1).bit_length() + 1
-            children[key] = next_id
-            next_id += 1
-            node = 0
-    if node != 0:
+    free = 2  # the next node's id, doubled
+    for bit in x.tobytes():
+        key = node + bit
+        node = child[key]
+        if not node:  # a new phrase: add its node and go back to the root
+            child[key] = free
+            free += 2
+    phrases = free // 2 - 1
+    last = (phrases - 1).bit_length()
+    cost = phrases + last * phrases - (1 << last) + 1
+    if node:
         cost += phrases.bit_length()
     return cost / n
 

@@ -23,14 +23,13 @@ and ``simulate`` refuses to replay a manifest of another version.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .btag import EVENT_DTYPE, STATION_A, STATION_B, BtagWriter
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .models import PI, OutcomeModel, PairSampler, normalize_angle
 from .streams import per_pulse_choice, substream
 
@@ -51,18 +50,6 @@ GENERATOR_VERSION = 2
 
 _MAX_PULSES = 2**32 - 1
 _DEFAULT_CHUNK = 1 << 22
-
-
-def require_finite(name: str, value) -> None:
-    """Raise ConfigError unless ``value`` is a finite real number (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        finite = False
-    if not finite:
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass

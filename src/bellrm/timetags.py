@@ -5,10 +5,12 @@ the (timestamp, station) order a BTAG file is written in, checks that
 order, and pairs events greedily, earliest pair first and one-to-one,
 which attains maximum cardinality for interval matching on a line.  It
 runs as a vectorized cluster decomposition: events closer than the
-window form chains, chains are isolated from each other, and the
-overwhelmingly common chain (one A plus one B event) is resolved without
-Python-level looping.  Events with no neighbour within the window, most
-of them at the paper's rates, are set aside before the chains are built.
+window form chains, and chains are isolated from each other.  The
+overwhelmingly common chain (one A plus one B event) pairs as it stands;
+every longer chain runs the two-pointer rule in lockstep with the others,
+one numpy step per pass, so no chain is resolved by a Python loop over
+its events.  Events with no neighbour within the window, most of them at
+the paper's rates, are set aside before the chains are built.
 No chain crosses a gap wider than the window, so a stream cut at such gaps
 can be matched piece by piece with the same result (``bellrm.pipeline``
 does so).
@@ -57,21 +59,50 @@ def _check_merged_order(dt: np.ndarray, is_b: np.ndarray, first_record: int) -> 
         )
 
 
-def _greedy_pairs_cluster(ta: np.ndarray, tb: np.ndarray, ia, ib, window: int):
-    """Two-pointer greedy matching inside one chain; returns index pairs."""
-    out = []
-    i = j = 0
-    while i < ta.size and j < tb.size:
-        dt = tb[j] - ta[i]
-        if dt < -window:
-            j += 1
-        elif dt > window:
-            i += 1
-        else:
-            out.append((ia[i], ib[j]))
-            i += 1
-            j += 1
-    return out
+def _greedy_pairs_lockstep(
+    ts: np.ndarray,
+    is_b: np.ndarray,
+    lo: np.ndarray,
+    sizes: np.ndarray,
+    n_b: np.ndarray,
+    window: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two-pointer greedy matching inside every chain at once; returns (a_pos, b_pos).
+
+    Chain ``c`` holds the events ``lo[c] : lo[c] + sizes[c]``, ``n_b[c]`` of
+    them at station B, and has both stations.  Each pass moves every
+    unfinished chain one step: with ``d = t_b[j] - t_a[i]`` the events pair
+    when ``|d| <= window``, ``i`` advances when ``d > window`` or they
+    paired, ``j`` when ``d < -window`` or they paired, and a chain is done
+    once either pointer runs out.  So ``i`` steps when ``d >= -window`` and
+    ``j`` when ``d <= window``.  The passes number the steps of the longest
+    chain.
+    """
+    pos = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+    on_b = is_b[pos]
+    a_pos, b_pos = pos[~on_b], pos[on_b]
+    del pos, on_b
+    t_a = ts[a_pos].astype(np.int64)
+    t_b = ts[b_pos].astype(np.int64)
+    # each chain's [start, end) in the A and in the B events, both in time order
+    a_end = np.cumsum(sizes - n_b)
+    b_end = np.cumsum(n_b)
+    i = a_end - (sizes - n_b)
+    j = b_end - n_b
+    paired_i, paired_j = [], []
+    while i.size:
+        d = t_b[j] - t_a[i]
+        step_i = d >= -window
+        step_j = d <= window
+        paired = step_i & step_j
+        paired_i.append(i[paired])
+        paired_j.append(j[paired])
+        i += step_i
+        j += step_j
+        going = (i < a_end) & (j < b_end)
+        if not going.all():
+            i, j, a_end, b_end = i[going], j[going], a_end[going], b_end[going]
+    return a_pos[np.concatenate(paired_i)], b_pos[np.concatenate(paired_j)]
 
 
 def _effective_setting_table(settings_menu) -> np.ndarray:
@@ -143,22 +174,16 @@ def match_events(
     b_pos = np.where(first_is_b, f0, f0 + 1)
 
     # Slow path: chains of three or more with both stations present.
-    pairs = []
-    for c in np.flatnonzero((sizes >= 3) & (n_b >= 1) & (n_b < sizes)):
-        lo = chain_pos[c]
-        hi = lo + sizes[c]
-        seg_b = is_b[lo:hi]
-        seg_t = ts[lo:hi].astype(np.int64)
-        seg_pos = np.arange(lo, hi)
-        pairs += _greedy_pairs_cluster(
-            seg_t[~seg_b], seg_t[seg_b], seg_pos[~seg_b], seg_pos[seg_b], window
+    slow = (sizes >= 3) & (n_b >= 1) & (n_b < sizes)
+    if slow.any():
+        slow_a, slow_b = _greedy_pairs_lockstep(
+            ts, is_b, chain_pos[slow], sizes[slow], n_b[slow], window
         )
-    del is_b, chain_pos, sizes, n_b
-    if pairs:
-        a_pos = np.concatenate([a_pos, [p for p, _ in pairs]])
-        b_pos = np.concatenate([b_pos, [q for _, q in pairs]])
+        a_pos = np.concatenate([a_pos, slow_a])
+        b_pos = np.concatenate([b_pos, slow_b])
         time_order = np.argsort(a_pos)
         a_pos, b_pos = a_pos[time_order], b_pos[time_order]
+    del is_b, chain_pos, sizes, n_b
 
     # Built field by field: no structured copy of the matched events.
     records = np.empty(a_pos.size, dtype=COINC_DTYPE)

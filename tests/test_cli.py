@@ -152,6 +152,51 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not (out / "events.btag").exists()
 
+    @pytest.mark.parametrize(
+        "kind, parameters, message",
+        [
+            ("SCENARIO_LOCALITY_FALSE", {"period": "x"}, "period must be an even integer >= 2"),
+            ("SCENARIO_LOCALITY_FALSE", {"period": 2.5}, "period must be an even integer >= 2"),
+            ("SCENARIO_LOCALITY_FALSE", {"period": True}, "period must be an even integer >= 2"),
+            ("SCENARIO_LOCALITY_FALSE", {"period": 3}, "period must be an even integer >= 2"),
+            ("SCENARIO_LOCALITY_FALSE", {"period": 0}, "period must be an even integer >= 2"),
+            ("NONERGODIC", {"drift_period_s": "x"}, "drift_period_s must be a finite number"),
+            ("NONERGODIC", {"drift_period_s": float("nan")}, "drift_period_s must be a finite number"),
+            ("NONERGODIC", {"drift_period_s": 0}, "drift_period_s must be > 0"),
+            ("NONERGODIC", {"drift_period_s": -1}, "drift_period_s must be > 0"),
+            ("SCENARIO_LOCALITY_FALSE", {"drift_period_s": 1}, "takes no parameters ['drift_period_s']"),
+            ("QM_NONLOCAL", {"perod": 4}, "takes no parameters ['perod']"),
+        ],
+        ids=[
+            "period-string", "period-float", "period-bool", "period-odd", "period-zero",
+            "drift-string", "drift-nan", "drift-zero", "drift-negative", "drift-on-scenario",
+            "misspelt-parameter",
+        ],
+    )
+    def test_bad_model_parameter_exits_2(
+        self, tmp_path, no_bellrm_env, capsys, kind, parameters, message
+    ):
+        obj = json.loads(json.dumps(BASE_CONFIG))
+        obj["run"]["run_duration_s"] = 0.01
+        obj["model"] = {"kind": kind, "parameters": parameters}
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(write_config(tmp_path, obj)), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "events.btag").exists()
+
+    def test_good_model_parameters_are_kept(self, tmp_path, no_bellrm_env):
+        obj = json.loads(json.dumps(BASE_CONFIG))
+        obj["run"]["run_duration_s"] = 0.01
+        for model in (
+            {"kind": "SCENARIO_LOCALITY_FALSE", "parameters": {"period": 2}},
+            {"kind": "NONERGODIC", "parameters": {"drift_period_s": 0.5}},
+        ):
+            obj["model"] = model
+            out = tmp_path / model["kind"]
+            assert main(["simulate", "--config", str(write_config(tmp_path, obj)), "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"]["model"] == model
+
     def test_missing_config_exits_2(self, tmp_path, no_bellrm_env):
         assert (
             main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")])

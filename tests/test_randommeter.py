@@ -183,31 +183,80 @@ class TestBatteryProperties:
         assert plain.compression_ratio == flipped.compression_ratio
 
 
+def lz78_ratio_oracle(bits):
+    """Parse phrases explicitly as tuples; cost = sum(ceil(log2 t) + 1)."""
+    phrases = set()
+    cur = ()
+    count = 0
+    cost = 0
+    for b in bits.tolist():
+        cur = cur + (b,)
+        if cur not in phrases:
+            phrases.add(cur)
+            count += 1
+            cost += (count - 1).bit_length() + 1
+            cur = ()
+    if cur:
+        cost += count.bit_length()
+    return cost / bits.size
+
+
+def most_phrases(n):
+    """Every string of length 1, 2, ... in order, cut to n bits: the input
+    whose parse makes the most phrases."""
+    text = ""
+    length = 1
+    while len(text) < n:
+        text += "".join(format(v, f"0{length}b") for v in range(1 << length))
+        length += 1
+    return np.frombuffer(text[:n].encode(), dtype=np.uint8) - ord("0")
+
+
 class TestCompressionRatio:
     def test_all_zeros_matches_direct_parse_oracle(self):
-        # oracle: parse phrases explicitly, cost = sum(ceil(log2 t) + 1)
-        def oracle(bits):
-            phrases = set()
-            cur = ()
-            count = 0
-            cost = 0
-            for b in bits.tolist():
-                cur = cur + (b,)
-                if cur not in phrases:
-                    phrases.add(cur)
-                    count += 1
-                    cost += (count - 1).bit_length() + 1
-                    cur = ()
-            if cur:
-                cost += count.bit_length()
-            return cost / bits.size
-
         zeros = np.zeros(10_000, dtype=np.uint8)
-        assert compression_ratio(zeros) == pytest.approx(oracle(zeros), abs=1e-12)
+        assert compression_ratio(zeros) == pytest.approx(lz78_ratio_oracle(zeros), abs=1e-12)
         assert compression_ratio(zeros) < 0.15
 
         mixed = entropy_bits(5_000, seed=9)
-        assert compression_ratio(mixed) == pytest.approx(oracle(mixed), abs=1e-12)
+        assert compression_ratio(mixed) == pytest.approx(lz78_ratio_oracle(mixed), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            most_phrases(10_000),
+            most_phrases(1_000),
+            entropy_bits(10_007, seed=10),
+            np.ones(10_000, dtype=np.uint8),
+            np.tile(np.array([0, 1, 1], dtype=np.uint8), 3334)[:10_000],
+        ],
+        ids=["most-phrases-10000", "most-phrases-1000", "entropy-10007", "ones", "period-3"],
+    )
+    def test_equals_direct_parse_oracle_exactly(self, bits):
+        assert compression_ratio(bits) == lz78_ratio_oracle(bits)
+
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            np.full(1000, 2),
+            np.tile(np.array([0, 1, 2]), 4000),
+            np.tile(np.array([0, 1, -1]), 4000),
+            np.full(10_000, 0.5),
+        ],
+        ids=["all-twos", "zero-one-two", "minus-one", "halves"],
+    )
+    def test_non_binary_bits_raise(self, bits):
+        # a value other than 0 or 1 would index a neighbouring trie node
+        with pytest.raises(ConfigError, match="only 0 and 1"):
+            compression_ratio(bits)
+        with pytest.raises(ConfigError, match="only 0 and 1"):
+            run_battery(bits)
+
+    def test_bits_of_any_numeric_type(self):
+        bits = entropy_bits(10_000, seed=12)
+        expected = run_battery(bits)
+        for other in (bits.astype(bool), bits.astype(np.int64), bits.astype(float), bits.tolist()):
+            assert run_battery(other) == expected
 
     def test_full_entropy_sits_just_above_one(self):
         ratios = [compression_ratio(entropy_bits(10_000, seed=s)) for s in range(40)]

@@ -317,12 +317,18 @@ class TestMatcherOracle:
         assert new.tobytes() == old.tobytes()
         return new
 
-    @pytest.mark.parametrize("window", [2, 100])
+    @pytest.mark.parametrize("window", [2, 100, 1000, 5000])
     def test_simulated_stream(self, window):
         cfg = RunConfig(seed=43, run_duration_s=0.5, dark_rate_hz=1e5)
         events, _ = simulate_events(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))
-        # most events are lone ones and get set aside
-        assert np.count_nonzero(has_neighbour(events, window)) < 0.5 * events.size
+        if window <= 100:
+            # most events are lone ones and get set aside
+            assert np.count_nonzero(has_neighbour(events, window)) < 0.5 * events.size
+        else:
+            # chains of many lengths, which finish on different lockstep passes
+            near = np.diff(events["timestamp_ns"].astype(np.int64)) <= window
+            sizes = np.diff(np.flatnonzero(np.concatenate(([True], ~near, [True]))))
+            assert np.unique(sizes[sizes >= 3]).size >= 8
         records = self.assert_same(events, window, cfg.rep_rate_hz)
         assert records.size > 1000
 
