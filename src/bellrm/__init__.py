@@ -21,7 +21,6 @@ from .btag import (
     write_csv,
 )
 from .chsh import (
-    ChshAngles,
     ChshEstimate,
     CorrelationEstimate,
     ErgodicityReport,
@@ -85,7 +84,6 @@ from .randommeter import (
     wilson_interval,
 )
 from .source import (
-    CHSH_ANGLES,
     CHSH_MENU,
     PulseGeometry,
     RunConfig,

@@ -1,7 +1,10 @@
 """Correlation, CHSH and ergodicity estimators.
 
 The estimators are pure aggregations over coincidence records; counts are
-exact integers so partial results can be reduced in any order.
+exact integers so partial results can be reduced in any order.  S always
+uses the paper's four pairs, ``source.CHSH_MENU`` (a = 0, a' = pi/4,
+b = pi/8, b' = 3pi/8), each looked up by angle in the run's settings menu;
+a menu without one of them has no CHSH estimate.
 :func:`s_vs_window` takes the merged event stream instead and matches it
 with ``timetags.match_events`` once per window.
 """
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import atomic_open
-from .btag import STATION_B
+from .btag import STATION_A, STATION_B
 from .errors import (
     ConfigError,
     IncompleteSettingsError,
@@ -31,6 +34,7 @@ from .models import (
     same_angle,
     stationary_lambda_samples,
 )
+from .source import CHSH_MENU
 from .streams import substream
 from .timetags import match_events
 
@@ -75,27 +79,8 @@ def estimate_correlation(
     )
 
 
-@dataclass(frozen=True)
-class ChshAngles:
-    """The four analyzer angles; defaults reach the quantum maximum."""
-
-    a: float = 0.0
-    a_prime: float = PI / 4
-    b: float = PI / 8
-    b_prime: float = 3 * PI / 8
-
-    @property
-    def pairs(self) -> tuple:
-        """Setting pairs in S order: (a,b), (a,b'), (a',b), (a',b')."""
-        return (
-            (self.a, self.b),
-            (self.a, self.b_prime),
-            (self.a_prime, self.b),
-            (self.a_prime, self.b_prime),
-        )
-
-
-#: signs applied to the four pair correlations: S = E1 - E2 + E3 + E4.
+#: signs applied to the four pair correlations of ``CHSH_MENU``, which
+#: lists them in S order (a,b), (a,b'), (a',b), (a',b'): S = E1 - E2 + E3 + E4.
 CHSH_SIGNS = (1.0, -1.0, 1.0, 1.0)
 
 
@@ -137,17 +122,14 @@ def count_table(records: np.ndarray, n_settings: int, n_slices: int) -> np.ndarr
 
 
 def chsh_from_table(
-    counts: np.ndarray,
-    settings_menu,
-    angles: ChshAngles = ChshAngles(),
-    slice_index: int | None = None,
+    counts: np.ndarray, settings_menu, slice_index: int | None = None
 ) -> ChshEstimate:
     """CHSH estimate from a :func:`count_table`, for one slice or (None) all rows."""
     table = counts.sum(axis=0) if slice_index is None else counts[slice_index]
     correlations = []
     s_value = 0.0
     var = 0.0
-    for sign, pair in zip(CHSH_SIGNS, angles.pairs):
+    for sign, pair in zip(CHSH_SIGNS, CHSH_MENU):
         menu_idx = _menu_indices_for_pair(settings_menu, pair)
         if not menu_idx:
             raise IncompleteSettingsError(
@@ -172,10 +154,7 @@ def chsh_from_table(
 
 
 def estimate_chsh(
-    records: np.ndarray,
-    settings_menu,
-    angles: ChshAngles = ChshAngles(),
-    slice_index: int | None = None,
+    records: np.ndarray, settings_menu, slice_index: int | None = None
 ) -> ChshEstimate:
     """CHSH estimate S = |E(a,b) - E(a,b') + E(a',b) + E(a',b')|.
 
@@ -190,13 +169,13 @@ def estimate_chsh(
         n_slices = max(n_slices, int(records["slice_index"].max()) + 1)
         n_settings = max(n_settings, int(records["setting_index"].max()) + 1)
     table = count_table(records, n_settings, n_slices)
-    return chsh_from_table(table, settings_menu, angles, slice_index)
+    return chsh_from_table(table, settings_menu, slice_index)
 
 
-def qm_chsh_value(angles: ChshAngles = ChshAngles()) -> float:
-    """Quantum prediction for the configured angles (2*sqrt(2) at default)."""
+def qm_chsh_value() -> float:
+    """Quantum prediction at the standard angles: 2*sqrt(2)."""
     s = 0.0
-    for sign, (a, b) in zip(CHSH_SIGNS, angles.pairs):
+    for sign, (a, b) in zip(CHSH_SIGNS, CHSH_MENU):
         s += sign * math.cos(2.0 * (a - b))
     return abs(s)
 
@@ -222,7 +201,6 @@ def s_vs_window(
     *,
     rep_rate_hz: float,
     run_duration_s: float,
-    angles: ChshAngles = ChshAngles(),
 ) -> list[WindowScanPoint]:
     """Measured S(W) on a merged event stream plus the uncorrelated-accidentals prediction.
 
@@ -244,7 +222,7 @@ def s_vs_window(
     measured = []
     for w in windows:
         records = match_events(events, w, rep_rate_hz=rep_rate_hz, settings_menu=settings_menu)
-        est = estimate_chsh(records, settings_menu, angles)
+        est = estimate_chsh(records, settings_menu)
         measured.append((w, records.size, est.S, est.std_err))
 
     w0, n0, s0, se0 = measured[0]
@@ -358,23 +336,17 @@ def model_time_average(
 
 
 def time_average_trace(
-    events: np.ndarray,
-    t_start_s: float,
-    window_s: float,
-    station: int = 0,
-    setting_indices=None,
+    events: np.ndarray, t_start_s: float, window_s: float
 ) -> tuple[float, float, int]:
-    """Transmitted fraction measured from an event trace inside a window."""
+    """Transmitted fraction of station A's events inside a window of the trace."""
     t0 = int(round(t_start_s * 1e9))
     t1 = int(round((t_start_s + window_s) * 1e9))
-    mask = (events["station"] == station) & (events["timestamp_ns"] >= t0) & (
+    mask = (events["station"] == STATION_A) & (events["timestamp_ns"] >= t0) & (
         events["timestamp_ns"] < t1
     )
-    if setting_indices is not None:
-        mask &= np.isin(events["setting_index"], list(setting_indices))
     selected = events[mask]
     if selected.size == 0:
-        raise UndefinedStatisticError("no events for this setting inside the window")
+        raise UndefinedStatisticError("no events inside the window")
     p = float(np.mean(selected["port_bit"] == 0))
     se = math.sqrt(p * (1.0 - p) / selected.size)
     return p, se, int(selected.size)

@@ -10,9 +10,12 @@ coincidence window.  No chain of events crosses such a gap, so matching
 each part on its own gives the records one pass over the whole stream
 gives.  Between parts the pipeline carries only the integer CHSH count
 table, the coincidence count and, per (slice, station), the bits not yet
-in a full ``sequence_length`` block; each full block goes to the battery
-as soon as it is complete.  Memory therefore does not grow with the
-length of the run.
+in a full ``sequence_length`` block.  Each part's bits are appended to
+those and cut with ``timetags.sequence_partition``, so the blocks are the
+ones a cut of the whole stream gives, and each full block goes to the
+battery as soon as it is complete.  Memory therefore does not grow with
+the length of the run.  S is computed per slice from the count table at
+the four standard CHSH pairs (see :mod:`bellrm.chsh`).
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .btag import STATION_A, STATION_B, STATION_LETTERS
-from .chsh import ChshAngles, chsh_from_table, count_table
+from .btag import STATION_A, STATION_B, STATION_LETTERS, join_events
+from .chsh import chsh_from_table, count_table
 from .errors import ConfigError, DataError, IncompleteSettingsError, require_finite
 from .randommeter import (
     BatteryConfig,
@@ -59,6 +62,10 @@ class AnalysisConfig:
             raise ConfigError("analysis.window_ns must be > 0")
         if not 0.0 < self.alpha_sig < 1.0:
             raise ConfigError("analysis.alpha_sig must lie in (0, 1)")
+        if self.block_size < 2:
+            raise ConfigError("analysis.block_size must be >= 2")
+        if self.serial_m < 2:
+            raise ConfigError("analysis.serial_m must be >= 2")
         battery = self.battery()
         if self.sequence_length < battery.min_length:
             raise ConfigError(
@@ -99,14 +106,6 @@ def _after_last_gap(ts: np.ndarray, window: int) -> int:
     return 0
 
 
-def _join(parts: list[np.ndarray]) -> np.ndarray:
-    """Concatenate event arrays as whole records: numpy copies a structured
-    array field by field, about 20 times slower."""
-    dtype = parts[0].dtype
-    raw = np.dtype((np.void, dtype.itemsize))
-    return np.concatenate([part.view(raw) for part in parts]).view(dtype)
-
-
 def cut_at_gaps(
     pieces: Iterable[np.ndarray], window_ns: int
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -133,45 +132,22 @@ def cut_at_gaps(
         ):
             carry.append(piece)
             continue
-        part = _join([*carry, piece[:cut]]) if carry else piece[:cut]
+        part = join_events([*carry, piece[:cut]]) if carry else piece[:cut]
         if part.size:
             yield first, part
             first += part.size
         carry = [piece[cut:]]
     if carry:
-        yield first, _join(carry)
+        yield first, join_events(carry)
 
 
-class _BlockCutter:
-    """One (slice, station) bit stream, handed out in ``sequence_length`` blocks.
-
-    The blocks and their order are those ``sequence_partition`` gives on the
-    whole stream; bits short of a full block wait for the next part.
-    """
-
-    def __init__(self, length: int):
-        self.length = length
-        self.pending = np.empty(0, dtype=np.uint8)
-
-    def push(self, bits: np.ndarray) -> list[np.ndarray]:
-        bits = np.concatenate([self.pending, bits])
-        blocks = sequence_partition(bits, self.length)
-        self.pending = bits[len(blocks) * self.length :].copy()
-        return blocks
-
-
-def analyze_pieces(
-    pieces: Iterable[np.ndarray],
-    run: RunConfig,
-    analysis: AnalysisConfig,
-    angles: ChshAngles = ChshAngles(),
-):
+def analyze_pieces(pieces: Iterable[np.ndarray], run: RunConfig, analysis: AnalysisConfig):
     """Full analysis pipeline on a merged event stream given piece by piece.
 
-    The pieces, in stream order, are what ``read_btag`` or ``iter_btag``
-    return.  Returns (n_coincidences, chsh_estimates, curve, verdict,
-    report_rows); CHSH estimates cover the slices that could be estimated,
-    and a slice without one makes the verdict INCONCLUSIVE.  An event whose
+    The pieces, in stream order, are what ``iter_btag`` yields.  Returns
+    (n_coincidences, chsh_estimates, curve, verdict, report_rows); CHSH
+    estimates cover the slices that could be estimated, and a slice
+    without one makes the verdict INCONCLUSIVE.  An event whose
     setting lies outside the menu, or one out of stream order, raises a
     ``DataError`` naming its index in the whole stream.
     """
@@ -181,7 +157,9 @@ def analyze_pieces(
     n_menu = len(run.settings_menu)
     n_slices = analysis.n_slices
     keys = [(s, station) for s in range(n_slices) for station in (STATION_A, STATION_B)]
-    cutters = {key: _BlockCutter(analysis.sequence_length) for key in keys}
+    length = analysis.sequence_length
+    # per (slice, station), the bits short of a full block, kept for the next part
+    pending = {key: np.empty(0, dtype=np.uint8) for key in keys}
     reports = {key: [] for key in keys}
     counts = np.zeros((n_slices + 1, n_menu, 2, 2), dtype=np.int64)
     n_coincidences = 0
@@ -203,9 +181,13 @@ def analyze_pieces(
         )
         counts += count_table(records, n_menu, n_slices)
         n_coincidences += records.size
-        for (slice_index, station), cutter in cutters.items():
-            done = reports[slice_index, station]
-            for block in cutter.push(extract_sequence(records, station, slice_index)):
+        for key in keys:
+            slice_index, station = key
+            done = reports[key]
+            bits = np.concatenate([pending[key], extract_sequence(records, station, slice_index)])
+            blocks = sequence_partition(bits, length)
+            pending[key] = bits[len(blocks) * length :].copy()
+            for block in blocks:
                 sid = f"{STATION_LETTERS[station]}{slice_index}-{len(done)}"
                 done.append(run_battery(block, battery, sequence_id=sid))
 
@@ -220,9 +202,7 @@ def analyze_pieces(
     chsh_estimates = []
     for slice_index in range(n_slices):
         try:
-            chsh_estimates.append(
-                chsh_from_table(counts, run.settings_menu, angles, slice_index)
-            )
+            chsh_estimates.append(chsh_from_table(counts, run.settings_menu, slice_index))
         except IncompleteSettingsError:
             pass  # classify_scenario answers INCONCLUSIVE for this slice
 

@@ -28,7 +28,6 @@ import numpy as np
 from .atomic import atomic_open
 from .errors import ConfigError, InsufficientLengthError, UndefinedStatisticError
 
-_WILSON_Z = 1.959963984540054  # two-sided 95%
 _SQRT_HALF = math.sqrt(0.5)
 
 
@@ -147,9 +146,7 @@ def block_frequency_test(bits, block_size: int = 128, alpha_sig: float = 0.01) -
 
 
 def _pattern_counts(x: np.ndarray, m: int) -> np.ndarray:
-    """Cyclic m-gram counts (2^m bins)."""
-    if m == 0:
-        return np.array([x.size])
+    """Cyclic m-gram counts (2^m bins), m >= 1."""
     ext = np.concatenate([x, x[: m - 1]])
     code = np.zeros(x.size, dtype=np.int64)
     for j in range(m):
@@ -157,11 +154,9 @@ def _pattern_counts(x: np.ndarray, m: int) -> np.ndarray:
     return np.bincount(code, minlength=1 << m)
 
 
-def _psi_squared(x: np.ndarray, m: int) -> float:
-    if m <= 0:
-        return 0.0
-    counts = _pattern_counts(x, m)
-    return float((1 << m) / x.size * np.sum(counts.astype(np.float64) ** 2) - x.size)
+def _psi_squared(counts: np.ndarray, n: int) -> float:
+    """psi^2 of ``n`` bits from their cyclic m-gram counts (2^m bins)."""
+    return float(counts.size / n * np.sum(counts.astype(np.float64) ** 2) - n)
 
 
 def serial_test(bits, m: int = 4, alpha_sig: float = 0.01) -> TestResult:
@@ -172,7 +167,10 @@ def serial_test(bits, m: int = 4, alpha_sig: float = 0.01) -> TestResult:
         raise ConfigError("serial test order m must be >= 2")
     if m > math.log2(x.size) - 2:
         raise InsufficientLengthError("serial test needs m <= log2(n) - 2")
-    del_psi = _psi_squared(x, m) - _psi_squared(x, m - 1)
+    counts = _pattern_counts(x, m)
+    # an (m-1)-gram's count is the sum of the two m-grams that extend it
+    shorter = counts.reshape(-1, 2).sum(axis=1)
+    del_psi = _psi_squared(counts, x.size) - _psi_squared(shorter, x.size)
     p = gammaincc(2 ** (m - 2), del_psi / 2.0)
     return _result("serial", del_psi, p, alpha_sig)
 
@@ -319,8 +317,23 @@ def run_battery(bits, config: BatteryConfig = BatteryConfig(), sequence_id: str 
     )
 
 
-def wilson_interval(k: int, n: int, z: float = _WILSON_Z) -> tuple[float, float]:
+# --------------------------------------------------------------------------
+# Randommeter curve and scenario classification
+# --------------------------------------------------------------------------
+
+#: minimum sequences per slice for the reading to count.
+MIN_SEQUENCES_PER_SLICE = 30
+#: normal quantile of the two-sided 95% Wilson interval on R.
+WILSON_Z = 1.959963984540054
+#: every slice's S must exceed 2 by this many standard errors.
+S_SIGMAS = 5.0
+#: significance of the two-proportion test between the pulse halves.
+HALVES_SIGNIFICANCE = 0.01
+
+
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
+    z = WILSON_Z
     if n == 0:
         raise UndefinedStatisticError("Wilson interval undefined for n = 0")
     p = k / n
@@ -330,14 +343,6 @@ def wilson_interval(k: int, n: int, z: float = _WILSON_Z) -> tuple[float, float]
     lo = 0.0 if k == 0 else max(0.0, center - half)
     hi = 1.0 if k == n else min(1.0, center + half)
     return lo, hi
-
-
-# --------------------------------------------------------------------------
-# Randommeter curve and scenario classification
-# --------------------------------------------------------------------------
-
-#: minimum sequences per slice for the reading to count.
-MIN_SEQUENCES_PER_SLICE = 30
 
 
 @dataclass(frozen=True)
@@ -356,8 +361,6 @@ class SliceReading:
 @dataclass(frozen=True)
 class RandommeterCurve:
     readings: tuple
-    alpha_sig: float
-    false_alarm_rate: float
 
     @property
     def n_slices(self) -> int:
@@ -400,7 +403,7 @@ def curve_from_reports(reports_by_slice: dict, config: BatteryConfig) -> Randomm
                 sufficient=n >= MIN_SEQUENCES_PER_SLICE,
             )
         )
-    return RandommeterCurve(tuple(readings), config.alpha_sig, fa)
+    return RandommeterCurve(tuple(readings))
 
 
 class Verdict(Enum):
@@ -445,7 +448,7 @@ def two_proportion_z(k1: int, n1: int, k2: int, n2: int) -> tuple[float, float]:
     return z, math.erfc(abs(z) / math.sqrt(2.0))
 
 
-def _unclassifiable(curve: RandommeterCurve, s_by_slice: dict, s_sigmas: float) -> str:
+def _unclassifiable(curve: RandommeterCurve, s_by_slice: dict) -> str:
     """Why :func:`classify_scenario` must answer INCONCLUSIVE, or "" if it need not."""
     if curve.n_slices < 2:
         return "fewer than two slices"
@@ -455,28 +458,23 @@ def _unclassifiable(curve: RandommeterCurve, s_by_slice: dict, s_sigmas: float) 
         est = s_by_slice.get(reading.slice_index)
         if est is None:
             return f"slice {reading.slice_index} has no CHSH estimate"
-        if est.std_err <= 0 or (est.S - 2.0) / est.std_err < s_sigmas:
+        if est.std_err <= 0 or (est.S - 2.0) / est.std_err < S_SIGMAS:
             return (
                 f"slice {reading.slice_index}: S = {est.S:.3f} does not exceed 2 "
-                f"at {s_sigmas:.0f} sigma"
+                f"at {S_SIGMAS:.0f} sigma"
             )
     if len({2 * r.slice_index + 1 < curve.n_slices for r in curve.readings}) < 2:
         return "slices do not cover both pulse halves"
     return ""
 
 
-def classify_scenario(
-    curve: RandommeterCurve,
-    chsh_per_slice,
-    significance: float = 0.01,
-    s_sigmas: float = 5.0,
-) -> ScenarioVerdict:
+def classify_scenario(curve: RandommeterCurve, chsh_per_slice) -> ScenarioVerdict:
     """Decide which property the run gives evidence against.
 
     Preconditions: every slice has a sufficient reading and violates the
-    classical bound (S > 2 at >= s_sigmas); otherwise INCONCLUSIVE.  The
+    classical bound (S > 2 at >= ``S_SIGMAS``); otherwise INCONCLUSIVE.  The
     rejection rates of the two pulse halves are then contrasted with a
-    two-proportion test at ``significance``: a significantly larger R in
+    two-proportion test at ``HALVES_SIGNIFICANCE``: a significantly larger R in
     the first half means ERGODICITY_FALSE, significantly smaller means
     LOCALITY_FALSE, and no detectable contrast means REALISM_FALSE
     (constant reading).  This is evidence, not proof.
@@ -488,7 +486,7 @@ def classify_scenario(
     )
     per_slice_r = tuple(r.rejection_rate for r in curve.readings)
 
-    reason = _unclassifiable(curve, s_by_slice, s_sigmas)
+    reason = _unclassifiable(curve, s_by_slice)
     if reason:
         return ScenarioVerdict.inconclusive(reason, per_slice_s, per_slice_r)
 
@@ -501,7 +499,7 @@ def classify_scenario(
     n2 = sum(r.n_sequences for r in second)
     z, p = two_proportion_z(k1, n1, k2, n2)
 
-    if p < significance:
+    if p < HALVES_SIGNIFICANCE:
         label = Verdict.ERGODICITY_FALSE if z > 0 else Verdict.LOCALITY_FALSE
     else:
         label = Verdict.REALISM_FALSE

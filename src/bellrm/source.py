@@ -35,15 +35,14 @@ from .streams import per_pulse_choice, substream
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
-#: standard CHSH settings menu: a=0, a'=pi/4, b=pi/8, b'=3pi/8.
+#: standard CHSH settings menu: a=0, a'=pi/4, b=pi/8, b'=3pi/8, its pairs
+#: in S order (a,b), (a,b'), (a',b), (a',b'); the CHSH estimators read them.
 CHSH_MENU = (
     (0.0, PI / 8),
     (0.0, 3 * PI / 8),
     (PI / 4, PI / 8),
     (PI / 4, 3 * PI / 8),
 )
-
-CHSH_ANGLES = (0.0, PI / 4, PI / 8, 3 * PI / 8)
 
 #: version of the seed -> bytes mapping, recorded in every manifest.
 GENERATOR_VERSION = 2
@@ -115,6 +114,8 @@ class RunConfig:
         if self.n_pulses > _MAX_PULSES:
             raise ConfigError("run too long: pulse index would overflow 32 bits")
         geo = pulse_geometry(self)
+        if self.run_duration_s > 0 and geo.pulse_duration_s <= 0:
+            raise ConfigError("pulse_duration_s must be positive to generate events")
         if geo.duty_cycle > 1.0 + 1e-12:
             raise ConfigError(
                 f"duty cycle {geo.duty_cycle:.3f} > 1: pulses overlap"
@@ -293,8 +294,6 @@ def iter_event_chunks(
     """
     geo = pulse_geometry(config)
     duration_ns = geo.pulse_duration_ns
-    if config.run_duration_s > 0 and geo.pulse_duration_s <= 0:
-        raise ConfigError("pulse_duration_s must be positive to generate events")
     n_pulses = config.n_pulses
     n_menu = len(config.settings_menu)
     menu_alpha = np.array([p[0] for p in config.settings_menu])

@@ -168,6 +168,7 @@ def match_events(
     del kept, heads, starts, is_b_kept
 
     # Fast path: isolated A+B pair, guaranteed inside the window.
+    # (Via the lockstep pass instead, dense_scenario matching took 0.185 -> 0.288 s.)
     f0 = chain_pos[(sizes == 2) & (n_b == 1)]
     first_is_b = is_b[f0]
     a_pos = np.where(first_is_b, f0 + 1, f0)

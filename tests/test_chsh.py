@@ -6,7 +6,6 @@ import pytest
 from bellrm import (
     CHSH_MENU,
     COINC_DTYPE,
-    ChshAngles,
     ChshEstimate,
     ConfigError,
     IncompleteSettingsError,
@@ -158,7 +157,7 @@ def estimate_chsh_by_isin(records, settings_menu, slice_index=None):
         records = records[records["slice_index"] == slice_index]
     menu = np.asarray(settings_menu, dtype=np.float64).reshape(-1, 2)
     correlations, s_value, var = [], 0.0, 0.0
-    for sign, pair in zip((1.0, -1.0, 1.0, 1.0), ChshAngles().pairs):
+    for sign, pair in zip((1.0, -1.0, 1.0, 1.0), CHSH_MENU):
         hits = same_angle(menu[:, 0], pair[0]) & same_angle(menu[:, 1], pair[1])
         selected = records[np.isin(records["setting_index"], np.flatnonzero(hits))]
         est = estimate_correlation(selected, pair[0], pair[1])

@@ -281,6 +281,34 @@ class TestSimulate:
         assert main(["report", "--in", str(sim_dir)]) == 3
         assert "verdict.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("serial_m", -5), ("serial_m", 0), ("serial_m", 1), ("block_size", 0), ("block_size", 1)],
+    )
+    def test_battery_parameter_below_two_exits_2(
+        self, tmp_path, no_bellrm_env, capsys, field, value
+    ):
+        # a run too short to fill a block would never reach the battery
+        obj = json.loads(json.dumps(BASE_CONFIG))
+        obj["run"]["run_duration_s"] = 0.01
+        obj["analysis"][field] = value
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(write_config(tmp_path, obj)), "--out", str(out)]) == 2
+        assert f"analysis.{field} must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_pulse_duration_exits_2_before_touching_the_directory(self, sim_dir, capsys):
+        assert main(["analyze", "--in", str(sim_dir)]) == 0
+        before = {p.name: p.read_bytes() for p in sim_dir.iterdir()}
+        obj = json.loads(json.dumps(BASE_CONFIG))
+        obj["run"]["pulse_duration_s"] = 0.0
+        cfg = write_config(sim_dir.parent, obj, name="zero_pulse.json")
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cfg), "--out", str(sim_dir)]) == 2
+        assert "pulse_duration_s must be positive" in capsys.readouterr().err
+        assert {"chsh_per_slice.csv", "sequences.csv", "curve.csv", "verdict.json"} <= set(before)
+        assert {p.name: p.read_bytes() for p in sim_dir.iterdir()} == before
+
     def test_locked_directory_exits_3(self, tmp_path, no_bellrm_env):
         cfg = write_config(tmp_path)
         out = tmp_path / "locked"

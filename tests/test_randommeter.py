@@ -97,11 +97,10 @@ class TestBlockFrequency:
 
 
 class TestSerial:
-    def test_statistic_matches_exhaustive_gram_count(self, rng):
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_statistic_matches_exhaustive_gram_count(self, rng, m):
         # oracle: explicit cyclic m-gram histogram
         def psi2(bits, m):
-            if m == 0:
-                return 0.0
             n = len(bits)
             ext = list(bits) + list(bits[: m - 1])
             counts = {}
@@ -111,8 +110,8 @@ class TestSerial:
             return (2**m / n) * sum(c * c for c in counts.values()) - n
 
         bits = rng.integers(0, 2, 2048).astype(np.uint8)
-        res = serial_test(bits, m=4)
-        assert res.statistic == pytest.approx(psi2(bits, 4) - psi2(bits, 3), abs=1e-9)
+        res = serial_test(bits, m=m)
+        assert res.statistic == pytest.approx(psi2(bits, m) - psi2(bits, m - 1), abs=1e-9)
 
     def test_short_period_sequence_rejected(self, rng):
         base = rng.integers(0, 2, 15).astype(np.uint8)  # period 2^m - 1 for m = 4

@@ -57,6 +57,14 @@ class TestPulseGeometry:
         geo = pulse_geometry(small_config(station_separation_m=0.0, pulse_duration_s=50e-9))
         assert geo.light_time_s == 0.0
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"pulse_duration_s": 0.0}, {"station_separation_m": 0.0}]
+    )
+    def test_zero_pulse_rejected_when_the_run_has_pulses(self, kwargs):
+        with pytest.raises(ConfigError, match="pulse_duration_s must be positive"):
+            small_config(**kwargs)
+        assert small_config(run_duration_s=0.0, **kwargs).n_pulses == 0
+
     def test_overfull_duty_cycle_rejected(self):
         with pytest.raises(ConfigError):
             small_config(pulse_duration_s=2e-6)

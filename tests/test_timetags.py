@@ -31,6 +31,7 @@ from bellrm import (
     write_btag,
     write_csv,
 )
+from bellrm.btag import PIECE_RECORDS
 
 REP = 1e6  # Hz; 1000 ns period in these tests
 
@@ -544,6 +545,17 @@ class TestBtagFormat:
         pieces = list(iter_btag(path, piece_records=7))
         assert [p.size for p in pieces] == [7] * 14 + [2]
         assert np.concatenate(pieces).tobytes() == read_btag(path).tobytes() == ev.tobytes()
+
+    def test_read_btag_joins_the_pieces_of_a_longer_file(self, tmp_path, rng):
+        # more records than one default piece holds
+        ev = np.zeros(PIECE_RECORDS + 100, dtype=EVENT_DTYPE)
+        ev["timestamp_ns"] = np.arange(ev.size) * 1000
+        ev["station"] = rng.integers(0, 2, ev.size)
+        ev["port_bit"] = rng.integers(0, 2, ev.size)
+        path = tmp_path / "events.btag"
+        write_btag(path, ev)
+        assert [p.size for p in iter_btag(path)] == [PIECE_RECORDS, 100]
+        assert read_btag(path).tobytes() == ev.tobytes()
 
     @pytest.mark.parametrize("piece_records", [0, -1])
     def test_piece_of_fewer_than_one_record_rejected(self, tmp_path, rng, piece_records):
