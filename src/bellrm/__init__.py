@@ -32,7 +32,6 @@ from .chsh import (
     ensemble_average,
     ergodicity_gap,
     estimate_chsh,
-    estimate_correlation,
     model_time_average,
     qm_chsh_value,
     s_vs_window,

@@ -21,15 +21,16 @@ with the file; it checks the header, the size and the field ranges, and
 names a bad record by its index and byte offset in the whole file.
 ``read_btag`` joins those pieces into one array with ``join_events``,
 which copies whole records.  The order is checked where the
-stream is matched (``timetags.match_events``).  The CSV mirror carries one
-record per line in the same field order, station written as A/B.
+stream is matched (``timetags.match_events``).  ``BtagWriter`` writes a
+file through ``atomic_open``, so a file appears whole or not at all.  The
+CSV mirror carries one record per line in the same field order, station
+written as A/B; ``write_csv`` writes it piece by piece.
 """
 
 from __future__ import annotations
 
-import io
-import os
 from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -81,20 +82,26 @@ class BtagWriter:
             for chunk in chunks:
                 w.write(chunk)
 
-    Records go to a temporary file beside ``path``, which replaces ``path``
-    only when the block ends without an exception; otherwise it is removed,
-    so ``path`` never holds a partial file.
+    The file is written through ``atomic_open``, and the count is patched
+    in only when the block ends without an exception: ``path`` never holds
+    a partial file.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
-        self._fh: io.BufferedWriter | None = None
         self.count = 0
 
+    @contextmanager
+    def _open(self):
+        with atomic_open(self.path, "wb") as fh:
+            fh.write(_pack_header(0))
+            yield fh
+            fh.seek(0)
+            fh.write(_pack_header(self.count))
+
     def __enter__(self) -> "BtagWriter":
-        self._fh = open(self._tmp, "wb")
-        self._fh.write(_pack_header(0))
+        self._file = self._open()
+        self._fh = self._file.__enter__()
         return self
 
     def write(self, events: np.ndarray) -> None:
@@ -103,18 +110,8 @@ class BtagWriter:
         events.tofile(self._fh)
         self.count += events.size
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        fh = self._fh
-        self._fh = None
-        try:
-            if exc_type is None:
-                fh.seek(0)
-                fh.write(_pack_header(self.count))
-            fh.close()
-            if exc_type is None:
-                os.replace(self._tmp, self.path)
-        finally:
-            self._tmp.unlink(missing_ok=True)
+    def __exit__(self, exc_type, exc, tb):
+        return self._file.__exit__(exc_type, exc, tb)
 
 
 def write_btag(path: str | Path, events: np.ndarray) -> None:
@@ -184,20 +181,21 @@ def read_btag(path: str | Path) -> np.ndarray:
     return join_events(pieces) if pieces else np.empty(0, dtype=EVENT_DTYPE)
 
 
-def write_csv(path: str | Path, events: np.ndarray) -> None:
+def write_csv(path: str | Path, pieces) -> None:
+    """Write the CSV mirror of event arrays given piece by piece, as
+    ``iter_btag`` yields them."""
+    letters = np.array([STATION_LETTERS[STATION_A], STATION_LETTERS[STATION_B]])
     with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
-        for rec in events:
-            fh.write(
-                "%d,%d,%s,%d,%d\n"
-                % (
-                    rec["timestamp_ns"],
-                    rec["pulse_index"],
-                    STATION_LETTERS[int(rec["station"])],
-                    rec["port_bit"],
-                    rec["setting_index"],
-                )
+        for events in pieces:
+            columns = (
+                events["timestamp_ns"].tolist(),
+                events["pulse_index"].tolist(),
+                letters[events["station"]].tolist(),
+                events["port_bit"].tolist(),
+                events["setting_index"].tolist(),
             )
+            fh.writelines(map("%d,%d,%s,%d,%d\n".__mod__, zip(*columns)))
 
 
 def read_csv(path: str | Path) -> np.ndarray:

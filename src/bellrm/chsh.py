@@ -68,17 +68,6 @@ def correlation_from_counts(
     return CorrelationEstimate(alpha, beta, n00, n01, n10, n11, e, std_err)
 
 
-def estimate_correlation(
-    records: np.ndarray, alpha: float = math.nan, beta: float = math.nan
-) -> CorrelationEstimate:
-    """Correlation of records that all share one settings pair."""
-    joint = 2 * records["bit_a"].astype(np.int64) + records["bit_b"]
-    counts = np.bincount(joint, minlength=4)
-    return correlation_from_counts(
-        int(counts[0]), int(counts[1]), int(counts[2]), int(counts[3]), alpha, beta
-    )
-
-
 #: signs applied to the four pair correlations of ``CHSH_MENU``, which
 #: lists them in S order (a,b), (a,b'), (a',b), (a',b'): S = E1 - E2 + E3 + E4.
 CHSH_SIGNS = (1.0, -1.0, 1.0, 1.0)

@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import __version__
 from .atomic import atomic_open
-from .btag import iter_btag, read_btag, write_csv
+from .btag import iter_btag, write_csv
 from .chsh import write_chsh_csv
 from .errors import ConfigError, DataError, IntegrityError
 from .models import OutcomeModel
@@ -208,7 +208,7 @@ def cmd_simulate(args) -> int:
         stats = simulate_to_btag(run, model, events_path)
         artifact_names = [EVENTS_FILENAME]
         if args.csv:
-            write_csv(out_dir / "events.csv", read_btag(events_path))
+            write_csv(out_dir / "events.csv", iter_btag(events_path))
             artifact_names.append("events.csv")
         write_manifest(out_dir, run, model, analysis, stats, artifact_names)
     print(

@@ -14,6 +14,9 @@ order: the SCENARIO_LOCALITY_FALSE and SCENARIO_ERGODICITY_FALSE samplers
 carry their pattern position from one block to the next.  Within a block
 the pulses holding a pair or a single are found by drawing geometric gaps
 between hits, so the work follows the number of events, not of pulses.
+Every block builds each category (pairs, singles, darks, per station)
+the same way, empty or not, and ``RunStats`` counts them from the sizes
+of the block's category arrays beside the merged block.
 
 ``GENERATOR_VERSION`` names the way a seed becomes bytes.  Version 1 drew
 a uniform per pulse; version 2 draws the gaps.  The manifest records it,
@@ -167,10 +170,6 @@ class PulseGeometry:
     def pulse_duration_ns(self) -> int:
         return max(1, int(round(self.pulse_duration_s * 1e9)))
 
-    @property
-    def rep_period_ns(self) -> float:
-        return self.rep_period_s * 1e9
-
 
 def pulse_geometry(config: RunConfig) -> PulseGeometry:
     """Pulse-train geometry; the default pulse length is 2L/c."""
@@ -279,6 +278,13 @@ def _merge_stations(parts_a: list, parts_b: list) -> tuple[np.ndarray, int]:
     return events, int(keep.size - key.size)
 
 
+def _unpaired(seed: int, rng: np.random.Generator, t, pulses, n_menu: int) -> tuple:
+    """(t, pulse, port, setting) of detections without a partner: a fair
+    port bit each from the category's ``rng``, and their pulses' settings."""
+    bits = (rng.random(t.size) < 0.5).astype(np.uint8)
+    return t, pulses, bits, per_pulse_choice(seed, "settings", pulses, n_menu)
+
+
 def iter_event_chunks(
     config: RunConfig,
     model: OutcomeModel,
@@ -290,10 +296,12 @@ def iter_event_chunks(
     Chunks partition the pulse train; all events of a chunk fall inside
     its time window, so concatenating chunks preserves global order.
     Each block of ``chunk_pulses`` pulses draws from its own substreams,
-    so the stream a seed gives depends on the block size.
+    so the stream a seed gives depends on the block size.  A block
+    without events is not yielded.
     """
     geo = pulse_geometry(config)
     duration_ns = geo.pulse_duration_ns
+    rep_rate_hz = config.rep_rate_hz
     n_pulses = config.n_pulses
     n_menu = len(config.settings_menu)
     menu_alpha = np.array([p[0] for p in config.settings_menu])
@@ -304,82 +312,52 @@ def iter_event_chunks(
         stats = RunStats()
     stats.n_pulses = n_pulses
 
-    p_single = config.detection_prob_per_pulse
-    p_coinc = config.coincidence_prob_per_pulse
-
     for block, start in enumerate(range(0, n_pulses, chunk_pulses)):
         stop = min(start + chunk_pulses, n_pulses)
         m = stop - start
-        chunk_t0 = int(pulse_start_ns(start, config.rep_rate_hz))
-        chunk_t1 = int(pulse_start_ns(stop, config.rep_rate_hz))
+        chunk_t0 = int(pulse_start_ns(start, rep_rate_hz))
+        chunk_t1 = int(pulse_start_ns(stop, rep_rate_hz))
 
         # (t, pulse, port, setting) per category, each station's in
         # priority order: coincidences, singles, darks.
-        parts_a: list = []
-        parts_b: list = []
+        rng = substream(seed, "coincidence", block)
+        pulses = start + _hit_offsets(rng, config.coincidence_prob_per_pulse, m)
+        starts = pulse_start_ns(pulses, rep_rate_hz)
+        within = rng.integers(0, duration_ns, pulses.size)
+        settings = per_pulse_choice(seed, "settings", pulses, n_menu)
+        bits_a, bits_b = sampler.sample(
+            menu_alpha[settings], menu_beta[settings], starts * 1e-9, within, duration_ns, rng
+        )
+        t = starts + within
+        del starts, within  # as large as the pairs, and not needed in the merge
+        parts_a = [(t, pulses, bits_a, settings)]
+        parts_b = [(t, pulses, bits_b, settings)]
 
-        # --- coincident pairs -------------------------------------------
-        rng_c = substream(seed, "coincidence", block)
-        local_idx = _hit_offsets(rng_c, p_coinc, m)
-        k = local_idx.size
-        if k:
-            pulses = start + local_idx
-            starts = pulse_start_ns(pulses, config.rep_rate_hz)
-            within = rng_c.integers(0, duration_ns, k)
-            t = starts + within
-            settings = per_pulse_choice(seed, "settings", pulses, n_menu)
-            bits_a, bits_b = sampler.sample(
-                menu_alpha[settings],
-                menu_beta[settings],
-                starts * 1e-9,
-                within,
-                duration_ns,
-                rng_c,
-            )
-            parts_a.append((t, pulses, bits_a, settings))
-            parts_b.append((t, pulses, bits_b, settings))
-            stats.n_coincidence_pairs += k
+        for label, station_parts in (("singles-a", parts_a), ("singles-b", parts_b)):
+            rng = substream(seed, label, block)
+            pulses = start + _hit_offsets(rng, config.detection_prob_per_pulse, m)
+            t = pulse_start_ns(pulses, rep_rate_hz) + rng.integers(0, duration_ns, pulses.size)
+            station_parts.append(_unpaired(seed, rng, t, pulses, n_menu))
 
-        # --- uncorrelated singles ---------------------------------------
-        for label, station_parts, attr in (
-            ("singles-a", parts_a, "n_singles_a"),
-            ("singles-b", parts_b, "n_singles_b"),
-        ):
-            if p_single <= 0:
-                continue
-            rng_s = substream(seed, label, block)
-            local_idx = _hit_offsets(rng_s, p_single, m)
-            ks = local_idx.size
-            if ks:
-                pulses = start + local_idx
-                t = pulse_start_ns(pulses, config.rep_rate_hz) + rng_s.integers(
-                    0, duration_ns, ks
-                )
-                bits = (rng_s.random(ks) < 0.5).astype(np.uint8)
-                settings = per_pulse_choice(seed, "settings", pulses, n_menu)
-                station_parts.append((t, pulses, bits, settings))
-                setattr(stats, attr, getattr(stats, attr) + ks)
+        rng = substream(seed, "dark", block)
+        span_s = (chunk_t1 - chunk_t0) * 1e-9
+        mean_darks = config.dark_rate_hz * span_s
+        for station_parts in (parts_a, parts_b):
+            t = np.sort(rng.integers(chunk_t0, chunk_t1, int(rng.poisson(mean_darks))))
+            station_parts.append(_unpaired(seed, rng, t, pulse_index_of(t, rep_rate_hz), n_menu))
 
-        # --- dark counts --------------------------------------------------
-        if config.dark_rate_hz > 0:
-            rng_d = substream(seed, "dark", block)
-            span_s = (chunk_t1 - chunk_t0) * 1e-9
-            for station_parts, attr in ((parts_a, "n_darks_a"), (parts_b, "n_darks_b")):
-                kd = int(rng_d.poisson(config.dark_rate_hz * span_s))
-                if kd:
-                    t = np.sort(rng_d.integers(chunk_t0, chunk_t1, kd))
-                    pulses = pulse_index_of(t, config.rep_rate_hz)
-                    bits = (rng_d.random(kd) < 0.5).astype(np.uint8)
-                    settings = per_pulse_choice(seed, "settings", pulses, n_menu)
-                    station_parts.append((t, pulses, bits, settings))
-                    setattr(stats, attr, getattr(stats, attr) + kd)
-
-        if not (parts_a or parts_b):
-            continue
         events, dropped = _merge_stations(parts_a, parts_b)
+        pairs, singles_a, darks_a = (t.size for t, *_ in parts_a)
+        _, singles_b, darks_b = (t.size for t, *_ in parts_b)
+        stats.n_coincidence_pairs += pairs
+        stats.n_singles_a += singles_a
+        stats.n_singles_b += singles_b
+        stats.n_darks_a += darks_a
+        stats.n_darks_b += darks_b
         stats.n_collisions_dropped += dropped
         stats.n_events += events.size
-        yield events
+        if events.size:
+            yield events
 
 
 def simulate_events(config: RunConfig, model: OutcomeModel) -> tuple[np.ndarray, RunStats]:

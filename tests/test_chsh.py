@@ -23,7 +23,6 @@ from bellrm import (
     ensemble_average,
     ergodicity_gap,
     estimate_chsh,
-    estimate_correlation,
     local_hv_bit,
     model_time_average,
     qm_chsh_value,
@@ -68,10 +67,15 @@ def sampled_records(model, n_per_pair, seed, menu=CHSH_MENU, slices=None):
     return np.concatenate(parts)
 
 
+def joint_counts(bits_a, bits_b):
+    """(n00, n01, n10, n11) of paired bits."""
+    joint = 2 * np.asarray(bits_a, dtype=np.int64) + np.asarray(bits_b, dtype=np.int64)
+    return np.bincount(joint, minlength=4).tolist()
+
+
 class TestCorrelationEstimate:
     def test_perfectly_correlated(self):
-        rec = records_from_bits([0, 1, 0, 1], [0, 1, 0, 1], [0] * 4)
-        est = estimate_correlation(rec)
+        est = correlation_from_counts(*joint_counts([0, 1, 0, 1], [0, 1, 0, 1]))
         assert est.E == 1.0
         assert est.std_err == 0.0
 
@@ -88,12 +92,12 @@ class TestCorrelationEstimate:
             np.full(n, PI / 8), np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64),
             100, substream(21, "corr"),
         )
-        est = estimate_correlation(records_from_bits(bits_a, bits_b, np.zeros(n)))
+        est = correlation_from_counts(*joint_counts(bits_a, bits_b))
         assert est.E == pytest.approx(math.sqrt(2) / 2, abs=0.003)
 
     def test_zero_records_undefined(self):
         with pytest.raises(UndefinedStatisticError):
-            estimate_correlation(np.empty(0, dtype=COINC_DTYPE))
+            correlation_from_counts(*joint_counts([], []))
 
 
 class TestChshEstimate:
@@ -160,7 +164,8 @@ def estimate_chsh_by_isin(records, settings_menu, slice_index=None):
     for sign, pair in zip((1.0, -1.0, 1.0, 1.0), CHSH_MENU):
         hits = same_angle(menu[:, 0], pair[0]) & same_angle(menu[:, 1], pair[1])
         selected = records[np.isin(records["setting_index"], np.flatnonzero(hits))]
-        est = estimate_correlation(selected, pair[0], pair[1])
+        counts = joint_counts(selected["bit_a"], selected["bit_b"])
+        est = correlation_from_counts(*counts, pair[0], pair[1])
         correlations.append(est)
         s_value += sign * est.E
         var += est.std_err**2

@@ -44,6 +44,17 @@ def no_bellrm_env(monkeypatch):
             monkeypatch.delenv(key)
 
 
+def fail_generation_after_one_block(monkeypatch):
+    generate = bellrm.source.iter_event_chunks
+
+    def fails_part_way(*args, **kwargs):
+        chunks = generate(*args, **kwargs)
+        yield next(chunks)
+        raise RuntimeError("generator failed")
+
+    monkeypatch.setattr(bellrm.source, "iter_event_chunks", fails_part_way)
+
+
 @pytest.fixture
 def sim_dir(tmp_path, no_bellrm_env):
     cfg = write_config(tmp_path)
@@ -252,18 +263,20 @@ class TestSimulate:
         assert not (out / "events.btag").exists()
 
     def test_failed_simulate_leaves_no_partial_file(self, tmp_path, no_bellrm_env, monkeypatch):
-        generate = bellrm.source.iter_event_chunks
-
-        def fails_part_way(*args, **kwargs):
-            chunks = generate(*args, **kwargs)
-            yield next(chunks)
-            raise RuntimeError("generator failed")
-
-        monkeypatch.setattr(bellrm.source, "iter_event_chunks", fails_part_way)
+        fail_generation_after_one_block(monkeypatch)
         out = tmp_path / "failed"
         with pytest.raises(RuntimeError, match="generator failed"):
             main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(out)])
         assert list(out.iterdir()) == []
+
+    def test_failed_simulate_keeps_the_earlier_events_file(self, sim_dir, monkeypatch):
+        before = (sim_dir / "events.btag").read_bytes()
+        fail_generation_after_one_block(monkeypatch)
+        cfg = write_config(sim_dir.parent, name="again.json")
+        with pytest.raises(RuntimeError, match="generator failed"):
+            main(["simulate", "--config", str(cfg), "--out", str(sim_dir), "--seed", "78"])
+        assert (sim_dir / "events.btag").read_bytes() == before
+        assert sorted(p.name for p in sim_dir.iterdir()) == ["events.btag", "manifest.json"]
 
     def test_simulate_removes_outputs_of_the_previous_run(self, sim_dir, capsys):
         cfg = write_config(sim_dir.parent, name="csv_config.json")
@@ -604,7 +617,8 @@ def test_analyze_memory_does_not_grow_with_the_file(tmp_path, no_bellrm_env):
 
 
 @pytest.mark.parametrize(
-    "name", ["manifest.json", "chsh_per_slice.csv", "sequences.csv", "curve.csv", "verdict.json"]
+    "name",
+    ["events.btag", "manifest.json", "chsh_per_slice.csv", "sequences.csv", "curve.csv", "verdict.json"],
 )
 def test_output_is_renamed_into_place(sim_dir, monkeypatch, name):
     # each output is written to a hidden temporary file beside it, then renamed

@@ -13,7 +13,9 @@ from bellrm import (
     ConfigError,
     ModelKind,
     OutcomeModel,
+    PairSampler,
     RunConfig,
+    RunStats,
     iter_event_chunks,
     pulse_geometry,
     pulse_index_of,
@@ -21,7 +23,7 @@ from bellrm import (
     simulate_events,
 )
 from bellrm.source import _hit_offsets
-from bellrm.streams import substream
+from bellrm.streams import per_pulse_choice, substream
 
 QM = OutcomeModel(ModelKind.QM_NONLOCAL)
 
@@ -355,3 +357,127 @@ def test_one_sort_merge_equals_two_stage_merge(monkeypatch):
         assert dropped == expected_dropped
         total_dropped += dropped
     assert total_dropped > 1000
+
+
+# Oracle: the generator as it was before every category took one path, with
+# a guard per category and the tallies kept as it went.
+
+
+def iter_event_chunks_before(config, model, stats, chunk_pulses):
+    geo = pulse_geometry(config)
+    duration_ns = geo.pulse_duration_ns
+    n_pulses = config.n_pulses
+    n_menu = len(config.settings_menu)
+    menu_alpha = np.array([p[0] for p in config.settings_menu])
+    menu_beta = np.array([p[1] for p in config.settings_menu])
+    seed = config.seed
+    sampler = PairSampler(model, seed)
+    stats.n_pulses = n_pulses
+
+    p_single = config.detection_prob_per_pulse
+    p_coinc = config.coincidence_prob_per_pulse
+
+    for block, start in enumerate(range(0, n_pulses, chunk_pulses)):
+        stop = min(start + chunk_pulses, n_pulses)
+        m = stop - start
+        chunk_t0 = int(pulse_start_ns(start, config.rep_rate_hz))
+        chunk_t1 = int(pulse_start_ns(stop, config.rep_rate_hz))
+        parts_a: list = []
+        parts_b: list = []
+
+        rng_c = substream(seed, "coincidence", block)
+        local_idx = _hit_offsets(rng_c, p_coinc, m)
+        k = local_idx.size
+        if k:
+            pulses = start + local_idx
+            starts = pulse_start_ns(pulses, config.rep_rate_hz)
+            within = rng_c.integers(0, duration_ns, k)
+            t = starts + within
+            settings = per_pulse_choice(seed, "settings", pulses, n_menu)
+            bits_a, bits_b = sampler.sample(
+                menu_alpha[settings], menu_beta[settings], starts * 1e-9, within,
+                duration_ns, rng_c,
+            )
+            parts_a.append((t, pulses, bits_a, settings))
+            parts_b.append((t, pulses, bits_b, settings))
+            stats.n_coincidence_pairs += k
+
+        for label, station_parts, attr in (
+            ("singles-a", parts_a, "n_singles_a"),
+            ("singles-b", parts_b, "n_singles_b"),
+        ):
+            if p_single <= 0:
+                continue
+            rng_s = substream(seed, label, block)
+            local_idx = _hit_offsets(rng_s, p_single, m)
+            ks = local_idx.size
+            if ks:
+                pulses = start + local_idx
+                t = pulse_start_ns(pulses, config.rep_rate_hz) + rng_s.integers(
+                    0, duration_ns, ks
+                )
+                bits = (rng_s.random(ks) < 0.5).astype(np.uint8)
+                settings = per_pulse_choice(seed, "settings", pulses, n_menu)
+                station_parts.append((t, pulses, bits, settings))
+                setattr(stats, attr, getattr(stats, attr) + ks)
+
+        if config.dark_rate_hz > 0:
+            rng_d = substream(seed, "dark", block)
+            span_s = (chunk_t1 - chunk_t0) * 1e-9
+            for station_parts, attr in ((parts_a, "n_darks_a"), (parts_b, "n_darks_b")):
+                kd = int(rng_d.poisson(config.dark_rate_hz * span_s))
+                if kd:
+                    t = np.sort(rng_d.integers(chunk_t0, chunk_t1, kd))
+                    pulses = pulse_index_of(t, config.rep_rate_hz)
+                    bits = (rng_d.random(kd) < 0.5).astype(np.uint8)
+                    settings = per_pulse_choice(seed, "settings", pulses, n_menu)
+                    station_parts.append((t, pulses, bits, settings))
+                    setattr(stats, attr, getattr(stats, attr) + kd)
+
+        if not (parts_a or parts_b):
+            continue
+        events, dropped = source._merge_stations(parts_a, parts_b)
+        stats.n_collisions_dropped += dropped
+        stats.n_events += events.size
+        yield events
+
+
+@pytest.mark.parametrize(
+    "kind, run",
+    [
+        (ModelKind.QM_NONLOCAL, {"detection_prob_per_pulse": 0.0}),
+        (ModelKind.QM_NONLOCAL, {"dark_rate_hz": 0.0}),
+        (ModelKind.QM_NONLOCAL, {"coincidence_prob_per_pulse": 0.0}),
+        (
+            ModelKind.QM_NONLOCAL,
+            {"detection_prob_per_pulse": 0.0, "coincidence_prob_per_pulse": 0.0, "dark_rate_hz": 0.0},
+        ),
+        (ModelKind.QM_NONLOCAL, {"dark_rate_hz": 3e6}),
+        # about one pair per block: a third of the blocks have none, and the
+        # pattern position must carry across them
+        (ModelKind.SCENARIO_LOCALITY_FALSE, {"coincidence_prob_per_pulse": 0.001}),
+        (ModelKind.SCENARIO_ERGODICITY_FALSE, {"coincidence_prob_per_pulse": 0.001}),
+    ],
+)
+def test_generator_equals_the_one_with_a_guard_per_category(kind, run):
+    # 100 Hz darks put about 0.1 dark per block and station: most blocks draw
+    # none at station A and then draw station B's from the same stream
+    cfg = RunConfig(
+        **{
+            "seed": 101,
+            "run_duration_s": 0.05,
+            "detection_prob_per_pulse": 0.1,
+            "coincidence_prob_per_pulse": 0.02,
+            "dark_rate_hz": 100.0,
+            **run,
+        }
+    )
+    model = OutcomeModel(kind)
+    got_stats, want_stats = RunStats(), RunStats()
+    got = list(iter_event_chunks(cfg, model, got_stats, chunk_pulses=1000))
+    want = list(iter_event_chunks_before(cfg, model, want_stats, chunk_pulses=1000))
+    assert [e.tobytes() for e in got] == [e.tobytes() for e in want]
+    assert got_stats == want_stats
+    assert got_stats.n_pulses == 50_000
+    if not (cfg.detection_prob_per_pulse or cfg.coincidence_prob_per_pulse or cfg.dark_rate_hz):
+        assert got == []

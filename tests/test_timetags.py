@@ -31,6 +31,7 @@ from bellrm import (
     write_btag,
     write_csv,
 )
+from bellrm import btag
 from bellrm.btag import PIECE_RECORDS
 
 REP = 1e6  # Hz; 1000 ns period in these tests
@@ -524,6 +525,25 @@ class TestBtagFormat:
         back = read_btag(path)
         assert np.array_equal(ev, back)
 
+    def test_failed_count_patch_leaves_the_old_file(self, tmp_path, rng, monkeypatch):
+        path = tmp_path / "events.btag"
+        write_btag(path, self.events(rng))
+        before = path.read_bytes()
+        pack = btag._pack_header
+
+        def fails_on_the_count(count):
+            if count:
+                raise OSError("no space left on device")
+            return pack(count)
+
+        monkeypatch.setattr(btag, "_pack_header", fails_on_the_count)
+        writer = btag.BtagWriter(path)  # alive after the failure
+        with pytest.raises(OSError, match="no space left"):
+            with writer:
+                writer.write(self.events(rng)[:50])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["events.btag"]
+
     def test_empty_file_is_valid(self, tmp_path):
         path = tmp_path / "empty.btag"
         write_btag(path, np.empty(0, dtype=EVENT_DTYPE))
@@ -587,8 +607,22 @@ class TestBtagFormat:
     def test_csv_mirror_round_trip(self, tmp_path, rng):
         ev = self.events(rng)
         path = tmp_path / "events.csv"
-        write_csv(path, ev)
+        write_csv(path, [ev])
         first_lines = path.read_text().splitlines()[:2]
         assert first_lines[0] == "timestamp_ns,pulse_index,station,port_bit,setting_index"
         assert first_lines[1].split(",")[2] in ("A", "B")
         assert np.array_equal(read_csv(path), ev)
+
+    def test_csv_of_pieces_equals_csv_of_the_whole(self, tmp_path, rng):
+        ev = self.events(rng)
+        whole, pieces = tmp_path / "whole.csv", tmp_path / "pieces.csv"
+        write_csv(whole, [ev])
+        write_csv(pieces, (ev[i : i + 7] for i in range(0, ev.size, 7)))
+        assert pieces.read_bytes() == whole.read_bytes()
+        # one record per line, formatted field by field
+        rows = whole.read_text().splitlines()[1:]
+        assert rows == [
+            "%d,%d,%s,%d,%d" % (r["timestamp_ns"], r["pulse_index"], "AB"[r["station"]],
+                                r["port_bit"], r["setting_index"])
+            for r in ev
+        ]
