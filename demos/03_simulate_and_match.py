@@ -14,12 +14,14 @@ from bellrm import (
     ModelKind,
     OutcomeModel,
     RunConfig,
-    extract_sequence,
+    STATION_A,
+    STATION_B,
     match_events,
     pulse_geometry,
     read_btag,
     simulate_to_btag,
     slice_index_of,
+    slice_sequences,
 )
 
 cfg = RunConfig(
@@ -59,8 +61,9 @@ bits_b = in_pulse["bit_b"]
 agree = float(np.mean(bits_a == bits_b))
 print("in-pulse records: %d, agreement %.4f" % (in_pulse.size, agree))
 
-seq_a = extract_sequence(records, 0, 0)
-seq_b = extract_sequence(records, 1, 0)
+sequences = slice_sequences(records, 2)
+seq_a = sequences[0, STATION_A]
+seq_b = sequences[0, STATION_B]
 print(
     "first-half-of-pulse key, station A vs B (first 64 bits):\n  %s\n  %s"
     % (

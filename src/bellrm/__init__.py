@@ -16,7 +16,6 @@ from .btag import (
     BtagWriter,
     iter_btag,
     read_btag,
-    read_csv,
     write_btag,
     write_csv,
 )
@@ -33,11 +32,8 @@ from .chsh import (
     ergodicity_gap,
     estimate_chsh,
     model_time_average,
-    qm_chsh_value,
     s_vs_window,
-    time_average_trace,
     write_chsh_csv,
-    write_ergodicity_csv,
 )
 from .errors import (
     BellrmError,
@@ -96,8 +92,8 @@ from .source import (
 )
 from .timetags import (
     COINC_DTYPE,
-    extract_sequence,
     match_events,
     sequence_partition,
     slice_index_of,
+    slice_sequences,
 )

@@ -24,7 +24,8 @@ which copies whole records.  The order is checked where the
 stream is matched (``timetags.match_events``).  ``BtagWriter`` writes a
 file through ``atomic_open``, so a file appears whole or not at all.  The
 CSV mirror carries one record per line in the same field order, station
-written as A/B; ``write_csv`` writes it piece by piece.
+written as A/B.  It is an export for other tools: ``write_csv`` writes it
+piece by piece, and bellrm has no CSV reader.
 """
 
 from __future__ import annotations
@@ -197,16 +198,3 @@ def write_csv(path: str | Path, pieces) -> None:
             )
             fh.writelines(map("%d,%d,%s,%d,%d\n".__mod__, zip(*columns)))
 
-
-def read_csv(path: str | Path) -> np.ndarray:
-    letters = {"A": STATION_A, "B": STATION_B, "0": STATION_A, "1": STATION_B}
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise IntegrityError(f"{path}: unexpected CSV header {header!r}", 0)
-        for line in fh:
-            t, p, st, bit, s = line.strip().split(",")
-            rows.append((int(t), int(p), letters[st], int(bit), int(s)))
-    out = np.array(rows, dtype=EVENT_DTYPE) if rows else np.empty(0, dtype=EVENT_DTYPE)
-    return out

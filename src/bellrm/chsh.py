@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import atomic_open
-from .btag import STATION_A, STATION_B
+from .btag import STATION_B
 from .errors import (
     ConfigError,
     IncompleteSettingsError,
@@ -27,7 +27,6 @@ from .errors import (
 )
 from .models import (
     PI,
-    HIDDEN_VARIABLE_KINDS,
     ModelKind,
     OutcomeModel,
     local_hv_bit,
@@ -161,14 +160,6 @@ def estimate_chsh(
     return chsh_from_table(table, settings_menu, slice_index)
 
 
-def qm_chsh_value() -> float:
-    """Quantum prediction at the standard angles: 2*sqrt(2)."""
-    s = 0.0
-    for sign, (a, b) in zip(CHSH_SIGNS, CHSH_MENU):
-        s += sign * math.cos(2.0 * (a - b))
-    return abs(s)
-
-
 # --------------------------------------------------------------------------
 # S versus coincidence window
 # --------------------------------------------------------------------------
@@ -263,27 +254,16 @@ class ErgodicityReport:
 
 
 def ensemble_average(
-    model: OutcomeModel,
-    alpha: float,
-    n_samples: int = 1_000_000,
-    seed: int = 0,
-    lam_samples: np.ndarray | None = None,
+    model: OutcomeModel, alpha: float, n_samples: int = 1_000_000, seed: int = 0
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the hidden-variable ensemble average.
 
     Integrates the transmitted-port probability over the stationary
-    density of the hidden angle; ``lam_samples`` substitutes an explicit
-    sample set (e.g. a degenerate density) for the model's own.
+    density of the hidden angle; a model without one is an
+    ``UnsupportedModelError``.
     """
-    if lam_samples is None:
-        if model.kind not in HIDDEN_VARIABLE_KINDS:
-            raise UnsupportedModelError(
-                f"{model.kind.value} has no hidden-variable ensemble"
-            )
-        lam_samples = stationary_lambda_samples(
-            model, n_samples, substream(seed, "ensemble-average")
-        )
-    transmitted = local_hv_bit(lam_samples, alpha) == 0
+    lam = stationary_lambda_samples(model, n_samples, substream(seed, "ensemble-average"))
+    transmitted = local_hv_bit(lam, alpha) == 0
     p = float(np.mean(transmitted))
     se = math.sqrt(p * (1.0 - p) / transmitted.size)
     return p, se
@@ -322,23 +302,6 @@ def model_time_average(
     p = float(np.mean(transmitted))
     se = math.sqrt(p * (1.0 - p) / n)
     return p, se, n
-
-
-def time_average_trace(
-    events: np.ndarray, t_start_s: float, window_s: float
-) -> tuple[float, float, int]:
-    """Transmitted fraction of station A's events inside a window of the trace."""
-    t0 = int(round(t_start_s * 1e9))
-    t1 = int(round((t_start_s + window_s) * 1e9))
-    mask = (events["station"] == STATION_A) & (events["timestamp_ns"] >= t0) & (
-        events["timestamp_ns"] < t1
-    )
-    selected = events[mask]
-    if selected.size == 0:
-        raise UndefinedStatisticError("no events inside the window")
-    p = float(np.mean(selected["port_bit"] == 0))
-    se = math.sqrt(p * (1.0 - p) / selected.size)
-    return p, se, int(selected.size)
 
 
 def ergodicity_gap(
@@ -403,23 +366,3 @@ def write_chsh_csv(path, estimates: list[ChshEstimate]) -> None:
                 + [f"{c.E:.6f}" for c in est.correlations]
             )
 
-
-def write_ergodicity_csv(path, reports: list[ErgodicityReport]) -> None:
-    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["alpha", "window_s", "ensemble_avg", "time_avg", "gap", "threshold", "z"]
-        )
-        for rep in reports:
-            z = rep.z if math.isfinite(rep.z) else "inf"
-            writer.writerow(
-                [
-                    f"{rep.alpha:.6f}",
-                    f"{rep.window_s:.9f}",
-                    f"{rep.ensemble_avg:.6f}",
-                    f"{rep.time_avg:.6f}",
-                    f"{rep.gap:.6f}",
-                    f"{rep.threshold:.6f}",
-                    z if isinstance(z, str) else f"{z:.3f}",
-                ]
-            )

@@ -10,12 +10,14 @@ coincidence window.  No chain of events crosses such a gap, so matching
 each part on its own gives the records one pass over the whole stream
 gives.  Between parts the pipeline carries only the integer CHSH count
 table, the coincidence count and, per (slice, station), the bits not yet
-in a full ``sequence_length`` block.  Each part's bits are appended to
-those and cut with ``timetags.sequence_partition``, so the blocks are the
-ones a cut of the whole stream gives, and each full block goes to the
-battery as soon as it is complete.  Memory therefore does not grow with
-the length of the run.  S is computed per slice from the count table at
-the four standard CHSH pairs (see :mod:`bellrm.chsh`).
+in a full ``sequence_length`` block.  ``timetags.slice_sequences`` splits
+a part's bits by (slice, station) in one pass; each sequence is appended
+to the bits carried for its key and cut with
+``timetags.sequence_partition``, so the blocks are the ones a cut of the
+whole stream gives, and each full block goes to the battery as soon as it
+is complete.  Memory therefore does not grow with the length of the run.
+S is computed per slice from the count table at the four standard CHSH
+pairs (see :mod:`bellrm.chsh`).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .randommeter import (
     run_battery,
 )
 from .source import RunConfig, pulse_geometry
-from .timetags import extract_sequence, match_events, sequence_partition, slice_index_of
+from .timetags import match_events, sequence_partition, slice_index_of, slice_sequences
 
 
 @dataclass
@@ -181,10 +183,10 @@ def analyze_pieces(pieces: Iterable[np.ndarray], run: RunConfig, analysis: Analy
         )
         counts += count_table(records, n_menu, n_slices)
         n_coincidences += records.size
-        for key in keys:
+        for key, part_bits in slice_sequences(records, n_slices).items():
             slice_index, station = key
             done = reports[key]
-            bits = np.concatenate([pending[key], extract_sequence(records, station, slice_index)])
+            bits = np.concatenate([pending[key], part_bits])
             blocks = sequence_partition(bits, length)
             pending[key] = bits[len(blocks) * length :].copy()
             for block in blocks:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .btag import EVENT_DTYPE, STATION_A, STATION_B, BtagWriter
+from .btag import EVENT_DTYPE, STATION_A, STATION_B, BtagWriter, join_events
 from .errors import ConfigError, require_finite
 from .models import PI, OutcomeModel, PairSampler, normalize_angle
 from .streams import per_pulse_choice, substream
@@ -358,16 +358,14 @@ def iter_event_chunks(
         stats.n_events += events.size
         if events.size:
             yield events
+        del events  # not held while the next block is built
 
 
 def simulate_events(config: RunConfig, model: OutcomeModel) -> tuple[np.ndarray, RunStats]:
     """Generate the whole run in memory (small and medium runs)."""
     stats = RunStats()
     chunks = list(iter_event_chunks(config, model, stats))
-    if chunks:
-        events = np.concatenate(chunks)
-    else:
-        events = np.empty(0, dtype=EVENT_DTYPE)
+    events = join_events(chunks) if chunks else np.empty(0, dtype=EVENT_DTYPE)
     return events, stats
 
 
@@ -377,4 +375,5 @@ def simulate_to_btag(config: RunConfig, model: OutcomeModel, path) -> RunStats:
     with BtagWriter(path) as writer:
         for chunk in iter_event_chunks(config, model, stats):
             writer.write(chunk)
+            del chunk  # not held while the next block is built
     return stats

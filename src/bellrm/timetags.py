@@ -17,11 +17,14 @@ does so).
 
 :func:`slice_index_of` holds the pulse-slice boundary rule; callers write
 its result into the records' ``slice_index`` column.
-:func:`extract_sequence` and :func:`sequence_partition` turn sliced
-records into the bit blocks the randomness battery tests.
+:func:`slice_sequences` splits sliced records into one bit sequence per
+(slice, station) in a single sort, and :func:`sequence_partition` cuts a
+sequence into the bit blocks the randomness battery tests.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -105,12 +108,17 @@ def _greedy_pairs_lockstep(
     return a_pos[np.concatenate(paired_i)], b_pos[np.concatenate(paired_j)]
 
 
-def _effective_setting_table(settings_menu) -> np.ndarray:
-    """eff[sa, sb] = menu index of (alpha of sa, beta of sb), or -1."""
-    menu = np.asarray(settings_menu, dtype=np.float64).reshape(-1, 2)
+@functools.lru_cache(maxsize=8)
+def _effective_setting_table(settings_menu: tuple[tuple[float, float], ...]) -> np.ndarray:
+    """eff[sa, sb] = menu index of (alpha of sa, beta of sb), or -1.
+
+    Built once per menu, a tuple of (alpha, beta) tuples; shared, so read-only.
+    """
+    menu = np.array(settings_menu, dtype=np.float64).reshape(-1, 2)
     eff = np.full((len(menu), len(menu)), -1, dtype=np.int32)
     for k, (a, b) in enumerate(menu):  # a later duplicate entry wins
         eff[np.ix_(same_angle(menu[:, 0], a), same_angle(menu[:, 1], b))] = k
+    eff.flags.writeable = False
     return eff
 
 
@@ -198,7 +206,8 @@ def match_events(
     records["bit_b"] = events["port_bit"][b_pos]
     records["slice_index"] = -1
     setting_a = events["setting_index"][a_pos].astype(np.int32)
-    cross = _effective_setting_table(settings_menu)[setting_a, events["setting_index"][b_pos]]
+    menu = tuple(map(tuple, np.asarray(settings_menu, dtype=np.float64).reshape(-1, 2).tolist()))
+    cross = _effective_setting_table(menu)[setting_a, events["setting_index"][b_pos]]
     same_pulse = records["pulse_index"] == events["pulse_index"][b_pos]
     records["setting_index"] = np.where(same_pulse, setting_a, cross)
     return records
@@ -222,15 +231,22 @@ def slice_index_of(
     return idx.astype(np.int16)
 
 
-def extract_sequence(records: np.ndarray, station: int, slice_index: int) -> np.ndarray:
-    """Bits of one station's coincidences in one slice, in time order, as uint8.
+def slice_sequences(records: np.ndarray, n_slices: int) -> dict[tuple[int, int], np.ndarray]:
+    """``{(slice, station): bits}`` for every slice in [0, n_slices), as uint8.
 
-    An empty selection is a valid empty sequence, not an error.
+    Bits stay in time order.  One stable sort by slice groups them: slice
+    -1 (outside every slice) sorts first and is dropped, and an empty slice
+    gives empty sequences.  Every slice index must lie in [-1, n_slices).
     """
-    if station not in (STATION_A, STATION_B):
-        raise ConfigError("station must be 0 (A) or 1 (B)")
-    column = "bit_a" if station == STATION_A else "bit_b"
-    return records[column][records["slice_index"] == slice_index]
+    slices = records["slice_index"]
+    order = np.argsort(slices, kind="stable")
+    bounds = np.cumsum(np.bincount(slices + 1, minlength=n_slices + 1)).tolist()
+    bits = {STATION_A: records["bit_a"][order], STATION_B: records["bit_b"][order]}
+    return {
+        (s, station): bits[station][bounds[s] : bounds[s + 1]]
+        for s in range(n_slices)
+        for station in (STATION_A, STATION_B)
+    }
 
 
 def sequence_partition(bits: np.ndarray, target_length: int) -> list[np.ndarray]:

@@ -149,7 +149,7 @@ def test_criterion_04_local_bound():
 
 
 def test_criterion_05_sequence_identity():
-    from bellrm import extract_sequence
+    from bellrm import slice_sequences
 
     outcomes = {}
     for label, beta_offset in (("aligned", 0.0), ("orthogonal", PI / 2)):
@@ -167,9 +167,10 @@ def test_criterion_05_sequence_identity():
         )
         mismatches = 0
         total = 0
+        sequences = slice_sequences(records, 2)
         for s in (0, 1):
-            bits_a = extract_sequence(records, 0, s)
-            bits_b = extract_sequence(records, 1, s)
+            bits_a = sequences[s, 0]
+            bits_b = sequences[s, 1]
             expected = bits_b if beta_offset == 0.0 else 1 - bits_b
             mismatches += int(np.count_nonzero(bits_a != expected))
             total += bits_a.size

@@ -25,14 +25,13 @@ from bellrm import (
     estimate_chsh,
     local_hv_bit,
     model_time_average,
-    qm_chsh_value,
+    qm_correlation,
     same_angle,
     s_vs_window,
     simulate_events,
-    time_average_trace,
     write_chsh_csv,
-    write_ergodicity_csv,
 )
+from bellrm.chsh import CHSH_SIGNS
 from bellrm.streams import substream
 
 PI = math.pi
@@ -105,7 +104,8 @@ class TestChshEstimate:
         rec = sampled_records(QM, 250_000, seed=23)
         est = estimate_chsh(rec, CHSH_MENU)
         assert est.S == pytest.approx(2 * math.sqrt(2), abs=0.01)
-        assert qm_chsh_value() == pytest.approx(2 * math.sqrt(2), abs=1e-12)
+        qm = abs(sum(sign * qm_correlation(a, b) for sign, (a, b) in zip(CHSH_SIGNS, CHSH_MENU)))
+        assert qm == pytest.approx(2 * math.sqrt(2), abs=1e-12)
 
     def test_local_model_sits_at_classical_bound(self):
         # oracle: sawtooth correlation gives |0.5 + 0.5 + 0.5 + 0.5| = 2
@@ -244,11 +244,6 @@ class TestEnsembleAverage:
             mc, se = ensemble_average(LOCAL, alpha, n_samples=10**6, seed=37)
             assert abs(mc - 0.5) < 4 * se
 
-    def test_degenerate_density_aligned(self):
-        mean, se = ensemble_average(LOCAL, 0.7, lam_samples=np.full(1000, 0.7))
-        assert mean == 1.0
-        assert se == 0.0
-
     def test_nonergodic_shares_stationary_density(self):
         mean, se = ensemble_average(NONERG, 0.9, n_samples=10**6, seed=39)
         assert abs(mean - 0.5) < 4 * se
@@ -256,12 +251,6 @@ class TestEnsembleAverage:
     def test_quantum_kind_unsupported(self):
         with pytest.raises(UnsupportedModelError):
             ensemble_average(QM, 0.0)
-
-    def test_reshuffling_invariance(self, rng):
-        lam = rng.random(10_000) * PI
-        m1, _ = ensemble_average(LOCAL, 0.3, lam_samples=lam)
-        m2, _ = ensemble_average(LOCAL, 0.3, lam_samples=rng.permutation(lam))
-        assert m1 == m2
 
 
 class TestTimeAverage:
@@ -278,21 +267,6 @@ class TestTimeAverage:
         tavg, _, n = model_time_average(NONERG, 0.0, 0.0, window, 1e6, seed=43)
         assert n == 100
         assert tavg == 1.0
-
-    def test_constant_trace(self):
-        from bellrm import EVENT_DTYPE
-
-        ev = np.zeros(50, dtype=EVENT_DTYPE)
-        ev["timestamp_ns"] = np.arange(50) * 1000
-        ev["port_bit"] = 0
-        mean, se, n = time_average_trace(ev, 0.0, 1.0)
-        assert mean == 1.0 and n == 50
-
-    def test_empty_window_is_an_error(self):
-        from bellrm import EVENT_DTYPE
-
-        with pytest.raises(UndefinedStatisticError):
-            time_average_trace(np.empty(0, dtype=EVENT_DTYPE), 0.0, 1.0)
 
 
 class TestErgodicityGap:
@@ -314,14 +288,6 @@ class TestErgodicityGap:
         assert short.gap == pytest.approx(0.5, abs=0.01)
         assert short.z > 10
         assert full.gap < full.threshold
-
-    def test_csv_emission(self, tmp_path):
-        reports = ergodicity_gap(LOCAL, 0.0, [0.01], n_ensemble=10**4, seed=49)
-        path = tmp_path / "ergodicity.csv"
-        write_ergodicity_csv(path, reports)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "alpha,window_s,ensemble_avg,time_avg,gap,threshold,z"
-        assert len(lines) == 2
 
 
 @pytest.fixture(scope="module")

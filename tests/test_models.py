@@ -86,6 +86,12 @@ class TestLocalHvBit:
     def test_orthogonal_reflects(self):
         assert local_hv_bit(0.0, PI / 2) == 1
 
+    def test_hidden_angle_equal_to_the_setting_always_transmits(self):
+        # a density concentrated on lambda = alpha has transmitted fraction 1
+        angles = np.linspace(0.0, PI, 1000, endpoint=False)
+        assert np.all(local_hv_bit(angles, angles) == 0)
+        assert np.all(local_hv_bit(np.full(1000, 0.7), 0.7) == 0)
+
     def test_sawtooth_correlation_from_grid_integration(self):
         # independent oracle: integrate the product of deterministic bits
         # over a dense uniform grid of the hidden angle

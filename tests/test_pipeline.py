@@ -23,6 +23,7 @@ from bellrm import (
     write_chsh_csv,
 )
 from bellrm.pipeline import AnalysisConfig, analyze_pieces, cut_at_gaps
+from bellrm.timetags import _effective_setting_table
 
 
 def test_menu_without_a_chsh_pair_is_inconclusive(tmp_path):
@@ -178,3 +179,25 @@ def test_reading_in_small_pieces_gives_the_same_analysis(tmp_path):
     pieces = analyze_pieces(iter_btag(path, piece_records=1000), cfg, analysis)
     assert whole[0] > 0 and len(whole[4]) >= 16
     assert repr(pieces) == repr(whole)
+
+
+def test_the_settings_table_is_built_once_per_analysis():
+    # a menu of its own, so no earlier test has cached its table
+    menu = [*CHSH_MENU, (0.1, 0.2)]
+    cfg = RunConfig(
+        seed=47, run_duration_s=1.0, coincidence_prob_per_pulse=0.05,
+        dark_rate_hz=1e4, settings_menu=menu,
+    )
+    events, _ = simulate_events(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))
+    pieces = np.array_split(events, 5)
+    analysis = AnalysisConfig(window_ns=5)
+    n_parts = len(list(cut_at_gaps(pieces, analysis.window_ns)))
+    assert n_parts >= 3
+    _effective_setting_table.cache_clear()
+    analyze_pieces(pieces, cfg, analysis)
+    info = _effective_setting_table.cache_info()
+    assert (info.misses, info.hits) == (1, n_parts - 1)
+
+    table = _effective_setting_table(tuple(map(tuple, menu)))
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 1] = 0

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bellrm import (
@@ -18,16 +18,15 @@ from bellrm import (
     STATION_B,
     StreamOrderError,
     estimate_chsh,
-    extract_sequence,
     iter_btag,
     match_events,
     pulse_geometry,
     pulse_index_of,
     read_btag,
-    read_csv,
     sequence_partition,
     simulate_events,
     slice_index_of,
+    slice_sequences,
     write_btag,
     write_csv,
 )
@@ -296,7 +295,9 @@ def match_events_before(events, window_ns, *, rep_rate_hz, settings_menu):
     records["bit_a"] = a["port_bit"]
     records["bit_b"] = b["port_bit"]
     records["slice_index"] = -1
-    cross = _effective_setting_table(settings_menu)[setting_a, b["setting_index"]]
+    cross = _effective_setting_table(tuple(map(tuple, settings_menu)))[
+        setting_a, b["setting_index"]
+    ]
     records["setting_index"] = np.where(pulse_a == b["pulse_index"], setting_a, cross)
     return records
 
@@ -463,29 +464,73 @@ class TestSequences:
         return with_slices(rec, 2, pulse_geometry(cfg).pulse_duration_ns)
 
     def test_aligned_settings_give_identical_sequences(self):
-        rec = self.qm_records([(0.3, 0.3)])
+        sequences = slice_sequences(self.qm_records([(0.3, 0.3)]), 2)
         for s in (0, 1):
-            seq_a = extract_sequence(rec, STATION_A, s)
-            seq_b = extract_sequence(rec, STATION_B, s)
+            seq_a, seq_b = sequences[s, STATION_A], sequences[s, STATION_B]
             assert seq_a.size > 100
             assert np.array_equal(seq_a, seq_b)
 
     def test_orthogonal_settings_give_complementary_sequences(self):
-        rec = self.qm_records([(0.3, 0.3 + math.pi / 2)])
+        sequences = slice_sequences(self.qm_records([(0.3, 0.3 + math.pi / 2)]), 2)
         for s in (0, 1):
-            seq_a = extract_sequence(rec, STATION_A, s)
-            seq_b = extract_sequence(rec, STATION_B, s)
-            assert np.array_equal(seq_a, 1 - seq_b)
+            assert np.array_equal(sequences[s, STATION_A], 1 - sequences[s, STATION_B])
 
     def test_bits_follow_record_time_order(self):
         ea = make_events(np.arange(10) * 1000, STATION_A, ports=[0, 1] * 5)
         eb = make_events(np.arange(10) * 1000, STATION_B, ports=[1, 0] * 5)
         rec = with_slices(match_stations(ea, eb, 2), 2, 100)
-        seq = extract_sequence(rec, STATION_A, 0)
+        sequences = slice_sequences(rec, 2)
+        assert list(sequences) == [(0, STATION_A), (0, STATION_B), (1, STATION_A), (1, STATION_B)]
+        seq = sequences[0, STATION_A]
         assert seq.dtype == np.uint8
         assert seq.tolist() == [0, 1] * 5
-        empty = extract_sequence(rec, STATION_B, 1)  # empty, not an error
+        empty = sequences[1, STATION_B]  # empty, not an error
         assert empty.dtype == np.uint8 and empty.size == 0
+
+    def test_records_outside_every_slice_are_dropped(self):
+        rec = np.zeros(5, dtype=COINC_DTYPE)
+        rec["slice_index"] = [-1, 1, -1, 0, 1]
+        rec["bit_a"] = [1, 0, 1, 1, 1]
+        rec["bit_b"] = [0, 1, 0, 0, 0]
+        sequences = slice_sequences(rec, 2)
+        assert sequences[0, STATION_A].tolist() == [1]
+        assert sequences[1, STATION_A].tolist() == [0, 1]
+        assert sequences[1, STATION_B].tolist() == [1, 0]
+        assert sum(bits.size for bits in sequences.values()) == 2 * 3
+
+    def test_no_records_give_empty_sequences(self):
+        sequences = slice_sequences(np.empty(0, dtype=COINC_DTYPE), 3)
+        assert len(sequences) == 6
+        assert all(bits.dtype == np.uint8 and bits.size == 0 for bits in sequences.values())
+
+
+def extract_sequence(records, station, slice_index):
+    """Oracle: one station's bits in one slice, by a boolean mask."""
+    column = "bit_a" if station == STATION_A else "bit_b"
+    return records[column][records["slice_index"] == slice_index]
+
+
+@given(
+    st.integers(2, 5).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(-1, n - 1), st.integers(0, 1), st.integers(0, 1))),
+        )
+    )
+)
+@example((3, [(-1, 1, 0), (0, 0, 1), (2, 1, 1), (-1, 0, 0), (0, 1, 0)]))  # slice -1, empty slice 1
+def test_slice_sequences_equal_one_mask_per_key(case):
+    n_slices, rows = case
+    records = np.zeros(len(rows), dtype=COINC_DTYPE)
+    if rows:
+        records["slice_index"], records["bit_a"], records["bit_b"] = zip(*rows)
+    sequences = slice_sequences(records, n_slices)
+    assert list(sequences) == [
+        (s, station) for s in range(n_slices) for station in (STATION_A, STATION_B)
+    ]
+    for (s, station), bits in sequences.items():
+        assert bits.dtype == np.uint8
+        assert bits.tolist() == extract_sequence(records, station, s).tolist()
 
 
 class TestSequencePartition:
@@ -611,7 +656,11 @@ class TestBtagFormat:
         first_lines = path.read_text().splitlines()[:2]
         assert first_lines[0] == "timestamp_ns,pulse_index,station,port_bit,setting_index"
         assert first_lines[1].split(",")[2] in ("A", "B")
-        assert np.array_equal(read_csv(path), ev)
+        back = np.loadtxt(
+            path, dtype=EVENT_DTYPE, delimiter=",", skiprows=1,
+            converters={2: {"A": STATION_A, "B": STATION_B}.__getitem__},
+        )
+        assert np.array_equal(back, ev)
 
     def test_csv_of_pieces_equals_csv_of_the_whole(self, tmp_path, rng):
         ev = self.events(rng)
