@@ -90,8 +90,15 @@ def _result(name: str, statistic: float, p_value: float, alpha_sig: float) -> Te
     return TestResult(name, float(statistic), p_value, p_value < alpha_sig)
 
 
+class _CheckedBits(np.ndarray):
+    """A sequence :func:`_as_bits` has already checked.  ``run_battery``
+    checks its sequence once and hands each test this view of it."""
+
+
 def _as_bits(bits) -> np.ndarray:
     """``bits`` as a 1-d uint8 array; every value must be 0 or 1."""
+    if type(bits) is _CheckedBits:
+        return bits.view(np.ndarray)
     arr = np.asarray(bits)
     if arr.ndim != 1:
         raise ConfigError("bit sequence must be one-dimensional")
@@ -302,6 +309,7 @@ def run_battery(bits, config: BatteryConfig = BatteryConfig(), sequence_id: str 
     Overall rejection is any-test-rejects with no multiplicity correction;
     the implied compound false-alarm level is config.false_alarm_rate.
     """
+    bits = _as_bits(bits).view(_CheckedBits)
     results = (
         monobit_test(bits, config.alpha_sig),
         runs_test(bits, config.alpha_sig),

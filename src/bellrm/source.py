@@ -16,7 +16,11 @@ the pulses holding a pair or a single are found by drawing geometric gaps
 between hits, so the work follows the number of events, not of pulses.
 Every block builds each category (pairs, singles, darks, per station)
 the same way, empty or not, and ``RunStats`` counts them from the sizes
-of the block's category arrays beside the merged block.
+of the block's category arrays.  The block's categories are then merged
+in time slabs of about 65,536 events, cut at shared time edges, and each
+slab is yielded as one chunk.  A same-ns repeat never straddles a cut,
+so the slabs join into the stream a whole-block merge gives: the block
+fixes the stream, and the slab only bounds the merge's memory.
 
 ``GENERATOR_VERSION`` names the way a seed becomes bytes.  Version 1 drew
 a uniform per pulse; version 2 draws the gaps.  The manifest records it,
@@ -50,8 +54,16 @@ CHSH_MENU = (
 #: version of the seed -> bytes mapping, recorded in every manifest.
 GENERATOR_VERSION = 2
 
+# most settings_menu entries: analyze's n^2 int32 table of cross-pulse
+# settings takes 67 MB at this size, and 17 GB at the 65,536 a u16
+# setting_index could name
+_MAX_MENU = 4096
+
 _MAX_PULSES = 2**32 - 1
 _DEFAULT_CHUNK = 1 << 22
+# events per merged slab, about: a block is merged in time slabs of this
+# size, so the merge's sort and gather hold one slab, not the whole block
+_SLAB_EVENTS = 1 << 16
 
 
 @dataclass
@@ -112,8 +124,12 @@ class RunConfig:
             raise ConfigError("dark_rate_hz must be >= 0")
         if not self.settings_menu:
             raise ConfigError("settings_menu must not be empty")
-        if len(self.settings_menu) > 65536:
-            raise ConfigError("settings_menu is limited to 65536 entries")
+        if len(self.settings_menu) > _MAX_MENU:
+            raise ConfigError(
+                f"settings_menu has {len(self.settings_menu)} entries, more than "
+                f"{_MAX_MENU}: analyze builds an n^2 table of cross-pulse settings "
+                "for a menu of n entries"
+            )
         if self.n_pulses > _MAX_PULSES:
             raise ConfigError("run too long: pulse index would overflow 32 bits")
         geo = pulse_geometry(self)
@@ -293,11 +309,12 @@ def iter_event_chunks(
 ):
     """Yield merged, time-sorted event chunks covering the whole run.
 
-    Chunks partition the pulse train; all events of a chunk fall inside
-    its time window, so concatenating chunks preserves global order.
     Each block of ``chunk_pulses`` pulses draws from its own substreams,
-    so the stream a seed gives depends on the block size.  A block
-    without events is not yielded.
+    so the stream a seed gives depends on the block size.  A chunk is a
+    time slab of a block: no event of a chunk is later than an event of
+    the next, so concatenating chunks gives the global order, and the
+    chunks of a block join into its whole-block merge.  An empty slab is
+    not yielded.
     """
     geo = pulse_geometry(config)
     duration_ns = geo.pulse_duration_ns
@@ -346,7 +363,6 @@ def iter_event_chunks(
             t = np.sort(rng.integers(chunk_t0, chunk_t1, int(rng.poisson(mean_darks))))
             station_parts.append(_unpaired(seed, rng, t, pulse_index_of(t, rep_rate_hz), n_menu))
 
-        events, dropped = _merge_stations(parts_a, parts_b)
         pairs, singles_a, darks_a = (t.size for t, *_ in parts_a)
         _, singles_b, darks_b = (t.size for t, *_ in parts_b)
         stats.n_coincidence_pairs += pairs
@@ -354,11 +370,32 @@ def iter_event_chunks(
         stats.n_singles_b += singles_b
         stats.n_darks_a += darks_a
         stats.n_darks_b += darks_b
-        stats.n_collisions_dropped += dropped
-        stats.n_events += events.size
-        if events.size:
-            yield events
-        del events  # not held while the next block is built
+
+        # Every part is sorted by time, so shared time edges cut each one
+        # into contiguous slabs, and a same-ns repeat falls in one slab.
+        # The last slab runs to each part's end, not to chunk_t1: a pulse
+        # that fills its whole period can put an event on chunk_t1 itself.
+        parts = parts_a + parts_b
+        n_slabs = -(-sum(part[0].size for part in parts) // _SLAB_EVENTS)
+        span = chunk_t1 - chunk_t0
+        edges = np.array(
+            [chunk_t0 + span * k // n_slabs for k in range(1, n_slabs)], dtype=np.int64
+        )
+        cuts = [[0, *np.searchsorted(part[0], edges), part[0].size] for part in parts]
+        for k in range(n_slabs):
+            slabs = [
+                tuple(column[cut[k] : cut[k + 1]] for column in part)
+                for part, cut in zip(parts, cuts)
+            ]
+            events, dropped = _merge_stations(slabs[: len(parts_a)], slabs[len(parts_a) :])
+            del slabs
+            stats.n_collisions_dropped += dropped
+            stats.n_events += events.size
+            if events.size:
+                yield events
+            del events  # not held while the next slab is merged
+        # nor are the block's draws while the next block is drawn
+        del parts, parts_a, parts_b, station_parts, t, pulses, settings, bits_a, bits_b
 
 
 def simulate_events(config: RunConfig, model: OutcomeModel) -> tuple[np.ndarray, RunStats]:
@@ -370,10 +407,14 @@ def simulate_events(config: RunConfig, model: OutcomeModel) -> tuple[np.ndarray,
 
 
 def simulate_to_btag(config: RunConfig, model: OutcomeModel, path) -> RunStats:
-    """Stream the run straight into a BTAG file."""
+    """Stream the run straight into a BTAG file, one time slab at a time.
+
+    Memory holds one block's draws and one slab's merge, whatever the
+    run's length; the bytes are those of :func:`simulate_events`.
+    """
     stats = RunStats()
     with BtagWriter(path) as writer:
         for chunk in iter_event_chunks(config, model, stats):
             writer.write(chunk)
-            del chunk  # not held while the next block is built
+            del chunk  # not held while the next slab is merged
     return stats

@@ -128,6 +128,16 @@ class TestSimulate:
         assert code == 2
         assert "detection_prob_per_pulse" in capsys.readouterr().err
 
+    def test_menu_beyond_its_settings_table_exits_2(self, tmp_path, no_bellrm_env, capsys):
+        menu = [[0.001 * k, 0.0] for k in range(4097)]
+        run = {**BASE_CONFIG["run"], "run_duration_s": 0.01}
+        out = tmp_path / "x"
+        for entries, code in ((4096, 0), (4097, 2)):
+            obj = {**BASE_CONFIG, "run": {**run, "settings_menu": menu[:entries]}}
+            cfg = write_config(tmp_path, obj)
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == code
+        assert "n^2 table of cross-pulse settings" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "config, menu_env, message",
         [

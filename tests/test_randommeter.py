@@ -22,6 +22,7 @@ from bellrm import (
     two_proportion_z,
     wilson_interval,
 )
+from bellrm import randommeter
 from bellrm.chsh import ChshEstimate
 from bellrm.models import scenario_pattern
 from bellrm.randommeter import curve_from_reports, gammaincc, ndtr
@@ -173,6 +174,21 @@ class TestBatteryProperties:
             for res in report.results:
                 assert 0.0 <= res.p_value <= 1.0
 
+    def test_the_battery_checks_its_sequence_once(self, monkeypatch):
+        unchecked = []
+        as_bits = randommeter._as_bits
+
+        def recording(bits):
+            unchecked.append(type(bits) is not randommeter._CheckedBits)
+            return as_bits(bits)
+
+        monkeypatch.setattr(randommeter, "_as_bits", recording)
+        bits = entropy_bits(10_000, seed=3)
+        report = run_battery(bits.tolist())
+        assert unchecked == [True] + [False] * 6  # the five tests and the ratio
+        monkeypatch.undo()
+        assert report == run_battery(bits)
+
     def test_battery_is_bit_flip_symmetric(self):
         bits = entropy_bits(10_000, seed=3)
         plain = run_battery(bits)
@@ -245,11 +261,19 @@ class TestCompressionRatio:
         ids=["all-twos", "zero-one-two", "minus-one", "halves"],
     )
     def test_non_binary_bits_raise(self, bits):
-        # a value other than 0 or 1 would index a neighbouring trie node
-        with pytest.raises(ConfigError, match="only 0 and 1"):
-            compression_ratio(bits)
-        with pytest.raises(ConfigError, match="only 0 and 1"):
-            run_battery(bits)
+        # a value other than 0 or 1 would index a neighbouring trie node;
+        # each test, called on its own, checks its input too
+        for check in (
+            compression_ratio,
+            run_battery,
+            monobit_test,
+            runs_test,
+            block_frequency_test,
+            serial_test,
+            cusum_test,
+        ):
+            with pytest.raises(ConfigError, match="only 0 and 1"):
+                check(bits)
 
     def test_bits_of_any_numeric_type(self):
         bits = entropy_bits(10_000, seed=12)

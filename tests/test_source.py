@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,12 @@ class TestRunConfig:
     def test_float_fields_accept_integers(self):
         cfg = small_config(rep_rate_hz=1_000_000, run_duration_s=1, pulse_duration_s=None)
         assert cfg.n_pulses == 10**6
+
+    def test_menu_holds_at_most_4096_entries(self):
+        menu = [(0.001 * k, 0.0) for k in range(4097)]
+        assert len(small_config(settings_menu=menu[:4096]).settings_menu) == 4096
+        with pytest.raises(ConfigError, match=r"4097 entries, more than 4096: .* n\^2 table"):
+            small_config(settings_menu=menu)
 
     def test_pulse_index_must_fit_32_bits(self):
         with pytest.raises(ConfigError):
@@ -348,19 +355,21 @@ def test_one_sort_merge_equals_two_stage_merge(monkeypatch):
     merge = source._merge_stations
     monkeypatch.setattr(source, "_merge_stations", recording)
     cfg = small_config(run_duration_s=0.2, detection_prob_per_pulse=0.1, dark_rate_hz=3e6)
-    list(source.iter_event_chunks(cfg, QM, chunk_pulses=50_000))
-    assert len(seen) == 4
-    total_dropped = 0
+    run_stats = RunStats()
+    list(source.iter_event_chunks(cfg, QM, run_stats, chunk_pulses=50_000))
     for parts_a, parts_b, (events, dropped) in seen:
         expected, expected_dropped = two_stage_merge(parts_a, parts_b)
         assert events.tobytes() == expected.tobytes()
         assert dropped == expected_dropped
-        total_dropped += dropped
-    assert total_dropped > 1000
+    # the merges together cover the run
+    assert sum(events.size for *_, (events, _) in seen) == run_stats.n_events
+    assert sum(dropped for *_, (_, dropped) in seen) == run_stats.n_collisions_dropped
+    assert run_stats.n_collisions_dropped > 1000
 
 
 # Oracle: the generator as it was before every category took one path, with
-# a guard per category and the tallies kept as it went.
+# a guard per category and the tallies kept as it went.  It merges each
+# block's full parts in one call, before blocks were merged in time slabs.
 
 
 def iter_event_chunks_before(config, model, stats, chunk_pulses):
@@ -481,3 +490,70 @@ def test_generator_equals_the_one_with_a_guard_per_category(kind, run):
     assert got_stats.n_pulses == 50_000
     if not (cfg.detection_prob_per_pulse or cfg.coincidence_prob_per_pulse or cfg.dark_rate_hz):
         assert got == []
+
+
+@pytest.mark.parametrize(
+    "kind, run, chunk_pulses",
+    [
+        # thousands of same-ns repeats: one block of 20 slabs, and 4 of 5
+        (ModelKind.QM_NONLOCAL, {"run_duration_s": 0.2, "dark_rate_hz": 3e6}, 1 << 22),
+        (ModelKind.QM_NONLOCAL, {"run_duration_s": 0.2, "dark_rate_hz": 3e6}, 50_000),
+        # the pattern position carries across slabs and blocks
+        (ModelKind.SCENARIO_LOCALITY_FALSE, {"run_duration_s": 9.0}, 1 << 22),
+        # duty cycle about 1 with a period that is not whole ns
+        (
+            ModelKind.QM_NONLOCAL,
+            {"run_duration_s": 0.5, "rep_rate_hz": 1e9 / 999.6, "pulse_duration_s": 999.6e-9},
+            1 << 22,
+        ),
+    ],
+)
+def test_slab_merge_equals_a_whole_block_merge(kind, run, chunk_pulses):
+    cfg = RunConfig(**{"seed": 101, **run})
+    model = OutcomeModel(kind)
+    got_stats, want_stats = RunStats(), RunStats()
+    got = list(iter_event_chunks(cfg, model, got_stats, chunk_pulses=chunk_pulses))
+    want = list(iter_event_chunks_before(cfg, model, want_stats, chunk_pulses))
+    assert len(got) > len(want)  # several slabs per block
+    assert np.concatenate(got).tobytes() == np.concatenate(want).tobytes()
+    assert got_stats == want_stats
+
+
+def test_an_event_on_the_next_block_start_stays_in_its_block(monkeypatch):
+    # A 2.6 ns pulse filling its period: pulses start 2 or 3 ns apart, so
+    # the last pulse of a block can put an event on the next block's start.
+    monkeypatch.setattr(source, "_SLAB_EVENTS", 64)
+    cfg = RunConfig(
+        seed=101,
+        run_duration_s=4e-4,
+        rep_rate_hz=1e9 / 2.6,
+        pulse_duration_s=2.6e-9,
+        coincidence_prob_per_pulse=0.5,
+    )
+    got_stats, want_stats = RunStats(), RunStats()
+    got = np.concatenate(list(iter_event_chunks(cfg, QM, got_stats, chunk_pulses=1002)))
+    want = np.concatenate(list(iter_event_chunks_before(cfg, QM, want_stats, 1002)))
+    block_starts = pulse_start_ns(np.arange(1002, cfg.n_pulses, 1002), cfg.rep_rate_hz)
+    on_next_start = (want["pulse_index"] % 1002 == 1001) & np.isin(
+        want["timestamp_ns"], block_starts
+    )
+    assert np.count_nonzero(on_next_start) > 5
+    assert got.tobytes() == want.tobytes()
+    assert got_stats == want_stats
+
+
+def test_two_default_blocks_draw_in_bounded_memory():
+    # one block's draws and one slab's merge, not a whole block's merge:
+    # merging each block whole peaked at 70 MiB on this run
+    cfg = RunConfig(seed=101, run_duration_s=2 * (1 << 22) / 1e6)
+    tracemalloc.start()
+    try:
+        n_events = 0
+        for chunk in iter_event_chunks(cfg, QM):
+            n_events += chunk.size
+            del chunk
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n_events > 1_900_000
+    assert peak < 40 * 2**20
