@@ -18,6 +18,19 @@ whole stream gives, and each full block goes to the battery as soon as it
 is complete.  Memory therefore does not grow with the length of the run.
 S is computed per slice from the count table at the four standard CHSH
 pairs (see :mod:`bellrm.chsh`).
+
+The battery runs in one worker process beside the matcher, so the two
+share the machine's two cores.  ``analyze_pieces`` forks it (the ``fork``
+start method, so the worker costs no interpreter start-up and shares only
+the start-up pages) before it reads the first piece, and sends it each
+full block and its sequence id over one pipe; the pipe's buffer is the
+only queue, so a slow worker holds the parent back.  The worker runs
+``run_battery`` on the blocks in the order they arrive and, after the end
+marker, sends the reports back in that order, so the outputs are those of
+a serial run.  A battery exception is raised again in the parent; a
+worker that dies ends the analysis with a ``RuntimeError`` naming its
+exit code; the worker is always joined before ``analyze_pieces`` returns
+or raises.
 """
 
 from __future__ import annotations
@@ -143,6 +156,54 @@ def cut_at_gaps(
         yield first, join_events(carry)
 
 
+def _battery_worker(conn, parent_conn, battery: BatteryConfig) -> None:
+    """Run the battery on each (block, sequence id) ``conn`` brings, in order.
+
+    After the end marker ``None``, sends back the list of reports; an
+    exception the battery raises is sent back instead.  A pipe closed by
+    the parent ends the worker quietly.
+    """
+    import signal  # here, as multiprocessing is: simulate and report never pay for it
+
+    parent_conn.close()  # the parent's end: EOF here once the parent closes it
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt stops the parent
+    reports = []
+    try:
+        while (item := conn.recv()) is not None:
+            block, sid = item
+            reports.append(run_battery(block, battery, sequence_id=sid))
+    except EOFError:
+        return
+    except Exception as exc:
+        conn.send(exc)
+        return
+    conn.send(reports)
+
+
+def _send(conn, worker, item) -> None:
+    """Send ``item`` to the worker; if it is gone, raise what ended it."""
+    try:
+        conn.send(item)
+    except OSError:
+        _worker_reply(conn, worker)
+        raise
+
+
+def _worker_reply(conn, worker) -> list:
+    """The worker's reports; its exception raised again, or a ``RuntimeError``
+    naming its exit code if it died without a reply."""
+    try:
+        reply = conn.recv()
+    except (EOFError, OSError):
+        worker.join()
+        raise RuntimeError(
+            f"the battery worker exited with code {worker.exitcode} before it replied"
+        ) from None
+    if isinstance(reply, Exception):
+        raise reply
+    return reply
+
+
 def analyze_pieces(pieces: Iterable[np.ndarray], run: RunConfig, analysis: AnalysisConfig):
     """Full analysis pipeline on a merged event stream given piece by piece.
 
@@ -151,7 +212,9 @@ def analyze_pieces(pieces: Iterable[np.ndarray], run: RunConfig, analysis: Analy
     estimates cover the slices that could be estimated, and a slice
     without one makes the verdict INCONCLUSIVE.  An event whose
     setting lies outside the menu, or one out of stream order, raises a
-    ``DataError`` naming its index in the whole stream.
+    ``DataError`` naming its index in the whole stream.  It forks the
+    battery worker, so call it from a process with no other thread running:
+    a forked child holds only the calling thread.
     """
     analysis.validate()  # before n_slices sizes the tables
     geo = pulse_geometry(run)
@@ -162,36 +225,54 @@ def analyze_pieces(pieces: Iterable[np.ndarray], run: RunConfig, analysis: Analy
     length = analysis.sequence_length
     # per (slice, station), the bits short of a full block, kept for the next part
     pending = {key: np.empty(0, dtype=np.uint8) for key in keys}
-    reports = {key: [] for key in keys}
+    n_blocks = dict.fromkeys(keys, 0)
+    sent = []  # the key of each block sent to the worker, in order
     counts = np.zeros((n_slices + 1, n_menu, 2, 2), dtype=np.int64)
     n_coincidences = 0
 
-    for first, events in cut_at_gaps(pieces, analysis.window_ns):
-        outside = np.flatnonzero(events["setting_index"] >= n_menu)
-        if outside.size:
-            i = int(outside[0])
-            raise DataError(
-                f"record {first + i} has setting_index {events['setting_index'][i]}, "
-                f"outside the {n_menu}-entry settings menu"
+    # imported here: simulate and report never pay for it
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    conn, worker_conn = context.Pipe()
+    worker = context.Process(target=_battery_worker, args=(worker_conn, conn, battery))
+    worker.start()
+    worker_conn.close()
+    try:
+        for first, events in cut_at_gaps(pieces, analysis.window_ns):
+            outside = np.flatnonzero(events["setting_index"] >= n_menu)
+            if outside.size:
+                i = int(outside[0])
+                raise DataError(
+                    f"record {first + i} has setting_index {events['setting_index'][i]}, "
+                    f"outside the {n_menu}-entry settings menu"
+                )
+            records = match_events(
+                events, analysis.window_ns, rep_rate_hz=run.rep_rate_hz,
+                settings_menu=run.settings_menu, first_record=first,
             )
-        records = match_events(
-            events, analysis.window_ns, rep_rate_hz=run.rep_rate_hz,
-            settings_menu=run.settings_menu, first_record=first,
-        )
-        records["slice_index"] = slice_index_of(
-            records["within_pulse_ns"], n_slices, geo.pulse_duration_ns
-        )
-        counts += count_table(records, n_menu, n_slices)
-        n_coincidences += records.size
-        for key, part_bits in slice_sequences(records, n_slices).items():
-            slice_index, station = key
-            done = reports[key]
-            bits = np.concatenate([pending[key], part_bits])
-            blocks = sequence_partition(bits, length)
-            pending[key] = bits[len(blocks) * length :].copy()
-            for block in blocks:
-                sid = f"{STATION_LETTERS[station]}{slice_index}-{len(done)}"
-                done.append(run_battery(block, battery, sequence_id=sid))
+            records["slice_index"] = slice_index_of(
+                records["within_pulse_ns"], n_slices, geo.pulse_duration_ns
+            )
+            counts += count_table(records, n_menu, n_slices)
+            n_coincidences += records.size
+            for key, part_bits in slice_sequences(records, n_slices).items():
+                slice_index, station = key
+                bits = np.concatenate([pending[key], part_bits])
+                blocks = sequence_partition(bits, length)
+                pending[key] = bits[len(blocks) * length :].copy()
+                for block in blocks:
+                    sid = f"{STATION_LETTERS[station]}{slice_index}-{n_blocks[key]}"
+                    n_blocks[key] += 1
+                    sent.append(key)
+                    _send(conn, worker, (block, sid))
+        _send(conn, worker, None)
+        reports = {key: [] for key in keys}
+        for key, report in zip(sent, _worker_reply(conn, worker), strict=True):
+            reports[key].append(report)
+    finally:
+        conn.close()
+        worker.join()
 
     report_rows = [
         (report.sequence_id, slice_index, STATION_LETTERS[station], report)

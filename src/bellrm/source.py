@@ -20,7 +20,10 @@ of the block's category arrays.  The block's categories are then merged
 in time slabs of about 65,536 events, cut at shared time edges, and each
 slab is yielded as one chunk.  A same-ns repeat never straddles a cut,
 so the slabs join into the stream a whole-block merge gives: the block
-fixes the stream, and the slab only bounds the merge's memory.
+fixes the stream, and the slab only bounds the merge's memory.  A pulse
+that fills its period can put an event on the next block's start; such
+events are merged with the next block's, ahead of them, so the stream
+stays strictly in (timestamp, station) order across blocks.
 
 ``GENERATOR_VERSION`` names the way a seed becomes bytes.  Version 1 drew
 a uniform per pulse; version 2 draws the gaps.  The manifest records it,
@@ -311,10 +314,12 @@ def iter_event_chunks(
 
     Each block of ``chunk_pulses`` pulses draws from its own substreams,
     so the stream a seed gives depends on the block size.  A chunk is a
-    time slab of a block: no event of a chunk is later than an event of
-    the next, so concatenating chunks gives the global order, and the
-    chunks of a block join into its whole-block merge.  An empty slab is
-    not yielded.
+    time slab of a block: every event of a chunk is earlier in
+    (timestamp, station) order than every event of the next, so
+    concatenating chunks gives the global order, and the chunks of a block
+    join into its whole-block merge, less the events at or after the next
+    block's start, which the next block merges.  An empty slab is not
+    yielded.
     """
     geo = pulse_geometry(config)
     duration_ns = geo.pulse_duration_ns
@@ -328,6 +333,9 @@ def iter_event_chunks(
     if stats is None:
         stats = RunStats()
     stats.n_pulses = n_pulses
+    # per station, the last block's events at or after its end, for this block to merge
+    held_a: list = []
+    held_b: list = []
 
     for block, start in enumerate(range(0, n_pulses, chunk_pulses)):
         stop = min(start + chunk_pulses, n_pulses)
@@ -373,15 +381,28 @@ def iter_event_chunks(
 
         # Every part is sorted by time, so shared time edges cut each one
         # into contiguous slabs, and a same-ns repeat falls in one slab.
-        # The last slab runs to each part's end, not to chunk_t1: a pulse
-        # that fills its whole period can put an event on chunk_t1 itself.
+        # A pulse that fills its whole period can put an event on chunk_t1
+        # itself, where the next block starts: the events at or after
+        # chunk_t1 are held out of this block and merged with the next
+        # block's, ahead of them, so a repeat across the block edge keeps
+        # the first event.  The last block keeps them all.
+        parts_a = held_a + parts_a
+        parts_b = held_b + parts_b
         parts = parts_a + parts_b
         n_slabs = -(-sum(part[0].size for part in parts) // _SLAB_EVENTS)
         span = chunk_t1 - chunk_t0
         edges = np.array(
             [chunk_t0 + span * k // n_slabs for k in range(1, n_slabs)], dtype=np.int64
         )
-        cuts = [[0, *np.searchsorted(part[0], edges), part[0].size] for part in parts]
+        ends = [
+            part[0].size if stop == n_pulses else int(np.searchsorted(part[0], chunk_t1))
+            for part in parts
+        ]
+        # copies, so the held events do not keep this block's draws alive
+        held = [tuple(column[end:].copy() for column in part) for part, end in zip(parts, ends)]
+        held_a = [part for part in held[: len(parts_a)] if part[0].size]
+        held_b = [part for part in held[len(parts_a) :] if part[0].size]
+        cuts = [[0, *np.searchsorted(part[0], edges), end] for part, end in zip(parts, ends)]
         for k in range(n_slabs):
             slabs = [
                 tuple(column[cut[k] : cut[k + 1]] for column in part)

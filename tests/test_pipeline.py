@@ -1,4 +1,13 @@
+import contextlib
+import json
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +18,7 @@ from bellrm import (
     CHSH_MENU,
     EVENT_DTYPE,
     ConfigError,
+    DataError,
     ModelKind,
     OutcomeModel,
     RunConfig,
@@ -17,11 +27,17 @@ from bellrm import (
     iter_btag,
     match_events,
     pulse_geometry,
+    run_battery,
+    sequence_partition,
     simulate_events,
     slice_index_of,
+    slice_sequences,
     write_btag,
     write_chsh_csv,
 )
+from bellrm import pipeline
+from bellrm.btag import STATION_LETTERS
+from bellrm.cli import main
 from bellrm.pipeline import AnalysisConfig, analyze_pieces, cut_at_gaps
 from bellrm.timetags import _effective_setting_table
 
@@ -201,3 +217,153 @@ def test_the_settings_table_is_built_once_per_analysis():
     table = _effective_setting_table(tuple(map(tuple, menu)))
     with pytest.raises(ValueError, match="read-only"):
         table[0, 1] = 0
+
+
+# --- the battery worker ---------------------------------------------------
+
+
+WORKER_ANALYSIS = AnalysisConfig(n_slices=3, sequence_length=1000, block_size=16)
+
+
+def pairs_in_slices_0_and_2(n_pulses):
+    """One A+B pair per 1 MHz pulse, alternately in slice 0 and slice 2 of
+    three (the default pulse lasts 133 ns), so slice 1 stays empty."""
+    rng = np.random.default_rng(51)
+    within = np.where(np.arange(n_pulses) % 2 == 0, 10, 120) + rng.integers(0, 10, n_pulses)
+    events = np.zeros(2 * n_pulses, dtype=EVENT_DTYPE)
+    events["timestamp_ns"] = np.repeat(np.arange(n_pulses) * 1000 + within, 2)
+    events["pulse_index"] = np.repeat(np.arange(n_pulses), 2)
+    events["station"] = np.tile([0, 1], n_pulses)
+    events["port_bit"] = rng.integers(0, 2, 2 * n_pulses)
+    events["setting_index"] = np.repeat(rng.integers(0, 4, n_pulses), 2)
+    return events
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail instead of hanging: SIGALRM interrupts a blocked send or recv."""
+
+    def hung(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    """No worker alive or unreaped: waitpid finds no child of this process."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert multiprocessing.active_children() == []
+
+
+def serial_report_rows(events, cfg, analysis):
+    """What the worker must give: ``run_battery`` run here, block by block."""
+    records = match_events(
+        events, analysis.window_ns, rep_rate_hz=cfg.rep_rate_hz, settings_menu=cfg.settings_menu
+    )
+    records["slice_index"] = slice_index_of(
+        records["within_pulse_ns"], analysis.n_slices, pulse_geometry(cfg).pulse_duration_ns
+    )
+    rows = []
+    for (slice_index, station), bits in slice_sequences(records, analysis.n_slices).items():
+        letter = STATION_LETTERS[station]
+        for k, block in enumerate(sequence_partition(bits, analysis.sequence_length)):
+            sid = f"{letter}{slice_index}-{k}"
+            rows.append((sid, slice_index, letter, run_battery(block, analysis.battery(), sid)))
+    return rows
+
+
+@pytest.mark.parametrize("n_pulses", [6_400, 1_500])
+def test_the_worker_reports_what_a_serial_battery_gives(n_pulses):
+    # 6,400 pulses: three blocks per key in slices 0 and 2, none in slice 1;
+    # 1,500 pulses: no full block anywhere
+    cfg = RunConfig(seed=51, run_duration_s=n_pulses * 1e-6)
+    events = pairs_in_slices_0_and_2(n_pulses)
+    pieces = np.array_split(events, 7)
+    assert len(list(cut_at_gaps(pieces, WORKER_ANALYSIS.window_ns))) >= 7
+    with time_limit(60):
+        rows = analyze_pieces(pieces, cfg, WORKER_ANALYSIS)[4]
+    want = serial_report_rows(events, cfg, WORKER_ANALYSIS)
+    assert repr(rows) == repr(want)
+    per_key = Counter((slice_index, letter) for _, slice_index, letter, _ in rows)
+    if n_pulses > 2_000:
+        assert per_key == {(0, "A"): 3, (0, "B"): 3, (2, "A"): 3, (2, "B"): 3}
+    else:
+        assert rows == []
+    assert_no_child_left()
+
+
+def test_a_data_error_in_a_later_part_reaps_the_worker():
+    cfg = RunConfig(seed=51, run_duration_s=6_400e-6)
+    events = pairs_in_slices_0_and_2(6_400)
+    events["setting_index"][-3] = 7  # after the first full blocks went to the worker
+    with time_limit(60), pytest.raises(
+        DataError, match=f"record {events.size - 3} has setting_index 7"
+    ):
+        analyze_pieces(np.array_split(events, 7), cfg, WORKER_ANALYSIS)
+    assert_no_child_left()
+
+
+def test_a_battery_exception_comes_back_unchanged(monkeypatch):
+    battery = pipeline.run_battery
+
+    def fails_on_the_second_block(bits, config, sequence_id):
+        if sequence_id == "A0-1":
+            raise ZeroDivisionError(f"battery failed on {sequence_id}")
+        return battery(bits, config, sequence_id=sequence_id)
+
+    monkeypatch.setattr(pipeline, "run_battery", fails_on_the_second_block)
+    cfg = RunConfig(seed=51, run_duration_s=6_400e-6)
+    events = pairs_in_slices_0_and_2(6_400)
+    with time_limit(60), pytest.raises(ZeroDivisionError, match="^battery failed on A0-1$"):
+        analyze_pieces(np.array_split(events, 7), cfg, WORKER_ANALYSIS)
+    assert_no_child_left()
+
+
+def test_a_dead_worker_ends_the_analysis_with_its_exit_code(monkeypatch):
+    # the forked worker inherits the patched battery
+    monkeypatch.setattr(pipeline, "run_battery", lambda *args, **kwargs: os._exit(7))
+    cfg = RunConfig(seed=51, run_duration_s=6_400e-6)
+    events = pairs_in_slices_0_and_2(6_400)
+    with time_limit(60), pytest.raises(RuntimeError, match="exited with code 7"):
+        analyze_pieces(np.array_split(events, 7), cfg, WORKER_ANALYSIS)
+    assert_no_child_left()
+
+
+WORKER_CONFIG = {
+    "run": {"seed": 53, "run_duration_s": 1.0, "coincidence_prob_per_pulse": 0.05},
+    "model": {"kind": "QM_NONLOCAL"},
+}
+
+
+def test_only_analyze_imports_multiprocessing(tmp_path, monkeypatch):
+    # simulate and report never fork, so they must not pay for the import;
+    # analyze, last, shows the check can see it
+    for key in list(os.environ):
+        if key.startswith("BELLRM_"):
+            monkeypatch.delenv(key)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(WORKER_CONFIG))
+    analyzed, fresh, report = tmp_path / "analyzed", tmp_path / "fresh", tmp_path / "report"
+    assert main(["simulate", "--config", str(config), "--out", str(analyzed)]) == 0
+    assert main(["analyze", "--in", str(analyzed)]) == 0
+    code = (
+        "import sys; from bellrm.cli import main; seen = []; "
+        "look = lambda: seen.append('multiprocessing' in sys.modules); look(); "
+        f"main(['simulate', '--config', {str(config)!r}, '--out', {str(fresh)!r}]); look(); "
+        f"main(['report', '--in', {str(analyzed)!r}, '--out', {str(report)!r}]); look(); "
+        f"main(['analyze', '--in', {str(fresh)!r}]); look(); print(seen)"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip().splitlines()[-1] == "[False, False, False, True]"

@@ -18,6 +18,7 @@ from bellrm import (
     RunConfig,
     RunStats,
     iter_event_chunks,
+    match_events,
     pulse_geometry,
     pulse_index_of,
     pulse_start_ns,
@@ -521,7 +522,10 @@ def test_slab_merge_equals_a_whole_block_merge(kind, run, chunk_pulses):
 
 def test_an_event_on_the_next_block_start_stays_in_its_block(monkeypatch):
     # A 2.6 ns pulse filling its period: pulses start 2 or 3 ns apart, so
-    # the last pulse of a block can put an event on the next block's start.
+    # the last pulse of a block can put an event on the next block's start,
+    # where the next block's first pulse can put one too.  The stream must
+    # be the one a merge of the whole run gives: the old stream sorted again
+    # on (t, station), stable, keeping the first of each repeat.
     monkeypatch.setattr(source, "_SLAB_EVENTS", 64)
     cfg = RunConfig(
         seed=101,
@@ -530,16 +534,33 @@ def test_an_event_on_the_next_block_start_stays_in_its_block(monkeypatch):
         pulse_duration_s=2.6e-9,
         coincidence_prob_per_pulse=0.5,
     )
-    got_stats, want_stats = RunStats(), RunStats()
+    got_stats, old_stats = RunStats(), RunStats()
     got = np.concatenate(list(iter_event_chunks(cfg, QM, got_stats, chunk_pulses=1002)))
-    want = np.concatenate(list(iter_event_chunks_before(cfg, QM, want_stats, 1002)))
+    old = np.concatenate(list(iter_event_chunks_before(cfg, QM, old_stats, 1002)))
     block_starts = pulse_start_ns(np.arange(1002, cfg.n_pulses, 1002), cfg.rep_rate_hz)
-    on_next_start = (want["pulse_index"] % 1002 == 1001) & np.isin(
-        want["timestamp_ns"], block_starts
+    on_next_start = (old["pulse_index"] % 1002 == 1001) & np.isin(
+        old["timestamp_ns"], block_starts
     )
     assert np.count_nonzero(on_next_start) > 5
+
+    old_key = (old["timestamp_ns"].astype(np.int64) << 1) | old["station"]
+    assert (np.diff(old_key) < 0).any()  # the old stream steps back at a block edge
+    order = np.argsort(old_key, kind="stable")
+    first_of_repeat = np.ones(order.size, dtype=bool)
+    first_of_repeat[1:] = old_key[order][1:] != old_key[order][:-1]
+    want = old[order[first_of_repeat]]
+    assert 0 < old.size - want.size
     assert got.tobytes() == want.tobytes()
-    assert got_stats == want_stats
+
+    key = (got["timestamp_ns"].astype(np.int64) << 1) | got["station"]
+    assert (np.diff(key) > 0).all()
+    match_events(got, 2, rep_rate_hz=cfg.rep_rate_hz, settings_menu=cfg.settings_menu)
+    assert got_stats.n_events == got.size
+    assert got_stats.n_collisions_dropped == old_stats.n_collisions_dropped + old.size - got.size
+    fixed = {"n_events", "n_collisions_dropped"}
+    assert {k: v for k, v in got_stats.to_dict().items() if k not in fixed} == {
+        k: v for k, v in old_stats.to_dict().items() if k not in fixed
+    }
 
 
 def test_two_default_blocks_draw_in_bounded_memory():
