@@ -16,9 +16,9 @@ from bellrm import (
     RunConfig,
     STATION_A,
     STATION_B,
+    iter_btag,
     match_events,
     pulse_geometry,
-    read_btag,
     simulate_to_btag,
     slice_index_of,
     slice_sequences,
@@ -46,7 +46,7 @@ with tempfile.TemporaryDirectory() as tmp:
             stats.n_darks_a, stats.n_darks_b,
         )
     )
-    events = read_btag(path)
+    events = np.concatenate(list(iter_btag(path)))
 
 records = match_events(
     events, 2, rep_rate_hz=cfg.rep_rate_hz, settings_menu=cfg.settings_menu

@@ -10,7 +10,7 @@ the synthetic data gives evidence against:
   randomness rises   -> first half worse    -> Ergodicity false
 """
 
-from bellrm import ModelKind, OutcomeModel, RunConfig, simulate_events
+from bellrm import ModelKind, OutcomeModel, RunConfig, iter_event_chunks
 from bellrm.pipeline import AnalysisConfig, analyze_pieces
 
 SCENARIOS = (
@@ -27,8 +27,8 @@ for kind in SCENARIOS:
         coincidence_prob_per_pulse=0.05,
         dark_rate_hz=0.0,
     )
-    events, _ = simulate_events(cfg, OutcomeModel(kind))
-    _, chsh, curve, verdict, _ = analyze_pieces([events], cfg, AnalysisConfig())
+    events = iter_event_chunks(cfg, OutcomeModel(kind))
+    _, chsh, curve, verdict, _ = analyze_pieces(events, cfg, AnalysisConfig())
 
     print("=" * 64)
     print("generator:", kind.value)

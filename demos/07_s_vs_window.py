@@ -7,12 +7,15 @@ predicted dilution curve computed from the measured singles rates -
 which is what justifies running with static settings per pulse.
 """
 
+import numpy as np
+
 from bellrm import (
     ModelKind,
     OutcomeModel,
     RunConfig,
+    RunStats,
+    iter_event_chunks,
     s_vs_window,
-    simulate_events,
 )
 
 cfg = RunConfig(
@@ -22,7 +25,8 @@ cfg = RunConfig(
     coincidence_prob_per_pulse=0.001,
     dark_rate_hz=30_000.0,
 )
-events, stats = simulate_events(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))
+stats = RunStats()
+events = np.concatenate(list(iter_event_chunks(cfg, OutcomeModel(ModelKind.QM_NONLOCAL), stats)))
 print(
     "run: %d true pairs, %d + %d dark counts over %.0f s"
     % (stats.n_coincidence_pairs, stats.n_darks_a, stats.n_darks_b, cfg.run_duration_s)

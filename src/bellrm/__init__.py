@@ -15,8 +15,6 @@ from .btag import (
     STATION_B,
     BtagWriter,
     iter_btag,
-    read_btag,
-    write_btag,
     write_csv,
 )
 from .chsh import (
@@ -30,7 +28,6 @@ from .chsh import (
     count_table,
     ensemble_average,
     ergodicity_gap,
-    estimate_chsh,
     model_time_average,
     s_vs_window,
     write_chsh_csv,
@@ -87,7 +84,6 @@ from .source import (
     pulse_geometry,
     pulse_index_of,
     pulse_start_ns,
-    simulate_events,
     simulate_to_btag,
 )
 from .timetags import (

@@ -18,14 +18,14 @@ Records are strictly sorted by (timestamp, station): one station never
 holds two records on the same nanosecond.  ``iter_btag`` reads a file in
 pieces of ``PIECE_RECORDS`` records, so a reader's memory does not grow
 with the file; it checks the header, the size and the field ranges, and
-names a bad record by its index and byte offset in the whole file.
-``read_btag`` joins those pieces into one array with ``join_events``,
-which copies whole records.  The order is checked where the
-stream is matched (``timetags.match_events``).  ``BtagWriter`` writes a
-file through ``atomic_open``, so a file appears whole or not at all.  The
-CSV mirror carries one record per line in the same field order, station
-written as A/B.  It is an export for other tools: ``write_csv`` writes it
-piece by piece, and bellrm has no CSV reader.
+names a bad record by its index and byte offset in the whole file.  The
+order is checked where the stream is matched (``timetags.match_events``).
+``join_events`` joins event arrays by copying whole records.
+``BtagWriter`` writes a file through ``atomic_open``, so a file appears
+whole or not at all.  The CSV mirror carries one record per line in the
+same field order, station written as A/B.  It is an export for other
+tools: ``write_csv`` writes it piece by piece, and bellrm has no CSV
+reader.
 """
 
 from __future__ import annotations
@@ -115,11 +115,6 @@ class BtagWriter:
         return self._file.__exit__(exc_type, exc, tb)
 
 
-def write_btag(path: str | Path, events: np.ndarray) -> None:
-    with BtagWriter(path) as writer:
-        writer.write(events)
-
-
 def iter_btag(path: str | Path, piece_records: int = PIECE_RECORDS) -> Iterator[np.ndarray]:
     """Read and validate a BTAG file in pieces of at most ``piece_records`` records.
 
@@ -174,12 +169,6 @@ def join_events(parts: list[np.ndarray]) -> np.ndarray:
     dtype = parts[0].dtype
     raw = np.dtype((np.void, dtype.itemsize))
     return np.concatenate([part.view(raw) for part in parts]).view(dtype)
-
-
-def read_btag(path: str | Path) -> np.ndarray:
-    """Read and validate a whole BTAG file; returns the merged event array."""
-    pieces = list(iter_btag(path))
-    return join_events(pieces) if pieces else np.empty(0, dtype=EVENT_DTYPE)
 
 
 def write_csv(path: str | Path, pieces) -> None:

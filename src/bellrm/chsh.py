@@ -1,12 +1,13 @@
 """Correlation, CHSH and ergodicity estimators.
 
-The estimators are pure aggregations over coincidence records; counts are
-exact integers so partial results can be reduced in any order.  S always
-uses the paper's four pairs, ``source.CHSH_MENU`` (a = 0, a' = pi/4,
-b = pi/8, b' = 3pi/8), each looked up by angle in the run's settings menu;
-a menu without one of them has no CHSH estimate.
-:func:`s_vs_window` takes the merged event stream instead and matches it
-with ``timetags.match_events`` once per window.
+Every S comes from one integer table: :func:`count_table` counts
+coincidence records per (slice, setting, bit_a, bit_b), tables of parts of
+a stream add up in any order, and :func:`chsh_from_table` reads S for one
+slice or for all rows.  S always uses the paper's four pairs,
+``source.CHSH_MENU`` (a = 0, a' = pi/4, b = pi/8, b' = 3pi/8), each looked
+up by angle in the run's settings menu; a menu without one of them has no
+CHSH estimate.  :func:`s_vs_window` takes the merged event stream instead
+and matches it with ``timetags.match_events`` once per window.
 """
 
 from __future__ import annotations
@@ -141,25 +142,6 @@ def chsh_from_table(
     )
 
 
-def estimate_chsh(
-    records: np.ndarray, settings_menu, slice_index: int | None = None
-) -> ChshEstimate:
-    """CHSH estimate S = |E(a,b) - E(a,b') + E(a',b) + E(a',b')|.
-
-    ``slice_index`` of None pools every record; otherwise only records of
-    that slice (-1: outside every slice) enter.  Raises
-    IncompleteSettingsError when any of the four settings pairs has no
-    records.  Built on :func:`count_table` and :func:`chsh_from_table`.
-    """
-    n_slices = 0 if slice_index is None else slice_index + 1
-    n_settings = len(np.asarray(settings_menu).reshape(-1, 2))
-    if records.size:
-        n_slices = max(n_slices, int(records["slice_index"].max()) + 1)
-        n_settings = max(n_settings, int(records["setting_index"].max()) + 1)
-    table = count_table(records, n_settings, n_slices)
-    return chsh_from_table(table, settings_menu, slice_index)
-
-
 # --------------------------------------------------------------------------
 # S versus coincidence window
 # --------------------------------------------------------------------------
@@ -202,7 +184,8 @@ def s_vs_window(
     measured = []
     for w in windows:
         records = match_events(events, w, rep_rate_hz=rep_rate_hz, settings_menu=settings_menu)
-        est = estimate_chsh(records, settings_menu)
+        # every record is in slice -1, the table's one row
+        est = chsh_from_table(count_table(records, len(settings_menu), 0), settings_menu)
         measured.append((w, records.size, est.S, est.std_err))
 
     w0, n0, s0, se0 = measured[0]

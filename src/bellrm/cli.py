@@ -8,8 +8,8 @@ Configuration is one JSON object with "run", "model" and "analysis"
 sections (see README for the schema).  Any scalar can be overridden by an
 environment variable prefixed BELLRM_ (e.g. BELLRM_SEED,
 BELLRM_DARK_RATE_HZ, BELLRM_SLICES); command-line flags win over both.
-Exit codes: 0 ok, 2 configuration error, 3 data error.  The analysis
-itself lives in :mod:`bellrm.pipeline`.
+Exit codes: 0 ok, 2 configuration error or an output path that cannot be
+written, 3 data error.  The analysis itself lives in :mod:`bellrm.pipeline`.
 """
 
 from __future__ import annotations
@@ -127,15 +127,26 @@ def effective_configs(obj: dict, seed_flag: int | None = None):
 
 
 @contextmanager
+def writing_to(directory: Path):
+    """Turn an ``OSError`` of the output steps inside into a ``ConfigError``
+    (exit 2) that names the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write the outputs in {directory}: {exc}") from exc
+
+
+@contextmanager
 def output_lock(directory: Path):
     """Exclusive lock file preventing concurrent writers on one directory."""
     lock = directory / ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise DataError(
-            f"{directory} is locked by another invocation (remove {lock} if stale)"
-        ) from None
+    with writing_to(directory):
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            raise DataError(
+                f"{directory} is locked by another invocation (remove {lock} if stale)"
+            ) from None
     try:
         os.close(fd)
         yield
@@ -199,8 +210,10 @@ def cmd_simulate(args) -> int:
     obj = load_config(args.config)
     run, model, analysis = effective_configs(obj, args.seed)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with output_lock(out_dir):
+    with writing_to(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+    # every step under the lock writes; generation itself touches no file
+    with output_lock(out_dir), writing_to(out_dir):
         # files derived from an earlier events.btag would no longer match it
         for name in ("events.csv", *ANALYSIS_OUTPUTS, *REPORT_OUTPUTS):
             (out_dir / name).unlink(missing_ok=True)
@@ -270,10 +283,14 @@ def cmd_analyze(args) -> int:
         n_coincidences, chsh_estimates, curve, verdict, report_rows = analyze_pieces(
             events, run, analysis
         )
-        write_chsh_csv(in_dir / "chsh_per_slice.csv", chsh_estimates)
-        write_reports_csv(in_dir / "sequences.csv", report_rows)
-        write_curve_csv(in_dir / "curve.csv", curve)
-        write_verdict_json(in_dir / "verdict.json", verdict)
+        with writing_to(in_dir):
+            # no new output may stand beside an old one if a write fails
+            for name in (*REPORT_OUTPUTS, *ANALYSIS_OUTPUTS):
+                (in_dir / name).unlink(missing_ok=True)
+            write_chsh_csv(in_dir / "chsh_per_slice.csv", chsh_estimates)
+            write_reports_csv(in_dir / "sequences.csv", report_rows)
+            write_curve_csv(in_dir / "curve.csv", curve)
+            write_verdict_json(in_dir / "verdict.json", verdict)
 
     print(
         f"analyze: {n_coincidences} coincidences, {len(report_rows)} sequences, "
@@ -324,7 +341,8 @@ def cmd_report(args) -> int:
         raise DataError("missing analysis outputs: " + ", ".join(sorted(missing)))
 
     out_dir = Path(args.out) if args.out else run_dirs[0]
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with writing_to(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     summary_lines = []
     combined_rows = []
     for d in run_dirs:
@@ -369,19 +387,20 @@ def cmd_report(args) -> int:
         summary_lines.append("")
 
     summary_path = out_dir / "summary.txt"
-    with atomic_open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(summary_lines))
     combined_path = out_dir / "combined_curves.csv"
-    with atomic_open(combined_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=[
-                "run", "slice_index", "S", "S_std_err", "rejection_rate",
-                "ci_low", "ci_high", "mean_compression_ratio", "randomness_level",
-            ],
-        )
-        writer.writeheader()
-        writer.writerows(combined_rows)
+    with writing_to(out_dir):
+        with atomic_open(summary_path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(summary_lines))
+        with atomic_open(combined_path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(
+                fh,
+                fieldnames=[
+                    "run", "slice_index", "S", "S_std_err", "rejection_rate",
+                    "ci_low", "ci_high", "mean_compression_ratio", "randomness_level",
+                ],
+            )
+            writer.writeheader()
+            writer.writerows(combined_rows)
     print(f"report: wrote {summary_path} and {combined_path}")
     return 0
 

@@ -43,13 +43,7 @@ import numpy as np
 from .btag import STATION_A, STATION_B, STATION_LETTERS, join_events
 from .chsh import chsh_from_table, count_table
 from .errors import ConfigError, DataError, IncompleteSettingsError, require_finite
-from .randommeter import (
-    BatteryConfig,
-    ScenarioVerdict,
-    classify_scenario,
-    curve_from_reports,
-    run_battery,
-)
+from .randommeter import BatteryConfig, classify_scenario, curve_from_reports, run_battery
 from .source import RunConfig, pulse_geometry
 from .timetags import match_events, sequence_partition, slice_index_of, slice_sequences
 
@@ -292,9 +286,5 @@ def analyze_pieces(pieces: Iterable[np.ndarray], run: RunConfig, analysis: Analy
     # validate has already refused fewer than two slices, and
     # classify_scenario tests the halves only once each holds sequences.
     curve = curve_from_reports(reports_by_slice, battery)
-    verdict = classify_scenario(curve, chsh_estimates)
-    if n_coincidences == 0:
-        verdict = ScenarioVerdict.inconclusive(
-            "no data: no coincidences matched", verdict.per_slice_S, verdict.per_slice_R
-        )
+    verdict = classify_scenario(curve, chsh_estimates, n_coincidences)
     return n_coincidences, chsh_estimates, curve, verdict, report_rows

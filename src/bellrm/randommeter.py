@@ -434,14 +434,6 @@ class ScenarioVerdict:
     per_slice_R: tuple
     reason: str = ""
 
-    @classmethod
-    def inconclusive(cls, reason: str, per_slice_S=(), per_slice_R=()) -> "ScenarioVerdict":
-        """A verdict that takes no side: no contrast statistic, no half counts."""
-        return cls(
-            Verdict.INCONCLUSIVE, math.nan, math.nan, math.nan, math.nan, 0, 0,
-            tuple(per_slice_S), tuple(per_slice_R), reason,
-        )
-
 
 def two_proportion_z(k1: int, n1: int, k2: int, n2: int) -> tuple[float, float]:
     """Pooled two-proportion z statistic and two-sided p-value."""
@@ -456,8 +448,10 @@ def two_proportion_z(k1: int, n1: int, k2: int, n2: int) -> tuple[float, float]:
     return z, math.erfc(abs(z) / math.sqrt(2.0))
 
 
-def _unclassifiable(curve: RandommeterCurve, s_by_slice: dict) -> str:
+def _unclassifiable(curve: RandommeterCurve, s_by_slice: dict, n_coincidences: int) -> str:
     """Why :func:`classify_scenario` must answer INCONCLUSIVE, or "" if it need not."""
+    if n_coincidences == 0:
+        return "no data: no coincidences matched"
     if curve.n_slices < 2:
         return "fewer than two slices"
     for reading in curve.readings:
@@ -476,16 +470,19 @@ def _unclassifiable(curve: RandommeterCurve, s_by_slice: dict) -> str:
     return ""
 
 
-def classify_scenario(curve: RandommeterCurve, chsh_per_slice) -> ScenarioVerdict:
+def classify_scenario(
+    curve: RandommeterCurve, chsh_per_slice, n_coincidences: int
+) -> ScenarioVerdict:
     """Decide which property the run gives evidence against.
 
-    Preconditions: every slice has a sufficient reading and violates the
-    classical bound (S > 2 at >= ``S_SIGMAS``); otherwise INCONCLUSIVE.  The
-    rejection rates of the two pulse halves are then contrasted with a
-    two-proportion test at ``HALVES_SIGNIFICANCE``: a significantly larger R in
-    the first half means ERGODICITY_FALSE, significantly smaller means
-    LOCALITY_FALSE, and no detectable contrast means REALISM_FALSE
-    (constant reading).  This is evidence, not proof.
+    Preconditions: the run matched at least one coincidence, and every
+    slice has a sufficient reading and violates the classical bound (S > 2
+    at >= ``S_SIGMAS``); otherwise INCONCLUSIVE, with no contrast statistic
+    and no half counts.  The rejection rates of the two pulse halves are
+    then contrasted with a two-proportion test at ``HALVES_SIGNIFICANCE``: a
+    significantly larger R in the first half means ERGODICITY_FALSE,
+    significantly smaller means LOCALITY_FALSE, and no detectable contrast
+    means REALISM_FALSE (constant reading).  This is evidence, not proof.
     """
     s_by_slice = {est.slice_index: est for est in chsh_per_slice}
     per_slice_s = tuple(
@@ -494,9 +491,12 @@ def classify_scenario(curve: RandommeterCurve, chsh_per_slice) -> ScenarioVerdic
     )
     per_slice_r = tuple(r.rejection_rate for r in curve.readings)
 
-    reason = _unclassifiable(curve, s_by_slice)
+    reason = _unclassifiable(curve, s_by_slice, n_coincidences)
     if reason:
-        return ScenarioVerdict.inconclusive(reason, per_slice_s, per_slice_r)
+        return ScenarioVerdict(
+            Verdict.INCONCLUSIVE, math.nan, math.nan, math.nan, math.nan, 0, 0,
+            per_slice_s, per_slice_r, reason,
+        )
 
     n = curve.n_slices
     first = [r for r in curve.readings if 2 * r.slice_index + 1 < n]

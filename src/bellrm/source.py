@@ -38,7 +38,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .btag import EVENT_DTYPE, STATION_A, STATION_B, BtagWriter, join_events
+from .btag import EVENT_DTYPE, STATION_A, STATION_B, BtagWriter
 from .errors import ConfigError, require_finite
 from .models import PI, OutcomeModel, PairSampler, normalize_angle
 from .streams import per_pulse_choice, substream
@@ -419,19 +419,12 @@ def iter_event_chunks(
         del parts, parts_a, parts_b, station_parts, t, pulses, settings, bits_a, bits_b
 
 
-def simulate_events(config: RunConfig, model: OutcomeModel) -> tuple[np.ndarray, RunStats]:
-    """Generate the whole run in memory (small and medium runs)."""
-    stats = RunStats()
-    chunks = list(iter_event_chunks(config, model, stats))
-    events = join_events(chunks) if chunks else np.empty(0, dtype=EVENT_DTYPE)
-    return events, stats
-
-
 def simulate_to_btag(config: RunConfig, model: OutcomeModel, path) -> RunStats:
     """Stream the run straight into a BTAG file, one time slab at a time.
 
     Memory holds one block's draws and one slab's merge, whatever the
-    run's length; the bytes are those of :func:`simulate_events`.
+    run's length; the file holds the chunks of :func:`iter_event_chunks`
+    in order.
     """
     stats = RunStats()
     with BtagWriter(path) as writer:

@@ -22,16 +22,17 @@ from bellrm import (
     RunConfig,
     Verdict,
     block_frequency_test,
+    chsh_from_table,
+    count_table,
     cusum_test,
     ergodicity_gap,
-    estimate_chsh,
+    iter_event_chunks,
     match_events,
     monobit_test,
     pulse_geometry,
     runs_test,
     s_vs_window,
     serial_test,
-    simulate_events,
     slice_index_of,
     wilson_interval,
 )
@@ -65,7 +66,7 @@ def sample_chsh(model, n_per_pair, seed):
         rec = np.zeros(n_per_pair, dtype=COINC_DTYPE)
         rec["bit_a"], rec["bit_b"], rec["setting_index"] = bits_a, bits_b, k
         parts.append(rec)
-    return estimate_chsh(np.concatenate(parts), CHSH_MENU)
+    return chsh_from_table(count_table(np.concatenate(parts), len(CHSH_MENU), 1), CHSH_MENU)
 
 
 def test_criterion_01_geometry():
@@ -105,7 +106,7 @@ def test_criterion_03_qm_correlations_per_slice():
         seed=303, run_duration_s=42.0, detection_prob_per_pulse=0.0,
         coincidence_prob_per_pulse=0.1, dark_rate_hz=0.0,
     )
-    events, _ = simulate_events(cfg, QM)
+    events = np.concatenate(list(iter_event_chunks(cfg, QM)))
     records = match_events(
         events, 2, rep_rate_hz=cfg.rep_rate_hz, settings_menu=cfg.settings_menu
     )
@@ -115,7 +116,8 @@ def test_criterion_03_qm_correlations_per_slice():
     per_pair = min(
         int(np.count_nonzero(records["setting_index"] == k)) for k in range(4)
     )
-    ests = [estimate_chsh(records, cfg.settings_menu, slice_index=k) for k in range(4)]
+    table = count_table(records, len(cfg.settings_menu), 4)
+    ests = [chsh_from_table(table, cfg.settings_menu, k) for k in range(4)]
     target = 2 * math.sqrt(2)
     within = all(abs(e.S - target) <= 0.02 for e in ests)
     weights = np.array([1 / e.std_err**2 for e in ests])
@@ -158,7 +160,7 @@ def test_criterion_05_sequence_identity():
             coincidence_prob_per_pulse=0.05, dark_rate_hz=0.0,
             settings_menu=[(0.3, 0.3 + beta_offset)],
         )
-        events, _ = simulate_events(cfg, QM)
+        events = np.concatenate(list(iter_event_chunks(cfg, QM)))
         records = match_events(
             events, 2, rep_rate_hz=cfg.rep_rate_hz, settings_menu=cfg.settings_menu
         )
@@ -243,7 +245,7 @@ def test_criterion_08_s_vs_window_decay():
         seed=11, run_duration_s=20.0, detection_prob_per_pulse=0.0,
         coincidence_prob_per_pulse=0.001, dark_rate_hz=30_000.0,
     )
-    events, _ = simulate_events(cfg, QM)
+    events = np.concatenate(list(iter_event_chunks(cfg, QM)))
     windows = [5, 10, 25, 50, 75, 100]
     scan = s_vs_window(
         events, windows, cfg.settings_menu,
@@ -270,8 +272,8 @@ def scenario_run(kind, seed):
         seed=seed, run_duration_s=12.0, detection_prob_per_pulse=0.0,
         coincidence_prob_per_pulse=0.05, dark_rate_hz=0.0,
     )
-    events, _ = simulate_events(cfg, OutcomeModel(kind))
-    _, _, _, verdict, _ = analyze_pieces([events], cfg, AnalysisConfig())
+    events = iter_event_chunks(cfg, OutcomeModel(kind))
+    _, _, _, verdict, _ = analyze_pieces(events, cfg, AnalysisConfig())
     return verdict
 
 

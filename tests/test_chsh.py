@@ -22,13 +22,12 @@ from bellrm import (
     count_table,
     ensemble_average,
     ergodicity_gap,
-    estimate_chsh,
+    iter_event_chunks,
     local_hv_bit,
     model_time_average,
     qm_correlation,
     same_angle,
     s_vs_window,
-    simulate_events,
     write_chsh_csv,
 )
 from bellrm.chsh import CHSH_SIGNS
@@ -102,7 +101,7 @@ class TestCorrelationEstimate:
 class TestChshEstimate:
     def test_qm_reaches_two_root_two(self):
         rec = sampled_records(QM, 250_000, seed=23)
-        est = estimate_chsh(rec, CHSH_MENU)
+        est = chsh_from_table(count_table(rec, 4, 1), CHSH_MENU)
         assert est.S == pytest.approx(2 * math.sqrt(2), abs=0.01)
         qm = abs(sum(sign * qm_correlation(a, b) for sign, (a, b) in zip(CHSH_SIGNS, CHSH_MENU)))
         assert qm == pytest.approx(2 * math.sqrt(2), abs=1e-12)
@@ -110,7 +109,7 @@ class TestChshEstimate:
     def test_local_model_sits_at_classical_bound(self):
         # oracle: sawtooth correlation gives |0.5 + 0.5 + 0.5 + 0.5| = 2
         rec = sampled_records(LOCAL, 250_000, seed=25)
-        est = estimate_chsh(rec, CHSH_MENU)
+        est = chsh_from_table(count_table(rec, 4, 1), CHSH_MENU)
         assert est.S == pytest.approx(2.0, abs=0.01)
 
     def test_algebraic_bound(self, rng):
@@ -118,36 +117,37 @@ class TestChshEstimate:
             bits_a = rng.integers(0, 2, 400)
             bits_b = rng.integers(0, 2, 400)
             rec = records_from_bits(bits_a, bits_b, np.tile(np.arange(4), 100))
-            assert estimate_chsh(rec, CHSH_MENU).S <= 4.0
+            assert chsh_from_table(count_table(rec, 4, 1), CHSH_MENU).S <= 4.0
 
     def test_missing_pair_is_an_error(self):
         rec = sampled_records(QM, 100, seed=27)
         rec = rec[rec["setting_index"] != 2]
         with pytest.raises(IncompleteSettingsError):
-            estimate_chsh(rec, CHSH_MENU)
+            chsh_from_table(count_table(rec, 4, 1), CHSH_MENU)
 
     def test_global_bit_flip_leaves_s_unchanged(self):
         rec = sampled_records(QM, 5_000, seed=29)
         flipped = rec.copy()
         flipped["bit_a"] ^= 1
         flipped["bit_b"] ^= 1
-        assert estimate_chsh(flipped, CHSH_MENU).S == estimate_chsh(rec, CHSH_MENU).S
+        s_flipped = chsh_from_table(count_table(flipped, 4, 1), CHSH_MENU).S
+        assert s_flipped == chsh_from_table(count_table(rec, 4, 1), CHSH_MENU).S
 
     def test_per_slice_estimates(self):
         rec = sampled_records(QM, 5_000, seed=31, slices=np.tile([0, 1], 2500))
-        ests = [estimate_chsh(rec, CHSH_MENU, slice_index=k) for k in range(2)]
+        ests = [chsh_from_table(count_table(rec, 4, 2), CHSH_MENU, k) for k in range(2)]
         assert [e.slice_index for e in ests] == [0, 1]
         assert all(e.n_records == 10_000 for e in ests)
 
     def test_tsirelson_with_slack_for_all_models(self):
         for kind in ModelKind:
             rec = sampled_records(OutcomeModel(kind), 20_000, seed=33)
-            est = estimate_chsh(rec, CHSH_MENU)
+            est = chsh_from_table(count_table(rec, 4, 1), CHSH_MENU)
             assert est.S <= TSIRELSON_BOUND + 5 * est.std_err
 
     def test_csv_emission(self, tmp_path):
         rec = sampled_records(QM, 2_000, seed=35, slices=np.tile([0, 1], 1000))
-        ests = [estimate_chsh(rec, CHSH_MENU, slice_index=k) for k in range(2)]
+        ests = [chsh_from_table(count_table(rec, 4, 2), CHSH_MENU, k) for k in range(2)]
         path = tmp_path / "chsh.csv"
         write_chsh_csv(path, ests)
         lines = path.read_text().splitlines()
@@ -208,21 +208,20 @@ class TestCountTable:
 
     def test_pooled_estimate_counts_records_outside_every_slice(self, rng):
         rec = mixed_records(rng)
-        pooled = estimate_chsh(rec, CHSH_MENU)
+        table = count_table(rec, 4, 3)
+        pooled = chsh_from_table(table, CHSH_MENU)
         assert pooled.n_records == np.count_nonzero(rec["setting_index"] >= 0)
-        assert pooled == chsh_from_table(count_table(rec, 4, 3), CHSH_MENU)
         assert pooled == estimate_chsh_by_isin(rec, CHSH_MENU)
         for k in (0, 1, 2, -1):
-            assert estimate_chsh(rec, CHSH_MENU, slice_index=k) == estimate_chsh_by_isin(
-                rec, CHSH_MENU, k
-            )
+            assert chsh_from_table(table, CHSH_MENU, k) == estimate_chsh_by_isin(rec, CHSH_MENU, k)
 
     def test_duplicate_menu_entry_equals_isin(self, rng):
         # entry 4 repeats (a, b): both indices count toward E(a, b)
         menu = list(CHSH_MENU) + [CHSH_MENU[0]]
         rec = mixed_records(rng, n_settings=5, n_slices=2)
+        table = count_table(rec, 5, 2)
         for k in (None, 0, 1, -1):
-            est = estimate_chsh(rec, menu, slice_index=k)
+            est = chsh_from_table(table, menu, k)
             assert est == estimate_chsh_by_isin(rec, menu, k)
         assert est.correlations[0].n_total == np.count_nonzero(
             (rec["slice_index"] == -1) & np.isin(rec["setting_index"], [0, 4])
@@ -231,7 +230,7 @@ class TestCountTable:
     def test_empty_slice_is_incomplete(self, rng):
         rec = mixed_records(rng, n_slices=2)
         with pytest.raises(IncompleteSettingsError, match="in slice 5"):
-            estimate_chsh(rec, CHSH_MENU, slice_index=5)
+            chsh_from_table(count_table(rec, 4, 6), CHSH_MENU, 5)
 
 
 class TestEnsembleAverage:
@@ -299,7 +298,7 @@ def noisy_run():
         coincidence_prob_per_pulse=0.002,
         dark_rate_hz=30_000.0,
     )
-    events, _ = simulate_events(cfg, QM)
+    events = np.concatenate(list(iter_event_chunks(cfg, QM)))
     return cfg, events
 
 

@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bellrm.source
-from bellrm import RunConfig, read_btag, write_btag
+from bellrm import BtagWriter, RunConfig, iter_btag
 from bellrm.atomic import atomic_open
 from bellrm.cli import main
 
@@ -65,7 +66,7 @@ def sim_dir(tmp_path, no_bellrm_env):
 
 class TestSimulate:
     def test_produces_btag_and_manifest(self, sim_dir):
-        events = read_btag(sim_dir / "events.btag")
+        events = np.concatenate(list(iter_btag(sim_dir / "events.btag")))
         assert events.size > 0
         manifest = json.loads((sim_dir / "manifest.json").read_text())
         assert manifest["seed"] == 77
@@ -118,7 +119,7 @@ class TestSimulate:
         cfg = write_config(tmp_path, obj)
         out = tmp_path / "empty"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        assert read_btag(out / "events.btag").size == 0
+        assert list(iter_btag(out / "events.btag")) == []
 
     def test_invalid_config_exits_2(self, tmp_path, no_bellrm_env, capsys):
         obj = json.loads(json.dumps(BASE_CONFIG))
@@ -386,7 +387,7 @@ class TestAnalyze:
         obj["run"].update(run_duration_s=1.0, coincidence_prob_per_pulse=0.0, dark_rate_hz=1000.0)
         out = tmp_path / "darks"
         main(["simulate", "--config", str(write_config(tmp_path, obj)), "--out", str(out)])
-        assert read_btag(out / "events.btag").size > 0
+        assert np.concatenate(list(iter_btag(out / "events.btag"))).size > 0
         assert main(["analyze", "--in", str(out)]) == 0
         verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["label"] == "INCONCLUSIVE"
@@ -476,7 +477,9 @@ class TestAnalyze:
     def test_btag_of_another_size_than_the_manifest_exits_3(self, sim_dir, capsys):
         # a valid BTAG file, one record short of the one the manifest describes
         path = sim_dir / "events.btag"
-        write_btag(path, read_btag(path)[:-1])
+        events = np.concatenate(list(iter_btag(path)))
+        with BtagWriter(path) as writer:
+            writer.write(events[:-1])
         assert main(["analyze", "--in", str(sim_dir)]) == 3
         err = capsys.readouterr().err
         assert "manifest.json records" in err and str(path.stat().st_size + 16) in err
@@ -658,3 +661,68 @@ def test_failed_write_leaves_the_old_file(tmp_path):
             raise RuntimeError("writer failed")
     assert path.read_text() == "old"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["verdict.json"]
+
+
+def _run_cli(args: list[str]) -> subprocess.CompletedProcess:
+    """``python -m bellrm.cli`` in a child, whose stderr shows any traceback."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("BELLRM_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "bellrm.cli", *args], env=env, capture_output=True, text=True
+    )
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "report"])
+def test_an_output_path_that_cannot_be_written_exits_2(sim_dir, command):
+    a_file = sim_dir.parent / "a-file"
+    a_file.write_text("")
+    if command == "simulate":
+        path = a_file  # mkdir finds a file
+        args = ["--config", str(write_config(sim_dir.parent)), "--out", str(path)]
+    elif command == "analyze":
+        path = sim_dir / "verdict.json"  # the write finds a directory
+        path.mkdir()
+        args = ["--in", str(sim_dir)]
+    else:
+        assert main(["analyze", "--in", str(sim_dir)]) == 0
+        path = a_file / "x"  # mkdir finds a file on the way
+        args = ["--in", str(sim_dir), "--out", str(path)]
+    proc = _run_cli([command, *args])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "configuration error: cannot write" in proc.stderr and str(path) in proc.stderr
+
+
+def test_a_failed_analysis_write_leaves_no_new_output_beside_an_old_one(sim_dir, capsys):
+    assert main(["analyze", "--in", str(sim_dir)]) == 0
+    assert main(["report", "--in", str(sim_dir)]) == 0
+    (sim_dir / "verdict.json").unlink()
+    (sim_dir / "verdict.json").mkdir()
+    # four slices: every new output would differ from the old one
+    assert main(["analyze", "--in", str(sim_dir), "--slices", "4"]) == 2
+    assert "verdict.json" in capsys.readouterr().err
+    assert sorted(p.name for p in sim_dir.iterdir()) == [
+        "events.btag", "manifest.json", "verdict.json"
+    ]
+
+
+@pytest.mark.parametrize("fault", ["setting-in-fourth-piece", "window-zero"])
+def test_a_refused_analysis_keeps_the_earlier_outputs(sim_dir, monkeypatch, fault):
+    assert main(["analyze", "--in", str(sim_dir)]) == 0
+    assert main(["report", "--in", str(sim_dir)]) == 0
+    path = sim_dir / "events.btag"
+    if fault == "window-zero":
+        monkeypatch.setenv("BELLRM_WINDOW_NS", "0")
+        expected = 2
+    else:
+        # a DataError after three pieces were matched and their blocks tested
+        data = bytearray(path.read_bytes())
+        at = 32 + 16 * 200_003
+        data[at + 14 : at + 16] = (99).to_bytes(2, "little")
+        path.write_bytes(bytes(data))
+        expected = 3
+    before = {p.name: p.read_bytes() for p in sim_dir.iterdir()}
+    assert len(before) == 8
+    assert main(["analyze", "--in", str(sim_dir)]) == expected
+    assert {p.name: p.read_bytes() for p in sim_dir.iterdir()} == before

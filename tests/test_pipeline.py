@@ -17,22 +17,23 @@ from hypothesis import strategies as st
 from bellrm import (
     CHSH_MENU,
     EVENT_DTYPE,
+    BtagWriter,
     ConfigError,
     DataError,
     ModelKind,
     OutcomeModel,
     RunConfig,
     Verdict,
-    estimate_chsh,
+    chsh_from_table,
+    count_table,
     iter_btag,
+    iter_event_chunks,
     match_events,
     pulse_geometry,
     run_battery,
     sequence_partition,
-    simulate_events,
     slice_index_of,
     slice_sequences,
-    write_btag,
     write_chsh_csv,
 )
 from bellrm import pipeline
@@ -49,7 +50,8 @@ def test_menu_without_a_chsh_pair_is_inconclusive(tmp_path):
         seed=31, run_duration_s=8.0, detection_prob_per_pulse=0.0,
         coincidence_prob_per_pulse=0.05, dark_rate_hz=0.0, settings_menu=CHSH_MENU[:3],
     )
-    events, _ = simulate_events(cfg, OutcomeModel(ModelKind.SCENARIO_LOCALITY_FALSE))
+    model = OutcomeModel(ModelKind.SCENARIO_LOCALITY_FALSE)
+    events = np.concatenate(list(iter_event_chunks(cfg, model)))
     n_coincidences, chsh, curve, verdict, _ = analyze_pieces([events], cfg, AnalysisConfig())
     assert n_coincidences > 0 and chsh == []
     assert all(reading.sufficient for reading in curve.readings)
@@ -64,13 +66,14 @@ def test_menu_without_a_chsh_pair_is_inconclusive(tmp_path):
     ]
 
 
-def test_per_slice_chsh_equals_estimate_chsh_on_the_records():
-    # the pipeline reads every slice from one count table; slice -1 and
+def test_per_slice_chsh_equals_one_table_of_one_pass():
+    # the pipeline adds up one count table per part; it must equal the table
+    # of one pass over the whole stream in every slice.  Slice -1 and
     # cross-pulse records with setting -1 (the fifth entry's alpha with
     # another entry's beta is not in the menu) are present and must stay out
     menu = [*CHSH_MENU, (0.3, 0.7)]
     cfg = RunConfig(seed=33, run_duration_s=3.0, dark_rate_hz=1e5, settings_menu=menu)
-    events, _ = simulate_events(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))
+    events = np.concatenate(list(iter_event_chunks(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))))
     analysis = AnalysisConfig(n_slices=3, window_ns=100)
     n_coincidences, chsh, _, _, _ = analyze_pieces([events], cfg, analysis)
     records = match_events(events, 100, rep_rate_hz=cfg.rep_rate_hz, settings_menu=menu)
@@ -79,7 +82,8 @@ def test_per_slice_chsh_equals_estimate_chsh_on_the_records():
     )
     assert n_coincidences == records.size
     assert (records["slice_index"] == -1).any() and (records["setting_index"] == -1).any()
-    assert chsh == [estimate_chsh(records, cfg.settings_menu, slice_index=k) for k in range(3)]
+    table = count_table(records, len(menu), 3)
+    assert chsh == [chsh_from_table(table, menu, k) for k in range(3)]
 
 
 @pytest.mark.parametrize(
@@ -132,7 +136,7 @@ def test_cutting_at_every_gap_matches_one_pass(window, chain_size, n_chains):
     # one-event pieces: cut_at_gaps cuts at every gap wider than W; at
     # W = 100 ns the 100 kHz darks make chains of three or more events
     cfg = RunConfig(seed=43, run_duration_s=0.05, dark_rate_hz=1e5)
-    events, _ = simulate_events(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))
+    events = np.concatenate(list(iter_event_chunks(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))))
     ts = events["timestamp_ns"].astype(np.int64)
     n_gaps = np.count_nonzero(np.diff(ts) > window)
     parts = assert_cut_matches_one_pass(events, np.split(events, events.size), window)
@@ -187,9 +191,11 @@ def test_reading_in_small_pieces_gives_the_same_analysis(tmp_path):
         seed=45, run_duration_s=2.0, detection_prob_per_pulse=0.01,
         coincidence_prob_per_pulse=0.05, dark_rate_hz=1e4,
     )
-    events, _ = simulate_events(cfg, OutcomeModel(ModelKind.SCENARIO_LOCALITY_FALSE))
+    model = OutcomeModel(ModelKind.SCENARIO_LOCALITY_FALSE)
+    events = np.concatenate(list(iter_event_chunks(cfg, model)))
     path = tmp_path / "events.btag"
-    write_btag(path, events)
+    with BtagWriter(path) as writer:
+        writer.write(events)
     analysis = AnalysisConfig(window_ns=5)
     whole = analyze_pieces([events], cfg, analysis)
     pieces = analyze_pieces(iter_btag(path, piece_records=1000), cfg, analysis)
@@ -204,7 +210,7 @@ def test_the_settings_table_is_built_once_per_analysis():
         seed=47, run_duration_s=1.0, coincidence_prob_per_pulse=0.05,
         dark_rate_hz=1e4, settings_menu=menu,
     )
-    events, _ = simulate_events(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))
+    events = np.concatenate(list(iter_event_chunks(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))))
     pieces = np.array_split(events, 5)
     analysis = AnalysisConfig(window_ns=5)
     n_parts = len(list(cut_at_gaps(pieces, analysis.window_ns)))

@@ -22,7 +22,6 @@ from bellrm import (
     pulse_geometry,
     pulse_index_of,
     pulse_start_ns,
-    simulate_events,
 )
 from bellrm.source import _hit_offsets
 from bellrm.streams import per_pulse_choice, substream
@@ -160,7 +159,8 @@ class TestPulseArithmetic:
 class TestGenerateRun:
     def test_coincidence_count_binomial(self):
         # oracle: Binomial(1e6, 0.02) = 20000 +/- 3 sigma
-        events, run_stats = simulate_events(small_config(), QM)
+        run_stats = RunStats()
+        events = np.concatenate(list(iter_event_chunks(small_config(), QM, run_stats)))
         n, p = 10**6, 0.02
         sigma = math.sqrt(n * p * (1 - p))
         assert abs(run_stats.n_coincidence_pairs - n * p) < 3 * sigma
@@ -168,17 +168,18 @@ class TestGenerateRun:
 
     def test_zero_signal_leaves_only_darks(self):
         cfg = small_config(coincidence_prob_per_pulse=0.0, dark_rate_hz=500.0)
-        events, run_stats = simulate_events(cfg, QM)
+        run_stats = RunStats()
+        events = np.concatenate(list(iter_event_chunks(cfg, QM, run_stats)))
         assert run_stats.n_coincidence_pairs == 0
         assert events.size == run_stats.n_darks_a + run_stats.n_darks_b
 
     def test_replay_identical_for_same_seed(self):
-        e1, _ = simulate_events(small_config(dark_rate_hz=200.0, detection_prob_per_pulse=0.05), QM)
-        e2, _ = simulate_events(small_config(dark_rate_hz=200.0, detection_prob_per_pulse=0.05), QM)
+        cfg = small_config(dark_rate_hz=200.0, detection_prob_per_pulse=0.05)
+        e1 = np.concatenate(list(iter_event_chunks(cfg, QM)))
+        e2 = np.concatenate(list(iter_event_chunks(cfg, QM)))
         assert np.array_equal(e1, e2)
-        e3, _ = simulate_events(
-            small_config(seed=102, dark_rate_hz=200.0, detection_prob_per_pulse=0.05), QM
-        )
+        other = small_config(seed=102, dark_rate_hz=200.0, detection_prob_per_pulse=0.05)
+        e3 = np.concatenate(list(iter_event_chunks(other, QM)))
         assert not np.array_equal(e1, e3)
 
     def test_same_chunking_replays_the_stream(self):
@@ -192,7 +193,7 @@ class TestGenerateRun:
 
     def test_events_time_ordered_and_strict_per_station(self):
         cfg = small_config(detection_prob_per_pulse=0.05, dark_rate_hz=1000.0)
-        events, _ = simulate_events(cfg, QM)
+        events = np.concatenate(list(iter_event_chunks(cfg, QM)))
         t = events["timestamp_ns"].astype(np.int64)
         assert np.all(np.diff(t) >= 0)
         for station in (0, 1):
@@ -201,7 +202,7 @@ class TestGenerateRun:
 
     def test_settings_constant_within_pulse(self):
         cfg = small_config(detection_prob_per_pulse=0.05, dark_rate_hz=1000.0)
-        events, _ = simulate_events(cfg, QM)
+        events = np.concatenate(list(iter_event_chunks(cfg, QM)))
         order = np.argsort(events["pulse_index"], kind="stable")
         pulses = events["pulse_index"][order]
         settings = events["setting_index"][order]
@@ -209,13 +210,14 @@ class TestGenerateRun:
         assert np.all(settings[1:][same_pulse] == settings[:-1][same_pulse])
 
     def test_settings_uniform_over_menu(self):
-        events, _ = simulate_events(small_config(), QM)
+        events = np.concatenate(list(iter_event_chunks(small_config(), QM)))
         counts = np.bincount(events["setting_index"], minlength=len(CHSH_MENU))
         assert stats.chisquare(counts).pvalue > 0.001
 
     def test_occupancy_is_bernoulli(self):
         # chi-square goodness of fit of per-pulse occupancy on 1e6 pulses
-        events, run_stats = simulate_events(small_config(), QM)
+        run_stats = RunStats()
+        events = np.concatenate(list(iter_event_chunks(small_config(), QM, run_stats)))
         pair_pulses = np.unique(events["pulse_index"])
         n_occupied = pair_pulses.size
         assert n_occupied == run_stats.n_coincidence_pairs  # at most one pair per pulse
@@ -226,7 +228,7 @@ class TestGenerateRun:
 
     def test_timestamps_inside_pulse_window(self):
         cfg = small_config(detection_prob_per_pulse=0.05)
-        events, _ = simulate_events(cfg, QM)
+        events = np.concatenate(list(iter_event_chunks(cfg, QM)))
         geo = pulse_geometry(cfg)
         within = events["timestamp_ns"].astype(np.int64) - pulse_start_ns(
             events["pulse_index"], cfg.rep_rate_hz
@@ -235,12 +237,12 @@ class TestGenerateRun:
         assert within.max() < geo.pulse_duration_ns
 
     def test_empty_run(self):
-        events, run_stats = simulate_events(small_config(run_duration_s=0.0), QM)
-        assert events.size == 0
+        run_stats = RunStats()
+        assert list(iter_event_chunks(small_config(run_duration_s=0.0), QM, run_stats)) == []
         assert run_stats.n_pulses == 0
 
     def test_coincident_pair_shares_timestamp_and_setting(self):
-        events, _ = simulate_events(small_config(), QM)
+        events = np.concatenate(list(iter_event_chunks(small_config(), QM)))
         a = events[events["station"] == 0]
         b = events[events["station"] == 1]
         assert np.array_equal(a["timestamp_ns"], b["timestamp_ns"])
@@ -294,9 +296,11 @@ class TestHitOffsets:
         hits = _hit_offsets(substream(8, "hits"), p, m)
         assert abs(hits.size - m * p) < 4 * math.sqrt(m * p * (1 - p))
         assert np.all(np.diff(hits) > 0) and hits[-1] < m
-        _, run_stats = simulate_events(
-            small_config(run_duration_s=0.01, coincidence_prob_per_pulse=p), QM
-        )
+        run_stats = RunStats()
+        for _ in iter_event_chunks(
+            small_config(run_duration_s=0.01, coincidence_prob_per_pulse=p), QM, run_stats
+        ):
+            pass
         assert abs(run_stats.n_coincidence_pairs - 10**4 * p) < 4 * math.sqrt(10**4 * p * (1 - p))
 
     def test_tiny_probability_ends(self):

@@ -6,6 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bellrm import (
+    BtagWriter,
     CHSH_MENU,
     COINC_DTYPE,
     ConfigError,
@@ -17,17 +18,16 @@ from bellrm import (
     STATION_A,
     STATION_B,
     StreamOrderError,
-    estimate_chsh,
+    chsh_from_table,
+    count_table,
     iter_btag,
+    iter_event_chunks,
     match_events,
     pulse_geometry,
     pulse_index_of,
-    read_btag,
     sequence_partition,
-    simulate_events,
     slice_index_of,
     slice_sequences,
-    write_btag,
     write_csv,
 )
 from bellrm import btag
@@ -175,7 +175,8 @@ class TestMatchEventsOnTwoStations:
         rec = np.zeros(400, dtype=COINC_DTYPE)
         rec["setting_index"] = np.repeat(np.arange(4), 100)
         rec["bit_a"] = rec["bit_b"] = np.tile([0, 1], 200)
-        assert estimate_chsh(rec, menu).S == estimate_chsh(rec, CHSH_MENU).S
+        table = count_table(rec, 4, 1)
+        assert chsh_from_table(table, menu).S == chsh_from_table(table, CHSH_MENU).S
         # so the cross-pulse table reads its alpha as a': (alpha of 3, beta
         # of 0) = (a', b) = menu entry 2
         ea = make_events([900], STATION_A, settings=[3])
@@ -211,7 +212,7 @@ class TestMatchEvents:
         # W = 100 ns with 100 kHz darks: many chains of three or more events
         # (slow path) and pairs whose A and B events sit in different pulses
         cfg = RunConfig(seed=41, run_duration_s=0.5, dark_rate_hz=1e5)
-        events, _ = simulate_events(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))
+        events = np.concatenate(list(iter_event_chunks(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))))
         t = events["timestamp_ns"].astype(np.int64)
         chain = np.cumsum(np.diff(t, prepend=t[0]) > 100)
         n_b = np.bincount(chain, weights=events["station"])
@@ -323,7 +324,7 @@ class TestMatcherOracle:
     @pytest.mark.parametrize("window", [2, 100, 1000, 5000])
     def test_simulated_stream(self, window):
         cfg = RunConfig(seed=43, run_duration_s=0.5, dark_rate_hz=1e5)
-        events, _ = simulate_events(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))
+        events = np.concatenate(list(iter_event_chunks(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))))
         if window <= 100:
             # most events are lone ones and get set aside
             assert np.count_nonzero(has_neighbour(events, window)) < 0.5 * events.size
@@ -340,7 +341,8 @@ class TestMatcherOracle:
             seed=44, run_duration_s=0.2, detection_prob_per_pulse=0.0,
             coincidence_prob_per_pulse=0.3, dark_rate_hz=0.0,
         )
-        events, _ = simulate_events(cfg, OutcomeModel(ModelKind.SCENARIO_LOCALITY_FALSE))
+        model = OutcomeModel(ModelKind.SCENARIO_LOCALITY_FALSE)
+        events = np.concatenate(list(iter_event_chunks(cfg, model)))
         assert has_neighbour(events, 2).all()
         assert self.assert_same(events, 2, cfg.rep_rate_hz).size == events.size // 2
 
@@ -457,7 +459,7 @@ class TestSequences:
             dark_rate_hz=0.0,
             settings_menu=menu,
         )
-        events, _ = simulate_events(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))
+        events = np.concatenate(list(iter_event_chunks(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))))
         rec = match_events(
             events, 2, rep_rate_hz=cfg.rep_rate_hz, settings_menu=cfg.settings_menu
         )
@@ -565,14 +567,16 @@ class TestBtagFormat:
     def test_round_trip(self, tmp_path, rng):
         ev = self.events(rng)
         path = tmp_path / "events.btag"
-        write_btag(path, ev)
+        with BtagWriter(path) as writer:
+            writer.write(ev)
         assert path.stat().st_size == 32 + 16 * ev.size
-        back = read_btag(path)
+        back = np.concatenate(list(iter_btag(path)))
         assert np.array_equal(ev, back)
 
     def test_failed_count_patch_leaves_the_old_file(self, tmp_path, rng, monkeypatch):
         path = tmp_path / "events.btag"
-        write_btag(path, self.events(rng))
+        with BtagWriter(path) as writer:
+            writer.write(self.events(rng))
         before = path.read_bytes()
         pack = btag._pack_header
 
@@ -591,42 +595,48 @@ class TestBtagFormat:
 
     def test_empty_file_is_valid(self, tmp_path):
         path = tmp_path / "empty.btag"
-        write_btag(path, np.empty(0, dtype=EVENT_DTYPE))
-        assert read_btag(path).size == 0
+        with BtagWriter(path) as writer:
+            writer.write(np.empty(0, dtype=EVENT_DTYPE))
+        assert list(iter_btag(path)) == []
 
     def test_truncated_record_region_reports_offset(self, tmp_path, rng):
         path = tmp_path / "events.btag"
-        write_btag(path, self.events(rng))
+        with BtagWriter(path) as writer:
+            writer.write(self.events(rng))
         data = path.read_bytes()
         path.write_bytes(data[:-7])
         with pytest.raises(IntegrityError) as err:
-            read_btag(path)
+            list(iter_btag(path))
         assert err.value.offset == len(data) - 7
 
     def test_pieces_join_to_the_whole_file(self, tmp_path, rng):
         ev = self.events(rng)
         path = tmp_path / "events.btag"
-        write_btag(path, ev)
+        with BtagWriter(path) as writer:
+            writer.write(ev)
         pieces = list(iter_btag(path, piece_records=7))
         assert [p.size for p in pieces] == [7] * 14 + [2]
-        assert np.concatenate(pieces).tobytes() == read_btag(path).tobytes() == ev.tobytes()
+        assert np.concatenate(pieces).tobytes() == ev.tobytes()
 
-    def test_read_btag_joins_the_pieces_of_a_longer_file(self, tmp_path, rng):
+    def test_a_longer_file_is_read_in_default_pieces(self, tmp_path, rng):
         # more records than one default piece holds
         ev = np.zeros(PIECE_RECORDS + 100, dtype=EVENT_DTYPE)
         ev["timestamp_ns"] = np.arange(ev.size) * 1000
         ev["station"] = rng.integers(0, 2, ev.size)
         ev["port_bit"] = rng.integers(0, 2, ev.size)
         path = tmp_path / "events.btag"
-        write_btag(path, ev)
-        assert [p.size for p in iter_btag(path)] == [PIECE_RECORDS, 100]
-        assert read_btag(path).tobytes() == ev.tobytes()
+        with BtagWriter(path) as writer:
+            writer.write(ev)
+        pieces = list(iter_btag(path))
+        assert [p.size for p in pieces] == [PIECE_RECORDS, 100]
+        assert np.concatenate(pieces).tobytes() == ev.tobytes()
 
     @pytest.mark.parametrize("piece_records", [0, -1])
     def test_piece_of_fewer_than_one_record_rejected(self, tmp_path, rng, piece_records):
         # 0 would yield empty pieces forever, -1 would read the whole file
         path = tmp_path / "events.btag"
-        write_btag(path, self.events(rng))
+        with BtagWriter(path) as writer:
+            writer.write(self.events(rng))
         with pytest.raises(ConfigError, match="piece_records must be >= 1"):
             next(iter_btag(path, piece_records=piece_records))
 
@@ -634,19 +644,21 @@ class TestBtagFormat:
         path = tmp_path / "events.btag"
         ev = self.events(rng)
         ev["port_bit"][61] = 2
-        write_btag(path, ev)
+        with BtagWriter(path) as writer:
+            writer.write(ev)
         with pytest.raises(IntegrityError, match="record 61 has station") as err:
             list(iter_btag(path, piece_records=20))
         assert err.value.offset == 32 + 61 * 16
 
     def test_bad_magic_rejected(self, tmp_path, rng):
         path = tmp_path / "events.btag"
-        write_btag(path, self.events(rng))
+        with BtagWriter(path) as writer:
+            writer.write(self.events(rng))
         data = bytearray(path.read_bytes())
         data[0:4] = b"XXXX"
         path.write_bytes(bytes(data))
         with pytest.raises(IntegrityError) as err:
-            read_btag(path)
+            list(iter_btag(path))
         assert err.value.offset == 0
 
     def test_csv_mirror_round_trip(self, tmp_path, rng):
