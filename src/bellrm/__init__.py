@@ -42,6 +42,7 @@ from .errors import (
     StreamOrderError,
     UndefinedStatisticError,
     UnsupportedModelError,
+    WorkerError,
 )
 from .models import (
     DEFAULT_DRIFT_PERIOD_S,

@@ -9,7 +9,9 @@ sections (see README for the schema).  Any scalar can be overridden by an
 environment variable prefixed BELLRM_ (e.g. BELLRM_SEED,
 BELLRM_DARK_RATE_HZ, BELLRM_SLICES); command-line flags win over both.
 Exit codes: 0 ok, 2 configuration error or an output path that cannot be
-written, 3 data error.  The analysis itself lives in :mod:`bellrm.pipeline`.
+written, 3 data error, 4 the battery worker of ``analyze`` died (the
+message names its exit code).  The analysis itself lives in
+:mod:`bellrm.pipeline`.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -30,7 +33,7 @@ from . import __version__
 from .atomic import atomic_open
 from .btag import iter_btag, write_csv
 from .chsh import write_chsh_csv
-from .errors import ConfigError, DataError, IntegrityError
+from .errors import ConfigError, DataError, IntegrityError, WorkerError
 from .models import OutcomeModel
 from .pipeline import AnalysisConfig, analyze_pieces
 from .randommeter import write_curve_csv, write_reports_csv, write_verdict_json
@@ -364,11 +367,17 @@ def cmd_report(args) -> int:
         for row in curve_rows:
             s_row = chsh_rows.get(row["slice_index"])
             s_text = f"S = {float(s_row['S']):.4f} +/- {float(s_row['std_err']):.4f}" if s_row else "S = n/a"
+            # a slice without sequences has nan for every curve number: it
+            # reads n/a and leaves its cells empty, as a slice without S does
+            numbers = {name: float(row[name]) for name in CURVE_NUMBERS}
+            r, compression = numbers["rejection_rate"], numbers["mean_compression_ratio"]
+            r_text = (
+                "R = n/a" if math.isnan(r)
+                else f"R = {r:.3f} [{numbers['ci_low']:.3f}, {numbers['ci_high']:.3f}]"
+            )
+            c_text = "n/a" if math.isnan(compression) else f"{compression:.3f}"
             summary_lines.append(
-                f"  slice {row['slice_index']}: {s_text}, "
-                f"R = {float(row['rejection_rate']):.3f} "
-                f"[{float(row['ci_low']):.3f}, {float(row['ci_high']):.3f}], "
-                f"compression {float(row['mean_compression_ratio']):.3f}"
+                f"  slice {row['slice_index']}: {s_text}, {r_text}, compression {c_text}"
             )
             combined_rows.append(
                 {
@@ -376,11 +385,10 @@ def cmd_report(args) -> int:
                     "slice_index": row["slice_index"],
                     "S": s_row["S"] if s_row else "",
                     "S_std_err": s_row["std_err"] if s_row else "",
-                    "rejection_rate": row["rejection_rate"],
-                    "ci_low": row["ci_low"],
-                    "ci_high": row["ci_high"],
-                    "mean_compression_ratio": row["mean_compression_ratio"],
-                    "randomness_level": row["randomness_level"],
+                    **{
+                        name: "" if math.isnan(value) else row[name]
+                        for name, value in numbers.items()
+                    },
                 }
             )
         summary_lines.append(f"  verdict: {verdict['label']}")
@@ -448,6 +456,9 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
+    except WorkerError as exc:
+        print(f"worker error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

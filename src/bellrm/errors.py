@@ -1,7 +1,8 @@
 """Exception hierarchy shared by the whole package.
 
-Two broad families matter for the CLI exit codes: ConfigError (bad
-parameters, exit 2) and DataError (bad or missing input data, exit 3).
+Three families matter for the CLI exit codes: ConfigError (bad
+parameters, exit 2), DataError (bad or missing input data, exit 3) and
+WorkerError (a worker process died, exit 4).
 :func:`require_finite` is the shared check for a number a config supplies.
 """
 
@@ -23,6 +24,10 @@ class UnsupportedModelError(ConfigError):
 
 class DataError(BellrmError):
     """Input data is missing, malformed or inconsistent."""
+
+
+class WorkerError(BellrmError):
+    """A worker process ended without sending its reply."""
 
 
 class StreamOrderError(DataError):

@@ -28,7 +28,7 @@ only queue, so a slow worker holds the parent back.  The worker runs
 ``run_battery`` on the blocks in the order they arrive and, after the end
 marker, sends the reports back in that order, so the outputs are those of
 a serial run.  A battery exception is raised again in the parent; a
-worker that dies ends the analysis with a ``RuntimeError`` naming its
+worker that dies ends the analysis with a ``WorkerError`` naming its
 exit code; the worker is always joined before ``analyze_pieces`` returns
 or raises.
 """
@@ -42,7 +42,7 @@ import numpy as np
 
 from .btag import STATION_A, STATION_B, STATION_LETTERS, join_events
 from .chsh import chsh_from_table, count_table
-from .errors import ConfigError, DataError, IncompleteSettingsError, require_finite
+from .errors import ConfigError, DataError, IncompleteSettingsError, WorkerError, require_finite
 from .randommeter import BatteryConfig, classify_scenario, curve_from_reports, run_battery
 from .source import RunConfig, pulse_geometry
 from .timetags import match_events, sequence_partition, slice_index_of, slice_sequences
@@ -184,13 +184,13 @@ def _send(conn, worker, item) -> None:
 
 
 def _worker_reply(conn, worker) -> list:
-    """The worker's reports; its exception raised again, or a ``RuntimeError``
+    """The worker's reports; its exception raised again, or a ``WorkerError``
     naming its exit code if it died without a reply."""
     try:
         reply = conn.recv()
     except (EOFError, OSError):
         worker.join()
-        raise RuntimeError(
+        raise WorkerError(
             f"the battery worker exited with code {worker.exitcode} before it replied"
         ) from None
     if isinstance(reply, Exception):

@@ -9,21 +9,29 @@ landing on the same nanosecond at one station keep only the first
 
 Generation is chunked over pulse blocks, each block fed by its own keyed
 random streams, so output is reproducible from (config, seed, block size);
-another ``chunk_pulses`` gives another stream.  Blocks are produced in
-order: the SCENARIO_LOCALITY_FALSE and SCENARIO_ERGODICITY_FALSE samplers
-carry their pattern position from one block to the next.  Within a block
-the pulses holding a pair or a single are found by drawing geometric gaps
-between hits, so the work follows the number of events, not of pulses.
-Every block builds each category (pairs, singles, darks, per station)
-the same way, empty or not, and ``RunStats`` counts them from the sizes
-of the block's category arrays.  The block's categories are then merged
-in time slabs of about 65,536 events, cut at shared time edges, and each
-slab is yielded as one chunk.  A same-ns repeat never straddles a cut,
-so the slabs join into the stream a whole-block merge gives: the block
-fixes the stream, and the slab only bounds the merge's memory.  A pulse
-that fills its period can put an event on the next block's start; such
-events are merged with the next block's, ahead of them, so the stream
-stays strictly in (timestamp, station) order across blocks.
+another ``chunk_pulses`` gives another stream.  Two threads share the
+work.  One helper thread makes every random draw, block after block in
+order, one block ahead: the SCENARIO_LOCALITY_FALSE and
+SCENARIO_ERGODICITY_FALSE samplers carry their pattern position from one
+block to the next, and one thread drawing in order keeps it.  The calling
+thread merges the block drawn before and yields its chunks meanwhile;
+numpy releases the GIL in the draws, sorts, gathers and writes, so the
+two use two cores, and memory holds two blocks' draws, kept narrow (the
+file's widths) for that.  Within a block the pulses holding a pair or a
+single are found by drawing geometric gaps between hits, so the work
+follows the number of events, not of pulses.  Every block builds each
+category (pairs, singles, darks, per station) the same way, empty or
+not, and ``RunStats`` counts them from the sizes of the block's category
+arrays.  The block's categories are then merged in time slabs of about
+65,536 events, cut at shared time edges, and each slab is yielded as one
+chunk; the settings of the unpaired detections, a stateless hash of their
+pulse, are computed slab by slab on the merging thread.  A same-ns
+repeat never straddles a cut, so the slabs join into the stream a
+whole-block merge gives: the block fixes the stream, and the slab only
+bounds the merge's memory.  A pulse that fills its period can put an
+event on the next block's start; such events are merged with the next
+block's, ahead of them, so the stream stays strictly in (timestamp,
+station) order across blocks.
 
 ``GENERATOR_VERSION`` names the way a seed becomes bytes.  Version 1 drew
 a uniform per pulse; version 2 draws the gaps.  The manifest records it,
@@ -33,6 +41,7 @@ and ``simulate`` refuses to replay a manifest of another version.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass, asdict
 
@@ -250,6 +259,7 @@ def _hit_offsets(rng: np.random.Generator, p: float, m: int) -> np.ndarray:
     Draws the geometric gaps between hits, not a uniform per pulse, in
     batches sized for the expected count until the m pulses are covered.
     A gap longer than the block is cut to m + 1, which still lands past it.
+    Each batch is turned into offsets in place.
     """
     if p <= 0:
         return np.empty(0, dtype=np.int64)
@@ -258,12 +268,21 @@ def _hit_offsets(rng: np.random.Generator, p: float, m: int) -> np.ndarray:
     runs = []
     last = -1
     while last < m - 1:
-        gaps = np.minimum(rng.geometric(p, batch), m + 1)
-        run = last + np.cumsum(gaps)
+        run = rng.geometric(p, batch)
+        np.minimum(run, m + 1, out=run)
+        np.cumsum(run, out=run)
+        run += last
         runs.append(run)
         last = int(run[-1])
-    hits = np.concatenate(runs)
+    hits = runs[0] if len(runs) == 1 else np.concatenate(runs)
     return hits[: np.searchsorted(hits, m)]
+
+
+def _hit_pulses(rng: np.random.Generator, p: float, start: int, m: int) -> np.ndarray:
+    """The pulses of block [start, start + m) hit with probability p, as uint32."""
+    offsets = _hit_offsets(rng, p, m)
+    offsets += start
+    return offsets.astype(np.uint32)
 
 
 def _merge_stations(parts_a: list, parts_b: list) -> tuple[np.ndarray, int]:
@@ -297,11 +316,88 @@ def _merge_stations(parts_a: list, parts_b: list) -> tuple[np.ndarray, int]:
     return events, int(keep.size - key.size)
 
 
-def _unpaired(seed: int, rng: np.random.Generator, t, pulses, n_menu: int) -> tuple:
-    """(t, pulse, port, setting) of detections without a partner: a fair
-    port bit each from the category's ``rng``, and their pulses' settings."""
-    bits = (rng.random(t.size) < 0.5).astype(np.uint8)
-    return t, pulses, bits, per_pulse_choice(seed, "settings", pulses, n_menu)
+def _fair_bits(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The port bits of n detections without a partner, fair, from ``rng``."""
+    return (rng.random(n) < 0.5).astype(np.uint8)
+
+
+def _draw_block(
+    config: RunConfig, sampler: PairSampler, block: int, start: int, stop: int
+) -> tuple[list, list]:
+    """Every random draw of the block of pulses [start, stop).
+
+    Returns each station's category arrays in priority order:
+    coincidences as (t, pulse, port, setting), then singles and darks as
+    (t, pulse, port).  An unpaired category's settings are hashed from its
+    pulses slab by slab where the block is merged.  Each category is
+    sorted by time, and each column but t has its BTAG width (pulse u32,
+    port u8, setting u16).  The blocks of a run must be drawn in order,
+    one at a time: the pattern scenarios' ``sampler`` carries its position
+    from block to block.
+    """
+    duration_ns = pulse_geometry(config).pulse_duration_ns
+    rep_rate_hz = config.rep_rate_hz
+    seed = config.seed
+    m = stop - start
+
+    rng = substream(seed, "coincidence", block)
+    pulses = _hit_pulses(rng, config.coincidence_prob_per_pulse, start, m)
+    t = pulse_start_ns(pulses, rep_rate_hz)
+    within = rng.integers(0, duration_ns, pulses.size)
+    settings = per_pulse_choice(seed, "settings", pulses, len(config.settings_menu))
+    menu = np.array(config.settings_menu)
+    bits_a, bits_b = sampler.sample(
+        menu[settings, 0], menu[settings, 1], t * 1e-9, within, duration_ns, rng
+    )
+    t += within
+    del within  # as large as the pairs, and not needed in the merge
+    parts_a = [(t, pulses, bits_a, settings)]
+    parts_b = [(t, pulses, bits_b, settings)]
+
+    for label, station_parts in (("singles-a", parts_a), ("singles-b", parts_b)):
+        rng = substream(seed, label, block)
+        pulses = _hit_pulses(rng, config.detection_prob_per_pulse, start, m)
+        t = pulse_start_ns(pulses, rep_rate_hz)
+        t += rng.integers(0, duration_ns, pulses.size)
+        station_parts.append((t, pulses, _fair_bits(rng, t.size)))
+
+    rng = substream(seed, "dark", block)
+    chunk_t0 = int(pulse_start_ns(start, rep_rate_hz))
+    chunk_t1 = int(pulse_start_ns(stop, rep_rate_hz))
+    mean_darks = config.dark_rate_hz * (chunk_t1 - chunk_t0) * 1e-9
+    for station_parts in (parts_a, parts_b):
+        t = np.sort(rng.integers(chunk_t0, chunk_t1, int(rng.poisson(mean_darks))))
+        pulses = pulse_index_of(t, rep_rate_hz).astype(np.uint32)
+        station_parts.append((t, pulses, _fair_bits(rng, t.size)))
+    return parts_a, parts_b
+
+
+class _DrawAhead(threading.Thread):
+    """:func:`_draw_block` on a thread of its own, started at once.
+
+    numpy releases the GIL in the draws, the sorts and the gathers, so a
+    block is drawn while the caller merges and writes the one before.
+    """
+
+    def __init__(self, *args):
+        super().__init__(name="bellrm-draw")
+        self._args = args
+        self._parts = self._error = None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            self._parts = _draw_block(*self._args)
+        except BaseException as exc:  # raised again in the caller's thread by result()
+            self._error = exc
+
+    def result(self) -> tuple[list, list]:
+        """The block's parts, once drawn; the draw's exception raised again."""
+        self.join()
+        if self._error is not None:
+            raise self._error
+        parts, self._parts = self._parts, None
+        return parts
 
 
 def iter_event_chunks(
@@ -320,103 +416,94 @@ def iter_event_chunks(
     join into its whole-block merge, less the events at or after the next
     block's start, which the next block merges.  An empty slab is not
     yielded.
+
+    From the first ``next()`` on, one helper thread draws the next block
+    while this one is merged and its chunks are consumed.  It is joined
+    before the generator returns, raises or is closed, and the exception
+    of a failed draw is raised here.
     """
-    geo = pulse_geometry(config)
-    duration_ns = geo.pulse_duration_ns
+    seed = config.seed
     rep_rate_hz = config.rep_rate_hz
     n_pulses = config.n_pulses
     n_menu = len(config.settings_menu)
-    menu_alpha = np.array([p[0] for p in config.settings_menu])
-    menu_beta = np.array([p[1] for p in config.settings_menu])
-    seed = config.seed
     sampler = PairSampler(model, seed)
     if stats is None:
         stats = RunStats()
     stats.n_pulses = n_pulses
+    n_blocks = -(-n_pulses // chunk_pulses)
     # per station, the last block's events at or after its end, for this block to merge
     held_a: list = []
     held_b: list = []
 
-    for block, start in enumerate(range(0, n_pulses, chunk_pulses)):
-        stop = min(start + chunk_pulses, n_pulses)
-        m = stop - start
-        chunk_t0 = int(pulse_start_ns(start, rep_rate_hz))
-        chunk_t1 = int(pulse_start_ns(stop, rep_rate_hz))
+    def draw(block: int) -> _DrawAhead:
+        start = block * chunk_pulses
+        return _DrawAhead(config, sampler, block, start, min(start + chunk_pulses, n_pulses))
 
-        # (t, pulse, port, setting) per category, each station's in
-        # priority order: coincidences, singles, darks.
-        rng = substream(seed, "coincidence", block)
-        pulses = start + _hit_offsets(rng, config.coincidence_prob_per_pulse, m)
-        starts = pulse_start_ns(pulses, rep_rate_hz)
-        within = rng.integers(0, duration_ns, pulses.size)
-        settings = per_pulse_choice(seed, "settings", pulses, n_menu)
-        bits_a, bits_b = sampler.sample(
-            menu_alpha[settings], menu_beta[settings], starts * 1e-9, within, duration_ns, rng
-        )
-        t = starts + within
-        del starts, within  # as large as the pairs, and not needed in the merge
-        parts_a = [(t, pulses, bits_a, settings)]
-        parts_b = [(t, pulses, bits_b, settings)]
+    ahead = draw(0) if n_blocks else None
+    try:
+        for block in range(n_blocks):
+            parts_a, parts_b = ahead.result()
+            ahead = draw(block + 1) if block + 1 < n_blocks else None
+            start = block * chunk_pulses
+            stop = min(start + chunk_pulses, n_pulses)
+            chunk_t0 = int(pulse_start_ns(start, rep_rate_hz))
+            chunk_t1 = int(pulse_start_ns(stop, rep_rate_hz))
 
-        for label, station_parts in (("singles-a", parts_a), ("singles-b", parts_b)):
-            rng = substream(seed, label, block)
-            pulses = start + _hit_offsets(rng, config.detection_prob_per_pulse, m)
-            t = pulse_start_ns(pulses, rep_rate_hz) + rng.integers(0, duration_ns, pulses.size)
-            station_parts.append(_unpaired(seed, rng, t, pulses, n_menu))
+            pairs, singles_a, darks_a = (t.size for t, *_ in parts_a)
+            _, singles_b, darks_b = (t.size for t, *_ in parts_b)
+            stats.n_coincidence_pairs += pairs
+            stats.n_singles_a += singles_a
+            stats.n_singles_b += singles_b
+            stats.n_darks_a += darks_a
+            stats.n_darks_b += darks_b
 
-        rng = substream(seed, "dark", block)
-        span_s = (chunk_t1 - chunk_t0) * 1e-9
-        mean_darks = config.dark_rate_hz * span_s
-        for station_parts in (parts_a, parts_b):
-            t = np.sort(rng.integers(chunk_t0, chunk_t1, int(rng.poisson(mean_darks))))
-            station_parts.append(_unpaired(seed, rng, t, pulse_index_of(t, rep_rate_hz), n_menu))
-
-        pairs, singles_a, darks_a = (t.size for t, *_ in parts_a)
-        _, singles_b, darks_b = (t.size for t, *_ in parts_b)
-        stats.n_coincidence_pairs += pairs
-        stats.n_singles_a += singles_a
-        stats.n_singles_b += singles_b
-        stats.n_darks_a += darks_a
-        stats.n_darks_b += darks_b
-
-        # Every part is sorted by time, so shared time edges cut each one
-        # into contiguous slabs, and a same-ns repeat falls in one slab.
-        # A pulse that fills its whole period can put an event on chunk_t1
-        # itself, where the next block starts: the events at or after
-        # chunk_t1 are held out of this block and merged with the next
-        # block's, ahead of them, so a repeat across the block edge keeps
-        # the first event.  The last block keeps them all.
-        parts_a = held_a + parts_a
-        parts_b = held_b + parts_b
-        parts = parts_a + parts_b
-        n_slabs = -(-sum(part[0].size for part in parts) // _SLAB_EVENTS)
-        span = chunk_t1 - chunk_t0
-        edges = np.array(
-            [chunk_t0 + span * k // n_slabs for k in range(1, n_slabs)], dtype=np.int64
-        )
-        ends = [
-            part[0].size if stop == n_pulses else int(np.searchsorted(part[0], chunk_t1))
-            for part in parts
-        ]
-        # copies, so the held events do not keep this block's draws alive
-        held = [tuple(column[end:].copy() for column in part) for part, end in zip(parts, ends)]
-        held_a = [part for part in held[: len(parts_a)] if part[0].size]
-        held_b = [part for part in held[len(parts_a) :] if part[0].size]
-        cuts = [[0, *np.searchsorted(part[0], edges), end] for part, end in zip(parts, ends)]
-        for k in range(n_slabs):
-            slabs = [
-                tuple(column[cut[k] : cut[k + 1]] for column in part)
-                for part, cut in zip(parts, cuts)
+            # Every part is sorted by time, so shared time edges cut each one
+            # into contiguous slabs, and a same-ns repeat falls in one slab.
+            # A pulse that fills its whole period can put an event on chunk_t1
+            # itself, where the next block starts: the events at or after
+            # chunk_t1 are held out of this block and merged with the next
+            # block's, ahead of them, so a repeat across the block edge keeps
+            # the first event.  The last block keeps them all.
+            parts_a = held_a + parts_a
+            parts_b = held_b + parts_b
+            parts = parts_a + parts_b
+            n_slabs = -(-sum(part[0].size for part in parts) // _SLAB_EVENTS)
+            span = chunk_t1 - chunk_t0
+            edges = np.array(
+                [chunk_t0 + span * k // n_slabs for k in range(1, n_slabs)], dtype=np.int64
+            )
+            ends = [
+                part[0].size if stop == n_pulses else int(np.searchsorted(part[0], chunk_t1))
+                for part in parts
             ]
-            events, dropped = _merge_stations(slabs[: len(parts_a)], slabs[len(parts_a) :])
-            del slabs
-            stats.n_collisions_dropped += dropped
-            stats.n_events += events.size
-            if events.size:
-                yield events
-            del events  # not held while the next slab is merged
-        # nor are the block's draws while the next block is drawn
-        del parts, parts_a, parts_b, station_parts, t, pulses, settings, bits_a, bits_b
+            # copies, so the held events do not keep this block's draws alive
+            held = [tuple(column[end:].copy() for column in part) for part, end in zip(parts, ends)]
+            held_a = [part for part in held[: len(parts_a)] if part[0].size]
+            held_b = [part for part in held[len(parts_a) :] if part[0].size]
+            cuts = [[0, *np.searchsorted(part[0], edges), end] for part, end in zip(parts, ends)]
+            for k in range(n_slabs):
+                slabs = [
+                    tuple(column[cut[k] : cut[k + 1]] for column in part)
+                    for part, cut in zip(parts, cuts)
+                ]
+                # an unpaired category's settings are hashed here, beside the next block's draws
+                slabs = [
+                    slab if len(slab) == 4
+                    else (*slab, per_pulse_choice(seed, "settings", slab[1], n_menu))
+                    for slab in slabs
+                ]
+                events, dropped = _merge_stations(slabs[: len(parts_a)], slabs[len(parts_a) :])
+                del slabs
+                stats.n_collisions_dropped += dropped
+                stats.n_events += events.size
+                if events.size:
+                    yield events
+                del events  # not held while the next slab is merged
+            # nor are this block's draws while the next one is merged
+            del parts, parts_a, parts_b, held
+    finally:
+        if ahead is not None:
+            ahead.join()
 
 
 def simulate_to_btag(config: RunConfig, model: OutcomeModel, path) -> RunStats:

@@ -4,9 +4,10 @@ Every stochastic choice in the package is drawn from a counter-based
 generator (Philox) keyed by hashing a single 64-bit master seed together
 with a purpose label and optional block indices, so a run is
 bit-reproducible from (seed, config) alone and no pulse block's draws
-depend on another block's.  (Generation is still sequential: the
-SCENARIO_LOCALITY_FALSE and SCENARIO_ERGODICITY_FALSE samplers carry
-state across blocks, see ``models.PairSampler``.)
+depend on another block's.  (The blocks are still drawn one after
+another, in order, on one thread: the SCENARIO_LOCALITY_FALSE and
+SCENARIO_ERGODICITY_FALSE samplers carry state across blocks, see
+``models.PairSampler``.  Only the merge runs beside the draws.)
 
 Per-pulse quantities that must be recoverable for *any* pulse index
 without replaying the stream (the analyzer needs the setting of the pulse
@@ -51,16 +52,25 @@ def splitmix64(values: np.ndarray | int, key: int) -> np.ndarray:
     """Vectorized SplitMix64 finalizer of ``values`` xor ``key``.
 
     Good enough avalanche for per-pulse uniform choices; not a CSPRNG.
+    Works in place on one copy of ``values``, so it holds two arrays of
+    their size at most.
     """
-    x = (np.asarray(values, dtype=np.uint64) ^ np.uint64(key & MASK64)) + _GOLDEN
-    x = (x ^ (x >> np.uint64(30))) * _MIX1
-    x = (x ^ (x >> np.uint64(27))) * _MIX2
-    return x ^ (x >> np.uint64(31))
+    x = np.array(values, dtype=np.uint64)
+    x ^= np.uint64(key & MASK64)
+    x += _GOLDEN
+    x ^= x >> np.uint64(30)
+    x *= _MIX1
+    x ^= x >> np.uint64(27)
+    x *= _MIX2
+    x ^= x >> np.uint64(31)
+    return x
 
 
 def per_pulse_choice(seed: int, label: str, pulse_indices: np.ndarray, n_choices: int) -> np.ndarray:
-    """Deterministic uniform choice in [0, n_choices) for each pulse index."""
-    if n_choices < 1:
-        raise ValueError("n_choices must be >= 1")
+    """Deterministic uniform choice in [0, n_choices) for each pulse index,
+    as ``uint16``: at most 65,536 choices."""
+    if not 1 <= n_choices <= 1 << 16:
+        raise ValueError("n_choices must lie in [1, 65536]")
     hashed = splitmix64(pulse_indices, label_key(label) ^ (seed & MASK64))
-    return (hashed % np.uint64(n_choices)).astype(np.int64)
+    hashed %= np.uint64(n_choices)
+    return hashed.astype(np.uint16)

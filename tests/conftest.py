@@ -1,7 +1,13 @@
-import numpy as np
-import pytest
+import os
 
-from bellrm import STATION_A, STATION_B
+# Before numpy loads OpenBLAS: its worker threads would count as threads
+# alive at every fork (see filterwarnings in pyproject.toml).
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from bellrm import STATION_A, STATION_B  # noqa: E402
 
 
 @pytest.fixture

@@ -563,6 +563,31 @@ class TestReport:
         verdicts = [l for l in summary.splitlines() if l.strip().startswith("verdict:")]
         assert len(verdicts) == 2
 
+    def test_a_slice_without_sequences_reads_n_a(self, sim_dir, tmp_path, no_bellrm_env):
+        # 0.05 s of the default run: about 1,000 coincidences, no full sequence
+        short = tmp_path / "short"
+        cfg = write_config(tmp_path, {"run": {"seed": 1, "run_duration_s": 0.05}}, "short.json")
+        assert main(["simulate", "--config", str(cfg), "--out", str(short)]) == 0
+        for run in (sim_dir, short):
+            assert main(["analyze", "--in", str(run)]) == 0
+        out = tmp_path / "merged"
+        assert main(["report", "--in", str(sim_dir), str(short), "--out", str(out)]) == 0
+        summary = (out / "summary.txt").read_text()
+        assert "nan" not in summary
+        slice_lines = [line for line in summary.splitlines() if "slice" in line]
+        assert len(slice_lines) == 4
+        for line in slice_lines[:2]:  # a run with sequences keeps its numbers
+            assert "R = 0." in line and "n/a" not in line
+        for line in slice_lines[2:]:
+            assert line.endswith(", R = n/a, compression n/a") and "S = 2." in line
+        rows = list(csv.DictReader(open(out / "combined_curves.csv", newline="")))
+        assert [row["run"] for row in rows] == ["run", "run", "short", "short"]
+        numbers = ("rejection_rate", "ci_low", "ci_high", "mean_compression_ratio", "randomness_level")
+        for row in rows[:2]:
+            assert all(float(row[name]) >= 0 for name in numbers)
+        for row in rows[2:]:
+            assert [row[name] for name in numbers] == [""] * 5 and float(row["S"]) > 2
+
 
 def _run_python(code: str) -> str:
     src = Path(__file__).resolve().parent.parent / "src"

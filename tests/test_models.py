@@ -311,9 +311,15 @@ class TestPerPulseChoice:
         c1 = per_pulse_choice(7, "settings", idx, 4)
         c2 = per_pulse_choice(7, "settings", idx, 4)
         assert np.array_equal(c1, c2)
+        assert c1.dtype == np.uint16  # the width of a BTAG setting_index
         counts = np.bincount(c1, minlength=4)
         chi2 = stats.chisquare(counts)
         assert chi2.pvalue > 0.001
+
+    @pytest.mark.parametrize("n_choices", [0, (1 << 16) + 1])
+    def test_choices_must_fit_16_bits(self, n_choices):
+        with pytest.raises(ValueError, match="n_choices"):
+            per_pulse_choice(7, "settings", np.arange(3), n_choices)
 
     def test_different_labels_decorrelated(self):
         idx = np.arange(100_000)

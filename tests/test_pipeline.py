@@ -24,6 +24,7 @@ from bellrm import (
     OutcomeModel,
     RunConfig,
     Verdict,
+    WorkerError,
     chsh_from_table,
     count_table,
     iter_btag,
@@ -337,7 +338,7 @@ def test_a_dead_worker_ends_the_analysis_with_its_exit_code(monkeypatch):
     monkeypatch.setattr(pipeline, "run_battery", lambda *args, **kwargs: os._exit(7))
     cfg = RunConfig(seed=51, run_duration_s=6_400e-6)
     events = pairs_in_slices_0_and_2(6_400)
-    with time_limit(60), pytest.raises(RuntimeError, match="exited with code 7"):
+    with time_limit(60), pytest.raises(WorkerError, match="exited with code 7"):
         analyze_pieces(np.array_split(events, 7), cfg, WORKER_ANALYSIS)
     assert_no_child_left()
 
@@ -346,6 +347,16 @@ WORKER_CONFIG = {
     "run": {"seed": 53, "run_duration_s": 1.0, "coincidence_prob_per_pulse": 0.05},
     "model": {"kind": "QM_NONLOCAL"},
 }
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    """``python -c code`` in a child that imports bellrm from this checkout."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 def test_only_analyze_imports_multiprocessing(tmp_path, monkeypatch):
@@ -359,17 +370,34 @@ def test_only_analyze_imports_multiprocessing(tmp_path, monkeypatch):
     analyzed, fresh, report = tmp_path / "analyzed", tmp_path / "fresh", tmp_path / "report"
     assert main(["simulate", "--config", str(config), "--out", str(analyzed)]) == 0
     assert main(["analyze", "--in", str(analyzed)]) == 0
-    code = (
+    proc = _python(
         "import sys; from bellrm.cli import main; seen = []; "
         "look = lambda: seen.append('multiprocessing' in sys.modules); look(); "
         f"main(['simulate', '--config', {str(config)!r}, '--out', {str(fresh)!r}]); look(); "
         f"main(['report', '--in', {str(analyzed)!r}, '--out', {str(report)!r}]); look(); "
         f"main(['analyze', '--in', {str(fresh)!r}]); look(); print(seen)"
     )
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[False, False, False, True]"
+
+
+def test_a_dead_worker_ends_analyze_in_one_line_with_exit_4(tmp_path, monkeypatch):
+    for key in list(os.environ):
+        if key.startswith("BELLRM_"):
+            monkeypatch.delenv(key)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(WORKER_CONFIG))
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(config), "--out", str(run)]) == 0
+    # the child's forked worker inherits the patched battery
+    proc = _python(
+        "import os, sys; from bellrm import pipeline; from bellrm.cli import main; "
+        "pipeline.run_battery = lambda *args, **kwargs: os._exit(7); "
+        f"sys.exit(main(['analyze', '--in', {str(run)!r}]))"
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "worker error: the battery worker exited with code 7 before it replied"
+    ]
+    assert not (run / "verdict.json").exists()

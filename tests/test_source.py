@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -467,6 +468,8 @@ def iter_event_chunks_before(config, model, stats, chunk_pulses):
             {"detection_prob_per_pulse": 0.0, "coincidence_prob_per_pulse": 0.0, "dark_rate_hz": 0.0},
         ),
         (ModelKind.QM_NONLOCAL, {"dark_rate_hz": 3e6}),
+        (ModelKind.LOCAL_ERGODIC, {}),
+        (ModelKind.NONERGODIC, {}),
         # about one pair per block: a third of the blocks have none, and the
         # pattern position must carry across them
         (ModelKind.SCENARIO_LOCALITY_FALSE, {"coincidence_prob_per_pulse": 0.001}),
@@ -582,3 +585,65 @@ def test_two_default_blocks_draw_in_bounded_memory():
         tracemalloc.stop()
     assert n_events > 1_900_000
     assert peak < 40 * 2**20
+
+
+# The draws of each block are made on one helper thread, a block ahead of
+# the merge; every way out of the generator must join it.
+
+THREAD_RUN = small_config(run_duration_s=0.01, detection_prob_per_pulse=0.1, dark_rate_hz=100.0)
+
+
+def test_a_run_consumed_to_the_end_leaves_no_thread(monkeypatch):
+    drawn_on = []
+
+    def recording(rng, p, m):
+        drawn_on.append(
+            (threading.current_thread(), sum(t.name == "bellrm-draw" for t in threading.enumerate()))
+        )
+        return hit_offsets(rng, p, m)
+
+    hit_offsets = source._hit_offsets
+    monkeypatch.setattr(source, "_hit_offsets", recording)
+    before = threading.enumerate()
+    chunks = list(iter_event_chunks(THREAD_RUN, QM, chunk_pulses=1000))
+    assert threading.enumerate() == before
+    assert len(chunks) == 10
+    assert len(drawn_on) == 30  # pairs and two singles per block
+    # every draw is made off the caller's thread, by the one draw thread alive
+    assert threading.main_thread() not in {thread for thread, _ in drawn_on}
+    assert {alive for _, alive in drawn_on} == {1}
+
+
+def test_a_generator_closed_after_its_first_chunk_leaves_no_thread():
+    before = threading.enumerate()
+    chunks = iter_event_chunks(THREAD_RUN, QM, chunk_pulses=1000)
+    assert next(chunks).size > 0
+    chunks.close()
+    assert threading.enumerate() == before
+
+
+def test_a_draw_that_raises_in_block_2_leaves_no_thread(monkeypatch):
+    calls = []
+
+    def fails_in_block_2(rng, p, m):
+        calls.append(p)
+        if len(calls) == 7:  # the pairs of block 2, after three draws per block
+            raise ValueError("no hits in block 2")
+        return hit_offsets(rng, p, m)
+
+    hit_offsets = source._hit_offsets
+    monkeypatch.setattr(source, "_hit_offsets", fails_in_block_2)
+    before = threading.enumerate()
+    chunks = iter_event_chunks(THREAD_RUN, QM, chunk_pulses=1000)
+    assert next(chunks).size > 0
+    with pytest.raises(ValueError, match="^no hits in block 2$") as raised:
+        for _ in chunks:
+            pass
+    assert type(raised.value) is ValueError
+    assert threading.enumerate() == before
+
+
+def test_a_run_without_pulses_leaves_no_thread():
+    before = threading.enumerate()
+    assert list(iter_event_chunks(small_config(run_duration_s=0.0), QM)) == []
+    assert threading.enumerate() == before
