@@ -222,7 +222,7 @@ def analyze_pieces(pieces: Iterable[np.ndarray], run: RunConfig, analysis: Analy
     n_blocks = dict.fromkeys(keys, 0)
     sent = []  # the key of each block sent to the worker, in order
     counts = np.zeros((n_slices + 1, n_menu, 2, 2), dtype=np.int64)
-    n_coincidences = 0
+    n_coincidences = n_out_of_pulse = 0
 
     # imported here: simulate and report never pay for it
     import multiprocessing
@@ -250,6 +250,7 @@ def analyze_pieces(pieces: Iterable[np.ndarray], run: RunConfig, analysis: Analy
             )
             counts += count_table(records, n_menu, n_slices)
             n_coincidences += records.size
+            n_out_of_pulse += int(np.count_nonzero(records["slice_index"] < 0))
             for key, part_bits in slice_sequences(records, n_slices).items():
                 slice_index, station = key
                 bits = np.concatenate([pending[key], part_bits])
@@ -286,5 +287,5 @@ def analyze_pieces(pieces: Iterable[np.ndarray], run: RunConfig, analysis: Analy
     # validate has already refused fewer than two slices, and
     # classify_scenario tests the halves only once each holds sequences.
     curve = curve_from_reports(reports_by_slice, battery)
-    verdict = classify_scenario(curve, chsh_estimates, n_coincidences)
+    verdict = classify_scenario(curve, chsh_estimates, n_coincidences, n_out_of_pulse)
     return n_coincidences, chsh_estimates, curve, verdict, report_rows

@@ -448,10 +448,17 @@ def two_proportion_z(k1: int, n1: int, k2: int, n2: int) -> tuple[float, float]:
     return z, math.erfc(abs(z) / math.sqrt(2.0))
 
 
-def _unclassifiable(curve: RandommeterCurve, s_by_slice: dict, n_coincidences: int) -> str:
+def _unclassifiable(
+    curve: RandommeterCurve, s_by_slice: dict, n_coincidences: int, n_out_of_pulse: int
+) -> str:
     """Why :func:`classify_scenario` must answer INCONCLUSIVE, or "" if it need not."""
     if n_coincidences == 0:
         return "no data: no coincidences matched"
+    if n_out_of_pulse == n_coincidences:
+        return (
+            f"no data in any slice: all {n_coincidences} matched coincidences "
+            "fall outside the pulse"
+        )
     if curve.n_slices < 2:
         return "fewer than two slices"
     for reading in curve.readings:
@@ -471,18 +478,20 @@ def _unclassifiable(curve: RandommeterCurve, s_by_slice: dict, n_coincidences: i
 
 
 def classify_scenario(
-    curve: RandommeterCurve, chsh_per_slice, n_coincidences: int
+    curve: RandommeterCurve, chsh_per_slice, n_coincidences: int, n_out_of_pulse: int
 ) -> ScenarioVerdict:
     """Decide which property the run gives evidence against.
 
-    Preconditions: the run matched at least one coincidence, and every
-    slice has a sufficient reading and violates the classical bound (S > 2
-    at >= ``S_SIGMAS``); otherwise INCONCLUSIVE, with no contrast statistic
-    and no half counts.  The rejection rates of the two pulse halves are
-    then contrasted with a two-proportion test at ``HALVES_SIGNIFICANCE``: a
-    significantly larger R in the first half means ERGODICITY_FALSE,
-    significantly smaller means LOCALITY_FALSE, and no detectable contrast
-    means REALISM_FALSE (constant reading).  This is evidence, not proof.
+    Preconditions: the run matched at least one coincidence inside the
+    pulse (``n_out_of_pulse`` of the ``n_coincidences`` fall outside every
+    slice), and every slice has a sufficient reading and violates the
+    classical bound (S > 2 at >= ``S_SIGMAS``); otherwise INCONCLUSIVE,
+    with no contrast statistic and no half counts.  The rejection rates of
+    the two pulse halves are then contrasted with a two-proportion test at
+    ``HALVES_SIGNIFICANCE``: a significantly larger R in the first half
+    means ERGODICITY_FALSE, significantly smaller means LOCALITY_FALSE, and
+    no detectable contrast means REALISM_FALSE (constant reading).  This is
+    evidence, not proof.
     """
     s_by_slice = {est.slice_index: est for est in chsh_per_slice}
     per_slice_s = tuple(
@@ -491,7 +500,7 @@ def classify_scenario(
     )
     per_slice_r = tuple(r.rejection_rate for r in curve.readings)
 
-    reason = _unclassifiable(curve, s_by_slice, n_coincidences)
+    reason = _unclassifiable(curve, s_by_slice, n_coincidences, n_out_of_pulse)
     if reason:
         return ScenarioVerdict(
             Verdict.INCONCLUSIVE, math.nan, math.nan, math.nan, math.nan, 0, 0,

@@ -10,8 +10,8 @@ landing on the same nanosecond at one station keep only the first
 Generation is chunked over pulse blocks, each block fed by its own keyed
 random streams, so output is reproducible from (config, seed, block size);
 another ``chunk_pulses`` gives another stream.  Two threads share the
-work.  One helper thread makes every random draw, block after block in
-order, one block ahead: the SCENARIO_LOCALITY_FALSE and
+work.  A one-thread executor makes every random draw, block after block
+in order, one block ahead: the SCENARIO_LOCALITY_FALSE and
 SCENARIO_ERGODICITY_FALSE samplers carry their pattern position from one
 block to the next, and one thread drawing in order keeps it.  The calling
 thread merges the block drawn before and yields its chunks meanwhile;
@@ -21,8 +21,8 @@ file's widths) for that.  Within a block the pulses holding a pair or a
 single are found by drawing geometric gaps between hits, so the work
 follows the number of events, not of pulses.  Every block builds each
 category (pairs, singles, darks, per station) the same way, empty or
-not, and ``RunStats`` counts them from the sizes of the block's category
-arrays.  The block's categories are then merged in time slabs of about
+not, as one list of station-tagged parts, and ``RunStats`` counts them
+by size.  The block's parts are then merged in time slabs of about
 65,536 events, cut at shared time edges, and each slab is yielded as one
 chunk; the settings of the unpaired detections, a stateless hash of their
 pulse, are computed slab by slab on the merging thread.  A same-ns
@@ -41,7 +41,6 @@ and ``simulate`` refuses to replay a manifest of another version.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass, asdict
 
@@ -285,22 +284,15 @@ def _hit_pulses(rng: np.random.Generator, p: float, start: int, m: int) -> np.nd
     return offsets.astype(np.uint32)
 
 
-def _merge_stations(parts_a: list, parts_b: list) -> tuple[np.ndarray, int]:
-    """One block's events from its (t, pulse, port, setting) category arrays.
+def _merge(parts: list) -> tuple[np.ndarray, int]:
+    """One block's events from its (station, t, pulse, port, setting) parts.
 
-    Each station's categories come in priority order (coincidences,
-    singles, darks).  One stable sort on (t, station) orders them all; a
-    repeat of a key keeps its first, highest-priority record, and the
-    repeats are returned as the number of dropped collisions.
+    Each station's parts come in priority order (coincidences, singles,
+    darks).  One stable sort on (t, station) orders them all; a repeat of a
+    key keeps its first, highest-priority record, and the repeats are
+    returned as the number of dropped collisions.
     """
-    parts = parts_a + parts_b
-    key = np.concatenate(
-        [
-            (p[0] << 1) | station
-            for station, station_parts in ((STATION_A, parts_a), (STATION_B, parts_b))
-            for p in station_parts
-        ]
-    )
+    key = np.concatenate([(t << 1) | station for station, t, *_ in parts])
     order = np.argsort(key, kind="stable")
     key = key[order]
     keep = np.ones(key.size, dtype=bool)
@@ -311,7 +303,7 @@ def _merge_stations(parts_a: list, parts_b: list) -> tuple[np.ndarray, int]:
     events = np.empty(key.size, dtype=EVENT_DTYPE)
     events["timestamp_ns"] = key >> 1
     events["station"] = key & 1
-    for field, column in (("pulse_index", 1), ("port_bit", 2), ("setting_index", 3)):
+    for field, column in (("pulse_index", 2), ("port_bit", 3), ("setting_index", 4)):
         events[field] = np.concatenate([p[column] for p in parts])[order]
     return events, int(keep.size - key.size)
 
@@ -323,17 +315,17 @@ def _fair_bits(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def _draw_block(
     config: RunConfig, sampler: PairSampler, block: int, start: int, stop: int
-) -> tuple[list, list]:
+) -> list:
     """Every random draw of the block of pulses [start, stop).
 
-    Returns each station's category arrays in priority order:
-    coincidences as (t, pulse, port, setting), then singles and darks as
-    (t, pulse, port).  An unpaired category's settings are hashed from its
-    pulses slab by slab where the block is merged.  Each category is
-    sorted by time, and each column but t has its BTAG width (pulse u32,
-    port u8, setting u16).  The blocks of a run must be drawn in order,
-    one at a time: the pattern scenarios' ``sampler`` carries its position
-    from block to block.
+    Returns its categories as one list of parts, each station's in priority
+    order: coincidences as (station, t, pulse, port, setting), then singles
+    and darks as (station, t, pulse, port).  An unpaired category's
+    settings are hashed from its pulses slab by slab where the block is
+    merged.  Each category is sorted by time, and each column but t has its
+    BTAG width (pulse u32, port u8, setting u16).  The blocks of a run must
+    be drawn in order, one at a time: the pattern scenarios' ``sampler``
+    carries its position from block to block.
     """
     duration_ns = pulse_geometry(config).pulse_duration_ns
     rep_rate_hz = config.rep_rate_hz
@@ -351,53 +343,24 @@ def _draw_block(
     )
     t += within
     del within  # as large as the pairs, and not needed in the merge
-    parts_a = [(t, pulses, bits_a, settings)]
-    parts_b = [(t, pulses, bits_b, settings)]
+    parts = [(STATION_A, t, pulses, bits_a, settings), (STATION_B, t, pulses, bits_b, settings)]
 
-    for label, station_parts in (("singles-a", parts_a), ("singles-b", parts_b)):
+    for station, label in ((STATION_A, "singles-a"), (STATION_B, "singles-b")):
         rng = substream(seed, label, block)
         pulses = _hit_pulses(rng, config.detection_prob_per_pulse, start, m)
         t = pulse_start_ns(pulses, rep_rate_hz)
         t += rng.integers(0, duration_ns, pulses.size)
-        station_parts.append((t, pulses, _fair_bits(rng, t.size)))
+        parts.append((station, t, pulses, _fair_bits(rng, t.size)))
 
     rng = substream(seed, "dark", block)
     chunk_t0 = int(pulse_start_ns(start, rep_rate_hz))
     chunk_t1 = int(pulse_start_ns(stop, rep_rate_hz))
     mean_darks = config.dark_rate_hz * (chunk_t1 - chunk_t0) * 1e-9
-    for station_parts in (parts_a, parts_b):
+    for station in (STATION_A, STATION_B):
         t = np.sort(rng.integers(chunk_t0, chunk_t1, int(rng.poisson(mean_darks))))
         pulses = pulse_index_of(t, rep_rate_hz).astype(np.uint32)
-        station_parts.append((t, pulses, _fair_bits(rng, t.size)))
-    return parts_a, parts_b
-
-
-class _DrawAhead(threading.Thread):
-    """:func:`_draw_block` on a thread of its own, started at once.
-
-    numpy releases the GIL in the draws, the sorts and the gathers, so a
-    block is drawn while the caller merges and writes the one before.
-    """
-
-    def __init__(self, *args):
-        super().__init__(name="bellrm-draw")
-        self._args = args
-        self._parts = self._error = None
-        self.start()
-
-    def run(self) -> None:
-        try:
-            self._parts = _draw_block(*self._args)
-        except BaseException as exc:  # raised again in the caller's thread by result()
-            self._error = exc
-
-    def result(self) -> tuple[list, list]:
-        """The block's parts, once drawn; the draw's exception raised again."""
-        self.join()
-        if self._error is not None:
-            raise self._error
-        parts, self._parts = self._parts, None
-        return parts
+        parts.append((station, t, pulses, _fair_bits(rng, t.size)))
+    return parts
 
 
 def iter_event_chunks(
@@ -408,20 +371,25 @@ def iter_event_chunks(
 ):
     """Yield merged, time-sorted event chunks covering the whole run.
 
-    Each block of ``chunk_pulses`` pulses draws from its own substreams,
-    so the stream a seed gives depends on the block size.  A chunk is a
-    time slab of a block: every event of a chunk is earlier in
-    (timestamp, station) order than every event of the next, so
-    concatenating chunks gives the global order, and the chunks of a block
-    join into its whole-block merge, less the events at or after the next
-    block's start, which the next block merges.  An empty slab is not
-    yielded.
+    Each block of ``chunk_pulses`` pulses (at least 1, or a
+    ``ConfigError``) draws from its own substreams, so the stream a seed
+    gives depends on the block size.  A chunk is a time slab of a block:
+    every event of a chunk is earlier in (timestamp, station) order than
+    every event of the next, so concatenating chunks gives the global
+    order, and the chunks of a block join into its whole-block merge, less
+    the events at or after the next block's start, which the next block
+    merges.  An empty slab is not yielded.
 
-    From the first ``next()`` on, one helper thread draws the next block
-    while this one is merged and its chunks are consumed.  It is joined
-    before the generator returns, raises or is closed, and the exception
-    of a failed draw is raised here.
+    From the first ``next()`` on, a one-thread executor draws the next
+    block while this one is merged and its chunks are consumed.  Its
+    thread is joined before the generator returns, raises or is closed,
+    and the exception of a failed draw is raised here.
     """
+    if chunk_pulses < 1:
+        raise ConfigError(f"chunk_pulses must be >= 1, got {chunk_pulses}")
+    # imported here: --version, which loads only the package, never pays for it
+    from concurrent.futures import ThreadPoolExecutor
+
     seed = config.seed
     rep_rate_hz = config.rep_rate_hz
     n_pulses = config.n_pulses
@@ -431,26 +399,25 @@ def iter_event_chunks(
         stats = RunStats()
     stats.n_pulses = n_pulses
     n_blocks = -(-n_pulses // chunk_pulses)
-    # per station, the last block's events at or after its end, for this block to merge
-    held_a: list = []
-    held_b: list = []
+    # the last block's events at or after its end, for this block to merge
+    held: list = []
 
-    def draw(block: int) -> _DrawAhead:
+    def draw(block: int):
         start = block * chunk_pulses
-        return _DrawAhead(config, sampler, block, start, min(start + chunk_pulses, n_pulses))
+        stop = min(start + chunk_pulses, n_pulses)
+        return draws.submit(_draw_block, config, sampler, block, start, stop)
 
-    ahead = draw(0) if n_blocks else None
-    try:
+    with ThreadPoolExecutor(1, thread_name_prefix="bellrm-draw") as draws:
+        ahead = draw(0) if n_blocks else None
         for block in range(n_blocks):
-            parts_a, parts_b = ahead.result()
+            parts = ahead.result()
             ahead = draw(block + 1) if block + 1 < n_blocks else None
             start = block * chunk_pulses
             stop = min(start + chunk_pulses, n_pulses)
             chunk_t0 = int(pulse_start_ns(start, rep_rate_hz))
             chunk_t1 = int(pulse_start_ns(stop, rep_rate_hz))
 
-            pairs, singles_a, darks_a = (t.size for t, *_ in parts_a)
-            _, singles_b, darks_b = (t.size for t, *_ in parts_b)
+            pairs, _, singles_a, singles_b, darks_a, darks_b = (t.size for _, t, *_ in parts)
             stats.n_coincidence_pairs += pairs
             stats.n_singles_a += singles_a
             stats.n_singles_b += singles_b
@@ -464,35 +431,34 @@ def iter_event_chunks(
             # chunk_t1 are held out of this block and merged with the next
             # block's, ahead of them, so a repeat across the block edge keeps
             # the first event.  The last block keeps them all.
-            parts_a = held_a + parts_a
-            parts_b = held_b + parts_b
-            parts = parts_a + parts_b
-            n_slabs = -(-sum(part[0].size for part in parts) // _SLAB_EVENTS)
+            parts = held + parts
+            n_slabs = -(-sum(t.size for _, t, *_ in parts) // _SLAB_EVENTS)
             span = chunk_t1 - chunk_t0
             edges = np.array(
                 [chunk_t0 + span * k // n_slabs for k in range(1, n_slabs)], dtype=np.int64
             )
             ends = [
-                part[0].size if stop == n_pulses else int(np.searchsorted(part[0], chunk_t1))
-                for part in parts
+                t.size if stop == n_pulses else int(np.searchsorted(t, chunk_t1))
+                for _, t, *_ in parts
             ]
             # copies, so the held events do not keep this block's draws alive
-            held = [tuple(column[end:].copy() for column in part) for part, end in zip(parts, ends)]
-            held_a = [part for part in held[: len(parts_a)] if part[0].size]
-            held_b = [part for part in held[len(parts_a) :] if part[0].size]
-            cuts = [[0, *np.searchsorted(part[0], edges), end] for part, end in zip(parts, ends)]
+            held = [
+                (station, *(column[end:].copy() for column in columns))
+                for (station, *columns), end in zip(parts, ends) if end < columns[0].size
+            ]
+            cuts = [[0, *np.searchsorted(t, edges), end] for (_, t, *_), end in zip(parts, ends)]
             for k in range(n_slabs):
                 slabs = [
-                    tuple(column[cut[k] : cut[k + 1]] for column in part)
-                    for part, cut in zip(parts, cuts)
+                    (station, *(column[cut[k] : cut[k + 1]] for column in columns))
+                    for (station, *columns), cut in zip(parts, cuts)
                 ]
                 # an unpaired category's settings are hashed here, beside the next block's draws
                 slabs = [
-                    slab if len(slab) == 4
-                    else (*slab, per_pulse_choice(seed, "settings", slab[1], n_menu))
+                    slab if len(slab) == 5
+                    else (*slab, per_pulse_choice(seed, "settings", slab[2], n_menu))
                     for slab in slabs
                 ]
-                events, dropped = _merge_stations(slabs[: len(parts_a)], slabs[len(parts_a) :])
+                events, dropped = _merge(slabs)
                 del slabs
                 stats.n_collisions_dropped += dropped
                 stats.n_events += events.size
@@ -500,10 +466,7 @@ def iter_event_chunks(
                     yield events
                 del events  # not held while the next slab is merged
             # nor are this block's draws while the next one is merged
-            del parts, parts_a, parts_b, held
-    finally:
-        if ahead is not None:
-            ahead.join()
+            del parts
 
 
 def simulate_to_btag(config: RunConfig, model: OutcomeModel, path) -> RunStats:

@@ -393,6 +393,25 @@ class TestAnalyze:
         assert verdict["label"] == "INCONCLUSIVE"
         assert verdict["reason"] == "no data: no coincidences matched"
 
+    def test_run_with_every_coincidence_outside_the_pulse_is_inconclusive(
+        self, tmp_path, no_bellrm_env, capsys
+    ):
+        # a manifest whose rep rate is twice the run's: each pulse index then
+        # starts half as late, and every event falls past its pulse's end
+        cfg = write_config(tmp_path, {"run": {"seed": 1, "run_duration_s": 0.5}})
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"]["run"]["rep_rate_hz"] = 2e6
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["analyze", "--in", str(out)]) == 0
+        assert "analyze: 10002 coincidences, 0 sequences" in capsys.readouterr().out
+        verdict = json.loads((out / "verdict.json").read_text())
+        assert verdict["label"] == "INCONCLUSIVE"
+        assert verdict["reason"] == (
+            "no data in any slice: all 10002 matched coincidences fall outside the pulse"
+        )
+
     @pytest.mark.parametrize("value", ["abc", "NaN", "Infinity"])
     def test_non_finite_alpha_sig_exits_2(self, sim_dir, capsys, monkeypatch, value):
         monkeypatch.setenv("BELLRM_ALPHA_SIG", value)

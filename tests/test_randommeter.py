@@ -415,47 +415,47 @@ class TestClassifyScenario:
     MATCHED = 1_000_000  # coincidences behind the curve and S
 
     def test_larger_first_half_rejection_means_ergodicity_false(self):
-        verdict = classify_scenario(synthetic_curve([0.95, 0.05]), self.CHSH_OK, self.MATCHED)
+        verdict = classify_scenario(synthetic_curve([0.95, 0.05]), self.CHSH_OK, self.MATCHED, 0)
         assert verdict.label is Verdict.ERGODICITY_FALSE
         assert verdict.z > 0
 
     def test_smaller_first_half_rejection_means_locality_false(self):
-        verdict = classify_scenario(synthetic_curve([0.05, 0.60]), self.CHSH_OK, self.MATCHED)
+        verdict = classify_scenario(synthetic_curve([0.05, 0.60]), self.CHSH_OK, self.MATCHED, 0)
         assert verdict.label is Verdict.LOCALITY_FALSE
         assert verdict.z < 0
 
     def test_flat_curve_means_realism_false(self):
-        verdict = classify_scenario(synthetic_curve([0.05, 0.05]), self.CHSH_OK, self.MATCHED)
+        verdict = classify_scenario(synthetic_curve([0.05, 0.05]), self.CHSH_OK, self.MATCHED, 0)
         assert verdict.label is Verdict.REALISM_FALSE
         assert verdict.p_value > 0.01
 
     def test_classical_s_gives_inconclusive(self):
         chsh = [make_chsh(0, 2.8), make_chsh(1, 1.99)]
-        verdict = classify_scenario(synthetic_curve([0.95, 0.05]), chsh, self.MATCHED)
+        verdict = classify_scenario(synthetic_curve([0.95, 0.05]), chsh, self.MATCHED, 0)
         assert verdict.label is Verdict.INCONCLUSIVE
         assert "does not exceed 2" in verdict.reason
 
     def test_marginal_s_below_five_sigma_gives_inconclusive(self):
         chsh = [make_chsh(0, 2.8), make_chsh(1, 2.02, std_err=0.01)]
-        verdict = classify_scenario(synthetic_curve([0.95, 0.05]), chsh, self.MATCHED)
+        verdict = classify_scenario(synthetic_curve([0.95, 0.05]), chsh, self.MATCHED, 0)
         assert verdict.label is Verdict.INCONCLUSIVE
 
     def test_insufficient_slice_gives_inconclusive(self):
         curve = synthetic_curve([0.95, 0.05], n=10)
-        verdict = classify_scenario(curve, self.CHSH_OK, self.MATCHED)
+        verdict = classify_scenario(curve, self.CHSH_OK, self.MATCHED, 0)
         assert verdict.label is Verdict.INCONCLUSIVE
 
     def test_missing_chsh_gives_inconclusive(self):
         chsh = [make_chsh(0, 2.8)]
-        verdict = classify_scenario(synthetic_curve([0.95, 0.05]), chsh, self.MATCHED)
+        verdict = classify_scenario(synthetic_curve([0.95, 0.05]), chsh, self.MATCHED, 0)
         assert verdict.label is Verdict.INCONCLUSIVE
 
     def test_no_coincidences_give_no_data_first(self):
         # a curve and S that classify as ERGODICITY_FALSE with coincidences
         curve = synthetic_curve([0.95, 0.05])
-        classified = classify_scenario(curve, self.CHSH_OK, self.MATCHED)
+        classified = classify_scenario(curve, self.CHSH_OK, self.MATCHED, 0)
         assert classified.label is Verdict.ERGODICITY_FALSE
-        verdict = classify_scenario(curve, self.CHSH_OK, 0)
+        verdict = classify_scenario(curve, self.CHSH_OK, 0, 0)
         assert verdict.label is Verdict.INCONCLUSIVE
         assert verdict.reason == "no data: no coincidences matched"
         assert verdict.n_first_half == verdict.n_second_half == 0
@@ -464,7 +464,7 @@ class TestClassifyScenario:
 
     def test_four_slices_pool_into_halves(self):
         chsh = [make_chsh(k, 2.8) for k in range(4)]
-        verdict = classify_scenario(synthetic_curve([0.9, 0.9, 0.05, 0.05]), chsh, self.MATCHED)
+        verdict = classify_scenario(synthetic_curve([0.9, 0.9, 0.05, 0.05]), chsh, self.MATCHED, 0)
         assert verdict.label is Verdict.ERGODICITY_FALSE
         assert verdict.n_first_half == 1000
         assert verdict.n_second_half == 1000

@@ -12,6 +12,8 @@ from bellrm import source
 from bellrm import (
     CHSH_MENU,
     EVENT_DTYPE,
+    STATION_A,
+    STATION_B,
     ConfigError,
     ModelKind,
     OutcomeModel,
@@ -309,7 +311,7 @@ class TestHitOffsets:
         assert _hit_offsets(substream(9, "hits"), 1e-300, 1 << 22).size == 0
 
 
-# Oracle: the two-stage merge the generator used before _merge_stations,
+# Oracle: the two-stage merge the generator used before its one-sort merge,
 # a dedupe per station by (t, category), then a lexsort of both stations.
 
 
@@ -353,13 +355,15 @@ def test_one_sort_merge_equals_two_stage_merge(monkeypatch):
     # within the darks and between darks and singles or pairs
     seen = []
 
-    def recording(parts_a, parts_b):
-        out = merge(parts_a, parts_b)
+    def recording(parts):
+        out = merge(parts)
+        parts_a = [part[1:] for part in parts if part[0] == STATION_A]
+        parts_b = [part[1:] for part in parts if part[0] == STATION_B]
         seen.append((parts_a, parts_b, out))
         return out
 
-    merge = source._merge_stations
-    monkeypatch.setattr(source, "_merge_stations", recording)
+    merge = source._merge
+    monkeypatch.setattr(source, "_merge", recording)
     cfg = small_config(run_duration_s=0.2, detection_prob_per_pulse=0.1, dark_rate_hz=3e6)
     run_stats = RunStats()
     list(source.iter_event_chunks(cfg, QM, run_stats, chunk_pulses=50_000))
@@ -451,7 +455,9 @@ def iter_event_chunks_before(config, model, stats, chunk_pulses):
 
         if not (parts_a or parts_b):
             continue
-        events, dropped = source._merge_stations(parts_a, parts_b)
+        events, dropped = source._merge(
+            [(STATION_A, *p) for p in parts_a] + [(STATION_B, *p) for p in parts_b]
+        )
         stats.n_collisions_dropped += dropped
         stats.n_events += events.size
         yield events
@@ -598,7 +604,10 @@ def test_a_run_consumed_to_the_end_leaves_no_thread(monkeypatch):
 
     def recording(rng, p, m):
         drawn_on.append(
-            (threading.current_thread(), sum(t.name == "bellrm-draw" for t in threading.enumerate()))
+            (
+                threading.current_thread(),
+                sum(t.name.startswith("bellrm-draw") for t in threading.enumerate()),
+            )
         )
         return hit_offsets(rng, p, m)
 
@@ -647,3 +656,43 @@ def test_a_run_without_pulses_leaves_no_thread():
     before = threading.enumerate()
     assert list(iter_event_chunks(small_config(run_duration_s=0.0), QM)) == []
     assert threading.enumerate() == before
+
+
+def test_a_merge_that_raises_mid_run_leaves_no_thread(monkeypatch):
+    drawing, released = threading.Event(), threading.Event()
+    draws, merges = [], []
+
+    def waits_in_block_3(rng, p, m):
+        draws.append(p)
+        if len(draws) == 10:  # the pairs of block 3, after three draws per block
+            drawing.set()
+            released.wait(10)
+        return hit_offsets(rng, p, m)
+
+    def fails_in_block_2(parts):
+        merges.append(parts)
+        if len(merges) == 3:  # block 2's one slab, while block 3 is drawn
+            assert drawing.wait(10)
+            released.set()
+            raise ValueError("merge failed in block 2")
+        return merge(parts)
+
+    hit_offsets, merge = source._hit_offsets, source._merge
+    monkeypatch.setattr(source, "_hit_offsets", waits_in_block_3)
+    monkeypatch.setattr(source, "_merge", fails_in_block_2)
+    before = threading.enumerate()
+    chunks = iter_event_chunks(THREAD_RUN, QM, chunk_pulses=1000)
+    with pytest.raises(ValueError, match="^merge failed in block 2$") as raised:
+        for _ in chunks:
+            pass
+    assert type(raised.value) is ValueError
+    assert threading.enumerate() == before
+    assert len(draws) == 12  # block 3 was drawn to its end, and no block after it
+
+
+@pytest.mark.parametrize("chunk_pulses", [0, -5])
+def test_a_block_of_fewer_than_one_pulse_is_refused(chunk_pulses):
+    run_stats = RunStats()
+    with pytest.raises(ConfigError, match=f"^chunk_pulses must be >= 1, got {chunk_pulses}$"):
+        next(iter_event_chunks(THREAD_RUN, QM, run_stats, chunk_pulses=chunk_pulses))
+    assert run_stats == RunStats()
