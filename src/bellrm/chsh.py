@@ -96,18 +96,28 @@ def count_table(records: np.ndarray, n_settings: int, n_slices: int) -> np.ndarr
 
     Slices 0 .. n_slices - 1 are rows 0 .. n_slices - 1 and records outside
     every slice (slice -1) are the last row, so ``counts[-1]`` reads them;
-    records whose setting is -1 are left out.  One ``np.bincount`` builds it.
-    Every slice index must lie in [-1, n_slices) and every setting index in
-    [-1, n_settings); a value outside would be counted in another cell.
+    records whose setting is -1 are left out.  One ``np.bincount`` builds it
+    from an int32 key, offset so that slice -1 is row 0 and setting -1
+    column 0; row 0 is then rolled to the end and column 0 dropped.  A
+    table whose key would pass 2^31 - 1 is refused.  Every slice index
+    must lie in [-1, n_slices) and every setting index in [-1, n_settings);
+    a value outside is counted in another cell or fails the build.
     """
     rows, cols = n_slices + 1, n_settings + 1
-    key = records["slice_index"].astype(np.int64) % rows
+    if rows * cols * 4 > 2**31:
+        raise ConfigError(
+            f"a count table of {n_slices} slices and {n_settings} settings "
+            "has more cells than an int32 key can index"
+        )
+    key = records["slice_index"].astype(np.int32)
     key *= cols
-    key += records["setting_index"].astype(np.int64) % cols
+    key += records["setting_index"]
+    key += cols + 1
     key *= 4
-    key += 2 * records["bit_a"].astype(np.int64) + records["bit_b"]
+    key += 2 * records["bit_a"]
+    key += records["bit_b"]
     counts = np.bincount(key, minlength=rows * cols * 4).reshape(rows, cols, 2, 2)
-    return counts[:, :n_settings]
+    return np.roll(counts[:, 1:], -1, axis=0)
 
 
 def chsh_from_table(

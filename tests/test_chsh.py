@@ -227,6 +227,14 @@ class TestCountTable:
             (rec["slice_index"] == -1) & np.isin(rec["setting_index"], [0, 4])
         )
 
+    def test_a_table_past_the_int32_key_is_refused(self, rng):
+        # 32,768 rows x 16,385 columns x 4 cells = 2^31 + 2^17 cells: the
+        # largest key would pass 2^31 - 1.  The config caps (32,767 slices,
+        # 4,096 settings) give 32,768 x 4,097 x 4 < 2^31.
+        rec = mixed_records(rng)
+        with pytest.raises(ConfigError, match="int32 key"):
+            count_table(rec, 16_384, 32_767)
+
     def test_empty_slice_is_incomplete(self, rng):
         rec = mixed_records(rng, n_slices=2)
         with pytest.raises(IncompleteSettingsError, match="in slice 5"):

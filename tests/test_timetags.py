@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bellrm import (
@@ -229,6 +230,103 @@ class TestMatchEvents:
         cross = pulse_index_of(merged["t_b_ns"], cfg.rep_rate_hz) != merged["pulse_index"]
         assert np.count_nonzero(cross) > 100
         assert np.all(merged["setting_index"] >= 0)
+
+
+# Oracle for the order check: the full-stream rule as it stood before the
+# check was folded into the near steps.
+
+
+def order_error_before(events, first_record):
+    """The ``StreamOrderError`` message the full-stream rule gives, or None."""
+    dt = np.diff(events["timestamp_ns"].astype(np.int64))
+    is_b = events["station"] == STATION_B
+    ties = np.flatnonzero(dt <= 0)
+    bad = ties[(dt[ties] < 0) | ~is_b[ties + 1] | is_b[ties]]
+    if not bad.size:
+        return None
+    i = first_record + int(bad[0]) + 1
+    return f"events out of (timestamp, station) order: record {i} is not after record {i - 1}"
+
+
+ORDER_FAULTS = ("tie B->A", "tie A->A", "tie B->B", "back short", "back long", None)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 3000), st.booleans()), min_size=2, max_size=40),
+    st.sampled_from((2, 5, 40)),
+    st.sampled_from(ORDER_FAULTS),
+    st.sampled_from(("first", "last")),
+    st.integers(1, 10**9),
+    st.data(),
+)
+def test_order_check_on_near_steps_names_the_record_the_full_rule_names(
+    tagged, window, fault, where, first_record, data
+):
+    # a valid stream: distinct (t, station) keys in order, clear of t = 0
+    keys = sorted({2 * t + int(b) for t, b in tagged})
+    assume(len(keys) >= 2)
+    ev = make_events([10_000 + (k >> 1) for k in keys], STATION_A)
+    ev["station"] = [k & 1 for k in keys]
+    # the faulty step joins records (mine, other): the first two or the last two
+    mine, other = (0, 1) if where == "first" else (-1, -2)
+    t_other = int(ev["timestamp_ns"][other])
+    if fault is not None and fault.startswith("tie"):
+        left, right = fault[4], fault[7]  # stations before and after the step
+        ev["timestamp_ns"][mine] = t_other
+        ev["station"][min(mine, other)] = STATION_A if left == "A" else STATION_B
+        ev["station"][max(mine, other)] = STATION_A if right == "A" else STATION_B
+    elif fault is not None:
+        size = (
+            data.draw(st.integers(1, window - 1)) if fault == "back short"
+            else data.draw(st.integers(window + 1, window + 5000))
+        )
+        # the later record of the step lies `size` ns before the earlier one
+        ev["timestamp_ns"][mine] = t_other + size if where == "first" else t_other - size
+    expected = order_error_before(ev, first_record)
+    assert (expected is None) == (fault is None)
+    if expected is None:
+        match_events(ev, window, rep_rate_hz=REP, settings_menu=CHSH_MENU, first_record=first_record)
+    else:
+        with pytest.raises(StreamOrderError) as raised:
+            match_events(
+                ev, window, rep_rate_hz=REP, settings_menu=CHSH_MENU, first_record=first_record
+            )
+        assert str(raised.value) == expected
+
+
+class TestMatcherMemory:
+    """``tracemalloc`` peak of one ``match_events`` call on a 65,536-record part.
+
+    The bounds are the peaks of the matcher before it was rewritten on near
+    steps (722,424 and 2,688,224 bytes with numpy 2.4), so the rewrite holds no more
+    memory than it did.
+    """
+
+    def peak(self, cfg, kind):
+        events = np.concatenate(list(iter_event_chunks(cfg, OutcomeModel(kind))))
+        assert events.size >= PIECE_RECORDS
+        part = events[:PIECE_RECORDS].copy()
+        del events
+        kwargs = dict(rep_rate_hz=cfg.rep_rate_hz, settings_menu=CHSH_MENU)
+        match_events(part, 2, **kwargs)  # the settings table is cached from here on
+        tracemalloc.start()
+        try:
+            match_events(part, 2, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_default_rates(self):
+        cfg = RunConfig(seed=5, run_duration_s=0.3)
+        assert self.peak(cfg, ModelKind.QM_NONLOCAL) <= 722_424
+
+    def test_dense_scenario(self):
+        cfg = RunConfig(
+            seed=5, run_duration_s=0.4, detection_prob_per_pulse=0.0,
+            coincidence_prob_per_pulse=0.1, dark_rate_hz=0.0,
+        )
+        assert self.peak(cfg, ModelKind.SCENARIO_LOCALITY_FALSE) <= 2_688_224
 
 
 # Oracle: the matcher as it was before lone events were set aside, with the
