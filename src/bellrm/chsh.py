@@ -20,16 +20,10 @@ import numpy as np
 
 from .atomic import atomic_open
 from .btag import STATION_B
-from .errors import (
-    ConfigError,
-    IncompleteSettingsError,
-    UndefinedStatisticError,
-    UnsupportedModelError,
-)
+from .errors import ConfigError, IncompleteSettingsError, UndefinedStatisticError
 from .models import (
-    PI,
-    ModelKind,
     OutcomeModel,
+    hidden_angles,
     local_hv_bit,
     same_angle,
     stationary_lambda_samples,
@@ -272,8 +266,9 @@ def model_time_average(
 ) -> tuple[float, float, int]:
     """Fraction of transmitted outcomes over pulses inside a time window.
 
-    Runs the model with the analyzer fixed at ``alpha`` for every pulse
-    whose start falls in [t_start, t_start + window).
+    Runs the model's hidden angle (``models.hidden_angles``) with the
+    analyzer fixed at ``alpha`` for every pulse whose start falls in
+    [t_start, t_start + window).
     """
     if window_s <= 0:
         raise ConfigError("window_s must be > 0")
@@ -282,15 +277,8 @@ def model_time_average(
     n = last - first
     if n <= 0:
         raise UndefinedStatisticError("window contains no pulses")
-    if model.kind is ModelKind.LOCAL_ERGODIC:
-        lam = substream(seed, "time-average").random(n) * PI
-    elif model.kind is ModelKind.NONERGODIC:
-        times = (first + np.arange(n, dtype=np.float64)) / rep_rate_hz
-        lam = (PI / model.drift_period_s * times) % PI
-    else:
-        raise UnsupportedModelError(
-            f"{model.kind.value} has no hidden-variable trajectory"
-        )
+    times = (first + np.arange(n, dtype=np.float64)) / rep_rate_hz
+    lam = hidden_angles(model, times, substream(seed, "time-average"))
     transmitted = local_hv_bit(lam, alpha) == 0
     p = float(np.mean(transmitted))
     se = math.sqrt(p * (1.0 - p) / n)

@@ -181,6 +181,23 @@ def stationary_lambda_samples(
     return rng.random(n) * PI
 
 
+def hidden_angles(
+    model: OutcomeModel, pulse_times_s: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """The hidden angle in [0, pi) of each pulse starting at ``pulse_times_s``.
+
+    The package's one hidden-angle rule: LOCAL_ERGODIC draws it uniformly
+    from ``rng`` for every pulse; NONERGODIC drifts it half a turn per
+    ``drift_period_s`` and draws nothing.
+    """
+    times = np.asarray(pulse_times_s, dtype=np.float64)
+    if model.kind is ModelKind.LOCAL_ERGODIC:
+        return rng.random(times.size) * PI
+    if model.kind is ModelKind.NONERGODIC:
+        return (PI / model.drift_period_s * times) % PI
+    raise UnsupportedModelError(f"{model.kind.value} has no hidden-variable trajectory")
+
+
 def scenario_pattern(period: int, seed: int) -> np.ndarray:
     """Balanced deterministic bit pattern used by the scenario generators.
 
@@ -251,13 +268,8 @@ class PairSampler:
         if kind is ModelKind.QM_NONLOCAL or kind is ModelKind.SCENARIO_REALISM_FALSE:
             return _qm_pair_bits(deltas, rng)
 
-        if kind is ModelKind.LOCAL_ERGODIC:
-            lam = rng.random(k) * PI
-            return local_hv_bit(lam, alphas), local_hv_bit(lam, betas)
-
-        if kind is ModelKind.NONERGODIC:
-            omega = PI / self.model.drift_period_s
-            lam = (omega * np.asarray(pulse_times_s, dtype=np.float64)) % PI
+        if kind in HIDDEN_VARIABLE_KINDS:
+            lam = hidden_angles(self.model, pulse_times_s, rng)
             return local_hv_bit(lam, alphas), local_hv_bit(lam, betas)
 
         if kind in (ModelKind.SCENARIO_LOCALITY_FALSE, ModelKind.SCENARIO_ERGODICITY_FALSE):

@@ -8,39 +8,40 @@ command writes; ``AnalysisConfig`` holds the parameters.
 ``cut_at_gaps`` re-cuts the pieces after their last gap wider than the
 coincidence window.  No chain of events crosses such a gap, so matching
 each part on its own gives the records one pass over the whole stream
-gives.  Between parts the pipeline carries only the integer CHSH count
-table, the coincidence count and, per (slice, station), the bits not yet
-in a full ``sequence_length`` block.  ``timetags.slice_sequences`` splits
-a part's bits by (slice, station) in one pass; each sequence is appended
-to the bits carried for its key and cut with
-``timetags.sequence_partition``, so the blocks are the ones a cut of the
-whole stream gives, and each full block goes to the battery as soon as it
-is complete.  Memory therefore does not grow with the length of the run.
-S is computed per slice from the count table at the four standard CHSH
-pairs (see :mod:`bellrm.chsh`).
+gives.  The events after the last gap are one carry, joined to the next
+piece; a carry past ``MAX_GAPLESS_RECORDS`` is a ``DataError``.  Between
+parts the parent keeps only the integer CHSH count table and two counts
+(coincidences, and records outside the pulse).  S is computed per slice
+from the count table at the four standard CHSH pairs (see
+:mod:`bellrm.chsh`).
 
 The battery runs in one worker process beside the matcher, so the two
 share the machine's two cores.  ``analyze_pieces`` forks it (the ``fork``
 start method, so the worker costs no interpreter start-up and shares only
 the start-up pages) before it reads the first piece, and sends it each
-full block and its sequence id over one pipe; the pipe's buffer is the
-only queue, so a slow worker holds the parent back.  The worker runs
-``run_battery`` on the blocks in the order they arrive and, after the end
-marker, sends the reports back in that order, so the outputs are those of
-a serial run.  A battery exception is raised again in the parent; a
-worker that dies ends the analysis with a ``WorkerError`` naming its
-exit code; the worker is always joined before ``analyze_pieces`` returns
-or raises.
+part's non-empty ``timetags.slice_sequences`` over one pipe; the pipe's
+buffer is the only queue, so a slow worker holds the parent back.  Per
+(slice, station) the worker keeps the bits not yet in a full
+``sequence_length`` block, cuts blocks with ``timetags.sequence_partition``
+and runs ``run_battery`` on each, so the blocks are the ones a cut of the
+whole stream gives.  After the end marker it sends the reports back
+grouped per (slice, station), in block order, so the outputs are those of
+a serial run.  Memory is bounded by a piece, the carry's cap and, in the
+worker, less than a block per (slice, station), not by the run's length.  A
+battery exception is raised again in the parent; a worker that dies ends
+the analysis with a ``WorkerError`` naming its exit code; the worker is
+always joined before ``analyze_pieces`` returns or raises.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .btag import STATION_A, STATION_B, STATION_LETTERS, join_events
+from .btag import EVENT_DTYPE, STATION_A, STATION_B, STATION_LETTERS, join_events
 from .chsh import chsh_from_table, count_table
 from .errors import ConfigError, DataError, IncompleteSettingsError, WorkerError, require_finite
 from .randommeter import BatteryConfig, classify_scenario, curve_from_reports, run_battery
@@ -98,6 +99,10 @@ class AnalysisConfig:
         return cfg
 
 
+#: the most records ``cut_at_gaps`` carries without a gap wider than the window
+MAX_GAPLESS_RECORDS = 2**20
+
+
 def _after_last_gap(ts: np.ndarray, window: int) -> int:
     """Index of the first event after the last step in ``ts`` wider than ``window``, or 0.
 
@@ -122,50 +127,59 @@ def cut_at_gaps(
 
     Yields ``(first, events)``: the index of ``events[0]`` in the whole
     stream and a run of consecutive events that ends at the end of the
-    stream or before a gap wider than the window.  Events after a piece's
-    last gap are carried into the next piece; a piece without such a gap is
-    carried whole, so a chain longer than a piece is never cut.  A step
-    back in time is never a gap, so an order fault stays inside one part,
-    where ``match_events`` finds it.
+    stream or before a gap wider than the window.  The events after the
+    last gap are carried and joined to the next piece, so a chain longer
+    than a piece is never cut.  A carry that grows past
+    ``MAX_GAPLESS_RECORDS`` raises a ``DataError``, which bounds the memory
+    of every stream.  A step back in time is never a gap, so an order fault
+    stays inside one part, where ``match_events`` finds it.
     """
     window = int(window_ns)
-    carry: list[np.ndarray] = []  # events since the last gap, no gap among them
+    carry = np.empty(0, dtype=EVENT_DTYPE)  # events since the last gap, no gap among them
     first = 0
     for piece in pieces:
-        if piece.size == 0:
-            continue
-        ts = piece["timestamp_ns"]
-        cut = _after_last_gap(ts, window)
-        if cut == 0 and not (
-            carry and int(ts[0]) - int(carry[-1]["timestamp_ns"][-1]) > window
-        ):
-            carry.append(piece)
-            continue
-        part = join_events([*carry, piece[:cut]]) if carry else piece[:cut]
-        if part.size:
-            yield first, part
-            first += part.size
-        carry = [piece[cut:]]
-    if carry:
-        yield first, join_events(carry)
+        events = join_events([carry, piece])
+        cut = _after_last_gap(events["timestamp_ns"], window)
+        if cut:
+            yield first, events[:cut]
+            first += cut
+            carry = events[cut:].copy()  # a copy, so the carry does not pin the part
+        else:
+            carry = events
+        if carry.size > MAX_GAPLESS_RECORDS:
+            raise DataError(
+                f"no gap wider than {window} ns in {carry.size} records from record {first}"
+            )
+    if carry.size:
+        yield first, carry
 
 
-def _battery_worker(conn, parent_conn, battery: BatteryConfig) -> None:
-    """Run the battery on each (block, sequence id) ``conn`` brings, in order.
+def _battery_worker(conn, parent_conn, analysis: AnalysisConfig) -> None:
+    """Cut each (slice, station)'s bits into blocks and run the battery on each.
 
-    After the end marker ``None``, sends back the list of reports; an
-    exception the battery raises is sent back instead.  A pipe closed by
-    the parent ends the worker quietly.
+    Each message is one part's ``{(slice, station): bits}``; bits short of a
+    full block wait for the next part, and block k of a key is ``A0-k``.
+    After the end marker ``None``, sends back ``{(slice, station): [report,
+    ...]}``, or an exception raised here.  A pipe closed by the parent ends
+    the worker quietly.
     """
     import signal  # here, as multiprocessing is: simulate and report never pay for it
 
     parent_conn.close()  # the parent's end: EOF here once the parent closes it
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt stops the parent
-    reports = []
+    battery, length = analysis.battery(), analysis.sequence_length
+    pending = {}  # per (slice, station), the bits short of a full block
+    reports = defaultdict(list)
     try:
-        while (item := conn.recv()) is not None:
-            block, sid = item
-            reports.append(run_battery(block, battery, sequence_id=sid))
+        while (sequences := conn.recv()) is not None:
+            for key, part_bits in sequences.items():
+                bits = np.concatenate([pending.get(key, part_bits[:0]), part_bits])
+                blocks = sequence_partition(bits, length)
+                pending[key] = bits[len(blocks) * length :].copy()
+                slice_index, station = key
+                for block in blocks:
+                    sid = f"{STATION_LETTERS[station]}{slice_index}-{len(reports[key])}"
+                    reports[key].append(run_battery(block, battery, sequence_id=sid))
     except EOFError:
         return
     except Exception as exc:
@@ -183,7 +197,7 @@ def _send(conn, worker, item) -> None:
         raise
 
 
-def _worker_reply(conn, worker) -> list:
+def _worker_reply(conn, worker) -> dict:
     """The worker's reports; its exception raised again, or a ``WorkerError``
     naming its exit code if it died without a reply."""
     try:
@@ -212,15 +226,8 @@ def analyze_pieces(pieces: Iterable[np.ndarray], run: RunConfig, analysis: Analy
     """
     analysis.validate()  # before n_slices sizes the tables
     geo = pulse_geometry(run)
-    battery = analysis.battery()
     n_menu = len(run.settings_menu)
     n_slices = analysis.n_slices
-    keys = [(s, station) for s in range(n_slices) for station in (STATION_A, STATION_B)]
-    length = analysis.sequence_length
-    # per (slice, station), the bits short of a full block, kept for the next part
-    pending = {key: np.empty(0, dtype=np.uint8) for key in keys}
-    n_blocks = dict.fromkeys(keys, 0)
-    sent = []  # the key of each block sent to the worker, in order
     counts = np.zeros((n_slices + 1, n_menu, 2, 2), dtype=np.int64)
     n_coincidences = n_out_of_pulse = 0
 
@@ -229,7 +236,7 @@ def analyze_pieces(pieces: Iterable[np.ndarray], run: RunConfig, analysis: Analy
 
     context = multiprocessing.get_context("fork")
     conn, worker_conn = context.Pipe()
-    worker = context.Process(target=_battery_worker, args=(worker_conn, conn, battery))
+    worker = context.Process(target=_battery_worker, args=(worker_conn, conn, analysis))
     worker.start()
     worker_conn.close()
     try:
@@ -251,27 +258,18 @@ def analyze_pieces(pieces: Iterable[np.ndarray], run: RunConfig, analysis: Analy
             counts += count_table(records, n_menu, n_slices)
             n_coincidences += records.size
             n_out_of_pulse += int(np.count_nonzero(records["slice_index"] < 0))
-            for key, part_bits in slice_sequences(records, n_slices).items():
-                slice_index, station = key
-                bits = np.concatenate([pending[key], part_bits])
-                blocks = sequence_partition(bits, length)
-                pending[key] = bits[len(blocks) * length :].copy()
-                for block in blocks:
-                    sid = f"{STATION_LETTERS[station]}{slice_index}-{n_blocks[key]}"
-                    n_blocks[key] += 1
-                    sent.append(key)
-                    _send(conn, worker, (block, sid))
+            sequences = slice_sequences(records, n_slices).items()
+            _send(conn, worker, {key: bits for key, bits in sequences if bits.size})
         _send(conn, worker, None)
-        reports = {key: [] for key in keys}
-        for key, report in zip(sent, _worker_reply(conn, worker), strict=True):
-            reports[key].append(report)
+        reports = _worker_reply(conn, worker)  # a defaultdict: a key without blocks has []
     finally:
         conn.close()
         worker.join()
 
     report_rows = [
         (report.sequence_id, slice_index, STATION_LETTERS[station], report)
-        for (slice_index, station) in keys
+        for slice_index in range(n_slices)
+        for station in (STATION_A, STATION_B)
         for report in reports[slice_index, station]
     ]
     reports_by_slice = {
@@ -286,6 +284,6 @@ def analyze_pieces(pieces: Iterable[np.ndarray], run: RunConfig, analysis: Analy
 
     # validate has already refused fewer than two slices, and
     # classify_scenario tests the halves only once each holds sequences.
-    curve = curve_from_reports(reports_by_slice, battery)
+    curve = curve_from_reports(reports_by_slice, analysis.battery())
     verdict = classify_scenario(curve, chsh_estimates, n_coincidences, n_out_of_pulse)
     return n_coincidences, chsh_estimates, curve, verdict, report_rows

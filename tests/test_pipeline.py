@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -134,13 +135,16 @@ def assert_cut_matches_one_pass(events, pieces, window, rep_rate_hz=1e6):
 
 @pytest.mark.parametrize("window, chain_size, n_chains", [(2, 2, 500), (100, 3, 200)])
 def test_cutting_at_every_gap_matches_one_pass(window, chain_size, n_chains):
-    # one-event pieces: cut_at_gaps cuts at every gap wider than W; at
-    # W = 100 ns the 100 kHz darks make chains of three or more events
+    # one-event pieces, each after an empty one: cut_at_gaps cuts at every
+    # gap wider than W; at W = 100 ns the 100 kHz darks make chains of
+    # three or more events
     cfg = RunConfig(seed=43, run_duration_s=0.05, dark_rate_hz=1e5)
     events = np.concatenate(list(iter_event_chunks(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))))
     ts = events["timestamp_ns"].astype(np.int64)
     n_gaps = np.count_nonzero(np.diff(ts) > window)
-    parts = assert_cut_matches_one_pass(events, np.split(events, events.size), window)
+    pieces = np.split(events, np.arange(events.size).repeat(2))
+    assert sum(piece.size == 0 for piece in pieces) == events.size + 1
+    parts = assert_cut_matches_one_pass(events, pieces, window)
     assert len(parts) == n_gaps + 1
     assert sum(part.size >= chain_size for _, part in parts) > n_chains
 
@@ -148,10 +152,11 @@ def test_cutting_at_every_gap_matches_one_pass(window, chain_size, n_chains):
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(0, 3000), st.booleans()), max_size=80),
-    st.lists(st.integers(1, 40), min_size=1, max_size=10),
+    st.lists(st.integers(0, 40), min_size=1, max_size=10),
     st.sampled_from([1, 5, 40]),
 )
 def test_cutting_random_streams_at_random_pieces(tagged, sizes, window):
+    # a size of 0 gives an empty piece
     keys = sorted({2 * t + int(b) for t, b in tagged})
     events = np.zeros(len(keys), dtype=EVENT_DTYPE)
     events["timestamp_ns"] = [k >> 1 for k in keys]
@@ -159,14 +164,15 @@ def test_cutting_random_streams_at_random_pieces(tagged, sizes, window):
     events["station"] = [k & 1 for k in keys]
     events["port_bit"] = [k % 3 == 0 for k in keys]
     events["setting_index"] = [k % 4 for k in keys]
-    bounds = np.cumsum(sizes * (len(keys) // sum(sizes) + 1))
+    bounds = np.cumsum(sizes * (len(keys) // max(sum(sizes), 1) + 1))
     pieces = np.split(events, bounds[bounds < len(keys)])
     assert_cut_matches_one_pass(events, pieces, window)
 
 
 def test_a_chain_longer_than_a_piece_is_carried_whole():
     # lone events, then 3,000 events each 1-2 ns after the last, then lone
-    # events again; in pieces of 500 the chain spans seven pieces
+    # events again; in pieces of 500 the chain spans seven pieces, with
+    # empty pieces between them
     rng = np.random.default_rng(7)
     t = np.concatenate([
         np.arange(0, 50_000, 1000),
@@ -178,12 +184,67 @@ def test_a_chain_longer_than_a_piece_is_carried_whole():
     events["pulse_index"] = t // 1000
     events["station"] = rng.integers(0, 2, t.size)
     events["port_bit"] = rng.integers(0, 2, t.size)
-    bounds = np.arange(500, t.size, 500)
+    bounds = np.arange(0, t.size, 500).repeat(2)
     parts = assert_cut_matches_one_pass(events, np.split(events, bounds), 2)
     chain = [(first, part.size) for first, part in parts if part.size >= 3000]
     assert len(chain) == 1
     first, size = chain[0]
     assert first <= 50 and first + size >= 3050
+
+
+def gapless_run(tmp_path, monkeypatch, n_records):
+    """A run directory whose events.btag holds ``n_records`` events 1 ns
+    apart, so no step is wider than the default 2 ns window.  Only the
+    second event is at station B: the one chain holds one pair and the
+    matcher resolves it in one lockstep pass."""
+    for key in list(os.environ):
+        if key.startswith("BELLRM_"):
+            monkeypatch.delenv(key)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"run": {"seed": 1, "run_duration_s": 0.0}}))
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(config), "--out", str(run)]) == 0
+    events = np.zeros(n_records, dtype=EVENT_DTYPE)
+    events["timestamp_ns"] = np.arange(n_records)
+    events["pulse_index"] = events["timestamp_ns"] // 1000
+    events["station"][1] = 1
+    with BtagWriter(run / "events.btag") as writer:
+        writer.write(events)
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["artifacts"]["events.btag"]["bytes"] = (run / "events.btag").stat().st_size
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    return run
+
+
+def test_a_gapless_stream_at_the_cap_analyzes(tmp_path, monkeypatch, capsys):
+    run = gapless_run(tmp_path, monkeypatch, pipeline.MAX_GAPLESS_RECORDS)
+    with time_limit(120):
+        assert main(["analyze", "--in", str(run)]) == 0
+    assert "analyze: 1 coincidences, 0 sequences" in capsys.readouterr().out
+    assert_no_child_left()
+
+
+def test_a_gapless_stream_past_the_cap_exits_3_in_bounded_memory(
+    tmp_path, monkeypatch, capsys
+):
+    cap = pipeline.MAX_GAPLESS_RECORDS
+    run = gapless_run(tmp_path, monkeypatch, cap + 1)
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        with time_limit(120):
+            assert main(["analyze", "--in", str(run)]) == 3
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: no gap wider than 2 ns in {cap + 1} records from record 0"
+    ]
+    # the carry, its join with the next piece and that join's int64 steps
+    # stay under three full carries
+    assert peak < 3 * cap * EVENT_DTYPE.itemsize
+    assert not (run / "verdict.json").exists()
+    assert_no_child_left()
 
 
 def test_reading_in_small_pieces_gives_the_same_analysis(tmp_path):
