@@ -1,10 +1,15 @@
-"""Golden digests: short runs of the three benchmark workloads keep their bytes.
+"""Golden digests: runs of the benchmark workloads keep their bytes.
 
-Each case simulates and analyzes a 0.5 s version of one workload and
-checks the SHA-256 of ``events.btag`` and of the four analysis outputs
-against digests recorded before the matcher and the count table were
-last rewritten.  A change that claims byte-identical outputs must keep
-these; a deliberate output change updates them and says so.
+Each short case simulates and analyzes a 0.5 s version of one workload
+and checks the SHA-256 of ``events.btag`` and of the four analysis
+outputs against digests recorded before the matcher and the count table
+were last rewritten.  ``test_the_paper_default_run_keeps_its_bytes``
+runs the paper's default 300 s, 1 MHz experiment (seed 808) through
+``simulate``, ``analyze`` and ``report`` and checks the verdict, its
+counts and the digests of all seven outputs, recorded before the
+matcher was split from the coincidence builder.  A change that claims
+byte-identical outputs must keep these; a deliberate output change
+updates them and says so.
 """
 
 import hashlib
@@ -69,15 +74,30 @@ GOLDEN = {
 }
 
 
-def _digests(run_dir):
-    return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in OUTPUTS}
+PAPER_DEFAULT_GOLDEN = {
+    "events.btag": "15ab0ae1b9bc060e2a0aa58098a43b950e141e244d40b6d18eec6ef34fee1030",
+    "chsh_per_slice.csv": "ea65136298f8757213b0713a3b2fd5d3ec76eb68e78f3b2fcd013fc51270cad3",
+    "sequences.csv": "ec9dd19a616010fc92ac8eb59a123fa9ee0f17b91acab10e1badcdddad2b18d1",
+    "curve.csv": "7890b2b333dc18ffe882ba1ccd6d38a655515352d03a7a8a4e26e4dc64103c44",
+    "verdict.json": "ac4f924071891103613993defcef4d4a36ecccb74f3bd1b43f446a3ec1a7e82c",
+    "summary.txt": "ed18a069c0565c02c3c5a8c068cf41616599fb47b8f852d6f1479f9987f667fd",
+    "combined_curves.csv": "62bb5c3904211b45e688d147ea3306292e0b3ebf955bdbad25dd9ce08df02939",
+}
+
+
+def _digests(run_dir, names=OUTPUTS):
+    return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in names}
+
+
+def _clear_bellrm_env(monkeypatch):
+    for key in list(os.environ):
+        if key.startswith("BELLRM_"):
+            monkeypatch.delenv(key)
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_short_workload_keeps_its_bytes(workload, tmp_path, monkeypatch):
-    for key in list(os.environ):
-        if key.startswith("BELLRM_"):
-            monkeypatch.delenv(key)
+    _clear_bellrm_env(monkeypatch)
     run, kind, analysis = WORKLOADS[workload]
     config = {
         "run": {**PAPER_RUN, **run},
@@ -90,3 +110,19 @@ def test_short_workload_keeps_its_bytes(workload, tmp_path, monkeypatch):
     assert main(["simulate", "--config", str(config_path), "--out", str(run_dir)]) == 0
     assert main(["analyze", "--in", str(run_dir)]) == 0
     assert _digests(run_dir) == GOLDEN[workload]
+
+
+def test_the_paper_default_run_keeps_its_bytes(tmp_path, monkeypatch, capsys):
+    _clear_bellrm_env(monkeypatch)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"run": {"seed": 808}, "model": {"kind": "QM_NONLOCAL"}}))
+    run_dir = tmp_path / "run808"  # report writes the directory's name into its outputs
+    assert main(["simulate", "--config", str(config_path), "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--in", str(run_dir)]) == 0
+    assert capsys.readouterr().out == (
+        "analyze: 6110174 coincidences, 1220 sequences, verdict REALISM_FALSE\n"
+    )
+    assert main(["report", "--in", str(run_dir)]) == 0
+    assert json.loads((run_dir / "verdict.json").read_text())["label"] == "REALISM_FALSE"
+    assert _digests(run_dir, PAPER_DEFAULT_GOLDEN) == PAPER_DEFAULT_GOLDEN
