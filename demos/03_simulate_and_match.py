@@ -1,4 +1,5 @@
-"""Simulate a short run, write/read the time-tag file, match coincidences.
+"""Simulate a short run, write/read the time-tag file, match coincidences
+and build their records.
 
 With aligned analyzers the two stations record bitwise-identical
 coincidence sequences (the working principle of entanglement-based key
@@ -16,11 +17,10 @@ from bellrm import (
     RunConfig,
     STATION_A,
     STATION_B,
+    coincidences,
     iter_btag,
     match_events,
-    pulse_geometry,
     simulate_to_btag,
-    slice_index_of,
     slice_sequences,
 )
 
@@ -48,11 +48,8 @@ with tempfile.TemporaryDirectory() as tmp:
     )
     events = np.concatenate(list(iter_btag(path)))
 
-records = match_events(
-    events, 2, rep_rate_hz=cfg.rep_rate_hz, settings_menu=cfg.settings_menu
-)
-geo = pulse_geometry(cfg)
-records["slice_index"] = slice_index_of(records["within_pulse_ns"], 2, geo.pulse_duration_ns)
+a_pos, b_pos = match_events(events, 2)
+records = coincidences(events, a_pos, b_pos, cfg, n_slices=2)
 print("matched %d coincidences in a +/-2 ns window" % records.size)
 
 in_pulse = records[records["slice_index"] >= 0]

@@ -32,10 +32,7 @@ print(
     % (stats.n_coincidence_pairs, stats.n_darks_a, stats.n_darks_b, cfg.run_duration_s)
 )
 
-scan = s_vs_window(
-    events, [5, 10, 25, 50, 75, 100, 150, 200], cfg.settings_menu,
-    rep_rate_hz=cfg.rep_rate_hz, run_duration_s=cfg.run_duration_s,
-)
+scan = s_vs_window(events, [5, 10, 25, 50, 75, 100, 150, 200], cfg)
 
 print()
 print("window (ns) | matched |  S meas +/- err  | S predicted | deviation")

@@ -89,6 +89,7 @@ from .source import (
 )
 from .timetags import (
     COINC_DTYPE,
+    coincidences,
     match_events,
     sequence_partition,
     slice_index_of,

@@ -6,8 +6,10 @@ a stream add up in any order, and :func:`chsh_from_table` reads S for one
 slice or for all rows.  S always uses the paper's four pairs,
 ``source.CHSH_MENU`` (a = 0, a' = pi/4, b = pi/8, b' = 3pi/8), each looked
 up by angle in the run's settings menu; a menu without one of them has no
-CHSH estimate.  :func:`s_vs_window` takes the merged event stream instead
-and matches it with ``timetags.match_events`` once per window.
+CHSH estimate.  The records come from ``timetags.coincidences``, the one
+builder of a coincidence's slice and setting.  :func:`s_vs_window` takes
+the merged event stream instead, and matches it and builds its records
+once per window.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from .models import (
     same_angle,
     stationary_lambda_samples,
 )
-from .source import CHSH_MENU
+from .source import CHSH_MENU, RunConfig
 from .streams import substream
-from .timetags import match_events
+from .timetags import coincidences, match_events
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -160,19 +162,13 @@ class WindowScanPoint:
     S_pred: float
 
 
-def s_vs_window(
-    events: np.ndarray,
-    windows_ns,
-    settings_menu,
-    *,
-    rep_rate_hz: float,
-    run_duration_s: float,
-) -> list[WindowScanPoint]:
+def s_vs_window(events: np.ndarray, windows_ns, run: RunConfig) -> list[WindowScanPoint]:
     """Measured S(W) on a merged event stream plus the uncorrelated-accidentals prediction.
 
-    ``events`` is in the (timestamp, station) order ``match_events`` needs.
-    The prediction anchors on the smallest window: the matched pairs there
-    are taken as true coincidences, per-station leftover rates give the
+    ``events`` is a stream of the run ``run``, in the (timestamp, station)
+    order ``match_events`` needs; S pools every slice.  The prediction
+    anchors on the smallest window: the matched pairs there are taken as
+    true coincidences, per-station leftover rates give the
     accidental-pair rate 2*rA*rB*W*T, and a survival factor
     exp(-(rA+rB)*W) accounts for true pairs whose partner is stolen by an
     earlier in-window accidental.  Both effects assume the out-of-pulse
@@ -182,18 +178,18 @@ def s_vs_window(
     windows = sorted(int(w) for w in windows_ns)
     if not windows:
         raise ConfigError("empty window list")
-    if run_duration_s <= 0:
+    if run.run_duration_s <= 0:
         raise ConfigError("run_duration_s must be > 0")
 
     measured = []
     for w in windows:
-        records = match_events(events, w, rep_rate_hz=rep_rate_hz, settings_menu=settings_menu)
-        # every record is in slice -1, the table's one row
-        est = chsh_from_table(count_table(records, len(settings_menu), 0), settings_menu)
+        records = coincidences(events, *match_events(events, w), run, 2)
+        table = count_table(records, len(run.settings_menu), 2)
+        est = chsh_from_table(table, run.settings_menu)  # all rows: both slices and -1
         measured.append((w, records.size, est.S, est.std_err))
 
     w0, n0, s0, se0 = measured[0]
-    t_run = float(run_duration_s)
+    t_run = float(run.run_duration_s)
     n_b = int(np.count_nonzero(events["station"] == STATION_B))
     rate_a = max(0.0, (events.size - n_b - n0) / t_run)
     rate_b = max(0.0, (n_b - n0) / t_run)

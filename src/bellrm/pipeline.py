@@ -1,4 +1,4 @@
-"""The analysis pipeline: match -> slice -> battery and CHSH -> verdict.
+"""The analysis pipeline: match -> records -> battery and CHSH -> verdict.
 
 ``analyze_pieces`` takes a merged event stream as a sequence of pieces,
 such as ``btag.iter_btag`` reads from a file (a stream held in memory is
@@ -7,13 +7,16 @@ command writes; ``AnalysisConfig`` holds the parameters.
 
 ``cut_at_gaps`` re-cuts the pieces after their last gap wider than the
 coincidence window.  No chain of events crosses such a gap, so matching
-each part on its own gives the records one pass over the whole stream
+each part on its own gives the pairs one pass over the whole stream
 gives.  The events after the last gap are one carry, joined to the next
-piece; a carry past ``MAX_GAPLESS_RECORDS`` is a ``DataError``.  Between
-parts the parent keeps only the integer CHSH count table and two counts
-(coincidences, and records outside the pulse).  S is computed per slice
-from the count table at the four standard CHSH pairs (see
-:mod:`bellrm.chsh`).
+piece; a carry past ``MAX_GAPLESS_RECORDS`` is a ``DataError``.  Each
+part is matched by ``timetags.match_events``, which returns the matched
+positions, and ``timetags.coincidences`` builds its records from them:
+it checks each matched event against its own pulse and gives each
+record its slice and setting.  Between parts the parent keeps only the
+integer CHSH count table and two counts (coincidences, and records
+outside the pulse).  S is computed per slice from the count table at the
+four standard CHSH pairs (see :mod:`bellrm.chsh`).
 
 The battery runs in one worker process beside the matcher, so the two
 share the machine's two cores.  ``analyze_pieces`` forks it (the ``fork``
@@ -45,8 +48,8 @@ from .btag import EVENT_DTYPE, STATION_A, STATION_B, STATION_LETTERS, join_event
 from .chsh import chsh_from_table, count_table
 from .errors import ConfigError, DataError, IncompleteSettingsError, WorkerError, require_finite
 from .randommeter import BatteryConfig, classify_scenario, curve_from_reports, run_battery
-from .source import RunConfig, pulse_geometry
-from .timetags import match_events, sequence_partition, slice_index_of, slice_sequences
+from .source import RunConfig
+from .timetags import coincidences, match_events, sequence_partition, slice_sequences
 
 
 @dataclass
@@ -218,14 +221,14 @@ def analyze_pieces(pieces: Iterable[np.ndarray], run: RunConfig, analysis: Analy
     The pieces, in stream order, are what ``iter_btag`` yields.  Returns
     (n_coincidences, chsh_estimates, curve, verdict, report_rows); CHSH
     estimates cover the slices that could be estimated, and a slice
-    without one makes the verdict INCONCLUSIVE.  An event whose
-    setting lies outside the menu, or one out of stream order, raises a
-    ``DataError`` naming its index in the whole stream.  It forks the
-    battery worker, so call it from a process with no other thread running:
-    a forked child holds only the calling thread.
+    without one makes the verdict INCONCLUSIVE.  An event whose setting
+    lies outside the menu, one out of stream order, or a matched one
+    outside its own pulse's window raises a ``DataError`` naming its index
+    in the whole stream.  It forks the battery worker, so call it from a
+    process with no other thread running: a forked child holds only the
+    calling thread.
     """
     analysis.validate()  # before n_slices sizes the tables
-    geo = pulse_geometry(run)
     n_menu = len(run.settings_menu)
     n_slices = analysis.n_slices
     counts = np.zeros((n_slices + 1, n_menu, 2, 2), dtype=np.int64)
@@ -248,13 +251,8 @@ def analyze_pieces(pieces: Iterable[np.ndarray], run: RunConfig, analysis: Analy
                     f"record {first + i} has setting_index {events['setting_index'][i]}, "
                     f"outside the {n_menu}-entry settings menu"
                 )
-            records = match_events(
-                events, analysis.window_ns, rep_rate_hz=run.rep_rate_hz,
-                settings_menu=run.settings_menu, first_record=first,
-            )
-            records["slice_index"] = slice_index_of(
-                records["within_pulse_ns"], n_slices, geo.pulse_duration_ns
-            )
+            a_pos, b_pos = match_events(events, analysis.window_ns, first_record=first)
+            records = coincidences(events, a_pos, b_pos, run, n_slices, first_record=first)
             counts += count_table(records, n_menu, n_slices)
             n_coincidences += records.size
             n_out_of_pulse += int(np.count_nonzero(records["slice_index"] < 0))

@@ -65,8 +65,8 @@ CHSH_MENU = (
 #: version of the seed -> bytes mapping, recorded in every manifest.
 GENERATOR_VERSION = 2
 
-# most settings_menu entries: analyze's n^2 int32 table of cross-pulse
-# settings takes 67 MB at this size, and 17 GB at the 65,536 a u16
+# most settings_menu entries: analyze's n^2 int16 table of cross-pulse
+# settings takes 34 MB at this size, and 8.6 GB at the 65,536 a u16
 # setting_index could name
 _MAX_MENU = 4096
 

@@ -1,16 +1,17 @@
-"""Coincidence extraction and per-slice sequence building.
+"""Coincidence matching, the coincidence records, and per-slice sequences.
 
 :func:`match_events` is the one matcher.  It reads the merged stream in
 the (timestamp, station) order a BTAG file is written in, checks that
 order, and pairs events greedily, earliest pair first and one-to-one,
 which attains maximum cardinality for interval matching on a line.  It
-runs as a vectorized cluster decomposition on the *near steps*: the
-indices k where event k + 1 lies within the window of event k.  One pass
-over the timestamps finds them; at the paper's rates about 17 % of events
-have such a neighbour, and everything after that pass reads the near
-steps only.  Since the window is > 0, every step back or tie is a near
-step, so the order check reads them too.  A run of consecutive near steps
-is a chain, and chains are isolated from each other.  The overwhelmingly
+returns the positions of the matched events, nothing else.  It runs as a
+vectorized cluster decomposition on the *near steps*: the indices k where
+event k + 1 lies within the window of event k.  One pass over the
+timestamps finds them; at the paper's rates about 17 % of events have
+such a neighbour, and everything after that pass reads the near steps
+only.  Since the window is > 0, every step back or tie is a near step, so
+the order check reads them too.  A run of consecutive near steps is a
+chain, and chains are isolated from each other.  The overwhelmingly
 common chain (one A plus one B event) pairs as it stands; every longer
 chain runs the two-pointer rule in lockstep with the others, one numpy
 step per pass, so no chain is resolved by a Python loop over its events.
@@ -18,11 +19,15 @@ No chain crosses a gap wider than the window, so a stream cut at such gaps
 can be matched piece by piece with the same result (``bellrm.pipeline``
 does so).
 
-:func:`slice_index_of` holds the pulse-slice boundary rule; callers write
-its result into the records' ``slice_index`` column.
-:func:`slice_sequences` splits sliced records into one bit sequence per
-(slice, station) in a single sort, and :func:`sequence_partition` cuts a
-sequence into the bit blocks the randomness battery tests.
+:func:`coincidences` turns matched positions into the records everything
+downstream reads, ``COINC_DTYPE``: pulse slice, effective setting and the
+two bits, six bytes each.  It is the one place that checks that both
+events lie in their own pulse's window, and that gives a coincidence its
+slice (through :func:`slice_index_of`, the boundary rule) and its
+setting.  :func:`slice_sequences` splits the records into one bit
+sequence per (slice, station) in a single sort, and
+:func:`sequence_partition` cuts a sequence into the bit blocks the
+randomness battery tests.
 """
 
 from __future__ import annotations
@@ -32,21 +37,14 @@ import functools
 import numpy as np
 
 from .btag import STATION_A, STATION_B
-from .errors import ConfigError, StreamOrderError
+from .errors import ConfigError, DataError, StreamOrderError
 from .models import same_angle
-from .source import pulse_start_ns
+from .source import RunConfig, pulse_geometry, pulse_start_ns
 
+#: one coincidence: its pulse slice (-1 outside the pulse), its effective
+#: setting (-1 for a cross-pulse pair the menu lacks) and both bits
 COINC_DTYPE = np.dtype(
-    [
-        ("t_a_ns", "<i8"),
-        ("t_b_ns", "<i8"),
-        ("pulse_index", "<i8"),
-        ("within_pulse_ns", "<i8"),
-        ("bit_a", "u1"),
-        ("bit_b", "u1"),
-        ("setting_index", "<i4"),
-        ("slice_index", "<i2"),
-    ]
+    [("slice_index", "<i2"), ("setting_index", "<i2"), ("bit_a", "u1"), ("bit_b", "u1")]
 )
 
 
@@ -123,7 +121,7 @@ def _effective_setting_table(settings_menu: tuple[tuple[float, float], ...]) -> 
     Built once per menu, a tuple of (alpha, beta) tuples; shared, so read-only.
     """
     menu = np.array(settings_menu, dtype=np.float64).reshape(-1, 2)
-    eff = np.full((len(menu), len(menu)), -1, dtype=np.int32)
+    eff = np.full((len(menu), len(menu)), -1, dtype=np.int16)
     for k, (a, b) in enumerate(menu):  # a later duplicate entry wins
         eff[np.ix_(same_angle(menu[:, 0], a), same_angle(menu[:, 1], b))] = k
     eff.flags.writeable = False
@@ -131,27 +129,18 @@ def _effective_setting_table(settings_menu: tuple[tuple[float, float], ...]) -> 
 
 
 def match_events(
-    events: np.ndarray,
-    window_ns: int,
-    *,
-    rep_rate_hz: float,
-    settings_menu,
-    first_record: int = 0,
-) -> np.ndarray:
+    events: np.ndarray, window_ns: int, *, first_record: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
     """Pair up detections of a merged stream across stations within ``window_ns``.
 
     ``events`` must be strictly ordered by (timestamp, station), the order a
     BTAG file is written in; a station other than B counts as A.  Greedy
     earliest-pair one-to-one matching in time order; ties go to the earlier
-    candidate partner.  Returns COINC_DTYPE records in coincidence time
-    order with slice_index unset (-1); :func:`slice_index_of` gives it.
-    ``first_record`` is the index of ``events[0]`` in a longer stream, for
-    the record numbers a ``StreamOrderError`` names.
-
-    For pairs spanning two pulses (accidentals) the pulse and within-pulse
-    time come from the station-A event, and the setting is the entry of
-    ``settings_menu`` matching (alpha of A's pulse, beta of B's pulse) when
-    the menu contains it, else -1 (such records are skipped by per-setting estimators).
+    candidate partner.  Returns ``(a_pos, b_pos)``, the positions in
+    ``events`` of each pair's A and B event, in time order of the A event;
+    :func:`coincidences` builds the records from them.  ``first_record`` is
+    the index of ``events[0]`` in a longer stream, for the record numbers a
+    ``StreamOrderError`` names.
     """
     if window_ns <= 0:
         raise ConfigError("coincidence window must be > 0 ns")
@@ -196,24 +185,62 @@ def match_events(
         b_pos = np.concatenate([b_pos, slow_b])
         time_order = np.argsort(a_pos)
         a_pos, b_pos = a_pos[time_order], b_pos[time_order]
-    del is_b, chain_pos, steps, n_b, slow
+    return a_pos, b_pos
 
-    # Built field by field: no structured copy of the matched events.
+
+def _pulse_offsets(events, pos, rep_rate_hz, pulse_duration_ns):
+    """(pulse, t - pulse_start_ns(pulse), outside) of the events at ``pos``.
+
+    The generator puts an event of pulse k at 0 <= t - pulse_start_ns(k) <
+    max(pulse_duration_ns, pulse_start_ns(k + 1) - pulse_start_ns(k)): a
+    detection inside the pulse, or a dark before the next pulse starts.
+    ``outside`` marks the events that break this rule.
+    """
+    pulse = events["pulse_index"][pos].astype(np.int64)
+    t = events["timestamp_ns"][pos].astype(np.int64)
+    offset = t - pulse_start_ns(pulse, rep_rate_hz)
+    outside = offset < 0
+    late = np.flatnonzero(offset >= pulse_duration_ns)  # past the pulse: a dark at most
+    outside[late] = t[late] >= pulse_start_ns(pulse[late] + 1, rep_rate_hz)
+    return pulse, offset, outside
+
+
+def coincidences(
+    events: np.ndarray, a_pos: np.ndarray, b_pos: np.ndarray, run: RunConfig, n_slices: int,
+    first_record: int = 0,
+) -> np.ndarray:
+    """``COINC_DTYPE`` records of the pairs ``match_events`` found, in its order.
+
+    Each record holds the pulse slice of the A event (:func:`slice_index_of`
+    of its time since its pulse's start, -1 outside the pulse), the
+    effective setting and both port bits.  A pair within one pulse keeps
+    that pulse's setting.  A pair spanning two pulses (an accidental) gets
+    the entry of ``run.settings_menu`` matching (alpha of A's pulse, beta of
+    B's pulse) when the menu holds it, else -1, which per-setting estimators
+    skip.  An event of either station outside its own pulse's window (see
+    :func:`_pulse_offsets`) is a ``DataError`` naming its record,
+    ``first_record`` being the index of ``events[0]`` in the whole stream.
+    """
+    duration_ns = pulse_geometry(run).pulse_duration_ns
+    pulse_a, offset_a, outside_a = _pulse_offsets(events, a_pos, run.rep_rate_hz, duration_ns)
+    pulse_b, _, outside_b = _pulse_offsets(events, b_pos, run.rep_rate_hz, duration_ns)
+    bad = np.concatenate([a_pos[outside_a], b_pos[outside_b]])
+    if bad.size:
+        i = int(bad.min())
+        pulse = int(events["pulse_index"][i])
+        raise DataError(
+            f"record {first_record + i} at {events['timestamp_ns'][i]} ns lies outside "
+            f"its pulse {pulse}, which starts at {pulse_start_ns(pulse, run.rep_rate_hz)} ns"
+        )
+
     records = np.empty(a_pos.size, dtype=COINC_DTYPE)
-    records["t_a_ns"] = ts[a_pos]
-    records["t_b_ns"] = ts[b_pos]
-    records["pulse_index"] = events["pulse_index"][a_pos]
-    records["within_pulse_ns"] = records["t_a_ns"] - pulse_start_ns(
-        records["pulse_index"], rep_rate_hz
-    )
+    records["slice_index"] = slice_index_of(offset_a, n_slices, duration_ns)
+    setting_a = events["setting_index"][a_pos]
+    # a RunConfig holds its menu as a tuple of (alpha, beta) float tuples
+    cross = _effective_setting_table(run.settings_menu)[setting_a, events["setting_index"][b_pos]]
+    records["setting_index"] = np.where(pulse_a == pulse_b, setting_a, cross)
     records["bit_a"] = events["port_bit"][a_pos]
     records["bit_b"] = events["port_bit"][b_pos]
-    records["slice_index"] = -1
-    setting_a = events["setting_index"][a_pos].astype(np.int32)
-    menu = tuple(map(tuple, np.asarray(settings_menu, dtype=np.float64).reshape(-1, 2).tolist()))
-    cross = _effective_setting_table(menu)[setting_a, events["setting_index"][b_pos]]
-    same_pulse = records["pulse_index"] == events["pulse_index"][b_pos]
-    records["setting_index"] = np.where(same_pulse, setting_a, cross)
     return records
 
 

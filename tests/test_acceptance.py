@@ -23,6 +23,7 @@ from bellrm import (
     Verdict,
     block_frequency_test,
     chsh_from_table,
+    coincidences,
     count_table,
     cusum_test,
     ergodicity_gap,
@@ -33,7 +34,6 @@ from bellrm import (
     runs_test,
     s_vs_window,
     serial_test,
-    slice_index_of,
     wilson_interval,
 )
 from bellrm.cli import main
@@ -107,12 +107,7 @@ def test_criterion_03_qm_correlations_per_slice():
         coincidence_prob_per_pulse=0.1, dark_rate_hz=0.0,
     )
     events = np.concatenate(list(iter_event_chunks(cfg, QM)))
-    records = match_events(
-        events, 2, rep_rate_hz=cfg.rep_rate_hz, settings_menu=cfg.settings_menu
-    )
-    records["slice_index"] = slice_index_of(
-        records["within_pulse_ns"], 4, pulse_geometry(cfg).pulse_duration_ns
-    )
+    records = coincidences(events, *match_events(events, 2), cfg, 4)
     per_pair = min(
         int(np.count_nonzero(records["setting_index"] == k)) for k in range(4)
     )
@@ -161,12 +156,7 @@ def test_criterion_05_sequence_identity():
             settings_menu=[(0.3, 0.3 + beta_offset)],
         )
         events = np.concatenate(list(iter_event_chunks(cfg, QM)))
-        records = match_events(
-            events, 2, rep_rate_hz=cfg.rep_rate_hz, settings_menu=cfg.settings_menu
-        )
-        records["slice_index"] = slice_index_of(
-            records["within_pulse_ns"], 2, pulse_geometry(cfg).pulse_duration_ns
-        )
+        records = coincidences(events, *match_events(events, 2), cfg, 2)
         mismatches = 0
         total = 0
         sequences = slice_sequences(records, 2)
@@ -247,10 +237,7 @@ def test_criterion_08_s_vs_window_decay():
     )
     events = np.concatenate(list(iter_event_chunks(cfg, QM)))
     windows = [5, 10, 25, 50, 75, 100]
-    scan = s_vs_window(
-        events, windows, cfg.settings_menu,
-        rep_rate_hz=cfg.rep_rate_hz, run_duration_s=cfg.run_duration_s,
-    )
+    scan = s_vs_window(events, windows, cfg)
     tracks = all(abs(p.S - p.S_pred) <= 3 * p.std_err for p in scan)
     decays = scan[-1].S < scan[0].S - 5 * scan[0].std_err
     ok = tracks and decays and len(scan) >= 5
@@ -313,10 +300,7 @@ def test_criterion_10_matching_oracle_equivalence():
         ta = np.sort(rng.choice(np.arange(4000), na, replace=False))
         tb = np.sort(rng.choice(np.arange(4000), nb, replace=False))
         window = int(rng.integers(1, 60))
-        greedy = match_events(
-            merge_stations(events_from(ta), events_from(tb)), window, rep_rate_hz=1e6,
-            settings_menu=CHSH_MENU,
-        ).size
+        greedy = match_events(merge_stations(events_from(ta), events_from(tb)), window)[0].size
         if greedy != max_matching_count(ta, tb, window):
             all_equal = False
             break

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -313,18 +314,12 @@ def noisy_run():
 class TestSVsWindow:
     def test_small_window_recovers_in_pulse_s(self, noisy_run):
         cfg, events = noisy_run
-        scan = s_vs_window(
-            events, [2], cfg.settings_menu,
-            rep_rate_hz=cfg.rep_rate_hz, run_duration_s=cfg.run_duration_s,
-        )
+        scan = s_vs_window(events, [2], cfg)
         assert scan[0].S == pytest.approx(2 * math.sqrt(2), abs=5 * scan[0].std_err)
 
     def test_decay_tracks_prediction(self, noisy_run):
         cfg, events = noisy_run
-        scan = s_vs_window(
-            events, [5, 25, 50, 100], cfg.settings_menu,
-            rep_rate_hz=cfg.rep_rate_hz, run_duration_s=cfg.run_duration_s,
-        )
+        scan = s_vs_window(events, [5, 25, 50, 100], cfg)
         assert scan[-1].S < scan[0].S - 5 * scan[0].std_err  # visible decay
         for point in scan:
             assert abs(point.S - point.S_pred) < 3 * point.std_err
@@ -332,35 +327,26 @@ class TestSVsWindow:
     def test_dominant_accidentals_wash_out_the_violation(self, noisy_run):
         # uncorrelated limit: a huge window matches mostly dark-dark pairs
         cfg, events = noisy_run
-        scan = s_vs_window(
-            events, [2, 50_000], cfg.settings_menu,
-            rep_rate_hz=cfg.rep_rate_hz, run_duration_s=cfg.run_duration_s,
-        )
+        scan = s_vs_window(events, [2, 50_000], cfg)
         assert scan[1].S < 0.5
 
     def test_empty_window_list_rejected(self, noisy_run):
         cfg, events = noisy_run
         with pytest.raises(ConfigError, match="empty window list"):
-            s_vs_window(
-                events, [], cfg.settings_menu,
-                rep_rate_hz=cfg.rep_rate_hz, run_duration_s=cfg.run_duration_s,
-            )
+            s_vs_window(events, [], cfg)
 
-    @pytest.mark.parametrize("duration", [0.0, -1.0])
-    def test_nonpositive_run_duration_rejected(self, noisy_run, duration):
+    @pytest.mark.parametrize(
+        "duration, message", [(0.0, "must be > 0"), (-1.0, "must be >= 0")]
+    )
+    def test_nonpositive_run_duration_rejected(self, noisy_run, duration, message):
+        # a negative duration is refused by the run's own config
         cfg, events = noisy_run
-        with pytest.raises(ConfigError, match="run_duration_s must be > 0"):
-            s_vs_window(
-                events, [2], cfg.settings_menu,
-                rep_rate_hz=cfg.rep_rate_hz, run_duration_s=duration,
-            )
+        with pytest.raises(ConfigError, match=f"run_duration_s {message}"):
+            s_vs_window(events, [2], dataclasses.replace(cfg, run_duration_s=duration))
 
     def test_out_of_order_stream_rejected(self, noisy_run):
         cfg, events = noisy_run
         swapped = events[:100].copy()
         swapped[[40, 41]] = swapped[[41, 40]]
         with pytest.raises(StreamOrderError, match="record 41 is not after record 40"):
-            s_vs_window(
-                swapped, [2], cfg.settings_menu,
-                rep_rate_hz=cfg.rep_rate_hz, run_duration_s=cfg.run_duration_s,
-            )
+            s_vs_window(swapped, [2], cfg)

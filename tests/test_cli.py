@@ -2,12 +2,16 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import bellrm.source
 from bellrm import BtagWriter, RunConfig, iter_btag
@@ -396,14 +400,21 @@ class TestAnalyze:
     def test_run_with_every_coincidence_outside_the_pulse_is_inconclusive(
         self, tmp_path, no_bellrm_env, capsys
     ):
-        # a manifest whose rep rate is twice the run's: each pulse index then
-        # starts half as late, and every event falls past its pulse's end
-        cfg = write_config(tmp_path, {"run": {"seed": 1, "run_duration_s": 0.5}})
+        # every event moved 500 ns later: past the end of its 133 ns pulse,
+        # but before the next pulse starts, where a dark of its pulse may lie
+        cfg = write_config(
+            tmp_path, {"run": {"seed": 1, "run_duration_s": 0.5, "dark_rate_hz": 0.0}}
+        )
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        events = np.concatenate(list(iter_btag(out / "events.btag")))
+        events["timestamp_ns"] += 500
+        with BtagWriter(out / "events.btag") as writer:
+            writer.write(events)
         manifest = json.loads((out / "manifest.json").read_text())
-        manifest["config"]["run"]["rep_rate_hz"] = 2e6
+        manifest["artifacts"]["events.btag"]["sha256"] = sha256(out / "events.btag")
         (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
         assert main(["analyze", "--in", str(out)]) == 0
         assert "analyze: 10002 coincidences, 0 sequences" in capsys.readouterr().out
         verdict = json.loads((out / "verdict.json").read_text())
@@ -411,6 +422,20 @@ class TestAnalyze:
         assert verdict["reason"] == (
             "no data in any slice: all 10002 matched coincidences fall outside the pulse"
         )
+
+    def test_a_manifest_of_another_rep_rate_exits_3(self, tmp_path, no_bellrm_env, capsys):
+        # twice the run's rep rate: each pulse index then starts half as
+        # late, and every event lies past the start of its pulse's successor
+        cfg = write_config(tmp_path, {"run": {"seed": 1, "run_duration_s": 0.5}})
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"]["run"]["rep_rate_hz"] = 2e6
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(out)]) == 3
+        assert "lies outside its pulse" in capsys.readouterr().err
+        assert not (out / "verdict.json").exists()
 
     @pytest.mark.parametrize("value", ["abc", "NaN", "Infinity"])
     def test_non_finite_alpha_sig_exits_2(self, sim_dir, capsys, monkeypatch, value):
@@ -445,6 +470,19 @@ class TestAnalyze:
         path.write_bytes(bytes(data))
         assert main(["analyze", "--in", str(sim_dir)]) == 3
         assert "record 5 has setting_index 99" in capsys.readouterr().err
+        assert not (sim_dir / "verdict.json").exists()
+
+    def test_matched_record_outside_its_pulse_exits_3(self, sim_dir, capsys):
+        # every event of this run is matched; record 3 keeps its time, port
+        # and setting, but names the last pulse a u32 can hold
+        path = sim_dir / "events.btag"
+        data = bytearray(path.read_bytes())
+        data[32 + 3 * 16 + 8 : 32 + 3 * 16 + 12] = (2**32 - 1).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        assert main(["analyze", "--in", str(sim_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: record 3 at ")
+        assert "lies outside its pulse 4294967295" in err
         assert not (sim_dir / "verdict.json").exists()
 
     def test_records_out_of_order_exit_3(self, sim_dir, capsys):
@@ -751,7 +789,9 @@ def test_a_failed_analysis_write_leaves_no_new_output_beside_an_old_one(sim_dir,
     ]
 
 
-@pytest.mark.parametrize("fault", ["setting-in-fourth-piece", "window-zero"])
+@pytest.mark.parametrize(
+    "fault", ["setting-in-fourth-piece", "pulse-in-fourth-piece", "window-zero"]
+)
 def test_a_refused_analysis_keeps_the_earlier_outputs(sim_dir, monkeypatch, fault):
     assert main(["analyze", "--in", str(sim_dir)]) == 0
     assert main(["report", "--in", str(sim_dir)]) == 0
@@ -760,13 +800,101 @@ def test_a_refused_analysis_keeps_the_earlier_outputs(sim_dir, monkeypatch, faul
         monkeypatch.setenv("BELLRM_WINDOW_NS", "0")
         expected = 2
     else:
-        # a DataError after three pieces were matched and their blocks tested
+        # a DataError after three pieces were matched and their blocks tested:
+        # a setting outside the menu, or a matched event outside its pulse
         data = bytearray(path.read_bytes())
         at = 32 + 16 * 200_003
-        data[at + 14 : at + 16] = (99).to_bytes(2, "little")
+        if fault == "setting-in-fourth-piece":
+            data[at + 14 : at + 16] = (99).to_bytes(2, "little")
+        else:
+            data[at + 8 : at + 12] = (2**32 - 1).to_bytes(4, "little")
         path.write_bytes(bytes(data))
         expected = 3
     before = {p.name: p.read_bytes() for p in sim_dir.iterdir()}
     assert len(before) == 8
     assert main(["analyze", "--in", str(sim_dir)]) == expected
     assert {p.name: p.read_bytes() for p in sim_dir.iterdir()} == before
+
+
+# --- one damaged byte or manifest field -----------------------------------
+
+DAMAGE_CONFIG = {
+    "run": {
+        "seed": 5, "run_duration_s": 0.12, "detection_prob_per_pulse": 0.0,
+        "coincidence_prob_per_pulse": 0.05, "dark_rate_hz": 0.0,
+    },
+    "model": {"kind": "SCENARIO_LOCALITY_FALSE"},
+    "analysis": {"sequence_length": 2560},  # the shortest the battery takes
+}
+MANIFEST_FIELDS = [
+    ("config", "run", name)
+    for name in (
+        "seed", "rep_rate_hz", "pulse_duration_s", "run_duration_s", "station_separation_m",
+        "settings_menu", "dark_rate_hz",
+    )
+] + [
+    ("config", "analysis", name)
+    for name in ("n_slices", "window_ns", "sequence_length", "alpha_sig", "block_size")
+] + [("config", "run"), ("config", "analysis"), ("artifacts", "events.btag", "bytes")]
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-(10**6), 10**6), st.text(max_size=3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.lists(st.floats(-4, 4), min_size=2, max_size=2), max_size=3),
+)
+
+
+@pytest.fixture(scope="module")
+def analyzed_run(tmp_path_factory):
+    """A small run where every event is matched, analyzed and reported once."""
+    root = tmp_path_factory.mktemp("damage")
+    saved = {key: os.environ.pop(key) for key in list(os.environ) if key.startswith("BELLRM_")}
+    try:
+        run = root / "run"
+        config = write_config(root, DAMAGE_CONFIG)
+        assert main(["simulate", "--config", str(config), "--out", str(run)]) == 0
+        assert main(["analyze", "--in", str(run)]) == 0
+        assert main(["report", "--in", str(run)]) == 0
+    finally:
+        os.environ.update(saved)
+    return run
+
+
+@settings(
+    max_examples=40, derandomize=True, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    damage=st.one_of(
+        st.tuples(st.just("events.btag"), st.integers(0, 2**31), st.integers(0, 255)),
+        st.tuples(st.just("manifest.json"), st.sampled_from(MANIFEST_FIELDS), JSON_VALUES),
+    )
+)
+@example(damage=("events.btag", 32 + 3 * 16 + 11, 255))  # record 3's pulse past the run
+@example(damage=("manifest.json", ("config", "run", "rep_rate_hz"), 2e6))
+def test_one_damaged_byte_or_field_ends_in_an_exit_code(analyzed_run, no_bellrm_env, capsys, damage):
+    # exit 0 stays legal: no check yet compares events.btag with its digest
+    with tempfile.TemporaryDirectory() as tmp:
+        run = Path(tmp) / "run"
+        shutil.copytree(analyzed_run, run)
+        name, where, value = damage
+        if name == "events.btag":
+            data = bytearray((run / name).read_bytes())
+            data[where % len(data)] = value
+            (run / name).write_bytes(bytes(data))
+        else:
+            manifest = json.loads((run / name).read_text())
+            *parents, key = where
+            obj = manifest
+            for parent in parents:
+                obj = obj[parent]
+            obj[key] = value
+            (run / name).write_text(json.dumps(manifest))
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        capsys.readouterr()
+        code = main(["analyze", "--in", str(run)])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err
+        if code:
+            assert len(err.splitlines()) == 1
+            assert {p.name: p.read_bytes() for p in run.iterdir()} == before

@@ -27,14 +27,13 @@ from bellrm import (
     Verdict,
     WorkerError,
     chsh_from_table,
+    coincidences,
     count_table,
     iter_btag,
     iter_event_chunks,
     match_events,
-    pulse_geometry,
     run_battery,
     sequence_partition,
-    slice_index_of,
     slice_sequences,
     write_chsh_csv,
 )
@@ -78,10 +77,7 @@ def test_per_slice_chsh_equals_one_table_of_one_pass():
     events = np.concatenate(list(iter_event_chunks(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))))
     analysis = AnalysisConfig(n_slices=3, window_ns=100)
     n_coincidences, chsh, _, _, _ = analyze_pieces([events], cfg, analysis)
-    records = match_events(events, 100, rep_rate_hz=cfg.rep_rate_hz, settings_menu=menu)
-    records["slice_index"] = slice_index_of(
-        records["within_pulse_ns"], 3, pulse_geometry(cfg).pulse_duration_ns
-    )
+    records = coincidences(events, *match_events(events, 100), cfg, 3)
     assert n_coincidences == records.size
     assert (records["slice_index"] == -1).any() and (records["setting_index"] == -1).any()
     table = count_table(records, len(menu), 3)
@@ -113,9 +109,10 @@ def test_alpha_sig_must_be_a_finite_number(value):
 # --- cutting the stream at gaps wider than the window ---------------------
 
 
-def assert_cut_matches_one_pass(events, pieces, window, rep_rate_hz=1e6):
+def assert_cut_matches_one_pass(events, pieces, window):
     """The parts tile the stream, every cut lies on a gap wider than the
-    window, and matching part by part gives the records of one pass."""
+    window, and matching part by part gives the pairs and the records of
+    one pass."""
     parts = list(cut_at_gaps(pieces, window))
     sizes = [part.size for _, part in parts]
     assert [first for first, _ in parts] == [sum(sizes[:k]) for k in range(len(parts))]
@@ -124,12 +121,18 @@ def assert_cut_matches_one_pass(events, pieces, window, rep_rate_hz=1e6):
     ts = events["timestamp_ns"].astype(np.int64)
     for first, _ in parts[1:]:
         assert ts[first] - ts[first - 1] > window
-    one_pass = match_events(events, window, rep_rate_hz=rep_rate_hz, settings_menu=CHSH_MENU)
-    by_part = [
-        match_events(part, window, rep_rate_hz=rep_rate_hz, settings_menu=CHSH_MENU)
-        for _, part in parts
-    ]
-    assert np.concatenate([one_pass[:0], *by_part]).tobytes() == one_pass.tobytes()
+    run = RunConfig(seed=0, run_duration_s=0.0)  # 1 MHz, as the streams' pulse indices
+    a_pos, b_pos = match_events(events, window)
+    part_a, part_b, records = [a_pos[:0]], [b_pos[:0]], []
+    for first, part in parts:
+        a, b = match_events(part, window)
+        part_a.append(first + a)
+        part_b.append(first + b)
+        records.append(coincidences(part, a, b, run, 2, first_record=first))
+    assert np.array_equal(np.concatenate(part_a), a_pos)
+    assert np.array_equal(np.concatenate(part_b), b_pos)
+    one_pass = coincidences(events, a_pos, b_pos, run, 2)
+    assert np.concatenate([one_pass[:0], *records]).tobytes() == one_pass.tobytes()
     return parts
 
 
@@ -332,12 +335,8 @@ def assert_no_child_left():
 
 def serial_report_rows(events, cfg, analysis):
     """What the worker must give: ``run_battery`` run here, block by block."""
-    records = match_events(
-        events, analysis.window_ns, rep_rate_hz=cfg.rep_rate_hz, settings_menu=cfg.settings_menu
-    )
-    records["slice_index"] = slice_index_of(
-        records["within_pulse_ns"], analysis.n_slices, pulse_geometry(cfg).pulse_duration_ns
-    )
+    a_pos, b_pos = match_events(events, analysis.window_ns)
+    records = coincidences(events, a_pos, b_pos, cfg, analysis.n_slices)
     rows = []
     for (slice_index, station), bits in slice_sequences(records, analysis.n_slices).items():
         letter = STATION_LETTERS[station]

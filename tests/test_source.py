@@ -20,6 +20,7 @@ from bellrm import (
     PairSampler,
     RunConfig,
     RunStats,
+    coincidences,
     iter_event_chunks,
     match_events,
     pulse_geometry,
@@ -567,7 +568,13 @@ def test_an_event_on_the_next_block_start_stays_in_its_block(monkeypatch):
 
     key = (got["timestamp_ns"].astype(np.int64) << 1) | got["station"]
     assert (np.diff(key) > 0).all()
-    match_events(got, 2, rep_rate_hz=cfg.rep_rate_hz, settings_menu=cfg.settings_menu)
+    # the matcher accepts its order, and the pulse check the matched events
+    # that lie on the next pulse's start
+    a_pos, b_pos = match_events(got, 2)
+    coincidences(got, a_pos, b_pos, cfg, 2)
+    pulse_a = got["pulse_index"][a_pos].astype(np.int64)
+    on_next = got["timestamp_ns"][a_pos] == pulse_start_ns(pulse_a + 1, cfg.rep_rate_hz)
+    assert np.count_nonzero(on_next) > 5
     assert got_stats.n_events == got.size
     assert got_stats.n_collisions_dropped == old_stats.n_collisions_dropped + old.size - got.size
     fixed = {"n_events", "n_collisions_dropped"}

@@ -11,6 +11,7 @@ from bellrm import (
     CHSH_MENU,
     COINC_DTYPE,
     ConfigError,
+    DataError,
     EVENT_DTYPE,
     IntegrityError,
     ModelKind,
@@ -20,12 +21,13 @@ from bellrm import (
     STATION_B,
     StreamOrderError,
     chsh_from_table,
+    coincidences,
     count_table,
     iter_btag,
     iter_event_chunks,
     match_events,
     pulse_geometry,
-    pulse_index_of,
+    same_angle,
     sequence_partition,
     slice_index_of,
     slice_sequences,
@@ -51,7 +53,6 @@ def make_events(times_ns, station, ports=None, settings=None, rep_rate_hz=REP):
 from conftest import merge_stations
 from matching_oracle import max_matching_count
 from bellrm.source import pulse_start_ns
-from bellrm.timetags import _effective_setting_table
 
 # Four entries with distinct alphas and distinct betas: (alpha of i, beta
 # of j) is an entry only for i == j, so every cross-pulse pair between
@@ -59,34 +60,54 @@ from bellrm.timetags import _effective_setting_table
 DIAGONAL_MENU = ((0.1, 0.2), (0.3, 0.4), (0.5, 0.6), (0.7, 0.8))
 
 
-def match_stations(events_a, events_b, window_ns, settings_menu=CHSH_MENU):
-    """match_events on the merged stream of two per-station event arrays."""
-    return match_events(
-        merge_stations(events_a, events_b), window_ns, rep_rate_hz=REP,
-        settings_menu=settings_menu,
+def run_config(settings_menu=CHSH_MENU, pulse_duration_ns=None, rep_rate_hz=REP):
+    """The run a test stream belongs to: its rep rate, pulse and menu."""
+    return RunConfig(
+        seed=0, run_duration_s=0.0, rep_rate_hz=rep_rate_hz, settings_menu=settings_menu,
+        pulse_duration_s=None if pulse_duration_ns is None else pulse_duration_ns * 1e-9,
     )
+
+
+def match_stations(events_a, events_b, window_ns):
+    """(merged stream, a_pos, b_pos): match_events on the merged stream of
+    two per-station event arrays."""
+    events = merge_stations(events_a, events_b)
+    return (events, *match_events(events, window_ns))
+
+
+def stations_records(events_a, events_b, window_ns, settings_menu=CHSH_MENU, n_slices=2):
+    """The coincidence records of two per-station event arrays."""
+    events, a_pos, b_pos = match_stations(events_a, events_b, window_ns)
+    return coincidences(events, a_pos, b_pos, run_config(settings_menu), n_slices)
 
 
 class TestMatchEventsOnTwoStations:
     def test_exact_simultaneity_matches(self):
-        rec = match_stations(make_events([1000], STATION_A), make_events([1000], STATION_B), 2)
-        assert rec.size == 1
-        assert rec["t_a_ns"][0] == rec["t_b_ns"][0] == 1000
+        ev, a_pos, b_pos = match_stations(
+            make_events([1000], STATION_A), make_events([1000], STATION_B), 2
+        )
+        assert a_pos.size == b_pos.size == 1
+        assert ev["timestamp_ns"][a_pos[0]] == ev["timestamp_ns"][b_pos[0]] == 1000
+        assert (ev["station"][a_pos[0]], ev["station"][b_pos[0]]) == (STATION_A, STATION_B)
 
     def test_outside_window_does_not_match(self):
-        rec = match_stations(make_events([1000], STATION_A), make_events([1004], STATION_B), 2)
-        assert rec.size == 0
+        _, a_pos, _ = match_stations(
+            make_events([1000], STATION_A), make_events([1004], STATION_B), 2
+        )
+        assert a_pos.size == 0
 
     def test_tie_goes_to_earlier_candidate(self):
-        rec = match_stations(make_events([100], STATION_A), make_events([98, 102], STATION_B), 5)
-        assert rec.size == 1
-        assert rec["t_b_ns"][0] == 98
+        ev, a_pos, b_pos = match_stations(
+            make_events([100], STATION_A), make_events([98, 102], STATION_B), 5
+        )
+        assert a_pos.size == 1
+        assert ev["timestamp_ns"][b_pos[0]] == 98
 
     def test_unsorted_stream_rejected(self):
         ev = make_events([1, 5, 3], STATION_A)
         ev["station"] = [STATION_B, STATION_A, STATION_A]
         with pytest.raises(StreamOrderError, match="record 2 is not after record 1"):
-            match_events(ev, 2, rep_rate_hz=REP, settings_menu=CHSH_MENU)
+            match_events(ev, 2)
 
     def test_nonpositive_window_rejected(self):
         with pytest.raises(ConfigError):
@@ -98,8 +119,10 @@ class TestMatchEventsOnTwoStations:
             ta = np.sort(rng.choice(np.arange(2000), na, replace=False))
             tb = np.sort(rng.choice(np.arange(2000), nb, replace=False))
             window = int(rng.integers(1, 40))
-            rec = match_stations(make_events(ta, STATION_A), make_events(tb, STATION_B), window)
-            assert rec.size == max_matching_count(ta, tb, window), (
+            _, a_pos, _ = match_stations(
+                make_events(ta, STATION_A), make_events(tb, STATION_B), window
+            )
+            assert a_pos.size == max_matching_count(ta, tb, window), (
                 trial, window, ta.tolist(), tb.tolist()
             )
 
@@ -110,22 +133,29 @@ class TestMatchEventsOnTwoStations:
         bits_b = rng.integers(0, 2, tb.size)
         ea = make_events(ta, STATION_A, ports=bits_a)
         eb = make_events(tb, STATION_B, ports=bits_b)
-        fwd = match_stations(ea, eb, 8)
         ea_sw = make_events(tb, STATION_A, ports=bits_b)
         eb_sw = make_events(ta, STATION_B, ports=bits_a)
-        rev = match_stations(ea_sw, eb_sw, 8)
-        pairs_fwd = {(a, b) for a, b in zip(fwd["t_a_ns"], fwd["t_b_ns"])}
-        pairs_rev = {(b, a) for a, b in zip(rev["t_a_ns"], rev["t_b_ns"])}
-        assert pairs_fwd == pairs_rev
-        bits_fwd = {(r["t_a_ns"], r["bit_a"], r["bit_b"]) for r in fwd}
-        bits_rev = {(r["t_b_ns"], r["bit_b"], r["bit_a"]) for r in rev}
-        assert bits_fwd == bits_rev
+
+        def pairs(events_a, events_b):
+            """{(t_a, t_b): (bit_a, bit_b)}: each pair's times from its positions
+            and its bits from the records built from them."""
+            ev, a_pos, b_pos = match_stations(events_a, events_b, 8)
+            rec = coincidences(ev, a_pos, b_pos, run_config(), 2)
+            t = ev["timestamp_ns"].tolist()
+            return {
+                (t[a], t[b]): (bit_a, bit_b)
+                for a, b, bit_a, bit_b in zip(a_pos, b_pos, rec["bit_a"], rec["bit_b"])
+            }
+
+        fwd, rev = pairs(ea, eb), pairs(ea_sw, eb_sw)
+        assert len(fwd) > 10
+        assert fwd == {(tb_, ta_): (bit_b, bit_a) for (ta_, tb_), (bit_a, bit_b) in rev.items()}
 
     def test_window_monotonicity(self, rng):
         ta = np.sort(rng.choice(np.arange(3000), 50, replace=False))
         tb = np.sort(rng.choice(np.arange(3000), 50, replace=False))
         ea, eb = make_events(ta, STATION_A), make_events(tb, STATION_B)
-        counts = [match_stations(ea, eb, w).size for w in (1, 2, 5, 10, 30, 100)]
+        counts = [match_stations(ea, eb, w)[1].size for w in (1, 2, 5, 10, 30, 100)]
         assert counts == sorted(counts)
 
     def test_planted_pairs_plus_accidentals(self, rng):
@@ -144,10 +174,10 @@ class TestMatchEventsOnTwoStations:
         darks_b = np.unique(darks_b)
         ta = np.unique(np.concatenate([planted, darks_a]))
         tb = np.unique(np.concatenate([planted, darks_b]))
-        rec = match_stations(make_events(ta, STATION_A), make_events(tb, STATION_B), window)
+        _, a_pos, _ = match_stations(make_events(ta, STATION_A), make_events(tb, STATION_B), window)
         accidental = 2 * rate * rate * (window * 1e-9) * t_run_s
         expected = n_planted + accidental
-        assert abs(rec.size - expected) < 3 * math.sqrt(accidental + n_planted * 0.01) + 3
+        assert abs(a_pos.size - expected) < 3 * math.sqrt(accidental + n_planted * 0.01) + 3
 
         # brute-force pair counting on a short sub-stream confirms the rate formula
         short = int(1e9)  # 1 s
@@ -160,12 +190,12 @@ class TestMatchEventsOnTwoStations:
         # A in pulse 0 with setting 0 = (a, b); B in pulse 1 with setting 3 = (a', b')
         ea = make_events([900], STATION_A, settings=[0])
         eb = make_events([1100], STATION_B, settings=[3])
-        rec = match_stations(ea, eb, 500)
+        rec = stations_records(ea, eb, 500)
         # effective pair (alpha of 0, beta of 3) = (a, b') = menu entry 1
         assert rec.size == 1
         assert rec["setting_index"][0] == 1
         # a menu without (alpha of 0, beta of 3) leaves the setting unset
-        rec2 = match_stations(ea, eb, 500, settings_menu=DIAGONAL_MENU)
+        rec2 = stations_records(ea, eb, 500, settings_menu=DIAGONAL_MENU)
         assert rec2.size == 1
         assert rec2["setting_index"][0] == -1
 
@@ -182,7 +212,7 @@ class TestMatchEventsOnTwoStations:
         # of 0) = (a', b) = menu entry 2
         ea = make_events([900], STATION_A, settings=[3])
         eb = make_events([1100], STATION_B, settings=[0])
-        rec = match_stations(ea, eb, 500, settings_menu=menu)
+        rec = stations_records(ea, eb, 500, settings_menu=menu)
         assert rec["setting_index"][0] == 2
 
 
@@ -195,19 +225,16 @@ class TestMatchEvents:
     def test_b_before_a_on_one_ns_rejected(self):
         ev = self.merged([100, 100, 200], [STATION_B, STATION_A, STATION_A])
         with pytest.raises(StreamOrderError, match="record 1 is not after record 0"):
-            match_events(ev, 2, rep_rate_hz=REP, settings_menu=CHSH_MENU)
+            match_events(ev, 2)
 
     def test_duplicate_ns_within_one_station_rejected(self):
         ev = self.merged([100, 150, 150], [STATION_A, STATION_B, STATION_B])
         with pytest.raises(StreamOrderError, match="record 2 is not after record 1"):
-            match_events(ev, 2, rep_rate_hz=REP, settings_menu=CHSH_MENU)
+            match_events(ev, 2)
 
     def test_same_ns_pair_in_station_order_matches(self):
-        rec = match_events(
-            self.merged([100, 100], [STATION_A, STATION_B]), 2, rep_rate_hz=REP,
-            settings_menu=CHSH_MENU,
-        )
-        assert rec.size == 1
+        a_pos, b_pos = match_events(self.merged([100, 100], [STATION_A, STATION_B]), 2)
+        assert (a_pos.tolist(), b_pos.tolist()) == ([0], [1])
 
     def test_equals_the_oracle_on_a_simulated_run(self):
         # W = 100 ns with 100 kHz darks: many chains of three or more events
@@ -220,16 +247,15 @@ class TestMatchEvents:
         n_a = np.bincount(chain) - n_b
         assert np.count_nonzero((n_a >= 1) & (n_b >= 1) & (n_a + n_b >= 3)) > 1000
 
-        merged = match_events(
-            events, 100, rep_rate_hz=cfg.rep_rate_hz, settings_menu=CHSH_MENU
-        )
-        oracle = match_events_before(
-            events, 100, rep_rate_hz=cfg.rep_rate_hz, settings_menu=CHSH_MENU
-        )
-        assert merged.tobytes() == oracle.tobytes()
-        cross = pulse_index_of(merged["t_b_ns"], cfg.rep_rate_hz) != merged["pulse_index"]
+        a_pos, b_pos = match_events(events, 100)
+        oracle = match_events_before(events, 100)
+        assert (a_pos.tolist(), b_pos.tolist()) == (oracle[0].tolist(), oracle[1].tolist())
+        # cross-pulse accidentals: accepted by the pulse check, and given a setting
+        records = coincidences(events, a_pos, b_pos, cfg, 2)
+        assert records.tobytes() == coincidences_before(events, *oracle, cfg, 2).tobytes()
+        cross = events["pulse_index"][a_pos] != events["pulse_index"][b_pos]
         assert np.count_nonzero(cross) > 100
-        assert np.all(merged["setting_index"] >= 0)
+        assert np.all(records["setting_index"] >= 0)
 
 
 # Oracle for the order check: the full-stream rule as it stood before the
@@ -286,21 +312,20 @@ def test_order_check_on_near_steps_names_the_record_the_full_rule_names(
     expected = order_error_before(ev, first_record)
     assert (expected is None) == (fault is None)
     if expected is None:
-        match_events(ev, window, rep_rate_hz=REP, settings_menu=CHSH_MENU, first_record=first_record)
+        match_events(ev, window, first_record=first_record)
     else:
         with pytest.raises(StreamOrderError) as raised:
-            match_events(
-                ev, window, rep_rate_hz=REP, settings_menu=CHSH_MENU, first_record=first_record
-            )
+            match_events(ev, window, first_record=first_record)
         assert str(raised.value) == expected
 
 
 class TestMatcherMemory:
-    """``tracemalloc`` peak of one ``match_events`` call on a 65,536-record part.
+    """``tracemalloc`` peak of ``match_events`` and ``coincidences`` on a
+    65,536-record part.
 
     The bounds are the peaks of the matcher before it was rewritten on near
-    steps (722,424 and 2,688,224 bytes with numpy 2.4), so the rewrite holds no more
-    memory than it did.
+    steps (722,424 and 2,688,224 bytes with numpy 2.4), when it also built
+    40-byte records, so matching and building hold no more memory than it did.
     """
 
     def peak(self, cfg, kind):
@@ -308,11 +333,14 @@ class TestMatcherMemory:
         assert events.size >= PIECE_RECORDS
         part = events[:PIECE_RECORDS].copy()
         del events
-        kwargs = dict(rep_rate_hz=cfg.rep_rate_hz, settings_menu=CHSH_MENU)
-        match_events(part, 2, **kwargs)  # the settings table is cached from here on
+
+        def match_and_build():
+            coincidences(part, *match_events(part, 2), cfg, 2)
+
+        match_and_build()  # the settings table is cached from here on
         tracemalloc.start()
         try:
-            match_events(part, 2, **kwargs)
+            match_and_build()
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -349,14 +377,15 @@ def _greedy_pairs_before(ta, tb, ia, ib, window):
     return out
 
 
-def match_events_before(events, window_ns, *, rep_rate_hz, settings_menu):
+def match_events_before(events, window_ns):
+    """(a_pos, b_pos) as the matcher found them before."""
     window = int(window_ns)
     t = events["timestamp_ns"].astype(np.int64)
     is_b = events["station"] == STATION_B
     keys = (t << 1) | is_b
     assert np.all(keys[1:] > keys[:-1])
     if t.size == 0:
-        return np.empty(0, dtype=COINC_DTYPE)
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
 
     starts = np.concatenate(([0], np.flatnonzero(np.diff(t) > window) + 1, [t.size]))
     sizes = np.diff(starts)
@@ -382,22 +411,26 @@ def match_events_before(events, window_ns, *, rep_rate_hz, settings_menu):
         b_pos = np.concatenate([b_pos, [q for _, q in pairs]])
         time_order = np.argsort(a_pos)
         a_pos, b_pos = a_pos[time_order], b_pos[time_order]
+    return a_pos, b_pos
 
-    a, b = events[a_pos], events[b_pos]
-    pulse_a = a["pulse_index"].astype(np.int64)
-    setting_a = a["setting_index"].astype(np.int64)
-    records = np.empty(a_pos.size, dtype=COINC_DTYPE)
-    records["t_a_ns"] = a["timestamp_ns"]
-    records["t_b_ns"] = b["timestamp_ns"]
-    records["pulse_index"] = pulse_a
-    records["within_pulse_ns"] = records["t_a_ns"] - pulse_start_ns(pulse_a, rep_rate_hz)
-    records["bit_a"] = a["port_bit"]
-    records["bit_b"] = b["port_bit"]
-    records["slice_index"] = -1
-    cross = _effective_setting_table(tuple(map(tuple, settings_menu)))[
-        setting_a, b["setting_index"]
-    ]
-    records["setting_index"] = np.where(pulse_a == b["pulse_index"], setting_a, cross)
+
+def coincidences_before(events, a_pos, b_pos, run, n_slices):
+    """Oracle for ``coincidences`` on a valid stream: whole-record gathers,
+    the slice by its defining inequality, the setting by a menu search."""
+    duration = pulse_geometry(run).pulse_duration_ns
+    menu = np.array(run.settings_menu)
+    records = np.zeros(len(a_pos), dtype=COINC_DTYPE)
+    for r, (a, b) in enumerate(zip(events[a_pos], events[b_pos])):
+        within = int(a["timestamp_ns"]) - int(pulse_start_ns(a["pulse_index"], run.rep_rate_hz))
+        in_slice = [
+            k for k in range(n_slices) if k * duration <= n_slices * within < (k + 1) * duration
+        ]
+        setting = int(a["setting_index"])
+        if a["pulse_index"] != b["pulse_index"]:
+            alpha, beta = menu[setting, 0], menu[int(b["setting_index"]), 1]
+            hits = np.flatnonzero(same_angle(menu[:, 0], alpha) & same_angle(menu[:, 1], beta))
+            setting = int(hits[-1]) if hits.size else -1  # a later duplicate entry wins
+        records[r] = (in_slice[0] if in_slice else -1, setting, a["port_bit"], b["port_bit"])
     return records
 
 
@@ -410,13 +443,15 @@ def has_neighbour(events, window):
 
 
 class TestMatcherOracle:
-    def assert_same(self, events, window, rep_rate_hz=REP, settings_menu=CHSH_MENU):
-        new = match_events(events, window, rep_rate_hz=rep_rate_hz, settings_menu=settings_menu)
-        old = match_events_before(
-            events, window, rep_rate_hz=rep_rate_hz, settings_menu=settings_menu
-        )
-        assert new.dtype == old.dtype
-        assert new.tobytes() == old.tobytes()
+    def assert_same(self, events, window, run=None):
+        """Positions and records equal the oracles'; returns the records."""
+        run = run_config() if run is None else run
+        a_pos, b_pos = match_events(events, window)
+        old_a, old_b = match_events_before(events, window)
+        assert (a_pos.tolist(), b_pos.tolist()) == (old_a.tolist(), old_b.tolist())
+        new = coincidences(events, a_pos, b_pos, run, 3)
+        assert new.dtype == COINC_DTYPE
+        assert new.tobytes() == coincidences_before(events, a_pos, b_pos, run, 3).tobytes()
         return new
 
     @pytest.mark.parametrize("window", [2, 100, 1000, 5000])
@@ -431,7 +466,7 @@ class TestMatcherOracle:
             near = np.diff(events["timestamp_ns"].astype(np.int64)) <= window
             sizes = np.diff(np.flatnonzero(np.concatenate(([True], ~near, [True]))))
             assert np.unique(sizes[sizes >= 3]).size >= 8
-        records = self.assert_same(events, window, cfg.rep_rate_hz)
+        records = self.assert_same(events, window, cfg)
         assert records.size > 1000
 
     def test_dense_stream_keeps_every_event(self):
@@ -442,7 +477,7 @@ class TestMatcherOracle:
         model = OutcomeModel(ModelKind.SCENARIO_LOCALITY_FALSE)
         events = np.concatenate(list(iter_event_chunks(cfg, model)))
         assert has_neighbour(events, 2).all()
-        assert self.assert_same(events, 2, cfg.rep_rate_hz).size == events.size // 2
+        assert self.assert_same(events, 2, cfg).size == events.size // 2
 
     def test_empty_stream_and_single_event(self):
         empty = np.empty(0, dtype=EVENT_DTYPE)
@@ -473,15 +508,71 @@ class TestMatcherOracle:
         ev["setting_index"] = [k % 4 for k in keys]
         for window in (1, 5, 40):
             for menu in (DIAGONAL_MENU, CHSH_MENU):
-                self.assert_same(ev, window, settings_menu=menu)
+                self.assert_same(ev, window, run_config(menu))
 
 
-def with_slices(records, n_slices, pulse_duration_ns):
-    """``records`` with slice_index written in place, as the pipeline does."""
-    records["slice_index"] = slice_index_of(
-        records["within_pulse_ns"], n_slices, pulse_duration_ns
+class TestPulseWindow:
+    """Both events of a coincidence must lie where the generator puts an
+    event of their own pulse k: 0 <= t - start(k) < max(D, start(k + 1) - start(k))."""
+
+    def records(self, times, pulses, run=None, first_record=0):
+        """Records of a stream of same-ns A+B pairs at ``times``; ``pulses``
+        gives each event's pulse index (A, B, A, B, ...)."""
+        ev = make_events(np.repeat(times, 2), STATION_A)
+        ev["station"] = np.tile([STATION_A, STATION_B], len(times))
+        ev["pulse_index"] = pulses
+        a_pos, b_pos = match_events(ev, 2, first_record=first_record)
+        assert a_pos.size == len(times)
+        run = run_config() if run is None else run
+        return coincidences(ev, a_pos, b_pos, run, 2, first_record=first_record)
+
+    def test_in_pulse_and_dark_events_are_accepted(self):
+        # 1 MHz, a 133 ns pulse: 10 ns in is slice 0, 999 ns in is a dark
+        rec = self.records([5_010, 6_999], [5, 5, 6, 6])
+        assert rec["slice_index"].tolist() == [0, -1]
+
+    @pytest.mark.parametrize(
+        "times, pulses, bad",
+        [
+            ([5_010], [2**32 - 1, 5], 0),  # the A event's pulse is out of range
+            ([6_000], [5, 5], 0),  # on the next pulse's start
+            ([4_999], [5, 5], 0),  # before its pulse's start
+            ([5_010, 9_010], [5, 5, 9, 8], 3),  # only the second B event
+            ([5_010, 9_010], [5, 4, 10, 9], 1),  # the first record of three bad ones
+        ],
     )
-    return records
+    def test_an_event_outside_its_pulse_is_a_data_error(self, times, pulses, bad):
+        with pytest.raises(DataError, match=f"^record {1000 + bad} at "):
+            self.records(times, pulses, first_record=1000)
+
+    def test_a_pulse_that_fills_a_non_integer_period_keeps_its_last_ns(self):
+        # 2.6 ns period: pulses 1 and 2 start at 3 and 5 ns, and the 3 ns pulse
+        # 1 owns 3, 4 and 5 ns; 5 ns is also pulse 2's first
+        run = run_config(rep_rate_hz=1e9 / 2.6, pulse_duration_ns=2.6)
+        assert pulse_start_ns([1, 2], run.rep_rate_hz).tolist() == [3, 5]
+        rec = self.records([3, 5, 7], [1, 1, 1, 1, 2, 2], run)
+        assert rec["slice_index"].tolist() == [0, 1, 1]
+        with pytest.raises(DataError, match="^record 0 at 6 ns lies outside its pulse 1"):
+            self.records([6], [1, 1], run)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        period_ns=st.sampled_from([1000.0, 2.6, 7.3, 1e3 / 3]),
+        duty=st.floats(0.01, 1.0),
+        pulse=st.integers(0, 2**32 - 2),
+        offset=st.integers(-3, 1002),
+    )
+    def test_the_check_accepts_exactly_the_generator_window(self, period_ns, duty, pulse, offset):
+        run = run_config(rep_rate_hz=1e9 / period_ns, pulse_duration_ns=duty * period_ns)
+        duration = pulse_geometry(run).pulse_duration_ns
+        start, next_start = pulse_start_ns([pulse, pulse + 1], run.rep_rate_hz).tolist()
+        assume(start + offset >= 0)
+        if 0 <= offset < max(duration, next_start - start):
+            rec = self.records([start + offset], [pulse, pulse], run)
+            assert (rec["slice_index"][0] >= 0) == (offset < duration)
+        else:
+            with pytest.raises(DataError, match="^record 0 at "):
+                self.records([start + offset], [pulse, pulse], run)
 
 
 class TestSliceIndexOf:
@@ -491,8 +582,9 @@ class TestSliceIndexOf:
         """Slice of each matched pair at the given within-pulse times."""
         ea = make_events([int(w) for w in withins], STATION_A)
         eb = make_events([int(w) for w in withins], STATION_B)
-        rec = match_stations(ea, eb, 1)
-        return slice_index_of(rec["within_pulse_ns"], n_slices, self.DURATION)
+        events, a_pos, b_pos = match_stations(ea, eb, 1)
+        run = run_config(pulse_duration_ns=self.DURATION)
+        return coincidences(events, a_pos, b_pos, run, n_slices)["slice_index"]
 
     def test_boundaries(self):
         assert self.matched_slices([0, 49, 50, 99], 2).tolist() == [0, 0, 1, 1]
@@ -558,10 +650,7 @@ class TestSequences:
             settings_menu=menu,
         )
         events = np.concatenate(list(iter_event_chunks(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))))
-        rec = match_events(
-            events, 2, rep_rate_hz=cfg.rep_rate_hz, settings_menu=cfg.settings_menu
-        )
-        return with_slices(rec, 2, pulse_geometry(cfg).pulse_duration_ns)
+        return coincidences(events, *match_events(events, 2), cfg, 2)
 
     def test_aligned_settings_give_identical_sequences(self):
         sequences = slice_sequences(self.qm_records([(0.3, 0.3)]), 2)
@@ -578,7 +667,8 @@ class TestSequences:
     def test_bits_follow_record_time_order(self):
         ea = make_events(np.arange(10) * 1000, STATION_A, ports=[0, 1] * 5)
         eb = make_events(np.arange(10) * 1000, STATION_B, ports=[1, 0] * 5)
-        rec = with_slices(match_stations(ea, eb, 2), 2, 100)
+        events, a_pos, b_pos = match_stations(ea, eb, 2)
+        rec = coincidences(events, a_pos, b_pos, run_config(pulse_duration_ns=100), 2)
         sequences = slice_sequences(rec, 2)
         assert list(sequences) == [(0, STATION_A), (0, STATION_B), (1, STATION_A), (1, STATION_B)]
         seq = sequences[0, STATION_A]
