@@ -115,7 +115,7 @@ def assert_cut_matches_one_pass(events, pieces, window):
     one pass."""
     parts = list(cut_at_gaps(pieces, window))
     sizes = [part.size for _, part in parts]
-    assert [first for first, _ in parts] == [sum(sizes[:k]) for k in range(len(parts))]
+    assert [first for first, _ in parts] == np.cumsum([0, *sizes])[:-1].tolist()
     joined = np.concatenate([events[:0], *(part for _, part in parts)])
     assert joined.tobytes() == events.tobytes()
     ts = events["timestamp_ns"].astype(np.int64)
