@@ -871,7 +871,9 @@ def analyzed_run(tmp_path_factory):
 )
 @example(damage=("events.btag", 32 + 3 * 16 + 11, 255))  # record 3's pulse past the run
 @example(damage=("manifest.json", ("config", "run", "rep_rate_hz"), 2e6))
-def test_one_damaged_byte_or_field_ends_in_an_exit_code(analyzed_run, no_bellrm_env, capsys, damage):
+def test_one_damaged_byte_or_field_ends_in_an_exit_code(
+    analyzed_run, no_bellrm_env, capsys, damage
+):
     # exit 0 stays legal: no check yet compares events.btag with its digest
     with tempfile.TemporaryDirectory() as tmp:
         run = Path(tmp) / "run"
