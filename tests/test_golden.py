@@ -126,3 +126,4 @@ def test_the_paper_default_run_keeps_its_bytes(tmp_path, monkeypatch, capsys):
     assert main(["report", "--in", str(run_dir)]) == 0
     assert json.loads((run_dir / "verdict.json").read_text())["label"] == "REALISM_FALSE"
     assert _digests(run_dir, PAPER_DEFAULT_GOLDEN) == PAPER_DEFAULT_GOLDEN
+    (run_dir / "events.btag").unlink()  # 1.15 GB; pytest keeps recent temporary directories
