@@ -25,25 +25,21 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .atomic import atomic_open
-from .btag import iter_btag, write_csv
-from .chsh import write_chsh_csv
 from .errors import ConfigError, DataError, IntegrityError, WorkerError
-from .models import OutcomeModel
-from .pipeline import AnalysisConfig, analyze_pieces
-from .randommeter import write_curve_csv, write_reports_csv, write_verdict_json
-from .source import (
-    GENERATOR_VERSION,
-    RunConfig,
-    RunStats,
-    pulse_geometry,
-    simulate_to_btag,
-)
+
+# btag, source, models, pipeline, chsh and randommeter (all on numpy), and
+# dataclasses, are imported inside the functions that use them, so that
+# report, --version, --help and argument errors start without them.
+if TYPE_CHECKING:
+    from .models import OutcomeModel
+    from .pipeline import AnalysisConfig
+    from .source import RunConfig, RunStats
 
 ENV_PREFIX = "BELLRM_"
 
@@ -69,6 +65,8 @@ def _env_overrides(keys) -> dict:
 
 def load_config(path) -> dict:
     """Load a config file; a manifest is accepted too (its config is reused)."""
+    from .source import GENERATOR_VERSION
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -118,6 +116,10 @@ def _section(obj: dict, name: str, default: dict) -> dict:
 
 def effective_configs(obj: dict, seed_flag: int | None = None):
     """Merge file values with environment overrides and the --seed flag."""
+    from .models import OutcomeModel
+    from .pipeline import AnalysisConfig
+    from .source import RunConfig
+
     run_dict = _section(obj, "run", {})
     run_dict.update(_env_overrides(RunConfig.__dataclass_fields__))
     if seed_flag is not None:
@@ -176,6 +178,10 @@ def write_manifest(
     stats: RunStats,
     artifact_names,
 ) -> dict:
+    from dataclasses import asdict
+
+    from .source import GENERATOR_VERSION, pulse_geometry
+
     geo = pulse_geometry(run)
     manifest = {
         "tool": "bellrm",
@@ -210,6 +216,9 @@ def write_manifest(
 
 
 def cmd_simulate(args) -> int:
+    from .btag import iter_btag, write_csv
+    from .source import simulate_to_btag
+
     obj = load_config(args.config)
     run, model, analysis = effective_configs(obj, args.seed)
     out_dir = Path(args.out)
@@ -271,6 +280,12 @@ def _events_path(directory: Path, expected_bytes: int) -> Path:
 
 
 def cmd_analyze(args) -> int:
+    from .btag import iter_btag
+    from .chsh import write_chsh_csv
+    from .pipeline import AnalysisConfig, analyze_pieces
+    from .randommeter import write_curve_csv, write_reports_csv, write_verdict_json
+    from .source import RunConfig
+
     in_dir = Path(getattr(args, "in"))
     run_dict, analysis_dict, events_bytes = _load_manifest(in_dir)
     run = RunConfig.from_dict(run_dict)

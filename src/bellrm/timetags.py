@@ -98,20 +98,21 @@ def _greedy_pairs_lockstep(
     b_end = np.cumsum(n_b)
     i = a_end - (sizes - n_b)
     j = b_end - n_b
-    paired_i, paired_j = [], []
+    # partner[k]: the B event (an index into b_pos) paired with A event k, or -1
+    partner = np.full(a_pos.size, -1, dtype=np.int64)
     while i.size:
         d = t_b[j] - t_a[i]
         step_i = d >= -window
         step_j = d <= window
         paired = step_i & step_j
-        paired_i.append(i[paired])
-        paired_j.append(j[paired])
+        partner[i[paired]] = j[paired]
         i += step_i
         j += step_j
         going = (i < a_end) & (j < b_end)
         if not going.all():
             i, j, a_end, b_end = i[going], j[going], a_end[going], b_end[going]
-    return a_pos[np.concatenate(paired_i)], b_pos[np.concatenate(paired_j)]
+    a = np.flatnonzero(partner >= 0)
+    return a_pos[a], b_pos[partner[a]]
 
 
 @functools.lru_cache(maxsize=8)

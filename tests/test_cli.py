@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib
 import json
 import os
 import shutil
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import bellrm
 import bellrm.source
 from bellrm import BtagWriter, RunConfig, iter_btag
 from bellrm.atomic import atomic_open
@@ -646,12 +648,12 @@ class TestReport:
             assert [row[name] for name in numbers] == [""] * 5 and float(row["S"]) > 2
 
 
-def _run_python(code: str) -> str:
+def _run_python(code: str, *args: str) -> str:
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
     )
     return proc.stdout.strip()
 
@@ -672,6 +674,59 @@ def test_analyze_runs_without_scipy(sim_dir):
     )
     assert _run_python(code).splitlines()[-1] == "0 []"
     assert json.loads((sim_dir / "verdict.json").read_text())["label"] == "LOCALITY_FALSE"
+
+
+# main on the arguments in a fresh process; prints its exit code and
+# whether numpy was loaded before and after it ran
+NUMPY_AROUND_MAIN = """
+import sys
+from bellrm.cli import main
+before = 'numpy' in sys.modules
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:  # --version, --help and argument errors
+    code = exc.code
+print(code, before, 'numpy' in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "command, loads_numpy",
+    [
+        ("--version", False),
+        ("--help", False),
+        ("no-such-command", False),
+        ("report", False),
+        ("simulate", True),  # shows that the check sees numpy
+    ],
+)
+def test_only_simulate_and_analyze_load_numpy(
+    analyzed_run, tmp_path, no_bellrm_env, command, loads_numpy
+):
+    args = {
+        "report": ["report", "--in", str(analyzed_run), "--out", str(tmp_path / "report")],
+        "simulate": [
+            "simulate", "--config", str(write_config(tmp_path, DAMAGE_CONFIG)),
+            "--out", str(tmp_path / "run"),
+        ],
+    }.get(command, [command])
+    code, before, after = _run_python(NUMPY_AROUND_MAIN, *args).splitlines()[-1].split()
+    assert code == ("2" if command == "no-such-command" else "0")
+    assert (before, after) == ("False", str(loads_numpy))
+
+
+def test_every_export_is_the_object_its_submodule_defines():
+    for name in bellrm.__all__:
+        module = importlib.import_module(f"bellrm.{bellrm._EXPORTS[name]}")
+        assert getattr(bellrm, name) is getattr(module, name), name
+    namespace = {}
+    exec("from bellrm import *", namespace)
+    assert set(bellrm.__all__) <= set(namespace)
+
+
+def test_an_unknown_name_of_the_package_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(bellrm, "no_such_name")
 
 
 # Started from a small Python process: a child forked from the test
@@ -700,13 +755,14 @@ def _peak_rss_bytes(args: list[str]) -> int:
 
 def test_analyze_memory_does_not_grow_with_the_file(tmp_path, no_bellrm_env):
     # a 10 s default run: about 38 MB of events.btag; analyze reads it in
-    # pieces, so it needs well under half of that above the bare start-up
+    # pieces, so it needs well under half of that above the bare start-up,
+    # which loads the modules (and numpy) that analyze loads
     cfg = write_config(tmp_path, {"run": {"seed": 5, "run_duration_s": 10.0}})
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     size = (out / "events.btag").stat().st_size
     assert size > 30e6
-    start_up = _peak_rss_bytes(["-c", "import bellrm.cli"])
+    start_up = _peak_rss_bytes(["-c", "import bellrm.cli, bellrm.pipeline"])
     analyze = _peak_rss_bytes(["-m", "bellrm.cli", "analyze", "--in", str(out)])
     assert analyze - start_up < size / 2
 

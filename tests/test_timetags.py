@@ -321,7 +321,7 @@ def test_order_check_on_near_steps_names_the_record_the_full_rule_names(
 
 class TestMatcherMemory:
     """``tracemalloc`` peak of ``match_events`` and ``coincidences`` on a
-    65,536-record part.
+    65,536-record part, and of ``match_events`` on one long chain.
 
     The bounds are the peaks of the matcher before it was rewritten on near
     steps (722,424 and 2,688,224 bytes with numpy 2.4), when it also built
@@ -355,6 +355,24 @@ class TestMatcherMemory:
             coincidence_prob_per_pulse=0.1, dark_rate_hz=0.0,
         )
         assert self.peak(cfg, ModelKind.SCENARIO_LOCALITY_FALSE) <= 2_688_224
+
+    def test_one_long_chain(self):
+        # A and B alternate 1 ns apart: one chain of 2^14 events, which
+        # the lockstep pass resolves in 2^13 passes.  Keeping two arrays per
+        # pass peaked at 2.7 MB, about ten times the input
+        n = 1 << 14
+        events = np.zeros(n, dtype=EVENT_DTYPE)
+        events["timestamp_ns"] = np.arange(n)
+        events["station"] = np.arange(n) % 2
+        tracemalloc.start()
+        try:
+            a_pos, b_pos = match_events(events, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert a_pos.tolist() == list(range(0, n, 2))
+        assert b_pos.tolist() == list(range(1, n, 2))
+        assert peak <= 4 * events.nbytes
 
 
 # Oracle: the matcher as it was before lone events were set aside, with the
