@@ -17,7 +17,6 @@ from bellrm import (
     ConfigError,
     ModelKind,
     OutcomeModel,
-    PairSampler,
     RunConfig,
     RunStats,
     coincidences,
@@ -29,6 +28,7 @@ from bellrm import (
 )
 from bellrm.source import _hit_offsets
 from bellrm.streams import per_pulse_choice, substream
+from sampler_oracle import MaskedPairSampler
 
 QM = OutcomeModel(ModelKind.QM_NONLOCAL)
 
@@ -380,7 +380,8 @@ def test_one_sort_merge_equals_two_stage_merge(monkeypatch):
 
 # Oracle: the generator as it was before every category took one path, with
 # a guard per category and the tallies kept as it went.  It merges each
-# block's full parts in one call, before blocks were merged in time slabs.
+# block's full parts in one call, before blocks were merged in time slabs,
+# and samples the pairs with the mask-based sampler of ``sampler_oracle``.
 
 
 def iter_event_chunks_before(config, model, stats, chunk_pulses):
@@ -391,7 +392,7 @@ def iter_event_chunks_before(config, model, stats, chunk_pulses):
     menu_alpha = np.array([p[0] for p in config.settings_menu])
     menu_beta = np.array([p[1] for p in config.settings_menu])
     seed = config.seed
-    sampler = PairSampler(model, seed)
+    sampler = MaskedPairSampler(model, seed)
     stats.n_pulses = n_pulses
 
     p_single = config.detection_prob_per_pulse
@@ -481,6 +482,11 @@ def iter_event_chunks_before(config, model, stats, chunk_pulses):
         # pattern position must carry across them
         (ModelKind.SCENARIO_LOCALITY_FALSE, {"coincidence_prob_per_pulse": 0.001}),
         (ModelKind.SCENARIO_ERGODICITY_FALSE, {"coincidence_prob_per_pulse": 0.001}),
+        (ModelKind.SCENARIO_REALISM_FALSE, {}),
+        # a 7 ns pulse puts within 0-3 in the first half and 4-6 in the
+        # second, so the halves' pair counts differ block by block
+        (ModelKind.SCENARIO_LOCALITY_FALSE, {"pulse_duration_s": 7e-9}),
+        (ModelKind.SCENARIO_ERGODICITY_FALSE, {"pulse_duration_s": 7e-9}),
     ],
 )
 def test_generator_equals_the_one_with_a_guard_per_category(kind, run):
