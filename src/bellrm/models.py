@@ -41,6 +41,10 @@ DEFAULT_DRIFT_PERIOD_S = 0.01
 #: period (bits) of the compressible generator used by the scenario models.
 DEFAULT_SCENARIO_PERIOD = 64
 
+#: longest scenario period, bits: the sampler holds the pattern in memory,
+#: one byte per bit, so this caps it at 16 MB.
+MAX_SCENARIO_PERIOD = 1 << 24
+
 
 class ModelKind(Enum):
     QM_NONLOCAL = "QM_NONLOCAL"
@@ -125,6 +129,11 @@ class OutcomeModel:
             if isinstance(period, bool) or not isinstance(period, int) or period < 2 or period % 2:
                 raise ConfigError(
                     f"model parameter period must be an even integer >= 2, got {period!r}"
+                )
+            if period > MAX_SCENARIO_PERIOD:
+                raise ConfigError(
+                    f"model parameter period must be at most {MAX_SCENARIO_PERIOD} bits, "
+                    f"got {period!r}: the pattern is held in memory, one byte per bit"
                 )
         if "drift_period_s" in params:
             drift = params["drift_period_s"]
@@ -228,8 +237,8 @@ def _pattern_pair_bits(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     k = deltas.size
-    idx = (offset + np.arange(k, dtype=np.int64)) % pattern.size
-    bits_a = pattern[idx]
+    period = pattern.size
+    bits_a = np.tile(np.roll(pattern, -offset % period), -(-k // period))[:k]
     flip = rng.random(k) < np.sin(deltas) ** 2
     return bits_a, bits_a ^ flip.astype(np.uint8), offset + k
 
@@ -262,11 +271,11 @@ class PairSampler:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Outcome bits for a batch of coincident pulses, in time order."""
         kind = self.model.kind
-        deltas = np.asarray(alphas, dtype=np.float64) - np.asarray(betas, dtype=np.float64)
-        k = deltas.size
+        alphas = np.asarray(alphas, dtype=np.float64)
+        betas = np.asarray(betas, dtype=np.float64)
 
         if kind is ModelKind.QM_NONLOCAL or kind is ModelKind.SCENARIO_REALISM_FALSE:
-            return _qm_pair_bits(deltas, rng)
+            return _qm_pair_bits(alphas - betas, rng)
 
         if kind in HIDDEN_VARIABLE_KINDS:
             lam = hidden_angles(self.model, pulse_times_s, rng)
@@ -276,19 +285,25 @@ class PairSampler:
             # Second pulse half starts at duration/2; boundary goes to the
             # later half, mirroring the slice rule.
             in_second = 2 * np.asarray(within_pulse_ns, dtype=np.int64) >= pulse_duration_ns
-            deterministic = in_second if kind is ModelKind.SCENARIO_LOCALITY_FALSE else ~in_second
-            bits_a = np.empty(k, dtype=np.uint8)
-            bits_b = np.empty(k, dtype=np.uint8)
+            first, second = np.flatnonzero(~in_second), np.flatnonzero(in_second)
+            del in_second
+            if kind is ModelKind.SCENARIO_LOCALITY_FALSE:
+                entropy, deterministic = first, second
+            else:
+                entropy, deterministic = second, first
+            bits_a = np.empty(alphas.size, dtype=np.uint8)
+            bits_b = np.empty(alphas.size, dtype=np.uint8)
             # Draw order is fixed (entropy half first) so output is
-            # reproducible no matter how the mask partitions the batch.
-            qa, qb = _qm_pair_bits(deltas[~deterministic], rng)
-            bits_a[~deterministic] = qa
-            bits_b[~deterministic] = qb
-            pa, pb, self._pattern_pos = _pattern_pair_bits(
-                deltas[deterministic], self._pattern, self._pattern_pos, rng
+            # reproducible no matter how the halves partition the batch.
+            bits_a[entropy], bits_b[entropy] = _qm_pair_bits(
+                alphas[entropy] - betas[entropy], rng
             )
-            bits_a[deterministic] = pa
-            bits_b[deterministic] = pb
+            bits_a[deterministic], bits_b[deterministic], self._pattern_pos = _pattern_pair_bits(
+                alphas[deterministic] - betas[deterministic],
+                self._pattern,
+                self._pattern_pos,
+                rng,
+            )
             return bits_a, bits_b
 
         raise ConfigError(f"unknown model kind {kind!r}")

@@ -188,6 +188,8 @@ class TestSimulate:
             ("SCENARIO_LOCALITY_FALSE", {"period": True}, "period must be an even integer >= 2"),
             ("SCENARIO_LOCALITY_FALSE", {"period": 3}, "period must be an even integer >= 2"),
             ("SCENARIO_LOCALITY_FALSE", {"period": 0}, "period must be an even integer >= 2"),
+            ("SCENARIO_LOCALITY_FALSE", {"period": 2**24 + 2}, "period must be at most 16777216"),
+            ("SCENARIO_ERGODICITY_FALSE", {"period": 10**15}, "period must be at most 16777216"),
             ("NONERGODIC", {"drift_period_s": "x"}, "drift_period_s must be a finite number"),
             ("NONERGODIC", {"drift_period_s": float("nan")}, "drift_period_s must be a finite number"),
             ("NONERGODIC", {"drift_period_s": 0}, "drift_period_s must be > 0"),
@@ -197,6 +199,7 @@ class TestSimulate:
         ],
         ids=[
             "period-string", "period-float", "period-bool", "period-odd", "period-zero",
+            "period-past-cap", "period-1e15",
             "drift-string", "drift-nan", "drift-zero", "drift-negative", "drift-on-scenario",
             "misspelt-parameter",
         ],
@@ -209,7 +212,9 @@ class TestSimulate:
         obj["model"] = {"kind": kind, "parameters": parameters}
         out = tmp_path / "x"
         assert main(["simulate", "--config", str(write_config(tmp_path, obj)), "--out", str(out)]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
         assert not (out / "events.btag").exists()
 
     def test_good_model_parameters_are_kept(self, tmp_path, no_bellrm_env):
@@ -217,6 +222,7 @@ class TestSimulate:
         obj["run"]["run_duration_s"] = 0.01
         for model in (
             {"kind": "SCENARIO_LOCALITY_FALSE", "parameters": {"period": 2}},
+            {"kind": "SCENARIO_ERGODICITY_FALSE", "parameters": {"period": 2**24}},
             {"kind": "NONERGODIC", "parameters": {"drift_period_s": 0.5}},
         ):
             obj["model"] = model

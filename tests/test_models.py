@@ -19,6 +19,7 @@ from bellrm import (
 )
 from bellrm.models import stationary_lambda_samples
 from bellrm.streams import per_pulse_choice, substream
+from sampler_oracle import MaskedPairSampler
 
 PI = math.pi
 
@@ -303,6 +304,43 @@ class TestScenarioPattern:
         )
         pat = scenario_pattern(64, seed=31)
         assert np.array_equal(bits_a, np.tile(pat, 4))
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize(
+        "batches",
+        [
+            [[]],
+            # every pair in one half, so one half's index set is empty
+            [[0, 3] * 75, [4, 7] * 75],
+            # the pattern position passes the period on the half boundary,
+            # then an empty batch and an unevenly split one start from there
+            [[4] * 150, [], list(range(7)) * 70],
+        ],
+        ids=["no-pairs", "one-half-per-batch", "past-the-period"],
+    )
+    def test_sampler_equals_the_masked_sampler(self, kind, batches):
+        # an 8 ns pulse: within 0-3 is the first half, 4-7 the second
+        duration = 8
+        model = OutcomeModel(kind)
+        sampler, masked = PairSampler(model, seed=37), MaskedPairSampler(model, seed=37)
+        menu = np.array(CHSH_MENU)
+        for i, batch in enumerate(batches):
+            within = np.array(batch, dtype=np.int64)
+            settings = substream(37, "settings", i).integers(0, 4, within.size)
+            args = (menu[settings, 0], menu[settings, 1], within * 1e-6, within, duration)
+            pos = sampler._pattern_pos
+            got = sampler.sample(*args, substream(37, "pairs", i))
+            want = masked.sample(*args, substream(37, "pairs", i))
+            for g, w in zip(got, want):
+                assert g.dtype == np.uint8 and g.size == within.size
+                assert np.array_equal(g, w)
+            in_second = 2 * within >= duration
+            deterministic = {
+                ModelKind.SCENARIO_LOCALITY_FALSE: in_second,
+                ModelKind.SCENARIO_ERGODICITY_FALSE: ~in_second,
+            }.get(kind, np.zeros(0, dtype=bool))
+            assert sampler._pattern_pos == masked._pattern_pos
+            assert sampler._pattern_pos == pos + np.count_nonzero(deterministic)
 
 
 class TestPerPulseChoice:

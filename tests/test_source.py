@@ -487,6 +487,9 @@ def iter_event_chunks_before(config, model, stats, chunk_pulses):
         # second, so the halves' pair counts differ block by block
         (ModelKind.SCENARIO_LOCALITY_FALSE, {"pulse_duration_s": 7e-9}),
         (ModelKind.SCENARIO_ERGODICITY_FALSE, {"pulse_duration_s": 7e-9}),
+        # a 1 ns pulse puts every pair in the first half: one half has none
+        (ModelKind.SCENARIO_LOCALITY_FALSE, {"pulse_duration_s": 1e-9}),
+        (ModelKind.SCENARIO_ERGODICITY_FALSE, {"pulse_duration_s": 1e-9}),
     ],
 )
 def test_generator_equals_the_one_with_a_guard_per_category(kind, run):
