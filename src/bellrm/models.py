@@ -285,12 +285,10 @@ class PairSampler:
             # Second pulse half starts at duration/2; boundary goes to the
             # later half, mirroring the slice rule.
             in_second = 2 * np.asarray(within_pulse_ns, dtype=np.int64) >= pulse_duration_ns
-            first, second = np.flatnonzero(~in_second), np.flatnonzero(in_second)
-            del in_second
-            if kind is ModelKind.SCENARIO_LOCALITY_FALSE:
-                entropy, deterministic = first, second
-            else:
-                entropy, deterministic = second, first
+            halves = np.flatnonzero(~in_second), np.flatnonzero(in_second)
+            entropy, deterministic = (
+                halves if kind is ModelKind.SCENARIO_LOCALITY_FALSE else halves[::-1]
+            )
             bits_a = np.empty(alphas.size, dtype=np.uint8)
             bits_b = np.empty(alphas.size, dtype=np.uint8)
             # Draw order is fixed (entropy half first) so output is
