@@ -297,10 +297,7 @@ class PairSampler:
                 alphas[entropy] - betas[entropy], rng
             )
             bits_a[deterministic], bits_b[deterministic], self._pattern_pos = _pattern_pair_bits(
-                alphas[deterministic] - betas[deterministic],
-                self._pattern,
-                self._pattern_pos,
-                rng,
+                alphas[deterministic] - betas[deterministic], self._pattern, self._pattern_pos, rng
             )
             return bits_a, bits_b
 

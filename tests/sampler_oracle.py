@@ -1,9 +1,10 @@
-"""The pair sampler as it was with boolean masks, the oracle for ``PairSampler``.
+"""A mask-based pair sampler, the reference for ``PairSampler``.
 
-Each pulse half of the pattern scenarios is selected by a mask, six masked
-gathers and scatters per batch, and the pattern bits are gathered through
-``(offset + arange(k)) % period``.  Its bits, and its pattern position after
-every batch, are the ones ``PairSampler.sample`` must give.
+Each pulse half of the pattern scenarios is selected by a boolean mask,
+six masked gathers and scatters per batch, and the pattern bits are
+gathered through ``(offset + arange(k)) % period``.  Its bits, and its
+pattern position after every batch, are the ones ``PairSampler.sample``
+must give.
 """
 
 import numpy as np

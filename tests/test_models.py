@@ -334,13 +334,12 @@ class TestScenarioPattern:
             for g, w in zip(got, want):
                 assert g.dtype == np.uint8 and g.size == within.size
                 assert np.array_equal(g, w)
-            in_second = 2 * within >= duration
-            deterministic = {
+            in_second = int(np.count_nonzero(2 * within >= duration))
+            n_deterministic = {
                 ModelKind.SCENARIO_LOCALITY_FALSE: in_second,
-                ModelKind.SCENARIO_ERGODICITY_FALSE: ~in_second,
-            }.get(kind, np.zeros(0, dtype=bool))
-            assert sampler._pattern_pos == masked._pattern_pos
-            assert sampler._pattern_pos == pos + np.count_nonzero(deterministic)
+                ModelKind.SCENARIO_ERGODICITY_FALSE: within.size - in_second,
+            }.get(kind, 0)
+            assert sampler._pattern_pos == masked._pattern_pos == pos + n_deterministic
 
 
 class TestPerPulseChoice:
