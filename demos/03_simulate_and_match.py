@@ -1,5 +1,5 @@
-"""Simulate a short run, write/read the time-tag file, match coincidences
-and build their records.
+"""Simulate a short run, write the time-tag file and map it back, match
+coincidences and build their records.
 
 With aligned analyzers the two stations record bitwise-identical
 coincidence sequences (the working principle of entanglement-based key
@@ -12,13 +12,13 @@ from pathlib import Path
 import numpy as np
 
 from bellrm import (
+    BtagFile,
     ModelKind,
     OutcomeModel,
     RunConfig,
     STATION_A,
     STATION_B,
     coincidences,
-    iter_btag,
     match_events,
     simulate_to_btag,
     slice_sequences,
@@ -46,7 +46,9 @@ with tempfile.TemporaryDirectory() as tmp:
             stats.n_darks_a, stats.n_darks_b,
         )
     )
-    events = np.concatenate(list(iter_btag(path)))
+    # a read-only view of the file's mapping, which outlives the file's name
+    with BtagFile(path) as btag_file:
+        events = btag_file[:]
 
 a_pos, b_pos = match_events(events, 2)
 records = coincidences(events, a_pos, b_pos, cfg, n_slices=2)

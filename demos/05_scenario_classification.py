@@ -10,8 +10,10 @@ the synthetic data gives evidence against:
   randomness rises   -> first half worse    -> Ergodicity false
 """
 
+import numpy as np
+
 from bellrm import ModelKind, OutcomeModel, RunConfig, iter_event_chunks
-from bellrm.pipeline import AnalysisConfig, analyze_pieces
+from bellrm.pipeline import AnalysisConfig, analyze_events
 
 SCENARIOS = (
     ModelKind.SCENARIO_LOCALITY_FALSE,
@@ -27,8 +29,8 @@ for kind in SCENARIOS:
         coincidence_prob_per_pulse=0.05,
         dark_rate_hz=0.0,
     )
-    events = iter_event_chunks(cfg, OutcomeModel(kind))
-    _, chsh, curve, verdict, _ = analyze_pieces(events, cfg, AnalysisConfig())
+    events = np.concatenate(list(iter_event_chunks(cfg, OutcomeModel(kind))))
+    _, chsh, curve, verdict, _ = analyze_events(events, cfg, AnalysisConfig())
 
     print("=" * 64)
     print("generator:", kind.value)

@@ -19,7 +19,7 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("btag", (
-            "EVENT_DTYPE", "STATION_A", "STATION_B", "BtagWriter", "iter_btag", "write_csv",
+            "EVENT_DTYPE", "STATION_A", "STATION_B", "BtagFile", "BtagWriter", "write_csv",
         )),
         ("chsh", (
             "ChshEstimate", "CorrelationEstimate", "ErgodicityReport", "TSIRELSON_BOUND",
@@ -37,7 +37,7 @@ _EXPORTS = {
             "local_hv_bit", "normalize_angle", "qm_correlation", "same_angle",
             "sawtooth_correlation", "scenario_pattern",
         )),
-        ("pipeline", ("AnalysisConfig", "analyze_pieces")),
+        ("pipeline", ("AnalysisConfig", "analyze_events")),
         ("randommeter", (
             "BatteryConfig", "RandomnessReport", "RandommeterCurve", "ScenarioVerdict",
             "SliceReading", "TestResult", "Verdict", "block_frequency_test",

@@ -15,36 +15,36 @@ Layout, little-endian throughout:
       setting_index  u16  index into the run's settings menu
 
 Records are strictly sorted by (timestamp, station): one station never
-holds two records on the same nanosecond.  ``iter_btag`` reads a file in
-pieces of ``PIECE_RECORDS`` records, so a reader's memory does not grow
-with the file; it checks the header, the size and the field ranges, and
-names a bad record by its index and byte offset in the whole file.  The
+holds two records on the same nanosecond.  ``BtagFile`` reads a file by
+slices, each a read-only view of a mapping of just those records, so a
+reader copies nothing and its memory does not grow with the file.  The
 order is checked where the stream is matched (``timetags.match_events``).
-``join_events`` joins event arrays by copying whole records.
 ``BtagWriter`` writes a file through ``atomic_open``, so a file appears
 whole or not at all.  The CSV mirror carries one record per line in the
 same field order, station written as A/B.  It is an export for other
-tools: ``write_csv`` writes it piece by piece, and bellrm has no CSV
+tools: ``write_csv`` writes it slice by slice, and bellrm has no CSV
 reader.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import mmap
+import os
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .atomic import atomic_open
-from .errors import ConfigError, IntegrityError
+from .errors import IntegrityError
 
 MAGIC = b"BTAG"
 VERSION = 1
 HEADER_SIZE = 32
 RECORD_SIZE = 16
-# Records per read in iter_btag: 1 MiB, small next to the interpreter and
-# numpy, large enough that the per-piece work stays in numpy.
+# Records in a window of pipeline.cut_at_gaps (its first, and each step it
+# grows by) and in a slice write_csv formats: 1 MiB, small next to the
+# interpreter and numpy, large enough that per-window work stays in numpy.
 PIECE_RECORDS = 65_536
 
 STATION_A = 0
@@ -115,75 +115,91 @@ class BtagWriter:
         return self._file.__exit__(exc_type, exc, tb)
 
 
-def iter_btag(path: str | Path, piece_records: int = PIECE_RECORDS) -> Iterator[np.ndarray]:
-    """Read and validate a BTAG file in pieces of at most ``piece_records`` records.
+class BtagFile:
+    """A BTAG file read by slices: ``with BtagFile(path) as f: part = f[a:b]``.
 
-    Yields the merged event array piece by piece, in file order (fewer than
-    one record per piece is a ``ConfigError``); an empty file yields
-    nothing.  The header and size are checked before the first piece and
-    the field ranges on each piece; an ``IntegrityError`` gives the byte
-    offset in the whole file.
+    Opening checks the header and the size; ``len`` is the record count.
+    ``f[a:b]`` maps the bytes of records [a, b) read-only, from that offset
+    rounded down to ``mmap.ALLOCATIONGRANULARITY``, and returns an
+    ``EVENT_DTYPE`` view of the mapping, valid after the ``with`` block too;
+    the mapping goes with the last array that uses it.  Each slice's station
+    and port bits are checked.  Every fault is an ``IntegrityError`` that
+    gives the byte offset in the whole file.
     """
-    if piece_records < 1:
-        raise ConfigError(f"piece_records must be >= 1, got {piece_records}")
-    path = Path(path)
-    size = path.stat().st_size
-    if size < HEADER_SIZE:
-        raise IntegrityError(f"{path}: truncated header ({size} bytes)", size)
-    with open(path, "rb") as fh:
-        header = fh.read(HEADER_SIZE)
-        if header[0:4] != MAGIC:
-            raise IntegrityError(f"{path}: bad magic {header[0:4]!r}", 0)
-        version = int.from_bytes(header[4:8], "little")
-        if version != VERSION:
-            raise IntegrityError(f"{path}: unsupported version {version}", 4)
-        count = int.from_bytes(header[8:16], "little")
-        expected = HEADER_SIZE + count * RECORD_SIZE
-        if size != expected:
-            offset = min(size, expected)
-            raise IntegrityError(
-                f"{path}: size {size} does not match header count {count}", offset
-            )
-        first = 0
-        while first < count:
-            n = min(piece_records, count - first)
-            events = np.fromfile(fh, dtype=EVENT_DTYPE, count=n)
-            if events.size != n:
-                offset = HEADER_SIZE + (first + events.size) * RECORD_SIZE
-                raise IntegrityError(f"{path}: file ends early", offset)
-            bad = np.flatnonzero((events["station"] | events["port_bit"]) > 1)
-            if bad.size:
-                i = int(bad[0])
+
+    def __init__(self, path: str | Path):
+        self.path = path = Path(path)
+        self._fh = open(path, "rb")
+        try:
+            size = os.fstat(self._fh.fileno()).st_size
+            if size < HEADER_SIZE:
+                raise IntegrityError(f"{path}: truncated header ({size} bytes)", size)
+            header = self._fh.read(HEADER_SIZE)
+            if header[0:4] != MAGIC:
+                raise IntegrityError(f"{path}: bad magic {header[0:4]!r}", 0)
+            version = int.from_bytes(header[4:8], "little")
+            if version != VERSION:
+                raise IntegrityError(f"{path}: unsupported version {version}", 4)
+            self._count = count = int.from_bytes(header[8:16], "little")
+            expected = HEADER_SIZE + count * RECORD_SIZE
+            if size != expected:
                 raise IntegrityError(
-                    f"{path}: record {first + i} has station {events['station'][i]} and "
-                    f"port_bit {events['port_bit'][i]}; both must be 0 or 1",
-                    HEADER_SIZE + (first + i) * RECORD_SIZE,
+                    f"{path}: size {size} does not match header count {count}",
+                    min(size, expected),
                 )
-            yield events
-            first += n
+        except IntegrityError:
+            self._fh.close()
+            raise
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        a, b, step = key.indices(self._count)
+        if step != 1:
+            raise TypeError("a BtagFile is read by slices of consecutive records")
+        if b <= a:
+            return np.empty(0, dtype=EVENT_DTYPE)
+        start = HEADER_SIZE + a * RECORD_SIZE
+        base = start - start % mmap.ALLOCATIONGRANULARITY
+        length = HEADER_SIZE + b * RECORD_SIZE - base
+        try:
+            mapping = mmap.mmap(self._fh.fileno(), length, access=mmap.ACCESS_READ, offset=base)
+        except ValueError:  # the file shrank after it was opened
+            size = os.fstat(self._fh.fileno()).st_size
+            raise IntegrityError(f"{self.path}: file ends early", size) from None
+        events = np.frombuffer(mapping, dtype=EVENT_DTYPE, count=b - a, offset=start - base)
+        bad = np.flatnonzero((events["station"] | events["port_bit"]) > 1)
+        if bad.size:
+            i = int(bad[0])
+            raise IntegrityError(
+                f"{self.path}: record {a + i} has station {events['station'][i]} and "
+                f"port_bit {events['port_bit'][i]}; both must be 0 or 1",
+                HEADER_SIZE + (a + i) * RECORD_SIZE,
+            )
+        return events
+
+    def __enter__(self) -> "BtagFile":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._fh.close()
 
 
-def join_events(parts: list[np.ndarray]) -> np.ndarray:
-    """Concatenate event arrays as whole records: numpy copies a structured
-    array field by field, about 20 times slower."""
-    dtype = parts[0].dtype
-    raw = np.dtype((np.void, dtype.itemsize))
-    return np.concatenate([part.view(raw) for part in parts]).view(dtype)
-
-
-def write_csv(path: str | Path, pieces) -> None:
-    """Write the CSV mirror of event arrays given piece by piece, as
-    ``iter_btag`` yields them."""
+def write_csv(path: str | Path, events) -> None:
+    """Write the CSV mirror of an event stream: an array or a ``BtagFile``,
+    read ``PIECE_RECORDS`` records at a time."""
     letters = np.array([STATION_LETTERS[STATION_A], STATION_LETTERS[STATION_B]])
     with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
-        for events in pieces:
+        for first in range(0, len(events), PIECE_RECORDS):
+            piece = events[first : first + PIECE_RECORDS]
             columns = (
-                events["timestamp_ns"].tolist(),
-                events["pulse_index"].tolist(),
-                letters[events["station"]].tolist(),
-                events["port_bit"].tolist(),
-                events["setting_index"].tolist(),
+                piece["timestamp_ns"].tolist(),
+                piece["pulse_index"].tolist(),
+                letters[piece["station"]].tolist(),
+                piece["port_bit"].tolist(),
+                piece["setting_index"].tolist(),
             )
             fh.writelines(map("%d,%d,%s,%d,%d\n".__mod__, zip(*columns)))
 

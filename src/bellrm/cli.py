@@ -216,7 +216,7 @@ def write_manifest(
 
 
 def cmd_simulate(args) -> int:
-    from .btag import iter_btag, write_csv
+    from .btag import BtagFile, write_csv
     from .source import simulate_to_btag
 
     obj = load_config(args.config)
@@ -233,7 +233,8 @@ def cmd_simulate(args) -> int:
         stats = simulate_to_btag(run, model, events_path)
         artifact_names = [EVENTS_FILENAME]
         if args.csv:
-            write_csv(out_dir / "events.csv", iter_btag(events_path))
+            with BtagFile(events_path) as events:
+                write_csv(out_dir / "events.csv", events)
             artifact_names.append("events.csv")
         write_manifest(out_dir, run, model, analysis, stats, artifact_names)
     print(
@@ -280,9 +281,9 @@ def _events_path(directory: Path, expected_bytes: int) -> Path:
 
 
 def cmd_analyze(args) -> int:
-    from .btag import iter_btag
+    from .btag import BtagFile
     from .chsh import write_chsh_csv
-    from .pipeline import AnalysisConfig, analyze_pieces
+    from .pipeline import AnalysisConfig, analyze_events
     from .randommeter import write_curve_csv, write_reports_csv, write_verdict_json
     from .source import RunConfig
 
@@ -297,10 +298,10 @@ def cmd_analyze(args) -> int:
     analysis = AnalysisConfig.from_dict(analysis_dict)
 
     with output_lock(in_dir):
-        events = iter_btag(_events_path(in_dir, events_bytes))
-        n_coincidences, chsh_estimates, curve, verdict, report_rows = analyze_pieces(
-            events, run, analysis
-        )
+        with BtagFile(_events_path(in_dir, events_bytes)) as events:
+            n_coincidences, chsh_estimates, curve, verdict, report_rows = analyze_events(
+                events, run, analysis
+            )
         with writing_to(in_dir):
             # no new output may stand beside an old one if a write fails
             for name in (*REPORT_OUTPUTS, *ANALYSIS_OUTPUTS):

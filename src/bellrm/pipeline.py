@@ -1,27 +1,27 @@
 """The analysis pipeline: match -> records -> battery and CHSH -> verdict.
 
-``analyze_pieces`` takes a merged event stream as a sequence of pieces,
-such as ``btag.iter_btag`` reads from a file (a stream held in memory is
-the one piece ``[events]``), and returns everything the ``analyze``
-command writes; ``AnalysisConfig`` holds the parameters.
+``analyze_events`` takes a merged event stream, an array or a
+``btag.BtagFile``, and returns everything the ``analyze`` command writes;
+``AnalysisConfig`` holds the parameters.
 
-``cut_at_gaps`` re-cuts the pieces after their last gap wider than the
-coincidence window.  No chain of events crosses such a gap, so matching
-each part on its own gives the pairs one pass over the whole stream
-gives.  The events after the last gap are one carry, joined to the next
-piece; a carry past ``MAX_GAPLESS_RECORDS`` is a ``DataError``.  Each
-part is matched by ``timetags.match_events``, which returns the matched
-positions, and ``timetags.coincidences`` builds its records from them:
-it checks each matched event against its own pulse and gives each
-record its slice and setting.  Between parts the parent keeps only the
-integer CHSH count table and two counts (coincidences, and records
-outside the pulse).  S is computed per slice from the count table at the
-four standard CHSH pairs (see :mod:`bellrm.chsh`).
+``cut_at_gaps`` cuts the stream, window by window, into parts that end at
+a gap wider than the coincidence window.  No chain of events crosses such
+a gap, so matching each part on its own gives the pairs one pass over the
+whole stream gives.  Each part is a slice (of a file, a view of its
+mapping), so no record is copied before it is matched; a gapless run past
+``MAX_GAPLESS_RECORDS`` is a ``DataError``.  Each part is matched by
+``timetags.match_events``, which returns the matched positions, and
+``timetags.coincidences`` builds its records from them: it checks each
+matched event against its own pulse and gives each record its slice and
+setting.  Between parts the parent keeps only the integer CHSH count
+table and two counts (coincidences, and records outside the pulse).  S is
+computed per slice from the count table at the four standard CHSH pairs
+(see :mod:`bellrm.chsh`).
 
 The battery runs in one worker process beside the matcher, so the two
-share the machine's two cores.  ``analyze_pieces`` forks it (the ``fork``
+share the machine's two cores.  ``analyze_events`` forks it (the ``fork``
 start method, so the worker costs no interpreter start-up and shares only
-the start-up pages) before it reads the first piece, and sends it each
+the start-up pages) before it maps the first window, and sends it each
 part's non-empty ``timetags.slice_sequences`` over one pipe; the pipe's
 buffer is the only queue, so a slow worker holds the parent back.  Per
 (slice, station) the worker keeps the bits not yet in a full
@@ -29,22 +29,22 @@ buffer is the only queue, so a slow worker holds the parent back.  Per
 and runs ``run_battery`` on each, so the blocks are the ones a cut of the
 whole stream gives.  After the end marker it sends the reports back
 grouped per (slice, station), in block order, so the outputs are those of
-a serial run.  Memory is bounded by a piece, the carry's cap and, in the
-worker, less than a block per (slice, station), not by the run's length.  A
-battery exception is raised again in the parent; a worker that dies ends
-the analysis with a ``WorkerError`` naming its exit code; the worker is
-always joined before ``analyze_pieces`` returns or raises.
+a serial run.  Memory is bounded by the windows in use and, in the
+worker, less than a block per (slice, station), not by the run's length.
+A battery exception is raised again in the parent; a worker that dies
+ends the analysis with a ``WorkerError`` naming its exit code; the worker
+is always joined before ``analyze_events`` returns or raises.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .btag import EVENT_DTYPE, STATION_A, STATION_B, STATION_LETTERS, join_events
+from .btag import PIECE_RECORDS, STATION_A, STATION_B, STATION_LETTERS
 from .chsh import chsh_from_table, count_table
 from .errors import ConfigError, DataError, IncompleteSettingsError, WorkerError, require_finite
 from .randommeter import BatteryConfig, classify_scenario, curve_from_reports, run_battery
@@ -102,7 +102,7 @@ class AnalysisConfig:
         return cfg
 
 
-#: the most records ``cut_at_gaps`` carries without a gap wider than the window
+#: the most records ``cut_at_gaps`` reads without a gap wider than the window
 MAX_GAPLESS_RECORDS = 2**20
 
 
@@ -110,7 +110,7 @@ def _after_last_gap(ts: np.ndarray, window: int) -> int:
     """Index of the first event after the last step in ``ts`` wider than ``window``, or 0.
 
     The steps near the end are looked at first: at the paper's rates the last
-    gap is a few events from the end, and a whole piece needs a diff only
+    gap is a few events from the end, and a whole window needs a diff only
     when its tail holds none.
     """
     for lo in (max(ts.size - 1024, 0), 0):
@@ -124,37 +124,36 @@ def _after_last_gap(ts: np.ndarray, window: int) -> int:
 
 
 def cut_at_gaps(
-    pieces: Iterable[np.ndarray], window_ns: int
+    events, window_ns: int, piece_records: int = PIECE_RECORDS
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Re-cut a merged stream's pieces after their last gap wider than ``window_ns``.
+    """Cut a merged stream, an array or a ``BtagFile``, at gaps wider than ``window_ns``.
 
-    Yields ``(first, events)``: the index of ``events[0]`` in the whole
-    stream and a run of consecutive events that ends at the end of the
-    stream or before a gap wider than the window.  The events after the
-    last gap are carried and joined to the next piece, so a chain longer
-    than a piece is never cut.  A carry that grows past
+    Yields ``(first, part)``: the index of ``part[0]`` in the stream and a
+    slice of it that ends at the end of the stream or before a gap wider
+    than the window.  Each window starts at the first event not yet yielded,
+    holds ``piece_records`` events (fewer than one is a ``ConfigError``) and
+    is cut at its last gap.  A window without a gap grows by
+    ``piece_records`` events, so a chain is never cut; one that grows past
     ``MAX_GAPLESS_RECORDS`` raises a ``DataError``, which bounds the memory
     of every stream.  A step back in time is never a gap, so an order fault
     stays inside one part, where ``match_events`` finds it.
     """
-    window = int(window_ns)
-    carry = np.empty(0, dtype=EVENT_DTYPE)  # events since the last gap, no gap among them
-    first = 0
-    for piece in pieces:
-        events = join_events([carry, piece])
-        cut = _after_last_gap(events["timestamp_ns"], window)
-        if cut:
-            yield first, events[:cut]
-            first += cut
-            carry = events[cut:].copy()  # a copy, so the carry does not pin the part
-        else:
-            carry = events
-        if carry.size > MAX_GAPLESS_RECORDS:
+    if piece_records < 1:
+        raise ConfigError(f"piece_records must be >= 1, got {piece_records}")
+    window, n = int(window_ns), len(events)
+    first = end = 0
+    while first < n:
+        end = min(end + piece_records, n)
+        part = events[first:end]
+        cut = _after_last_gap(part["timestamp_ns"], window)
+        if not cut and part.size > MAX_GAPLESS_RECORDS:
             raise DataError(
-                f"no gap wider than {window} ns in {carry.size} records from record {first}"
+                f"no gap wider than {window} ns in {part.size} records from record {first}"
             )
-    if carry.size:
-        yield first, carry
+        if cut or end == n:  # else the window grows
+            part = part[:cut] if cut else part
+            yield first, part
+            first = end = first + part.size
 
 
 def _battery_worker(conn, parent_conn, analysis: AnalysisConfig) -> None:
@@ -215,12 +214,11 @@ def _worker_reply(conn, worker) -> dict:
     return reply
 
 
-def analyze_pieces(pieces: Iterable[np.ndarray], run: RunConfig, analysis: AnalysisConfig):
-    """Full analysis pipeline on a merged event stream given piece by piece.
+def analyze_events(events, run: RunConfig, analysis: AnalysisConfig):
+    """Full analysis pipeline on a merged event stream: an array or a ``BtagFile``.
 
-    The pieces, in stream order, are what ``iter_btag`` yields.  Returns
-    (n_coincidences, chsh_estimates, curve, verdict, report_rows); CHSH
-    estimates cover the slices that could be estimated, and a slice
+    Returns (n_coincidences, chsh_estimates, curve, verdict, report_rows);
+    CHSH estimates cover the slices that could be estimated, and a slice
     without one makes the verdict INCONCLUSIVE.  An event whose setting
     lies outside the menu, one out of stream order, or a matched one
     outside its own pulse's window raises a ``DataError`` naming its index
@@ -243,16 +241,16 @@ def analyze_pieces(pieces: Iterable[np.ndarray], run: RunConfig, analysis: Analy
     worker.start()
     worker_conn.close()
     try:
-        for first, events in cut_at_gaps(pieces, analysis.window_ns):
-            outside = np.flatnonzero(events["setting_index"] >= n_menu)
+        for first, part in cut_at_gaps(events, analysis.window_ns):
+            outside = np.flatnonzero(part["setting_index"] >= n_menu)
             if outside.size:
                 i = int(outside[0])
                 raise DataError(
-                    f"record {first + i} has setting_index {events['setting_index'][i]}, "
+                    f"record {first + i} has setting_index {part['setting_index'][i]}, "
                     f"outside the {n_menu}-entry settings menu"
                 )
-            a_pos, b_pos = match_events(events, analysis.window_ns, first_record=first)
-            records = coincidences(events, a_pos, b_pos, run, n_slices, first_record=first)
+            a_pos, b_pos = match_events(part, analysis.window_ns, first_record=first)
+            records = coincidences(part, a_pos, b_pos, run, n_slices, first_record=first)
             counts += count_table(records, n_menu, n_slices)
             n_coincidences += records.size
             n_out_of_pulse += int(np.count_nonzero(records["slice_index"] < 0))

@@ -38,7 +38,7 @@ from bellrm import (
 )
 from bellrm.cli import main
 from bellrm.models import PI
-from bellrm.pipeline import AnalysisConfig, analyze_pieces
+from bellrm.pipeline import AnalysisConfig, analyze_events
 from bellrm.streams import substream
 from bellrm.timetags import COINC_DTYPE
 
@@ -259,8 +259,8 @@ def scenario_run(kind, seed):
         seed=seed, run_duration_s=12.0, detection_prob_per_pulse=0.0,
         coincidence_prob_per_pulse=0.05, dark_rate_hz=0.0,
     )
-    events = iter_event_chunks(cfg, OutcomeModel(kind))
-    _, _, _, verdict, _ = analyze_pieces(events, cfg, AnalysisConfig())
+    events = np.concatenate(list(iter_event_chunks(cfg, OutcomeModel(kind))))
+    _, _, _, verdict, _ = analyze_events(events, cfg, AnalysisConfig())
     return verdict
 
 

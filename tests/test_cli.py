@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import bellrm
 import bellrm.source
-from bellrm import BtagWriter, RunConfig, iter_btag
+from bellrm import BtagFile, BtagWriter, RunConfig
 from bellrm.atomic import atomic_open
 from bellrm.cli import main
 
@@ -72,11 +72,11 @@ def sim_dir(tmp_path, no_bellrm_env):
 
 class TestSimulate:
     def test_produces_btag_and_manifest(self, sim_dir):
-        events = np.concatenate(list(iter_btag(sim_dir / "events.btag")))
-        assert events.size > 0
+        with BtagFile(sim_dir / "events.btag") as events:
+            assert len(events) > 0
         manifest = json.loads((sim_dir / "manifest.json").read_text())
         assert manifest["seed"] == 77
-        assert manifest["stats"]["n_events"] == events.size
+        assert manifest["stats"]["n_events"] == len(events)
         assert manifest["artifacts"]["events.btag"]["sha256"] == sha256(
             sim_dir / "events.btag"
         )
@@ -125,7 +125,8 @@ class TestSimulate:
         cfg = write_config(tmp_path, obj)
         out = tmp_path / "empty"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        assert list(iter_btag(out / "events.btag")) == []
+        with BtagFile(out / "events.btag") as events:
+            assert len(events) == 0 and events[:].size == 0
 
     def test_invalid_config_exits_2(self, tmp_path, no_bellrm_env, capsys):
         obj = json.loads(json.dumps(BASE_CONFIG))
@@ -399,7 +400,8 @@ class TestAnalyze:
         obj["run"].update(run_duration_s=1.0, coincidence_prob_per_pulse=0.0, dark_rate_hz=1000.0)
         out = tmp_path / "darks"
         main(["simulate", "--config", str(write_config(tmp_path, obj)), "--out", str(out)])
-        assert np.concatenate(list(iter_btag(out / "events.btag"))).size > 0
+        with BtagFile(out / "events.btag") as events:
+            assert len(events) > 0
         assert main(["analyze", "--in", str(out)]) == 0
         verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["label"] == "INCONCLUSIVE"
@@ -415,7 +417,8 @@ class TestAnalyze:
         )
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        events = np.concatenate(list(iter_btag(out / "events.btag")))
+        with BtagFile(out / "events.btag") as btag_file:
+            events = btag_file[:].copy()
         events["timestamp_ns"] += 500
         with BtagWriter(out / "events.btag") as writer:
             writer.write(events)
@@ -542,8 +545,7 @@ class TestAnalyze:
     def test_btag_of_another_size_than_the_manifest_exits_3(self, sim_dir, capsys):
         # a valid BTAG file, one record short of the one the manifest describes
         path = sim_dir / "events.btag"
-        events = np.concatenate(list(iter_btag(path)))
-        with BtagWriter(path) as writer:
+        with BtagFile(path) as events, BtagWriter(path) as writer:
             writer.write(events[:-1])
         assert main(["analyze", "--in", str(sim_dir)]) == 3
         err = capsys.readouterr().err

@@ -1,11 +1,14 @@
 import contextlib
+import functools
 import json
 import math
+import mmap
 import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 from bellrm import (
     CHSH_MENU,
     EVENT_DTYPE,
+    BtagFile,
     BtagWriter,
     ConfigError,
     DataError,
@@ -29,7 +33,6 @@ from bellrm import (
     chsh_from_table,
     coincidences,
     count_table,
-    iter_btag,
     iter_event_chunks,
     match_events,
     run_battery,
@@ -37,10 +40,10 @@ from bellrm import (
     slice_sequences,
     write_chsh_csv,
 )
-from bellrm import pipeline
+from bellrm import btag, pipeline
 from bellrm.btag import STATION_LETTERS
 from bellrm.cli import main
-from bellrm.pipeline import AnalysisConfig, analyze_pieces, cut_at_gaps
+from bellrm.pipeline import AnalysisConfig, analyze_events, cut_at_gaps
 from bellrm.timetags import _effective_setting_table
 
 
@@ -53,7 +56,7 @@ def test_menu_without_a_chsh_pair_is_inconclusive(tmp_path):
     )
     model = OutcomeModel(ModelKind.SCENARIO_LOCALITY_FALSE)
     events = np.concatenate(list(iter_event_chunks(cfg, model)))
-    n_coincidences, chsh, curve, verdict, _ = analyze_pieces([events], cfg, AnalysisConfig())
+    n_coincidences, chsh, curve, verdict, _ = analyze_events(events, cfg, AnalysisConfig())
     assert n_coincidences > 0 and chsh == []
     assert all(reading.sufficient for reading in curve.readings)
     assert verdict.label is Verdict.INCONCLUSIVE
@@ -76,7 +79,7 @@ def test_per_slice_chsh_equals_one_table_of_one_pass():
     cfg = RunConfig(seed=33, run_duration_s=3.0, dark_rate_hz=1e5, settings_menu=menu)
     events = np.concatenate(list(iter_event_chunks(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))))
     analysis = AnalysisConfig(n_slices=3, window_ns=100)
-    n_coincidences, chsh, _, _, _ = analyze_pieces([events], cfg, analysis)
+    n_coincidences, chsh, _, _, _ = analyze_events(events, cfg, analysis)
     records = coincidences(events, *match_events(events, 100), cfg, 3)
     assert n_coincidences == records.size
     assert (records["slice_index"] == -1).any() and (records["setting_index"] == -1).any()
@@ -109,11 +112,16 @@ def test_alpha_sig_must_be_a_finite_number(value):
 # --- cutting the stream at gaps wider than the window ---------------------
 
 
-def assert_cut_matches_one_pass(events, pieces, window):
+def write_btag(path, events):
+    with BtagWriter(path) as writer:
+        writer.write(events)
+    return path
+
+
+def assert_cut_matches_one_pass(events, parts, window):
     """The parts tile the stream, every cut lies on a gap wider than the
     window, and matching part by part gives the pairs and the records of
     one pass."""
-    parts = list(cut_at_gaps(pieces, window))
     sizes = [part.size for _, part in parts]
     assert [first for first, _ in parts] == np.cumsum([0, *sizes])[:-1].tolist()
     joined = np.concatenate([events[:0], *(part for _, part in parts)])
@@ -133,33 +141,31 @@ def assert_cut_matches_one_pass(events, pieces, window):
     assert np.array_equal(np.concatenate(part_b), b_pos)
     one_pass = coincidences(events, a_pos, b_pos, run, 2)
     assert np.concatenate([one_pass[:0], *records]).tobytes() == one_pass.tobytes()
-    return parts
 
 
 @pytest.mark.parametrize("window, chain_size, n_chains", [(2, 2, 500), (100, 3, 200)])
 def test_cutting_at_every_gap_matches_one_pass(window, chain_size, n_chains):
-    # one-event pieces, each after an empty one: cut_at_gaps cuts at every
-    # gap wider than W; at W = 100 ns the 100 kHz darks make chains of
-    # three or more events
+    # one-event windows: cut_at_gaps cuts at every gap wider than W; at
+    # W = 100 ns the 100 kHz darks make chains of three or more events
     cfg = RunConfig(seed=43, run_duration_s=0.05, dark_rate_hz=1e5)
     events = np.concatenate(list(iter_event_chunks(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))))
     ts = events["timestamp_ns"].astype(np.int64)
     n_gaps = np.count_nonzero(np.diff(ts) > window)
-    pieces = np.split(events, np.arange(events.size).repeat(2))
-    assert sum(piece.size == 0 for piece in pieces) == events.size + 1
-    parts = assert_cut_matches_one_pass(events, pieces, window)
+    parts = list(cut_at_gaps(events, window, piece_records=1))
+    assert_cut_matches_one_pass(events, parts, window)
     assert len(parts) == n_gaps + 1
     assert sum(part.size >= chain_size for _, part in parts) > n_chains
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, derandomize=True, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(0, 3000), st.booleans()), max_size=80),
-    st.lists(st.integers(0, 40), min_size=1, max_size=10),
+    st.integers(1, 40),
     st.sampled_from([1, 5, 40]),
 )
-def test_cutting_random_streams_at_random_pieces(tagged, sizes, window):
-    # a size of 0 gives an empty piece
+def test_cutting_a_file_gives_the_parts_of_the_array(tagged, piece_records, window):
+    # the same stream cut from a written file and from memory, in windows
+    # of 1 to 40 records
     keys = sorted({2 * t + int(b) for t, b in tagged})
     events = np.zeros(len(keys), dtype=EVENT_DTYPE)
     events["timestamp_ns"] = [k >> 1 for k in keys]
@@ -167,15 +173,38 @@ def test_cutting_random_streams_at_random_pieces(tagged, sizes, window):
     events["station"] = [k & 1 for k in keys]
     events["port_bit"] = [k % 3 == 0 for k in keys]
     events["setting_index"] = [k % 4 for k in keys]
-    bounds = np.cumsum(sizes * (len(keys) // max(sum(sizes), 1) + 1))
-    pieces = np.split(events, bounds[bounds < len(keys)])
-    assert_cut_matches_one_pass(events, pieces, window)
+    in_memory = list(cut_at_gaps(events, window, piece_records))
+    with tempfile.TemporaryDirectory() as tmp:
+        with BtagFile(write_btag(Path(tmp) / "events.btag", events)) as btag_file:
+            from_file = list(cut_at_gaps(btag_file, window, piece_records))
+    assert [(first, part.tobytes()) for first, part in from_file] == [
+        (first, part.tobytes()) for first, part in in_memory
+    ]
+    assert_cut_matches_one_pass(events, from_file, window)
 
 
-def test_a_chain_longer_than_a_piece_is_carried_whole():
+def test_parts_cut_from_a_file_are_read_only_views_of_a_mapping(tmp_path):
+    cfg = RunConfig(seed=43, run_duration_s=0.05, dark_rate_hz=1e5)
+    events = np.concatenate(list(iter_event_chunks(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))))
+    with BtagFile(write_btag(tmp_path / "events.btag", events)) as btag_file:
+        parts = list(cut_at_gaps(btag_file, 2, piece_records=1000))
+    assert len(parts) > 10
+    for _, part in parts:
+        assert not part.flags.writeable and not part.flags.owndata
+        base = part
+        while isinstance(base, np.ndarray):
+            base = base.base
+        if isinstance(base, memoryview):  # numpy keeps the buffer it was given
+            base = base.obj
+        assert isinstance(base, mmap.mmap)
+        with pytest.raises(ValueError, match="read-only"):
+            part["port_bit"][0] = 1
+    assert_cut_matches_one_pass(events, parts, 2)
+
+
+def test_a_gapless_run_longer_than_a_window_grows_the_window(tmp_path):
     # lone events, then 3,000 events each 1-2 ns after the last, then lone
-    # events again; in pieces of 500 the chain spans seven pieces, with
-    # empty pieces between them
+    # events again; in windows of 500 the chain spans seven windows
     rng = np.random.default_rng(7)
     t = np.concatenate([
         np.arange(0, 50_000, 1000),
@@ -187,12 +216,53 @@ def test_a_chain_longer_than_a_piece_is_carried_whole():
     events["pulse_index"] = t // 1000
     events["station"] = rng.integers(0, 2, t.size)
     events["port_bit"] = rng.integers(0, 2, t.size)
-    bounds = np.arange(0, t.size, 500).repeat(2)
-    parts = assert_cut_matches_one_pass(events, np.split(events, bounds), 2)
+    with BtagFile(write_btag(tmp_path / "events.btag", events)) as btag_file:
+        parts = list(cut_at_gaps(btag_file, 2, piece_records=500))
+    assert_cut_matches_one_pass(events, parts, 2)
     chain = [(first, part.size) for first, part in parts if part.size >= 3000]
     assert len(chain) == 1
     first, size = chain[0]
     assert first <= 50 and first + size >= 3050
+
+
+def test_a_gapless_run_past_the_cap_in_a_file_exits_3(tmp_path, monkeypatch, capsys):
+    # at a cap of 100 records: 100 gapless records are one part, 110 are
+    # refused, and a window that grows 7 records at a time is refused at 105
+    run = gapless_run(tmp_path, monkeypatch, 110)
+    monkeypatch.setattr(pipeline, "MAX_GAPLESS_RECORDS", 100)
+    with BtagFile(run / "events.btag") as events:
+        assert [first for first, _ in cut_at_gaps(events[:100], 2, 7)] == [0]
+        with pytest.raises(DataError, match="^no gap wider than 2 ns in 105 records from"):
+            list(cut_at_gaps(events, 2, 7))
+    capsys.readouterr()
+    with time_limit(60):
+        assert main(["analyze", "--in", str(run)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: no gap wider than 2 ns in 110 records from record 0"
+    ]
+    assert not (run / "verdict.json").exists()
+    assert_no_child_left()
+
+
+def test_a_file_that_shrinks_while_analyze_runs_exits_3(tmp_path, monkeypatch, capsys):
+    # shrunk after its size was checked, before the first window is mapped
+    run = gapless_run(tmp_path, monkeypatch, 10)
+
+    class ShrinksOnOpen(BtagFile):
+        def __init__(self, path):
+            super().__init__(path)
+            os.truncate(path, 32 + 16 * 4)
+
+    monkeypatch.setattr(btag, "BtagFile", ShrinksOnOpen)
+    capsys.readouterr()
+    with time_limit(60):
+        assert main(["analyze", "--in", str(run)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [
+        f"data error: {run / 'events.btag'}: file ends early (at byte offset {32 + 16 * 4})"
+    ]
+    assert_no_child_left()
 
 
 def gapless_run(tmp_path, monkeypatch, n_records):
@@ -211,8 +281,7 @@ def gapless_run(tmp_path, monkeypatch, n_records):
     events["timestamp_ns"] = np.arange(n_records)
     events["pulse_index"] = events["timestamp_ns"] // 1000
     events["station"][1] = 1
-    with BtagWriter(run / "events.btag") as writer:
-        writer.write(events)
+    write_btag(run / "events.btag", events)
     manifest = json.loads((run / "manifest.json").read_text())
     manifest["artifacts"]["events.btag"]["bytes"] = (run / "events.btag").stat().st_size
     (run / "manifest.json").write_text(json.dumps(manifest))
@@ -250,25 +319,31 @@ def test_a_gapless_stream_past_the_cap_exits_3_in_bounded_memory(
     assert_no_child_left()
 
 
-def test_reading_in_small_pieces_gives_the_same_analysis(tmp_path):
-    # the file read in pieces of 1,000 records, against the whole stream
+def cut_in_windows_of(monkeypatch, piece_records):
+    """Make ``analyze_events`` cut its stream in windows of ``piece_records`` records."""
+    monkeypatch.setattr(
+        pipeline, "cut_at_gaps", functools.partial(cut_at_gaps, piece_records=piece_records)
+    )
+
+
+def test_reading_in_small_pieces_gives_the_same_analysis(tmp_path, monkeypatch):
+    # the file cut in windows of 1,000 records, against the array in memory
     cfg = RunConfig(
         seed=45, run_duration_s=2.0, detection_prob_per_pulse=0.01,
         coincidence_prob_per_pulse=0.05, dark_rate_hz=1e4,
     )
     model = OutcomeModel(ModelKind.SCENARIO_LOCALITY_FALSE)
     events = np.concatenate(list(iter_event_chunks(cfg, model)))
-    path = tmp_path / "events.btag"
-    with BtagWriter(path) as writer:
-        writer.write(events)
     analysis = AnalysisConfig(window_ns=5)
-    whole = analyze_pieces([events], cfg, analysis)
-    pieces = analyze_pieces(iter_btag(path, piece_records=1000), cfg, analysis)
+    whole = analyze_events(events, cfg, analysis)
+    cut_in_windows_of(monkeypatch, 1000)
+    with BtagFile(write_btag(tmp_path / "events.btag", events)) as btag_file:
+        windows = analyze_events(btag_file, cfg, analysis)
     assert whole[0] > 0 and len(whole[4]) >= 16
-    assert repr(pieces) == repr(whole)
+    assert repr(windows) == repr(whole)
 
 
-def test_the_settings_table_is_built_once_per_analysis():
+def test_the_settings_table_is_built_once_per_analysis(monkeypatch):
     # a menu of its own, so no earlier test has cached its table
     menu = [*CHSH_MENU, (0.1, 0.2)]
     cfg = RunConfig(
@@ -276,12 +351,12 @@ def test_the_settings_table_is_built_once_per_analysis():
         dark_rate_hz=1e4, settings_menu=menu,
     )
     events = np.concatenate(list(iter_event_chunks(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))))
-    pieces = np.array_split(events, 5)
     analysis = AnalysisConfig(window_ns=5)
-    n_parts = len(list(cut_at_gaps(pieces, analysis.window_ns)))
+    cut_in_windows_of(monkeypatch, events.size // 5)
+    n_parts = len(list(pipeline.cut_at_gaps(events, analysis.window_ns)))
     assert n_parts >= 3
     _effective_setting_table.cache_clear()
-    analyze_pieces(pieces, cfg, analysis)
+    analyze_events(events, cfg, analysis)
     info = _effective_setting_table.cache_info()
     assert (info.misses, info.hits) == (1, n_parts - 1)
 
@@ -347,15 +422,15 @@ def serial_report_rows(events, cfg, analysis):
 
 
 @pytest.mark.parametrize("n_pulses", [6_400, 1_500])
-def test_the_worker_reports_what_a_serial_battery_gives(n_pulses):
+def test_the_worker_reports_what_a_serial_battery_gives(n_pulses, monkeypatch):
     # 6,400 pulses: three blocks per key in slices 0 and 2, none in slice 1;
     # 1,500 pulses: no full block anywhere
     cfg = RunConfig(seed=51, run_duration_s=n_pulses * 1e-6)
     events = pairs_in_slices_0_and_2(n_pulses)
-    pieces = np.array_split(events, 7)
-    assert len(list(cut_at_gaps(pieces, WORKER_ANALYSIS.window_ns))) >= 7
+    cut_in_windows_of(monkeypatch, -(-events.size // 7))
+    assert len(list(pipeline.cut_at_gaps(events, WORKER_ANALYSIS.window_ns))) >= 7
     with time_limit(60):
-        rows = analyze_pieces(pieces, cfg, WORKER_ANALYSIS)[4]
+        rows = analyze_events(events, cfg, WORKER_ANALYSIS)[4]
     want = serial_report_rows(events, cfg, WORKER_ANALYSIS)
     assert repr(rows) == repr(want)
     per_key = Counter((slice_index, letter) for _, slice_index, letter, _ in rows)
@@ -366,14 +441,15 @@ def test_the_worker_reports_what_a_serial_battery_gives(n_pulses):
     assert_no_child_left()
 
 
-def test_a_data_error_in_a_later_part_reaps_the_worker():
+def test_a_data_error_in_a_later_part_reaps_the_worker(monkeypatch):
     cfg = RunConfig(seed=51, run_duration_s=6_400e-6)
     events = pairs_in_slices_0_and_2(6_400)
     events["setting_index"][-3] = 7  # after the first full blocks went to the worker
+    cut_in_windows_of(monkeypatch, -(-events.size // 7))
     with time_limit(60), pytest.raises(
         DataError, match=f"record {events.size - 3} has setting_index 7"
     ):
-        analyze_pieces(np.array_split(events, 7), cfg, WORKER_ANALYSIS)
+        analyze_events(events, cfg, WORKER_ANALYSIS)
     assert_no_child_left()
 
 
@@ -388,8 +464,9 @@ def test_a_battery_exception_comes_back_unchanged(monkeypatch):
     monkeypatch.setattr(pipeline, "run_battery", fails_on_the_second_block)
     cfg = RunConfig(seed=51, run_duration_s=6_400e-6)
     events = pairs_in_slices_0_and_2(6_400)
+    cut_in_windows_of(monkeypatch, -(-events.size // 7))
     with time_limit(60), pytest.raises(ZeroDivisionError, match="^battery failed on A0-1$"):
-        analyze_pieces(np.array_split(events, 7), cfg, WORKER_ANALYSIS)
+        analyze_events(events, cfg, WORKER_ANALYSIS)
     assert_no_child_left()
 
 
@@ -398,8 +475,9 @@ def test_a_dead_worker_ends_the_analysis_with_its_exit_code(monkeypatch):
     monkeypatch.setattr(pipeline, "run_battery", lambda *args, **kwargs: os._exit(7))
     cfg = RunConfig(seed=51, run_duration_s=6_400e-6)
     events = pairs_in_slices_0_and_2(6_400)
+    cut_in_windows_of(monkeypatch, -(-events.size // 7))
     with time_limit(60), pytest.raises(WorkerError, match="exited with code 7"):
-        analyze_pieces(np.array_split(events, 7), cfg, WORKER_ANALYSIS)
+        analyze_events(events, cfg, WORKER_ANALYSIS)
     assert_no_child_left()
 
 

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bellrm import (
+    BtagFile,
     BtagWriter,
     CHSH_MENU,
     COINC_DTYPE,
@@ -23,7 +25,6 @@ from bellrm import (
     chsh_from_table,
     coincidences,
     count_table,
-    iter_btag,
     iter_event_chunks,
     match_events,
     pulse_geometry,
@@ -35,6 +36,7 @@ from bellrm import (
 )
 from bellrm import btag
 from bellrm.btag import PIECE_RECORDS
+from bellrm.pipeline import cut_at_gaps
 
 REP = 1e6  # Hz; 1000 ns period in these tests
 
@@ -776,7 +778,9 @@ class TestBtagFormat:
         with BtagWriter(path) as writer:
             writer.write(ev)
         assert path.stat().st_size == 32 + 16 * ev.size
-        back = np.concatenate(list(iter_btag(path)))
+        with BtagFile(path) as events:
+            assert len(events) == ev.size
+            back = events[:]
         assert np.array_equal(ev, back)
 
     def test_failed_count_patch_leaves_the_old_file(self, tmp_path, rng, monkeypatch):
@@ -803,7 +807,9 @@ class TestBtagFormat:
         path = tmp_path / "empty.btag"
         with BtagWriter(path) as writer:
             writer.write(np.empty(0, dtype=EVENT_DTYPE))
-        assert list(iter_btag(path)) == []
+        with BtagFile(path) as events:
+            assert len(events) == 0 and events[:].size == 0
+            assert list(cut_at_gaps(events, 2)) == []
 
     def test_truncated_record_region_reports_offset(self, tmp_path, rng):
         path = tmp_path / "events.btag"
@@ -812,20 +818,35 @@ class TestBtagFormat:
         data = path.read_bytes()
         path.write_bytes(data[:-7])
         with pytest.raises(IntegrityError) as err:
-            list(iter_btag(path))
+            BtagFile(path)
         assert err.value.offset == len(data) - 7
+
+    def test_a_file_that_shrinks_after_it_was_opened_ends_early(self, tmp_path, rng):
+        # the size was checked when the file was opened; a slice past the
+        # new end cannot be mapped
+        path = tmp_path / "events.btag"
+        with BtagWriter(path) as writer:
+            writer.write(self.events(rng))
+        with BtagFile(path) as events:
+            os.truncate(path, 32 + 16 * 60 + 5)
+            assert events[:60].size == 60
+            with pytest.raises(IntegrityError, match="file ends early") as err:
+                events[50:70]
+        assert err.value.offset == 32 + 16 * 60 + 5
 
     def test_pieces_join_to_the_whole_file(self, tmp_path, rng):
         ev = self.events(rng)
         path = tmp_path / "events.btag"
         with BtagWriter(path) as writer:
             writer.write(ev)
-        pieces = list(iter_btag(path, piece_records=7))
+        with BtagFile(path) as events:
+            pieces = [events[i : i + 7] for i in range(0, len(events), 7)]
         assert [p.size for p in pieces] == [7] * 14 + [2]
         assert np.concatenate(pieces).tobytes() == ev.tobytes()
 
     def test_a_longer_file_is_read_in_default_pieces(self, tmp_path, rng):
-        # more records than one default piece holds
+        # more records than one default window holds; slices start and end
+        # off the mapping granularity and past the first window
         ev = np.zeros(PIECE_RECORDS + 100, dtype=EVENT_DTYPE)
         ev["timestamp_ns"] = np.arange(ev.size) * 1000
         ev["station"] = rng.integers(0, 2, ev.size)
@@ -833,18 +854,26 @@ class TestBtagFormat:
         path = tmp_path / "events.btag"
         with BtagWriter(path) as writer:
             writer.write(ev)
-        pieces = list(iter_btag(path))
-        assert [p.size for p in pieces] == [PIECE_RECORDS, 100]
-        assert np.concatenate(pieces).tobytes() == ev.tobytes()
+        with BtagFile(path) as events:
+            pieces = [events[:PIECE_RECORDS], events[PIECE_RECORDS:]]
+            assert [p.size for p in pieces] == [PIECE_RECORDS, 100]
+            assert np.concatenate(pieces).tobytes() == ev.tobytes()
+            for a, b in [(1, 2), (255, 257), (PIECE_RECORDS - 3, PIECE_RECORDS + 41)]:
+                assert events[a:b].tobytes() == ev[a:b].tobytes()
+            assert events[-5:].tobytes() == ev[-5:].tobytes()
+            with pytest.raises(TypeError, match="slices of consecutive records"):
+                events[::2]
 
     @pytest.mark.parametrize("piece_records", [0, -1])
     def test_piece_of_fewer_than_one_record_rejected(self, tmp_path, rng, piece_records):
-        # 0 would yield empty pieces forever, -1 would read the whole file
+        # 0 would grow no window, -1 would shrink it
         path = tmp_path / "events.btag"
         with BtagWriter(path) as writer:
             writer.write(self.events(rng))
-        with pytest.raises(ConfigError, match="piece_records must be >= 1"):
-            next(iter_btag(path, piece_records=piece_records))
+        with BtagFile(path) as events, pytest.raises(
+            ConfigError, match="piece_records must be >= 1"
+        ):
+            next(cut_at_gaps(events, 2, piece_records=piece_records))
 
     def test_bad_field_in_a_later_piece_reports_its_offset_in_the_file(self, tmp_path, rng):
         path = tmp_path / "events.btag"
@@ -852,9 +881,29 @@ class TestBtagFormat:
         ev["port_bit"][61] = 2
         with BtagWriter(path) as writer:
             writer.write(ev)
-        with pytest.raises(IntegrityError, match="record 61 has station") as err:
-            list(iter_btag(path, piece_records=20))
+        with BtagFile(path) as events, pytest.raises(
+            IntegrityError, match="record 61 has station"
+        ) as err:
+            list(cut_at_gaps(events, 2, piece_records=20))
         assert err.value.offset == 32 + 61 * 16
+
+    def test_bad_field_in_a_window_that_grew_names_the_lowest_bad_record(
+        self, tmp_path, rng
+    ):
+        # 100 events 1 ns apart: no gap, so the window grows 7 records at a
+        # time; records 30 and 33 are bad, and 30 is found when the window
+        # first covers it
+        ev = self.events(rng)
+        ev["timestamp_ns"] = np.arange(ev.size)
+        ev["port_bit"][[30, 33]] = 2
+        path = tmp_path / "events.btag"
+        with BtagWriter(path) as writer:
+            writer.write(ev)
+        with BtagFile(path) as events, pytest.raises(
+            IntegrityError, match="record 30 has station .* and port_bit 2"
+        ) as err:
+            list(cut_at_gaps(events, 2, piece_records=7))
+        assert err.value.offset == 32 + 30 * 16
 
     def test_bad_magic_rejected(self, tmp_path, rng):
         path = tmp_path / "events.btag"
@@ -864,13 +913,13 @@ class TestBtagFormat:
         data[0:4] = b"XXXX"
         path.write_bytes(bytes(data))
         with pytest.raises(IntegrityError) as err:
-            list(iter_btag(path))
+            BtagFile(path)
         assert err.value.offset == 0
 
     def test_csv_mirror_round_trip(self, tmp_path, rng):
         ev = self.events(rng)
         path = tmp_path / "events.csv"
-        write_csv(path, [ev])
+        write_csv(path, ev)
         first_lines = path.read_text().splitlines()[:2]
         assert first_lines[0] == "timestamp_ns,pulse_index,station,port_bit,setting_index"
         assert first_lines[1].split(",")[2] in ("A", "B")
@@ -880,11 +929,16 @@ class TestBtagFormat:
         )
         assert np.array_equal(back, ev)
 
-    def test_csv_of_pieces_equals_csv_of_the_whole(self, tmp_path, rng):
+    def test_csv_of_pieces_equals_csv_of_the_whole(self, tmp_path, rng, monkeypatch):
         ev = self.events(rng)
+        path = tmp_path / "events.btag"
+        with BtagWriter(path) as writer:
+            writer.write(ev)
         whole, pieces = tmp_path / "whole.csv", tmp_path / "pieces.csv"
-        write_csv(whole, [ev])
-        write_csv(pieces, (ev[i : i + 7] for i in range(0, ev.size, 7)))
+        write_csv(whole, ev)
+        monkeypatch.setattr(btag, "PIECE_RECORDS", 7)  # fifteen slices
+        with BtagFile(path) as events:
+            write_csv(pieces, events)
         assert pieces.read_bytes() == whole.read_bytes()
         # one record per line, formatted field by field
         rows = whole.read_text().splitlines()[1:]
