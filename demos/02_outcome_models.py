@@ -21,21 +21,20 @@ N = 200_000
 
 
 def sampled_correlation(model, delta, rng):
-    sampler = PairSampler(model, seed=1)
+    sampler = PairSampler(model, 1, [(delta, 0.0)])
     bits_a, bits_b = sampler.sample(
-        np.full(N, delta), np.zeros(N), np.arange(N) * 1e-6,
+        np.zeros(N, dtype=np.intp), np.arange(N) * 1000,
         np.zeros(N, dtype=np.int64), 100, rng,
     )
     return float(np.mean(np.where(bits_a == bits_b, 1.0, -1.0)))
 
 
 def sampled_chsh(model, rng):
-    sampler = PairSampler(model, seed=2)
+    sampler = PairSampler(model, 2, CHSH_MENU)
     s = 0.0
-    for sign, (alpha, beta) in zip((1, -1, 1, 1), CHSH_MENU):
+    for k, sign in enumerate((1, -1, 1, 1)):
         bits_a, bits_b = sampler.sample(
-            np.full(N, alpha), np.full(N, beta), np.arange(N) * 1e-6,
-            np.zeros(N, dtype=np.int64), 100, rng,
+            np.full(N, k), np.arange(N) * 1000, np.zeros(N, dtype=np.int64), 100, rng,
         )
         s += sign * float(np.mean(np.where(bits_a == bits_b, 1.0, -1.0)))
     return abs(s)

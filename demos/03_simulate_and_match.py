@@ -36,7 +36,7 @@ model = OutcomeModel(ModelKind.QM_NONLOCAL)
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "events.btag"
-    stats = simulate_to_btag(cfg, model, path)
+    stats, _ = simulate_to_btag(cfg, model, path)
     print("wrote", path.stat().st_size, "bytes,", stats.n_events, "events")
     print(
         "  %d coincident pairs, %d+%d singles, %d+%d darks"

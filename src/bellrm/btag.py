@@ -20,14 +20,17 @@ slices, each a read-only view of a mapping of just those records, so a
 reader copies nothing and its memory does not grow with the file.  The
 order is checked where the stream is matched (``timetags.match_events``).
 ``BtagWriter`` writes a file through ``atomic_open``, so a file appears
-whole or not at all.  The CSV mirror carries one record per line in the
-same field order, station written as A/B.  It is an export for other
-tools: ``write_csv`` writes it slice by slice, and bellrm has no CSV
-reader.
+whole or not at all, and hashes the record region (byte 32 to the end)
+as it writes it.  The header is a function of the record count, patched
+in last, so no digest covers it: ``BtagFile`` checks every header byte
+instead.  The CSV mirror carries one record per line in the same field
+order, station written as A/B.  It is an export for other tools:
+``write_csv`` writes it slice by slice, and bellrm has no CSV reader.
 """
 
 from __future__ import annotations
 
+import hashlib
 import mmap
 import os
 from contextlib import contextmanager
@@ -75,7 +78,8 @@ def _pack_header(count: int) -> bytes:
 
 
 class BtagWriter:
-    """Streaming writer; patches the record count into the header on close.
+    """Streaming writer; patches the record count into the header on close,
+    and hashes each chunk of the record region right after writing it.
 
     Usable as a context manager:
 
@@ -91,6 +95,7 @@ class BtagWriter:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.count = 0
+        self._records = hashlib.sha256()
 
     @contextmanager
     def _open(self):
@@ -106,10 +111,14 @@ class BtagWriter:
         return self
 
     def write(self, events: np.ndarray) -> None:
-        if events.dtype != EVENT_DTYPE:
-            events = events.astype(EVENT_DTYPE)
+        events = events.astype(EVENT_DTYPE, order="C", copy=False)
         events.tofile(self._fh)
+        self._records.update(events)
         self.count += events.size
+
+    def records_sha256(self) -> str:
+        """Hex SHA-256 of the records written so far: the file from byte 32 on."""
+        return self._records.hexdigest()
 
     def __exit__(self, exc_type, exc, tb):
         return self._file.__exit__(exc_type, exc, tb)
@@ -118,7 +127,8 @@ class BtagWriter:
 class BtagFile:
     """A BTAG file read by slices: ``with BtagFile(path) as f: part = f[a:b]``.
 
-    Opening checks the header and the size; ``len`` is the record count.
+    Opening checks every header byte and the size; ``len`` is the record
+    count.
     ``f[a:b]`` maps the bytes of records [a, b) read-only, from that offset
     rounded down to ``mmap.ALLOCATIONGRANULARITY``, and returns an
     ``EVENT_DTYPE`` view of the mapping, valid after the ``with`` block too;
@@ -147,6 +157,12 @@ class BtagFile:
                     f"{path}: size {size} does not match header count {count}",
                     min(size, expected),
                 )
+            for offset in range(16, HEADER_SIZE):
+                if header[offset]:
+                    raise IntegrityError(
+                        f"{path}: reserved header byte holds {header[offset]}, not 0",
+                        offset,
+                    )
         except IntegrityError:
             self._fh.close()
             raise

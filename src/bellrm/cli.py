@@ -176,8 +176,10 @@ def write_manifest(
     model: OutcomeModel,
     analysis: AnalysisConfig,
     stats: RunStats,
-    artifact_names,
+    digests: dict,
 ) -> dict:
+    """Write ``manifest.json``; ``digests`` maps each artifact to the digest
+    fields recorded beside its size."""
     from dataclasses import asdict
 
     from .source import GENERATOR_VERSION, pulse_geometry
@@ -202,11 +204,8 @@ def write_manifest(
         },
         "stats": stats.to_dict(),
         "artifacts": {
-            name: {
-                "bytes": (directory / name).stat().st_size,
-                "sha256": _sha256(directory / name),
-            }
-            for name in artifact_names
+            name: {"bytes": (directory / name).stat().st_size, **fields}
+            for name, fields in digests.items()
         },
     }
     with atomic_open(directory / MANIFEST_FILENAME, "w", encoding="utf-8") as fh:
@@ -230,13 +229,14 @@ def cmd_simulate(args) -> int:
         for name in ("events.csv", *ANALYSIS_OUTPUTS, *REPORT_OUTPUTS):
             (out_dir / name).unlink(missing_ok=True)
         events_path = out_dir / EVENTS_FILENAME
-        stats = simulate_to_btag(run, model, events_path)
-        artifact_names = [EVENTS_FILENAME]
+        stats, records_sha256 = simulate_to_btag(run, model, events_path)
+        # the header is patched last, so only the record region was hashed in order
+        digests = {EVENTS_FILENAME: {"records_sha256": records_sha256}}
         if args.csv:
             with BtagFile(events_path) as events:
                 write_csv(out_dir / "events.csv", events)
-            artifact_names.append("events.csv")
-        write_manifest(out_dir, run, model, analysis, stats, artifact_names)
+            digests["events.csv"] = {"sha256": _sha256(out_dir / "events.csv")}
+        write_manifest(out_dir, run, model, analysis, stats, digests)
     print(
         f"simulate: {stats.n_pulses} pulses, {stats.n_coincidence_pairs} coincident "
         f"pairs, {stats.n_events} events -> {events_path}"

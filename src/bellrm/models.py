@@ -14,7 +14,8 @@ A model decides, pulse by pulse, which output port fires at each station
   randomness of one pulse half, one per classifier outcome.
 
 Sampling is vectorized over pulses and draws from a caller-supplied
-generator.  The SCENARIO_LOCALITY_FALSE and SCENARIO_ERGODICITY_FALSE
+generator; a ``PairSampler`` takes each pair as an index into its run's
+settings menu.  The SCENARIO_LOCALITY_FALSE and SCENARIO_ERGODICITY_FALSE
 samplers also carry their position in the deterministic pattern from one
 call to the next (``PairSampler._pattern_pos``), so their batches must be
 sampled in time order; every other kind keeps no state between calls.
@@ -223,37 +224,41 @@ def scenario_pattern(period: int, seed: int) -> np.ndarray:
 
 
 def _qm_pair_bits(
-    deltas: np.ndarray, rng: np.random.Generator
+    p_flip: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    bits_a = (rng.random(deltas.size) < 0.5).astype(np.uint8)
-    flip = rng.random(deltas.size) < np.sin(deltas) ** 2
+    bits_a = (rng.random(p_flip.size) < 0.5).astype(np.uint8)
+    flip = rng.random(p_flip.size) < p_flip
     return bits_a, bits_a ^ flip.astype(np.uint8)
 
 
 def _pattern_pair_bits(
-    deltas: np.ndarray,
+    p_flip: np.ndarray,
     pattern: np.ndarray,
     offset: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    k = deltas.size
+    k = p_flip.size
     period = pattern.size
     bits_a = np.tile(np.roll(pattern, -offset % period), -(-k // period))[:k]
-    flip = rng.random(k) < np.sin(deltas) ** 2
+    flip = rng.random(k) < p_flip
     return bits_a, bits_a ^ flip.astype(np.uint8), offset + k
 
 
 class PairSampler:
-    """Vectorized joint-outcome sampler for one run.
+    """Vectorized joint-outcome sampler for one run and its settings menu.
 
-    Keeps the single piece of cross-pulse state the scenario generators
-    need (the position inside the deterministic pattern); everything else
-    comes from the caller-supplied generator, so results are reproducible
-    given (model, seed, call sequence).
+    The flip probability sin^2(alpha - beta) of each menu entry is computed
+    once; a batch gathers it by setting index.  Keeps the single piece of
+    cross-pulse state the scenario generators need (the position inside
+    the deterministic pattern); everything else comes from the
+    caller-supplied generator, so results are reproducible given (model,
+    seed, menu, call sequence).
     """
 
-    def __init__(self, model: OutcomeModel, seed: int):
+    def __init__(self, model: OutcomeModel, seed: int, settings_menu):
         self.model = model
+        self._menu = np.array(settings_menu, dtype=np.float64)
+        self._p_flip = np.sin(self._menu[:, 0] - self._menu[:, 1]) ** 2
         if model.kind in SCENARIO_KINDS:
             self._pattern = scenario_pattern(model.scenario_period, seed)
         else:
@@ -262,23 +267,22 @@ class PairSampler:
 
     def sample(
         self,
-        alphas: np.ndarray,
-        betas: np.ndarray,
-        pulse_times_s: np.ndarray,
+        settings: np.ndarray,
+        pulse_start_ns: np.ndarray,
         within_pulse_ns: np.ndarray,
         pulse_duration_ns: int,
         rng: np.random.Generator,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Outcome bits for a batch of coincident pulses, in time order."""
+        """Outcome bits for a batch of coincident pulses, in time order, given
+        each pair's menu index, its pulse's start and its place in the pulse."""
         kind = self.model.kind
-        alphas = np.asarray(alphas, dtype=np.float64)
-        betas = np.asarray(betas, dtype=np.float64)
 
         if kind is ModelKind.QM_NONLOCAL or kind is ModelKind.SCENARIO_REALISM_FALSE:
-            return _qm_pair_bits(alphas - betas, rng)
+            return _qm_pair_bits(self._p_flip[settings], rng)
 
         if kind in HIDDEN_VARIABLE_KINDS:
-            lam = hidden_angles(self.model, pulse_times_s, rng)
+            lam = hidden_angles(self.model, pulse_start_ns * 1e-9, rng)
+            alphas, betas = self._menu[settings].T
             return local_hv_bit(lam, alphas), local_hv_bit(lam, betas)
 
         if kind in (ModelKind.SCENARIO_LOCALITY_FALSE, ModelKind.SCENARIO_ERGODICITY_FALSE):
@@ -289,15 +293,15 @@ class PairSampler:
             entropy, deterministic = (
                 halves if kind is ModelKind.SCENARIO_LOCALITY_FALSE else halves[::-1]
             )
-            bits_a = np.empty(alphas.size, dtype=np.uint8)
-            bits_b = np.empty(alphas.size, dtype=np.uint8)
+            bits_a = np.empty(settings.size, dtype=np.uint8)
+            bits_b = np.empty(settings.size, dtype=np.uint8)
             # Draw order is fixed (entropy half first) so output is
             # reproducible no matter how the halves partition the batch.
             bits_a[entropy], bits_b[entropy] = _qm_pair_bits(
-                alphas[entropy] - betas[entropy], rng
+                self._p_flip[settings[entropy]], rng
             )
             bits_a[deterministic], bits_b[deterministic], self._pattern_pos = _pattern_pair_bits(
-                alphas[deterministic] - betas[deterministic], self._pattern, self._pattern_pos, rng
+                self._p_flip[settings[deterministic]], self._pattern, self._pattern_pos, rng
             )
             return bits_a, bits_b
 

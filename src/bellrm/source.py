@@ -323,9 +323,11 @@ def _draw_block(
     and darks as (station, t, pulse, port).  An unpaired category's
     settings are hashed from its pulses slab by slab where the block is
     merged.  Each category is sorted by time, and each column but t has its
-    BTAG width (pulse u32, port u8, setting u16).  The blocks of a run must
-    be drawn in order, one at a time: the pattern scenarios' ``sampler``
-    carries its position from block to block.
+    BTAG width (pulse u32, port u8, setting u16).  The pairs go to
+    ``sampler`` as setting indices and pulse starts, and it looks up what
+    its model reads, so no per-pair angle or time column is built here.
+    The blocks of a run must be drawn in order, one at a time: the pattern
+    scenarios' ``sampler`` carries its position from block to block.
     """
     duration_ns = pulse_geometry(config).pulse_duration_ns
     rep_rate_hz = config.rep_rate_hz
@@ -337,10 +339,7 @@ def _draw_block(
     t = pulse_start_ns(pulses, rep_rate_hz)
     within = rng.integers(0, duration_ns, pulses.size)
     settings = per_pulse_choice(seed, "settings", pulses, len(config.settings_menu))
-    menu = np.array(config.settings_menu)
-    bits_a, bits_b = sampler.sample(
-        menu[settings, 0], menu[settings, 1], t * 1e-9, within, duration_ns, rng
-    )
+    bits_a, bits_b = sampler.sample(settings, t, within, duration_ns, rng)
     t += within
     del within  # as large as the pairs, and not needed in the merge
     parts = [(STATION_A, t, pulses, bits_a, settings), (STATION_B, t, pulses, bits_b, settings)]
@@ -394,7 +393,7 @@ def iter_event_chunks(
     rep_rate_hz = config.rep_rate_hz
     n_pulses = config.n_pulses
     n_menu = len(config.settings_menu)
-    sampler = PairSampler(model, seed)
+    sampler = PairSampler(model, seed, config.settings_menu)
     if stats is None:
         stats = RunStats()
     stats.n_pulses = n_pulses
@@ -469,16 +468,17 @@ def iter_event_chunks(
             del parts
 
 
-def simulate_to_btag(config: RunConfig, model: OutcomeModel, path) -> RunStats:
+def simulate_to_btag(config: RunConfig, model: OutcomeModel, path) -> tuple[RunStats, str]:
     """Stream the run straight into a BTAG file, one time slab at a time.
 
     Memory holds one block's draws and one slab's merge, whatever the
     run's length; the file holds the chunks of :func:`iter_event_chunks`
-    in order.
+    in order.  Returns the run's tallies and the hex SHA-256 of the file's
+    record region (byte 32 to the end), hashed as it was written.
     """
     stats = RunStats()
     with BtagWriter(path) as writer:
         for chunk in iter_event_chunks(config, model, stats):
             writer.write(chunk)
             del chunk  # not held while the next slab is merged
-    return stats
+    return stats, writer.records_sha256()

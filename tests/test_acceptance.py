@@ -54,14 +54,13 @@ def report(number: int, ok: bool, detail: str) -> None:
 
 def sample_chsh(model, n_per_pair, seed):
     """Model-level CHSH estimate at the standard angles."""
-    sampler = PairSampler(model, seed)
+    sampler = PairSampler(model, seed, CHSH_MENU)
     rng = substream(seed, "acceptance-chsh")
     parts = []
-    for k, (alpha, beta) in enumerate(CHSH_MENU):
+    for k in range(len(CHSH_MENU)):
         bits_a, bits_b = sampler.sample(
-            np.full(n_per_pair, alpha), np.full(n_per_pair, beta),
-            np.arange(n_per_pair) * 1e-6, np.zeros(n_per_pair, dtype=np.int64),
-            100, rng,
+            np.full(n_per_pair, k), np.arange(n_per_pair) * 1000,
+            np.zeros(n_per_pair, dtype=np.int64), 100, rng,
         )
         rec = np.zeros(n_per_pair, dtype=COINC_DTYPE)
         rec["bit_a"], rec["bit_b"], rec["setting_index"] = bits_a, bits_b, k

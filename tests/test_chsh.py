@@ -50,14 +50,13 @@ def records_from_bits(bits_a, bits_b, settings, slices=None):
 
 
 def sampled_records(model, n_per_pair, seed, menu=CHSH_MENU, slices=None):
-    sampler = PairSampler(model, seed)
+    sampler = PairSampler(model, seed, menu)
     rng = substream(seed, "chsh-records")
     parts = []
-    for k, (alpha, beta) in enumerate(menu):
+    for k in range(len(menu)):
         bits_a, bits_b = sampler.sample(
-            np.full(n_per_pair, alpha),
-            np.full(n_per_pair, beta),
-            np.arange(n_per_pair) * 1e-6,
+            np.full(n_per_pair, k),
+            np.arange(n_per_pair) * 1000,
             np.zeros(n_per_pair, dtype=np.int64),
             100,
             rng,
@@ -85,11 +84,11 @@ class TestCorrelationEstimate:
 
     def test_qm_at_pi_over_8(self):
         # analytic target: cos(pi/4) = 0.7071
-        sampler = PairSampler(QM, seed=21)
+        sampler = PairSampler(QM, 21, [(PI / 8, 0.0)])
         n = 10**6
         bits_a, bits_b = sampler.sample(
-            np.full(n, PI / 8), np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64),
-            100, substream(21, "corr"),
+            np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.int64),
+            np.zeros(n, dtype=np.int64), 100, substream(21, "corr"),
         )
         est = correlation_from_counts(*joint_counts(bits_a, bits_b))
         assert est.E == pytest.approx(math.sqrt(2) / 2, abs=0.003)

@@ -77,9 +77,13 @@ class TestSimulate:
         manifest = json.loads((sim_dir / "manifest.json").read_text())
         assert manifest["seed"] == 77
         assert manifest["stats"]["n_events"] == len(events)
-        assert manifest["artifacts"]["events.btag"]["sha256"] == sha256(
-            sim_dir / "events.btag"
-        )
+        # the digest covers the records, byte 32 on; the header is checked
+        # byte by byte when the file is opened
+        recorded = manifest["artifacts"]["events.btag"]
+        data = (sim_dir / "events.btag").read_bytes()
+        assert recorded == {
+            "bytes": len(data), "records_sha256": hashlib.sha256(data[32:]).hexdigest()
+        }
 
     def test_byte_identical_replay(self, tmp_path, no_bellrm_env):
         cfg = write_config(tmp_path)
@@ -87,6 +91,26 @@ class TestSimulate:
         main(["simulate", "--config", str(cfg), "--out", str(out1)])
         main(["simulate", "--config", str(cfg), "--out", str(out2)])
         assert sha256(out1 / "events.btag") == sha256(out2 / "events.btag")
+
+    def test_a_manifest_with_a_whole_file_digest_still_replays_and_analyzes(
+        self, sim_dir, tmp_path, no_bellrm_env
+    ):
+        # manifests written before the record-region digest recorded the
+        # SHA-256 of the whole file; analyze reads no digest
+        manifest_path = sim_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["artifacts"]["events.btag"] = {
+            "bytes": (sim_dir / "events.btag").stat().st_size,
+            "sha256": sha256(sim_dir / "events.btag"),
+        }
+        manifest_path.write_text(json.dumps(manifest))
+        out = tmp_path / "replay"
+        assert main(["simulate", "--config", str(manifest_path), "--out", str(out)]) == 0
+        assert sha256(out / "events.btag") == sha256(sim_dir / "events.btag")
+        assert main(["analyze", "--in", str(sim_dir)]) == 0
+        assert main(["analyze", "--in", str(out)]) == 0
+        for name in ("chsh_per_slice.csv", "sequences.csv", "curve.csv", "verdict.json"):
+            assert sha256(sim_dir / name) == sha256(out / name)
 
     def test_manifest_is_a_valid_config(self, sim_dir, tmp_path, no_bellrm_env):
         # re-running from the manifest reproduces the file bit for bit
@@ -245,8 +269,11 @@ class TestSimulate:
         out = tmp_path / "csv"
         main(["simulate", "--config", str(cfg), "--out", str(out), "--csv"])
         assert (out / "events.csv").exists()
+        # the CSV has no header to patch: its digest covers the whole file
         manifest = json.loads((out / "manifest.json").read_text())
-        assert "events.csv" in manifest["artifacts"]
+        assert manifest["artifacts"]["events.csv"] == {
+            "bytes": (out / "events.csv").stat().st_size, "sha256": sha256(out / "events.csv")
+        }
 
     def test_manifest_records_generator_version(self, sim_dir):
         manifest = json.loads((sim_dir / "manifest.json").read_text())
@@ -423,7 +450,9 @@ class TestAnalyze:
         with BtagWriter(out / "events.btag") as writer:
             writer.write(events)
         manifest = json.loads((out / "manifest.json").read_text())
-        manifest["artifacts"]["events.btag"]["sha256"] = sha256(out / "events.btag")
+        manifest["artifacts"]["events.btag"]["records_sha256"] = hashlib.sha256(
+            (out / "events.btag").read_bytes()[32:]
+        ).hexdigest()
         (out / "manifest.json").write_text(json.dumps(manifest))
         capsys.readouterr()
         assert main(["analyze", "--in", str(out)]) == 0
@@ -964,3 +993,22 @@ def test_one_damaged_byte_or_field_ends_in_an_exit_code(
         if code:
             assert len(err.splitlines()) == 1
             assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+@pytest.mark.parametrize("offset", range(16, 32))
+def test_a_damaged_reserved_header_byte_exits_3(analyzed_run, no_bellrm_env, capsys, offset):
+    # the manifest's digest covers the records only, so the header is
+    # checked byte by byte
+    with tempfile.TemporaryDirectory() as tmp:
+        run = Path(tmp) / "run"
+        shutil.copytree(analyzed_run, run)
+        data = bytearray((run / "events.btag").read_bytes())
+        data[offset] = 1
+        (run / "events.btag").write_bytes(bytes(data))
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(run)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "reserved header byte holds 1" in err and f"byte offset {offset})" in err
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before

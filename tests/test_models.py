@@ -19,7 +19,7 @@ from bellrm import (
 )
 from bellrm.models import stationary_lambda_samples
 from bellrm.streams import per_pulse_choice, substream
-from sampler_oracle import MaskedPairSampler
+from sampler_oracle import EDGE_MENU, MaskedPairSampler
 
 PI = math.pi
 
@@ -28,12 +28,22 @@ LOCAL = OutcomeModel(ModelKind.LOCAL_ERGODIC)
 NONERG = OutcomeModel(ModelKind.NONERGODIC)
 
 
-def sample_pairs(model, alphas, betas, times_s, rng):
-    """Bits of one PairSampler batch; every pair at the start of a 100 ns pulse."""
+def sample_pairs(model, alphas, betas, start_ns, rng):
+    """Bits of one PairSampler batch whose menu holds one entry per pair;
+    every pair at the start of a 100 ns pulse."""
     alphas = np.asarray(alphas, dtype=np.float64)
-    return PairSampler(model, seed=1).sample(
-        alphas, np.broadcast_to(betas, alphas.shape), np.broadcast_to(times_s, alphas.shape),
+    menu = np.stack([alphas, np.broadcast_to(betas, alphas.shape)], axis=1)
+    return PairSampler(model, 1, menu).sample(
+        np.arange(alphas.size), np.broadcast_to(start_ns, alphas.shape),
         np.zeros(alphas.size, dtype=np.int64), 100, rng,
+    )
+
+
+def sample_setting(sampler, k, n, rng, start_ns=0, within_ns=0, duration_ns=100):
+    """Bits of ``n`` pairs that all take menu entry ``k`` of ``sampler``."""
+    return sampler.sample(
+        np.full(n, k), np.broadcast_to(start_ns, (n,)),
+        np.broadcast_to(within_ns, (n,)), duration_ns, rng,
     )
 
 
@@ -117,13 +127,13 @@ class TestEvolveLambda:
 
     def test_nonergodic_phase_origin(self):
         thetas = self.THETAS
-        bits_a, bits_b = sample_pairs(NONERG, thetas, thetas[::-1], 0.0, substream(5, "t0"))
+        bits_a, bits_b = sample_pairs(NONERG, thetas, thetas[::-1], 0, substream(5, "t0"))
         assert np.array_equal(bits_a, local_hv_bit(0.0, thetas))
         assert np.array_equal(bits_b, local_hv_bit(0.0, thetas[::-1]))
         assert not np.array_equal(bits_a, local_hv_bit(PI / 2, thetas))
 
     def test_nonergodic_half_period(self):
-        t = NONERG.drift_period_s / 2
+        t = round(NONERG.drift_period_s / 2 * 1e9)
         bits_a, _ = sample_pairs(NONERG, self.THETAS, 0.0, t, substream(5, "half"))
         assert np.array_equal(bits_a, local_hv_bit(PI / 2, self.THETAS))
         assert not np.array_equal(bits_a, local_hv_bit(0.0, self.THETAS))
@@ -147,25 +157,21 @@ class TestEvolveLambda:
 
 class TestSampleOutcome:
     def test_qm_aligned_never_mismatches(self):
-        sampler = PairSampler(QM, seed=1)
-        alphas = np.full(1_000_000, 0.0)
-        bits_a, bits_b = sampler.sample(
-            alphas, alphas.copy(), np.zeros_like(alphas), np.zeros_like(alphas, dtype=np.int64), 100,
-            substream(1, "qm-aligned"),
-        )
+        sampler = PairSampler(QM, 1, [(0.0, 0.0)])
+        bits_a, bits_b = sample_setting(sampler, 0, 1_000_000, substream(1, "qm-aligned"))
         assert np.array_equal(bits_a, bits_b)
 
     def test_local_model_deterministic_given_state(self):
         # the drifting angle is fixed by the pulse time: independent
         # generator streams give the same bits
-        times = np.arange(1000) * 1e-5
-        alphas = np.full(times.size, 0.9)
+        starts_ns = np.arange(1000) * 10_000
+        alphas = np.full(starts_ns.size, 0.9)
         runs = [
-            sample_pairs(NONERG, alphas, 0.1, times, substream(s, "irrelevant"))[0]
+            sample_pairs(NONERG, alphas, 0.1, starts_ns, substream(s, "irrelevant"))[0]
             for s in (2, 3)
         ]
         assert np.array_equal(runs[0], runs[1])
-        lam = (PI / NONERG.drift_period_s * times) % PI
+        lam = (PI / NONERG.drift_period_s * (starts_ns * 1e-9)) % PI
         assert np.array_equal(runs[0], local_hv_bit(lam, alphas))
 
     def test_qm_chsh_reaches_quantum_bound(self):
@@ -177,16 +183,11 @@ class TestSampleOutcome:
             + qm_correlation(*CHSH_MENU[3])
         )
         assert expected == pytest.approx(2 * math.sqrt(2), abs=1e-12)
-        sampler = PairSampler(QM, seed=3)
+        sampler = PairSampler(QM, 3, CHSH_MENU)
         rng = substream(3, "qm-chsh")
         s = 0.0
-        for sign, (alpha, beta) in zip((1, -1, 1, 1), CHSH_MENU):
-            n = 1_000_000
-            a = np.full(n, alpha)
-            b = np.full(n, beta)
-            bits_a, bits_b = sampler.sample(
-                a, b, np.zeros(n), np.zeros(n, dtype=np.int64), 100, rng
-            )
+        for k, sign in enumerate((1, -1, 1, 1)):
+            bits_a, bits_b = sample_setting(sampler, k, 1_000_000, rng)
             e = float(np.mean(np.where(bits_a == bits_b, 1.0, -1.0)))
             s += sign * e
         assert abs(s) == pytest.approx(expected, abs=0.01)
@@ -198,25 +199,20 @@ class TestSampleOutcome:
 
 class TestModelInvariants:
     def test_joint_probabilities_partition_unity(self):
-        sampler = PairSampler(QM, seed=9)
+        sampler = PairSampler(QM, 9, [(0.4, 1.1)])
         n = 100_000
-        bits_a, bits_b = sampler.sample(
-            np.full(n, 0.4), np.full(n, 1.1), np.zeros(n), np.zeros(n, dtype=np.int64),
-            100, substream(9, "partition"),
-        )
+        bits_a, bits_b = sample_setting(sampler, 0, n, substream(9, "partition"))
         counts = np.bincount(2 * bits_a.astype(int) + bits_b, minlength=4)
         assert counts.sum() == n  # the four outcomes partition the samples
 
     def test_qm_correlation_matches_cos_on_grid(self):
         n = 100_000
         tol = 4 / math.sqrt(n)
-        sampler = PairSampler(QM, seed=11)
+        deltas = np.linspace(0, PI, 16, endpoint=False)
+        sampler = PairSampler(QM, 11, [(delta, 0.0) for delta in deltas])
         rng = substream(11, "qm-grid")
-        for delta in np.linspace(0, PI, 16, endpoint=False):
-            bits_a, bits_b = sampler.sample(
-                np.full(n, delta), np.zeros(n), np.zeros(n),
-                np.zeros(n, dtype=np.int64), 100, rng,
-            )
+        for k, delta in enumerate(deltas):
+            bits_a, bits_b = sample_setting(sampler, k, n, rng)
             e = float(np.mean(np.where(bits_a == bits_b, 1.0, -1.0)))
             assert abs(e - math.cos(2 * delta)) < tol
 
@@ -224,15 +220,13 @@ class TestModelInvariants:
     def test_remote_setting_cannot_influence_local_bit(self, model):
         # identical hidden state and stream position, different remote angle
         n = 20_000
-        times = np.arange(n) * 1e-6
-        within = np.zeros(n, dtype=np.int64)
-        alphas = np.full(n, 0.2)
-        sampler = PairSampler(model, seed=13)
-        a1, _ = sampler.sample(alphas, np.full(n, 0.9), times, within, 100, substream(13, "swap"))
-        a2, _ = sampler.sample(alphas, np.full(n, 1.4), times, within, 100, substream(13, "swap"))
+        starts_ns = np.arange(n) * 1000
+        sampler = PairSampler(model, 13, [(0.2, 0.9), (0.2, 1.4), (0.9, 0.2), (1.4, 0.2)])
+        a1, a2, b1, b2 = (
+            sample_setting(sampler, k, n, substream(13, "swap"), starts_ns)[k // 2]
+            for k in range(4)
+        )
         assert np.array_equal(a1, a2)
-        b1 = sampler.sample(np.full(n, 0.9), alphas, times, within, 100, substream(13, "swap"))[1]
-        b2 = sampler.sample(np.full(n, 1.4), alphas, times, within, 100, substream(13, "swap"))[1]
         assert np.array_equal(b1, b2)
 
     def test_nonergodic_autocorrelation_peaks_at_drift_period(self):
@@ -240,10 +234,9 @@ class TestModelInvariants:
         rep = 1e6
         period_pulses = int(NONERG.drift_period_s * rep)
         n = 3 * period_pulses
-        sampler = PairSampler(NONERG, seed=17)
-        bits_a, _ = sampler.sample(
-            np.zeros(n), np.zeros(n), np.arange(n) / rep,
-            np.zeros(n, dtype=np.int64), 100, substream(17, "acf"),
+        sampler = PairSampler(NONERG, 17, [(0.0, 0.0)])
+        bits_a, _ = sample_setting(
+            sampler, 0, n, substream(17, "acf"), np.arange(n) * round(1e9 / rep)
         )
         x = 2.0 * bits_a.astype(np.float64) - 1.0
         x -= x.mean()
@@ -268,17 +261,13 @@ class TestModelInvariants:
     )
     def test_scenarios_violate_chsh_in_both_halves(self, kind):
         model = OutcomeModel(kind)
-        sampler = PairSampler(model, seed=19)
+        sampler = PairSampler(model, 19, CHSH_MENU)
         rng = substream(19, "scenario-chsh")
         n = 100_000
-        duration = 100
-        for half_offset in (0, duration // 2):
-            within = np.full(n, half_offset, dtype=np.int64)
+        for half_offset in (0, 50):  # the two halves of a 100 ns pulse
             s = 0.0
-            for sign, (alpha, beta) in zip((1, -1, 1, 1), CHSH_MENU):
-                bits_a, bits_b = sampler.sample(
-                    np.full(n, alpha), np.full(n, beta), np.zeros(n), within, duration, rng
-                )
+            for k, sign in enumerate((1, -1, 1, 1)):
+                bits_a, bits_b = sample_setting(sampler, k, n, rng, within_ns=half_offset)
                 s += sign * float(np.mean(np.where(bits_a == bits_b, 1.0, -1.0)))
             sigma = 2.0 / math.sqrt(n)  # four correlations, each var <= 1/n
             assert abs(s) > 2.0 + 10 * sigma
@@ -294,14 +283,9 @@ class TestScenarioPattern:
 
     def test_deterministic_half_emits_the_pattern_in_order(self):
         model = OutcomeModel(ModelKind.SCENARIO_LOCALITY_FALSE)
-        sampler = PairSampler(model, seed=31)
-        n = 256
-        duration = 100
-        within = np.full(n, 90, dtype=np.int64)  # all in the second half
-        bits_a, _ = sampler.sample(
-            np.zeros(n), np.zeros(n), np.zeros(n), within, duration,
-            substream(31, "pattern-order"),
-        )
+        sampler = PairSampler(model, 31, [(0.0, 0.0)])
+        # all in the second half of a 100 ns pulse
+        bits_a, _ = sample_setting(sampler, 0, 256, substream(31, "pattern-order"), within_ns=90)
         pat = scenario_pattern(64, seed=31)
         assert np.array_equal(bits_a, np.tile(pat, 4))
 
@@ -322,24 +306,30 @@ class TestScenarioPattern:
         # an 8 ns pulse: within 0-3 is the first half, 4-7 the second
         duration = 8
         model = OutcomeModel(kind)
-        sampler, masked = PairSampler(model, seed=37), MaskedPairSampler(model, seed=37)
-        menu = np.array(CHSH_MENU)
-        for i, batch in enumerate(batches):
-            within = np.array(batch, dtype=np.int64)
-            settings = substream(37, "settings", i).integers(0, 4, within.size)
-            args = (menu[settings, 0], menu[settings, 1], within * 1e-6, within, duration)
-            pos = sampler._pattern_pos
-            got = sampler.sample(*args, substream(37, "pairs", i))
-            want = masked.sample(*args, substream(37, "pairs", i))
-            for g, w in zip(got, want):
-                assert g.dtype == np.uint8 and g.size == within.size
-                assert np.array_equal(g, w)
-            in_second = int(np.count_nonzero(2 * within >= duration))
-            n_deterministic = {
-                ModelKind.SCENARIO_LOCALITY_FALSE: in_second,
-                ModelKind.SCENARIO_ERGODICITY_FALSE: within.size - in_second,
-            }.get(kind, 0)
-            assert sampler._pattern_pos == masked._pattern_pos == pos + n_deterministic
+        for menu in (CHSH_MENU, EDGE_MENU):
+            sampler, masked = PairSampler(model, 37, menu), MaskedPairSampler(model, 37, menu)
+            for i, batch in enumerate(batches):
+                within = np.array(batch, dtype=np.int64)
+                settings = substream(37, "settings", i).integers(0, 4, within.size)
+                args = (settings.astype(np.uint16), within * 1000, within, duration)
+                pos = sampler._pattern_pos
+                got = sampler.sample(*args, substream(37, "pairs", i))
+                want = masked.sample(*args, substream(37, "pairs", i))
+                for g, w in zip(got, want):
+                    assert g.dtype == np.uint8 and g.size == within.size
+                    assert np.array_equal(g, w)
+                if menu is EDGE_MENU:
+                    # equal angles never flip and orthogonal ones always do,
+                    # in every kind and either pulse half
+                    bits_a, bits_b = got
+                    assert np.array_equal(bits_a[settings == 0], bits_b[settings == 0])
+                    assert np.all(bits_a[settings == 1] != bits_b[settings == 1])
+                in_second = int(np.count_nonzero(2 * within >= duration))
+                n_deterministic = {
+                    ModelKind.SCENARIO_LOCALITY_FALSE: in_second,
+                    ModelKind.SCENARIO_ERGODICITY_FALSE: within.size - in_second,
+                }.get(kind, 0)
+                assert sampler._pattern_pos == masked._pattern_pos == pos + n_deterministic
 
 
 class TestPerPulseChoice:

@@ -28,7 +28,7 @@ from bellrm import (
 )
 from bellrm.source import _hit_offsets
 from bellrm.streams import per_pulse_choice, substream
-from sampler_oracle import MaskedPairSampler
+from sampler_oracle import EDGE_MENU, MaskedPairSampler
 
 QM = OutcomeModel(ModelKind.QM_NONLOCAL)
 
@@ -389,10 +389,8 @@ def iter_event_chunks_before(config, model, stats, chunk_pulses):
     duration_ns = geo.pulse_duration_ns
     n_pulses = config.n_pulses
     n_menu = len(config.settings_menu)
-    menu_alpha = np.array([p[0] for p in config.settings_menu])
-    menu_beta = np.array([p[1] for p in config.settings_menu])
     seed = config.seed
-    sampler = MaskedPairSampler(model, seed)
+    sampler = MaskedPairSampler(model, seed, config.settings_menu)
     stats.n_pulses = n_pulses
 
     p_single = config.detection_prob_per_pulse
@@ -415,10 +413,7 @@ def iter_event_chunks_before(config, model, stats, chunk_pulses):
             within = rng_c.integers(0, duration_ns, k)
             t = starts + within
             settings = per_pulse_choice(seed, "settings", pulses, n_menu)
-            bits_a, bits_b = sampler.sample(
-                menu_alpha[settings], menu_beta[settings], starts * 1e-9, within,
-                duration_ns, rng_c,
-            )
+            bits_a, bits_b = sampler.sample(settings, starts, within, duration_ns, rng_c)
             parts_a.append((t, pulses, bits_a, settings))
             parts_b.append((t, pulses, bits_b, settings))
             stats.n_coincidence_pairs += k
@@ -490,6 +485,8 @@ def iter_event_chunks_before(config, model, stats, chunk_pulses):
         # a 1 ns pulse puts every pair in the first half: one half has none
         (ModelKind.SCENARIO_LOCALITY_FALSE, {"pulse_duration_s": 1e-9}),
         (ModelKind.SCENARIO_ERGODICITY_FALSE, {"pulse_duration_s": 1e-9}),
+        # flip probabilities 0 and 1 and angles near pi, for every kind
+        *((kind, {"settings_menu": EDGE_MENU}) for kind in ModelKind),
     ],
 )
 def test_generator_equals_the_one_with_a_guard_per_category(kind, run):

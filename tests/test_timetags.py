@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import tracemalloc
@@ -782,6 +783,21 @@ class TestBtagFormat:
             assert len(events) == ev.size
             back = events[:]
         assert np.array_equal(ev, back)
+
+    def test_writer_hashes_the_record_region_as_it_writes(self, tmp_path, rng):
+        # chunks of every shape the writer takes: a strided view and another
+        # dtype are written, and hashed, as contiguous EVENT_DTYPE records
+        ev = self.events(rng)
+        wide = np.zeros(10, dtype=[(name, "<i8") for name in EVENT_DTYPE.names])
+        path = tmp_path / "events.btag"
+        with BtagWriter(path) as writer:
+            writer.write(ev[:40])
+            writer.write(ev[40::2])
+            writer.write(np.empty(0, dtype=EVENT_DTYPE))
+            writer.write(wide)
+        data = path.read_bytes()
+        assert writer.records_sha256() == hashlib.sha256(data[32:]).hexdigest()
+        assert len(data) == 32 + 16 * (40 + 30 + 10)
 
     def test_failed_count_patch_leaves_the_old_file(self, tmp_path, rng, monkeypatch):
         path = tmp_path / "events.btag"
