@@ -25,7 +25,8 @@ as it writes it.  The header is a function of the record count, patched
 in last, so no digest covers it: ``BtagFile`` checks every header byte
 instead.  The CSV mirror carries one record per line in the same field
 order, station written as A/B.  It is an export for other tools:
-``write_csv`` writes it slice by slice, and bellrm has no CSV reader.
+``write_csv`` writes it slice by slice and hashes it as it writes it, and
+bellrm has no CSV reader.
 """
 
 from __future__ import annotations
@@ -202,12 +203,20 @@ class BtagFile:
         self._fh.close()
 
 
-def write_csv(path: str | Path, events) -> None:
+def write_csv(path: str | Path, events) -> str:
     """Write the CSV mirror of an event stream: an array or a ``BtagFile``,
-    read ``PIECE_RECORDS`` records at a time."""
+    read ``PIECE_RECORDS`` records at a time.  Returns the hex SHA-256 of
+    the file, hashed piece by piece as it is written."""
     letters = np.array([STATION_LETTERS[STATION_A], STATION_LETTERS[STATION_B]])
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write(CSV_HEADER + "\n")
+    digest = hashlib.sha256()
+    with atomic_open(path, "wb") as fh:
+
+        def write(text: str) -> None:
+            data = text.encode("ascii")
+            fh.write(data)
+            digest.update(data)
+
+        write(CSV_HEADER + "\n")
         for first in range(0, len(events), PIECE_RECORDS):
             piece = events[first : first + PIECE_RECORDS]
             columns = (
@@ -217,5 +226,5 @@ def write_csv(path: str | Path, events) -> None:
                 piece["port_bit"].tolist(),
                 piece["setting_index"].tolist(),
             )
-            fh.writelines(map("%d,%d,%s,%d,%d\n".__mod__, zip(*columns)))
-
+            write("".join(map("%d,%d,%s,%d,%d\n".__mod__, zip(*columns))))
+    return digest.hexdigest()

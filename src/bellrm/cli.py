@@ -11,86 +11,39 @@ BELLRM_DARK_RATE_HZ, BELLRM_SLICES); command-line flags win over both.
 Exit codes: 0 ok, 2 configuration error or an output path that cannot be
 written, 3 data error, 4 the battery worker of ``analyze`` died (the
 message names its exit code).  The analysis itself lives in
-:mod:`bellrm.pipeline`.
+:mod:`bellrm.pipeline`, and the run directory's files and manifest in
+:mod:`bellrm.rundir`.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import math
 import os
 import sys
 from contextlib import contextmanager
-from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .atomic import atomic_open
-from .errors import ConfigError, DataError, IntegrityError, WorkerError
+from .errors import ConfigError, DataError, WorkerError
+from .rundir import (
+    ANALYSIS_OUTPUTS, CSV_FILENAME, EVENTS_FILENAME, MANIFEST_FILENAME, REPORT_OUTPUTS,
+    load_config, read_json, read_manifest, write_manifest,
+)
 
-# btag, source, models, pipeline, chsh and randommeter (all on numpy), and
-# dataclasses, are imported inside the functions that use them, so that
-# report, --version, --help and argument errors start without them.
-if TYPE_CHECKING:
-    from .models import OutcomeModel
-    from .pipeline import AnalysisConfig
-    from .source import RunConfig, RunStats
-
+# btag, source, models, pipeline, chsh and randommeter (all on numpy) are
+# imported inside the functions that use them, so that report, --version,
+# --help and argument errors start without them.
 ENV_PREFIX = "BELLRM_"
-
-EVENTS_FILENAME = "events.btag"
-MANIFEST_FILENAME = "manifest.json"
-ANALYSIS_OUTPUTS = ("chsh_per_slice.csv", "sequences.csv", "curve.csv", "verdict.json")
-REPORT_OUTPUTS = ("summary.txt", "combined_curves.csv")
 CURVE_NUMBERS = ("rejection_rate", "ci_low", "ci_high", "mean_compression_ratio", "randomness_level")
 
-
-def _env_overrides(keys) -> dict:
-    out = {}
-    for key in keys:
-        raw = os.environ.get(ENV_PREFIX + key.upper())
-        if raw is None:
-            continue
-        try:
-            out[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            out[key] = raw
-    return out
-
-
-def load_config(path) -> dict:
-    """Load a config file; a manifest is accepted too (its config is reused)."""
-    from .source import GENERATOR_VERSION
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ConfigError(f"config {path} does not hold a JSON object")
-    if "config" in obj and isinstance(obj["config"], dict) and "run" in obj["config"]:
-        version = obj.get("generator_version", 1)
-        if version != GENERATOR_VERSION:
-            raise ConfigError(
-                f"manifest {path} comes from generator version {version}; this bellrm "
-                f"generates version {GENERATOR_VERSION} and would write other bytes "
-                "for its seed"
-            )
-        obj = obj["config"]
-    if "run" not in obj:
-        raise ConfigError(f"config {path} lacks a 'run' section")
-    return obj
-
-
-_ANALYSIS_ENV_KEYS = (
+# (environment key, config key) of each analysis value; each analyze
+# flag's dest is its environment key
+_ANALYSIS_KEYS = (
     ("slices", "n_slices"),
     ("window_ns", "window_ns"),
     ("alpha_sig", "alpha_sig"),
@@ -98,12 +51,28 @@ _ANALYSIS_ENV_KEYS = (
 )
 
 
-def _merge_analysis_env(analysis_dict: dict) -> dict:
-    env = _env_overrides([env_key for env_key, _ in _ANALYSIS_ENV_KEYS])
-    for env_key, cfg_key in _ANALYSIS_ENV_KEYS:
-        if env_key in env:
-            analysis_dict[cfg_key] = env[env_key]
-    return analysis_dict
+def _overridden(section: dict, keys, flags: dict) -> dict:
+    """``section`` with each (environment key, config key) of ``keys`` set
+    from ``BELLRM_<KEY>``, parsed as JSON where it parses, and then from
+    the flag named by the environment key, which wins when it is given."""
+    for env_key, cfg_key in keys:
+        raw = os.environ.get(ENV_PREFIX + env_key.upper())
+        if flags.get(env_key) is not None:
+            section[cfg_key] = flags[env_key]
+        elif raw is not None:
+            try:
+                section[cfg_key] = json.loads(raw)
+            except json.JSONDecodeError:
+                section[cfg_key] = raw
+    return section
+
+
+def analysis_config(section: dict, flags: dict):
+    """The ``AnalysisConfig`` of a config's or manifest's analysis section,
+    overridden by the environment and then by ``flags``."""
+    from .pipeline import AnalysisConfig
+
+    return AnalysisConfig.from_dict(_overridden(section, _ANALYSIS_KEYS, flags))
 
 
 def _section(obj: dict, name: str, default: dict) -> dict:
@@ -114,21 +83,16 @@ def _section(obj: dict, name: str, default: dict) -> dict:
     return dict(section)
 
 
-def effective_configs(obj: dict, seed_flag: int | None = None):
-    """Merge file values with environment overrides and the --seed flag."""
+def effective_configs(obj: dict, flags: dict):
+    """The run, model and analysis configs of a config file, each section
+    overridden by the environment and then by ``flags`` (``seed``)."""
     from .models import OutcomeModel
-    from .pipeline import AnalysisConfig
     from .source import RunConfig
 
-    run_dict = _section(obj, "run", {})
-    run_dict.update(_env_overrides(RunConfig.__dataclass_fields__))
-    if seed_flag is not None:
-        run_dict["seed"] = seed_flag
-    run = RunConfig.from_dict(run_dict)
+    run_keys = [(name, name) for name in RunConfig.__dataclass_fields__]
+    run = RunConfig.from_dict(_overridden(_section(obj, "run", {}), run_keys, flags))
     model = OutcomeModel.from_dict(_section(obj, "model", {"kind": "QM_NONLOCAL"}))
-    analysis_dict = _merge_analysis_env(_section(obj, "analysis", {}))
-    analysis = AnalysisConfig.from_dict(analysis_dict)
-    return run, model, analysis
+    return run, model, analysis_config(_section(obj, "analysis", {}), flags)
 
 
 @contextmanager
@@ -162,71 +126,19 @@ def output_lock(directory: Path):
             pass
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
-def write_manifest(
-    directory: Path,
-    run: RunConfig,
-    model: OutcomeModel,
-    analysis: AnalysisConfig,
-    stats: RunStats,
-    digests: dict,
-) -> dict:
-    """Write ``manifest.json``; ``digests`` maps each artifact to the digest
-    fields recorded beside its size."""
-    from dataclasses import asdict
-
-    from .source import GENERATOR_VERSION, pulse_geometry
-
-    geo = pulse_geometry(run)
-    manifest = {
-        "tool": "bellrm",
-        "tool_version": __version__,
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-        "generator_version": GENERATOR_VERSION,
-        "seed": run.seed,
-        "config": {
-            "run": run.to_dict(),
-            "model": model.to_dict(),
-            "analysis": asdict(analysis),
-        },
-        "geometry": {
-            "pulse_duration_s": geo.pulse_duration_s,
-            "rep_period_s": geo.rep_period_s,
-            "duty_cycle": geo.duty_cycle,
-            "light_time_s": geo.light_time_s,
-        },
-        "stats": stats.to_dict(),
-        "artifacts": {
-            name: {"bytes": (directory / name).stat().st_size, **fields}
-            for name, fields in digests.items()
-        },
-    }
-    with atomic_open(directory / MANIFEST_FILENAME, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-    return manifest
-
-
 def cmd_simulate(args) -> int:
     from .btag import BtagFile, write_csv
     from .source import simulate_to_btag
 
     obj = load_config(args.config)
-    run, model, analysis = effective_configs(obj, args.seed)
+    run, model, analysis = effective_configs(obj, vars(args))
     out_dir = Path(args.out)
     with writing_to(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
     # every step under the lock writes; generation itself touches no file
     with output_lock(out_dir), writing_to(out_dir):
         # files derived from an earlier events.btag would no longer match it
-        for name in ("events.csv", *ANALYSIS_OUTPUTS, *REPORT_OUTPUTS):
+        for name in (CSV_FILENAME, *ANALYSIS_OUTPUTS, *REPORT_OUTPUTS):
             (out_dir / name).unlink(missing_ok=True)
         events_path = out_dir / EVENTS_FILENAME
         stats, records_sha256 = simulate_to_btag(run, model, events_path)
@@ -234,8 +146,7 @@ def cmd_simulate(args) -> int:
         digests = {EVENTS_FILENAME: {"records_sha256": records_sha256}}
         if args.csv:
             with BtagFile(events_path) as events:
-                write_csv(out_dir / "events.csv", events)
-            digests["events.csv"] = {"sha256": _sha256(out_dir / "events.csv")}
+                digests[CSV_FILENAME] = {"sha256": write_csv(out_dir / CSV_FILENAME, events)}
         write_manifest(out_dir, run, model, analysis, stats, digests)
     print(
         f"simulate: {stats.n_pulses} pulses, {stats.n_coincidence_pairs} coincident "
@@ -244,61 +155,20 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_manifest(directory: Path) -> tuple[dict, dict, int]:
-    """The run and analysis sections and the events.btag size a manifest records."""
-    path = directory / MANIFEST_FILENAME
-    if not path.exists():
-        raise DataError(f"missing {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        config = manifest["config"]
-        run_dict, analysis_dict = dict(config["run"]), dict(config.get("analysis", {}))
-        events_bytes = manifest["artifacts"][EVENTS_FILENAME]["bytes"]
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise DataError(f"{path} is not a bellrm manifest: {exc!r}") from exc
-    if isinstance(events_bytes, bool) or not isinstance(events_bytes, int) or events_bytes < 0:
-        raise DataError(
-            f"{path} is not a bellrm manifest: {EVENTS_FILENAME} bytes is {events_bytes!r}"
-        )
-    return run_dict, analysis_dict, events_bytes
-
-
-def _events_path(directory: Path, expected_bytes: int) -> Path:
-    """The run's events.btag, once its size is the one the manifest records."""
-    path = directory / EVENTS_FILENAME
-    try:
-        size = path.stat().st_size
-    except FileNotFoundError:
-        raise DataError(f"missing {path}") from None
-    if size != expected_bytes:
-        raise IntegrityError(
-            f"{path} holds {size} bytes but {MANIFEST_FILENAME} records {expected_bytes}; "
-            "it is not the file this manifest describes",
-            min(size, expected_bytes),
-        )
-    return path
-
-
 def cmd_analyze(args) -> int:
     from .btag import BtagFile
     from .chsh import write_chsh_csv
-    from .pipeline import AnalysisConfig, analyze_events
+    from .pipeline import analyze_events
     from .randommeter import write_curve_csv, write_reports_csv, write_verdict_json
     from .source import RunConfig
 
     in_dir = Path(getattr(args, "in"))
-    run_dict, analysis_dict, events_bytes = _load_manifest(in_dir)
+    run_dict, analysis_dict, events_path = read_manifest(in_dir)
     run = RunConfig.from_dict(run_dict)
-    analysis_dict = _merge_analysis_env(analysis_dict)
-    for env_key, cfg_key in _ANALYSIS_ENV_KEYS:  # each flag's dest is its env key
-        flag = getattr(args, env_key)
-        if flag is not None:
-            analysis_dict[cfg_key] = flag
-    analysis = AnalysisConfig.from_dict(analysis_dict)
+    analysis = analysis_config(analysis_dict, vars(args))
 
     with output_lock(in_dir):
-        with BtagFile(_events_path(in_dir, events_bytes)) as events:
+        with BtagFile(events_path) as events:
             n_coincidences, chsh_estimates, curve, verdict, report_rows = analyze_events(
                 events, run, analysis
             )
@@ -316,17 +186,6 @@ def cmd_analyze(args) -> int:
         f"verdict {verdict.label.value}"
     )
     return 0
-
-
-def _read_json_object(path: Path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise DataError(f"{path} does not hold a JSON object")
-    return obj
 
 
 def _read_csv_rows(path: Path, numeric: tuple[str, ...]) -> list[dict]:
@@ -365,7 +224,7 @@ def cmd_report(args) -> int:
     summary_lines = []
     combined_rows = []
     for d in run_dirs:
-        verdict = _read_json_object(d / "verdict.json")
+        verdict = read_json(d / "verdict.json", DataError, "a bellrm verdict")
         if not isinstance(verdict.get("label"), str):
             raise DataError(f"{d / 'verdict.json'} has no verdict label")
         chsh_rows = {
@@ -378,7 +237,7 @@ def cmd_report(args) -> int:
         seed = ""
         manifest_path = d / MANIFEST_FILENAME
         if manifest_path.exists():
-            seed = _read_json_object(manifest_path).get("seed", "")
+            seed = read_json(manifest_path, DataError, "a bellrm manifest").get("seed", "")
         summary_lines.append(f"run: {d.name}" + (f" (seed {seed})" if seed != "" else ""))
         for row in curve_rows:
             s_row = chsh_rows.get(row["slice_index"])
@@ -417,11 +276,7 @@ def cmd_report(args) -> int:
             fh.write("\n".join(summary_lines))
         with atomic_open(combined_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(
-                fh,
-                fieldnames=[
-                    "run", "slice_index", "S", "S_std_err", "rejection_rate",
-                    "ci_low", "ci_high", "mean_compression_ratio", "randomness_level",
-                ],
+                fh, fieldnames=["run", "slice_index", "S", "S_std_err", *CURVE_NUMBERS]
             )
             writer.writeheader()
             writer.writerows(combined_rows)

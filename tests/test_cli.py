@@ -44,6 +44,16 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def config_digest(manifest):
+    """SHA-256 of the canonical JSON of what fixes the bytes of events.btag."""
+    bound = {
+        "generator_version": manifest["generator_version"], "seed": manifest["seed"],
+        "run": manifest["config"]["run"], "model": manifest["config"]["model"],
+    }
+    text = json.dumps(bound, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.fixture
 def no_bellrm_env(monkeypatch):
     for key in list(os.environ):
@@ -92,13 +102,14 @@ class TestSimulate:
         main(["simulate", "--config", str(cfg), "--out", str(out2)])
         assert sha256(out1 / "events.btag") == sha256(out2 / "events.btag")
 
-    def test_a_manifest_with_a_whole_file_digest_still_replays_and_analyzes(
-        self, sim_dir, tmp_path, no_bellrm_env
+    def test_a_manifest_with_a_whole_file_digest_replays_but_does_not_analyze(
+        self, sim_dir, tmp_path, no_bellrm_env, capsys
     ):
         # manifests written before the record-region digest recorded the
-        # SHA-256 of the whole file; analyze reads no digest
+        # SHA-256 of the whole file, and none recorded config_sha256
         manifest_path = sim_dir / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
+        del manifest["config_sha256"]
         manifest["artifacts"]["events.btag"] = {
             "bytes": (sim_dir / "events.btag").stat().st_size,
             "sha256": sha256(sim_dir / "events.btag"),
@@ -107,10 +118,16 @@ class TestSimulate:
         out = tmp_path / "replay"
         assert main(["simulate", "--config", str(manifest_path), "--out", str(out)]) == 0
         assert sha256(out / "events.btag") == sha256(sim_dir / "events.btag")
-        assert main(["analyze", "--in", str(sim_dir)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(sim_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"data error: {manifest_path} records no config_sha256 to bind its config to "
+            f"events.btag; replay the run with `bellrm simulate --config {manifest_path}` "
+            "and analyze that"
+        ]
+        assert sorted(p.name for p in sim_dir.iterdir()) == ["events.btag", "manifest.json"]
         assert main(["analyze", "--in", str(out)]) == 0
-        for name in ("chsh_per_slice.csv", "sequences.csv", "curve.csv", "verdict.json"):
-            assert sha256(sim_dir / name) == sha256(out / name)
 
     def test_manifest_is_a_valid_config(self, sim_dir, tmp_path, no_bellrm_env):
         # re-running from the manifest reproduces the file bit for bit
@@ -120,6 +137,13 @@ class TestSimulate:
         )
         assert code == 0
         assert sha256(out / "events.btag") == sha256(sim_dir / "events.btag")
+
+    def test_manifest_binds_the_config_that_fixes_the_events(self, sim_dir):
+        # the analysis section is left out: overrides change it on purpose
+        manifest = json.loads((sim_dir / "manifest.json").read_text())
+        assert manifest["config_sha256"] == config_digest(manifest)
+        manifest["config"]["analysis"]["n_slices"] = 9
+        assert manifest["config_sha256"] == config_digest(manifest)
 
     def test_config_round_trip_through_manifest(self, sim_dir):
         manifest = json.loads((sim_dir / "manifest.json").read_text())
@@ -261,6 +285,19 @@ class TestSimulate:
             main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")])
             == 2
         )
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [(b"{", "Expecting property name"), (b"\xff\xfe{}", "can't decode byte 0xff")],
+        ids=["not-json", "not-utf-8"],
+    )
+    def test_unreadable_config_exits_2(self, tmp_path, no_bellrm_env, capsys, data, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(data)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"configuration error: {cfg} is not a bellrm config: ")
+        assert message in line
 
     def test_csv_mirror_flag(self, tmp_path, no_bellrm_env):
         obj = json.loads(json.dumps(BASE_CONFIG))
@@ -471,11 +508,43 @@ class TestAnalyze:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         manifest["config"]["run"]["rep_rate_hz"] = 2e6
+        # a digest that matches the edit, so the pulse-window check is reached
+        manifest["config_sha256"] = config_digest(manifest)
         (out / "manifest.json").write_text(json.dumps(manifest))
         capsys.readouterr()
         assert main(["analyze", "--in", str(out)]) == 3
         assert "lies outside its pulse" in capsys.readouterr().err
         assert not (out / "verdict.json").exists()
+
+    def test_overrides_take_the_file_then_the_environment_then_the_flag(
+        self, tmp_path, no_bellrm_env, monkeypatch, capsys
+    ):
+        def curve_rows(run):
+            return len((run / "curve.csv").read_text().splitlines()) - 1
+
+        cfg = write_config(
+            tmp_path, {**DAMAGE_CONFIG, "analysis": {**DAMAGE_CONFIG["analysis"], "n_slices": 3}}
+        )
+        run = tmp_path / "run"
+        # simulate records the file's analysis section, then BELLRM_SLICES
+        for env, recorded in ((None, 3), ("5", 5)):
+            if env is not None:
+                monkeypatch.setenv("BELLRM_SLICES", env)
+            assert main(["simulate", "--config", str(cfg), "--out", str(run)]) == 0
+            manifest = json.loads((run / "manifest.json").read_text())
+            assert manifest["config"]["analysis"]["n_slices"] == recorded
+        # analyze takes the manifest's section, then BELLRM_SLICES, then --slices
+        for env, flags, slices in ((None, [], 5), ("4", [], 4), ("4", ["--slices", "6"], 6)):
+            monkeypatch.delenv("BELLRM_SLICES", raising=False)
+            if env is not None:
+                monkeypatch.setenv("BELLRM_SLICES", env)
+            assert main(["analyze", "--in", str(run), *flags]) == 0
+            assert curve_rows(run) == slices
+        monkeypatch.setenv("BELLRM_SLICES", "null")
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(run)]) == 2
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert "n_slices" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["abc", "NaN", "Infinity"])
     def test_non_finite_alpha_sig_exits_2(self, sim_dir, capsys, monkeypatch, value):
@@ -967,7 +1036,8 @@ def analyzed_run(tmp_path_factory):
 def test_one_damaged_byte_or_field_ends_in_an_exit_code(
     analyzed_run, no_bellrm_env, capsys, damage
 ):
-    # exit 0 stays legal: no check yet compares events.btag with its digest
+    # exit 0 stays legal: no check yet compares events.btag with its
+    # digest, and an edited analysis section is legal
     with tempfile.TemporaryDirectory() as tmp:
         run = Path(tmp) / "run"
         shutil.copytree(analyzed_run, run)
@@ -978,6 +1048,7 @@ def test_one_damaged_byte_or_field_ends_in_an_exit_code(
             (run / name).write_bytes(bytes(data))
         else:
             manifest = json.loads((run / name).read_text())
+            run_section = json.dumps(manifest["config"]["run"])
             *parents, key = where
             obj = manifest
             for parent in parents:
@@ -993,6 +1064,56 @@ def test_one_damaged_byte_or_field_ends_in_an_exit_code(
         if code:
             assert len(err.splitlines()) == 1
             assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+        if name == "manifest.json" and json.dumps(manifest["config"]["run"]) != run_section:
+            assert code == 3, err  # the config digest no longer matches
+
+
+def _edited_copy(analyzed_run, tmp, edit):
+    """A copy of ``analyzed_run`` whose manifest ``edit`` changed."""
+    run = Path(tmp) / "run"
+    shutil.copytree(analyzed_run, run)
+    manifest = json.loads((run / "manifest.json").read_text())
+    edit(manifest["config"])
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    return run
+
+
+def _swap_menu_entries_1_and_3(config):
+    menu = config["run"]["settings_menu"]
+    menu[1], menu[3] = menu[3], menu[1]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _swap_menu_entries_1_and_3,
+        lambda config: config["run"].update(station_separation_m=19.0),
+        lambda config: config["run"].update(station_separation_m=21.0),
+        lambda config: config["model"].update(kind="QM_NONLOCAL"),
+    ],
+    ids=["menu-1-3-swapped", "separation-19", "separation-21", "model-kind"],
+)
+def test_an_edited_run_or_model_section_exits_3(analyzed_run, no_bellrm_env, capsys, edit):
+    # each edit leaves every event inside its pulse's window; only the
+    # config digest tells that the events were generated with another config
+    with tempfile.TemporaryDirectory() as tmp:
+        run = _edited_copy(analyzed_run, tmp, edit)
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(run)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: {run / 'manifest.json'}: the generator version, seed, run or model "
+            "section differs from the one events.btag was generated with "
+            "(config_sha256 does not match)"
+        ]
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+def test_an_edited_analysis_section_still_analyzes(analyzed_run, no_bellrm_env):
+    with tempfile.TemporaryDirectory() as tmp:
+        run = _edited_copy(analyzed_run, tmp, lambda config: config["analysis"].update(n_slices=4))
+        assert main(["analyze", "--in", str(run)]) == 0
+        assert len((run / "curve.csv").read_text().splitlines()) == 1 + 4
 
 
 @pytest.mark.parametrize("offset", range(16, 32))

@@ -945,6 +945,15 @@ class TestBtagFormat:
         )
         assert np.array_equal(back, ev)
 
+    @pytest.mark.parametrize("n_records", [0, 7 - 1, 7, 7 + 1])
+    def test_csv_digest_is_the_sha256_of_the_file(self, tmp_path, rng, monkeypatch, n_records):
+        # one piece short of, at, and one record past a piece boundary
+        monkeypatch.setattr(btag, "PIECE_RECORDS", 7)
+        path = tmp_path / "events.csv"
+        digest = write_csv(path, self.events(rng)[:n_records])
+        assert len(path.read_text().splitlines()) == 1 + n_records
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
     def test_csv_of_pieces_equals_csv_of_the_whole(self, tmp_path, rng, monkeypatch):
         ev = self.events(rng)
         path = tmp_path / "events.btag"
