@@ -8,8 +8,8 @@ slice or for all rows.  S always uses the paper's four pairs,
 up by angle in the run's settings menu; a menu without one of them has no
 CHSH estimate.  The records come from ``timetags.coincidences``, the one
 builder of a coincidence's slice and setting.  :func:`s_vs_window` takes
-the merged event stream instead, and matches it and builds its records
-once per window.
+the merged event stream instead, and adds up the count tables of the
+parts ``timetags.coincidence_parts`` yields once per window.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .models import (
 )
 from .source import CHSH_MENU, RunConfig
 from .streams import substream
-from .timetags import coincidences, match_events
+from .timetags import coincidence_parts
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -165,8 +165,8 @@ class WindowScanPoint:
 def s_vs_window(events: np.ndarray, windows_ns, run: RunConfig) -> list[WindowScanPoint]:
     """Measured S(W) on a merged event stream plus the uncorrelated-accidentals prediction.
 
-    ``events`` is a stream of the run ``run``, in the (timestamp, station)
-    order ``match_events`` needs; S pools every slice.  The prediction
+    ``events`` is a stream of the run ``run`` that ``coincidence_parts``
+    takes (or refuses: a ``DataError``); S pools every slice.  The prediction
     anchors on the smallest window: the matched pairs there are taken as
     true coincidences, per-station leftover rates give the
     accidental-pair rate 2*rA*rB*W*T, and a survival factor
@@ -183,10 +183,13 @@ def s_vs_window(events: np.ndarray, windows_ns, run: RunConfig) -> list[WindowSc
 
     measured = []
     for w in windows:
-        records = coincidences(events, *match_events(events, w), run, 2)
-        table = count_table(records, len(run.settings_menu), 2)
+        table = np.zeros((3, len(run.settings_menu), 2, 2), dtype=np.int64)
+        n_matched = 0
+        for records in coincidence_parts(events, run, w, 2):
+            table += count_table(records, len(run.settings_menu), 2)
+            n_matched += records.size
         est = chsh_from_table(table, run.settings_menu)  # all rows: both slices and -1
-        measured.append((w, records.size, est.S, est.std_err))
+        measured.append((w, n_matched, est.S, est.std_err))
 
     w0, n0, s0, se0 = measured[0]
     t_run = float(run.run_duration_s)

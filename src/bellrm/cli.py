@@ -31,8 +31,9 @@ from . import __version__
 from .atomic import atomic_open
 from .errors import ConfigError, DataError, WorkerError
 from .rundir import (
-    ANALYSIS_OUTPUTS, CSV_FILENAME, EVENTS_FILENAME, MANIFEST_FILENAME, REPORT_OUTPUTS,
-    load_config, read_json, read_manifest, write_manifest,
+    ANALYSIS_OUTPUTS, CHSH_FILENAME, COMBINED_FILENAME, CSV_FILENAME, CURVE_FILENAME,
+    EVENTS_FILENAME, REPORT_OUTPUTS, SEQUENCES_FILENAME, SUMMARY_FILENAME, VERDICT_FILENAME,
+    load_config, read_json, read_manifest, read_seed, write_manifest,
 )
 
 # btag, source, models, pipeline, chsh and randommeter (all on numpy) are
@@ -169,20 +170,20 @@ def cmd_analyze(args) -> int:
 
     with output_lock(in_dir):
         with BtagFile(events_path) as events:
-            n_coincidences, chsh_estimates, curve, verdict, report_rows = analyze_events(
+            n_coincidences, chsh_estimates, curve, verdict, reports = analyze_events(
                 events, run, analysis
             )
         with writing_to(in_dir):
             # no new output may stand beside an old one if a write fails
             for name in (*REPORT_OUTPUTS, *ANALYSIS_OUTPUTS):
                 (in_dir / name).unlink(missing_ok=True)
-            write_chsh_csv(in_dir / "chsh_per_slice.csv", chsh_estimates)
-            write_reports_csv(in_dir / "sequences.csv", report_rows)
-            write_curve_csv(in_dir / "curve.csv", curve)
-            write_verdict_json(in_dir / "verdict.json", verdict)
+            write_chsh_csv(in_dir / CHSH_FILENAME, chsh_estimates)
+            write_reports_csv(in_dir / SEQUENCES_FILENAME, reports)
+            write_curve_csv(in_dir / CURVE_FILENAME, curve)
+            write_verdict_json(in_dir / VERDICT_FILENAME, verdict)
 
     print(
-        f"analyze: {n_coincidences} coincidences, {len(report_rows)} sequences, "
+        f"analyze: {n_coincidences} coincidences, {sum(map(len, reports.values()))} sequences, "
         f"verdict {verdict.label.value}"
     )
     return 0
@@ -212,7 +213,7 @@ def cmd_report(args) -> int:
     run_dirs = [Path(p) for p in getattr(args, "in")]
     missing = []
     for d in run_dirs:
-        for name in ("chsh_per_slice.csv", "curve.csv", "verdict.json"):
+        for name in (CHSH_FILENAME, CURVE_FILENAME, VERDICT_FILENAME):
             if not (d / name).exists():
                 missing.append(str(d / name))
     if missing:
@@ -224,20 +225,17 @@ def cmd_report(args) -> int:
     summary_lines = []
     combined_rows = []
     for d in run_dirs:
-        verdict = read_json(d / "verdict.json", DataError, "a bellrm verdict")
+        verdict = read_json(d / VERDICT_FILENAME, DataError, "a bellrm verdict")
         if not isinstance(verdict.get("label"), str):
-            raise DataError(f"{d / 'verdict.json'} has no verdict label")
+            raise DataError(f"{d / VERDICT_FILENAME} has no verdict label")
         chsh_rows = {
             row["slice_index"]: row
-            for row in _read_csv_rows(d / "chsh_per_slice.csv", ("S", "std_err"))
+            for row in _read_csv_rows(d / CHSH_FILENAME, ("S", "std_err"))
         }
-        curve_rows = _read_csv_rows(d / "curve.csv", CURVE_NUMBERS)
+        curve_rows = _read_csv_rows(d / CURVE_FILENAME, CURVE_NUMBERS)
         if not curve_rows:
-            raise DataError(f"{d / 'curve.csv'} holds no slices")
-        seed = ""
-        manifest_path = d / MANIFEST_FILENAME
-        if manifest_path.exists():
-            seed = read_json(manifest_path, DataError, "a bellrm manifest").get("seed", "")
+            raise DataError(f"{d / CURVE_FILENAME} holds no slices")
+        seed = read_seed(d)
         summary_lines.append(f"run: {d.name}" + (f" (seed {seed})" if seed != "" else ""))
         for row in curve_rows:
             s_row = chsh_rows.get(row["slice_index"])
@@ -269,8 +267,8 @@ def cmd_report(args) -> int:
         summary_lines.append(f"  verdict: {verdict['label']}")
         summary_lines.append("")
 
-    summary_path = out_dir / "summary.txt"
-    combined_path = out_dir / "combined_curves.csv"
+    summary_path = out_dir / SUMMARY_FILENAME
+    combined_path = out_dir / COMBINED_FILENAME
     with writing_to(out_dir):
         with atomic_open(summary_path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(summary_lines))

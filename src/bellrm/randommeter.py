@@ -26,6 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .atomic import atomic_open
+from .btag import STATION_LETTERS
 from .errors import ConfigError, InsufficientLengthError, UndefinedStatisticError
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -294,7 +295,6 @@ class BatteryConfig:
 
 @dataclass(frozen=True)
 class RandomnessReport:
-    sequence_id: str
     results: tuple
     overall_rejected: bool
     compression_ratio: float
@@ -303,7 +303,7 @@ class RandomnessReport:
         return {r.test_name: r.p_value for r in self.results}
 
 
-def run_battery(bits, config: BatteryConfig = BatteryConfig(), sequence_id: str = "") -> RandomnessReport:
+def run_battery(bits, config: BatteryConfig = BatteryConfig()) -> RandomnessReport:
     """All five tests plus the compression ratio for one sequence.
 
     Overall rejection is any-test-rejects with no multiplicity correction;
@@ -318,7 +318,6 @@ def run_battery(bits, config: BatteryConfig = BatteryConfig(), sequence_id: str 
         cusum_test(bits, config.alpha_sig),
     )
     return RandomnessReport(
-        sequence_id=sequence_id,
         results=results,
         overall_rejected=any(r.rejected for r in results),
         compression_ratio=compression_ratio(bits),
@@ -538,8 +537,9 @@ def classify_scenario(
 # --------------------------------------------------------------------------
 
 
-def write_reports_csv(path, rows) -> None:
-    """rows: iterable of (sequence_id, slice_index, station, report)."""
+def write_reports_csv(path, reports) -> None:
+    """One row per report of ``{(slice_index, station): [report, ...]}``, in
+    its order; report k of station A in slice 0 is sequence ``A0-k``."""
     with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -547,16 +547,18 @@ def write_reports_csv(path, rows) -> None:
             + [f"p_{name}" for name in BatteryConfig.TEST_NAMES]
             + ["overall_rejected", "compression_ratio"]
         )
-        for sequence_id, slice_index, station, report in rows:
-            pvals = report.p_values()
-            writer.writerow(
-                [sequence_id, slice_index, station]
-                + [
-                    "" if math.isnan(pvals[name]) else f"{pvals[name]:.6g}"
-                    for name in BatteryConfig.TEST_NAMES
-                ]
-                + [int(report.overall_rejected), f"{report.compression_ratio:.6f}"]
-            )
+        for (slice_index, station), key_reports in reports.items():
+            letter = STATION_LETTERS[station]
+            for k, report in enumerate(key_reports):
+                pvals = report.p_values()
+                writer.writerow(
+                    [f"{letter}{slice_index}-{k}", slice_index, letter]
+                    + [
+                        "" if math.isnan(pvals[name]) else f"{pvals[name]:.6g}"
+                        for name in BatteryConfig.TEST_NAMES
+                    ]
+                    + [int(report.overall_rejected), f"{report.compression_ratio:.6f}"]
+                )
 
 
 def write_curve_csv(path, curve: RandommeterCurve) -> None:

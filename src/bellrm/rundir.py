@@ -30,8 +30,10 @@ if TYPE_CHECKING:
 EVENTS_FILENAME = "events.btag"
 CSV_FILENAME = "events.csv"
 MANIFEST_FILENAME = "manifest.json"
-ANALYSIS_OUTPUTS = ("chsh_per_slice.csv", "sequences.csv", "curve.csv", "verdict.json")
-REPORT_OUTPUTS = ("summary.txt", "combined_curves.csv")
+ANALYSIS_OUTPUTS = CHSH_FILENAME, SEQUENCES_FILENAME, CURVE_FILENAME, VERDICT_FILENAME = (
+    "chsh_per_slice.csv", "sequences.csv", "curve.csv", "verdict.json"
+)
+REPORT_OUTPUTS = SUMMARY_FILENAME, COMBINED_FILENAME = ("summary.txt", "combined_curves.csv")
 
 
 def read_json(path: Path, error: type[BellrmError], what: str) -> dict:
@@ -127,6 +129,36 @@ def write_manifest(
         fh.write("\n")
 
 
+def _check_config_sha256(path: Path, manifest: dict) -> None:
+    """Raise a ``DataError`` unless the manifest read from ``path`` records
+    a ``config_sha256`` that matches its config."""
+    if "config_sha256" not in manifest:
+        raise DataError(
+            f"{path} records no config_sha256 to bind its config to {EVENTS_FILENAME}; "
+            f"replay the run with `bellrm simulate --config {path}` and analyze that"
+        )
+    try:
+        matches = manifest["config_sha256"] == _config_sha256(manifest)
+    except (KeyError, AttributeError) as exc:  # no config object
+        raise DataError(f"{path} is not a bellrm manifest: {exc!r}") from exc
+    if not matches:
+        raise DataError(
+            f"{path}: the generator version, seed, run or model section differs from "
+            f"the one {EVENTS_FILENAME} was generated with (config_sha256 does not match)"
+        )
+
+
+def read_seed(directory: Path):
+    """The seed a run directory's manifest records, once its config matches
+    its ``config_sha256``; "" without a manifest or a seed."""
+    path = directory / MANIFEST_FILENAME
+    if not path.exists():
+        return ""
+    manifest = read_json(path, DataError, "a bellrm manifest")
+    _check_config_sha256(path, manifest)
+    return manifest.get("seed", "")
+
+
 def read_manifest(directory: Path) -> tuple[dict, dict, Path]:
     """The run and analysis sections a run directory's manifest records, and
     the path of its ``events.btag``, once the configuration matches its
@@ -143,16 +175,7 @@ def read_manifest(directory: Path) -> tuple[dict, dict, Path]:
         raise DataError(
             f"{path} is not a bellrm manifest: {EVENTS_FILENAME} bytes is {events_bytes!r}"
         )
-    if "config_sha256" not in manifest:
-        raise DataError(
-            f"{path} records no config_sha256 to bind its config to {EVENTS_FILENAME}; "
-            f"replay the run with `bellrm simulate --config {path}` and analyze that"
-        )
-    if manifest["config_sha256"] != _config_sha256(manifest):
-        raise DataError(
-            f"{path}: the generator version, seed, run or model section differs from "
-            f"the one {EVENTS_FILENAME} was generated with (config_sha256 does not match)"
-        )
+    _check_config_sha256(path, manifest)
     events_path = directory / EVENTS_FILENAME
     try:
         size = events_path.stat().st_size

@@ -15,28 +15,31 @@ chain, and chains are isolated from each other.  The overwhelmingly
 common chain (one A plus one B event) pairs as it stands; every longer
 chain runs the two-pointer rule in lockstep with the others, one numpy
 step per pass, so no chain is resolved by a Python loop over its events.
-No chain crosses a gap wider than the window, so a stream cut at such gaps
-can be matched piece by piece with the same result (``bellrm.pipeline``
-does so).
+No chain crosses a gap wider than the window, so :func:`cut_at_gaps` cuts
+a stream at such gaps into parts, slices (of a file, views of its
+mapping) that match one by one as the whole stream does.
 
 :func:`coincidences` turns matched positions into the records everything
 downstream reads, ``COINC_DTYPE``: pulse slice, effective setting and the
 two bits, six bytes each.  It is the one place that checks that both
 events lie in their own pulse's window, and that gives a coincidence its
 slice (through :func:`slice_index_of`, the boundary rule) and its
-setting.  :func:`slice_sequences` splits the records into one bit
-sequence per (slice, station) in a single sort, and
-:func:`sequence_partition` cuts a sequence into the bit blocks the
-randomness battery tests.
+setting.  :func:`coincidence_parts` is the one walk from a stream to its
+records, which ``analyze`` and the S(W) scan read: it checks each part's
+settings against the menu, matches it and builds its records.
+:func:`slice_sequences` splits the records into one bit sequence per
+(slice, station) in a single sort, and :func:`sequence_partition` cuts a
+sequence into the bit blocks the randomness battery tests.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 
 import numpy as np
 
-from .btag import STATION_A, STATION_B
+from .btag import PIECE_RECORDS, STATION_A, STATION_B
 from .errors import ConfigError, DataError, StreamOrderError
 from .models import same_angle
 from .source import RunConfig, pulse_geometry, pulse_start_ns
@@ -189,6 +192,60 @@ def match_events(
     return a_pos, b_pos
 
 
+#: the most records ``cut_at_gaps`` reads without a gap wider than the window
+MAX_GAPLESS_RECORDS = 2**20
+
+
+def _after_last_gap(ts: np.ndarray, window: int) -> int:
+    """Index of the first event after the last step in ``ts`` wider than ``window``, or 0.
+
+    The steps near the end are looked at first: at the paper's rates the last
+    gap is a few events from the end, and a whole window needs a diff only
+    when its tail holds none.
+    """
+    for lo in (max(ts.size - 1024, 0), 0):
+        tail = ts[lo:]
+        gaps = np.flatnonzero(
+            np.subtract(tail[1:], tail[:-1], dtype=np.int64, casting="unsafe") > window
+        )
+        if gaps.size:
+            return lo + int(gaps[-1]) + 1
+    return 0
+
+
+def cut_at_gaps(
+    events, window_ns: int, piece_records: int = PIECE_RECORDS
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Cut a merged stream, an array or a ``BtagFile``, at gaps wider than ``window_ns``.
+
+    Yields ``(first, part)``: the index of ``part[0]`` in the stream and a
+    slice of it that ends at the end of the stream or before a gap wider
+    than the window.  Each window starts at the first event not yet yielded,
+    holds ``piece_records`` events (fewer than one is a ``ConfigError``) and
+    is cut at its last gap.  A window without a gap grows by
+    ``piece_records`` events, so a chain is never cut; one that grows past
+    ``MAX_GAPLESS_RECORDS`` raises a ``DataError``, which bounds the memory
+    of every stream.  A step back in time is never a gap, so an order fault
+    stays inside one part, where ``match_events`` finds it.
+    """
+    if piece_records < 1:
+        raise ConfigError(f"piece_records must be >= 1, got {piece_records}")
+    window, n = int(window_ns), len(events)
+    first = end = 0
+    while first < n:
+        end = min(end + piece_records, n)
+        part = events[first:end]
+        cut = _after_last_gap(part["timestamp_ns"], window)
+        if not cut and part.size > MAX_GAPLESS_RECORDS:
+            raise DataError(
+                f"no gap wider than {window} ns in {part.size} records from record {first}"
+            )
+        if cut or end == n:  # else the window grows
+            part = part[:cut] if cut else part
+            yield first, part
+            first = end = first + part.size
+
+
 def _pulse_offsets(events, pos, rep_rate_hz, pulse_duration_ns):
     """(pulse, t - pulse_start_ns(pulse), outside) of the events at ``pos``.
 
@@ -243,6 +300,26 @@ def coincidences(
     records["bit_a"] = events["port_bit"][a_pos]
     records["bit_b"] = events["port_bit"][b_pos]
     return records
+
+
+def coincidence_parts(
+    events, run: RunConfig, window_ns: int, n_slices: int
+) -> Iterator[np.ndarray]:
+    """The :func:`coincidences` of each part :func:`cut_at_gaps` cuts from a
+    merged stream, an array or a ``BtagFile``.  An event whose setting lies
+    outside ``run.settings_menu``, one out of stream order, or a matched one
+    outside its own pulse's window is a ``DataError`` naming its record."""
+    n_menu = len(run.settings_menu)
+    for first, part in cut_at_gaps(events, window_ns):
+        outside = np.flatnonzero(part["setting_index"] >= n_menu)
+        if outside.size:
+            i = int(outside[0])
+            raise DataError(
+                f"record {first + i} has setting_index {part['setting_index'][i]}, "
+                f"outside the {n_menu}-entry settings menu"
+            )
+        a_pos, b_pos = match_events(part, window_ns, first_record=first)
+        yield coincidences(part, a_pos, b_pos, run, n_slices, first_record=first)
 
 
 def slice_index_of(

@@ -9,6 +9,7 @@ from bellrm import (
     COINC_DTYPE,
     ChshEstimate,
     ConfigError,
+    DataError,
     IncompleteSettingsError,
     ModelKind,
     OutcomeModel,
@@ -19,12 +20,14 @@ from bellrm import (
     UndefinedStatisticError,
     UnsupportedModelError,
     chsh_from_table,
+    coincidences,
     correlation_from_counts,
     count_table,
     ensemble_average,
     ergodicity_gap,
     iter_event_chunks,
     local_hv_bit,
+    match_events,
     model_time_average,
     qm_correlation,
     same_angle,
@@ -349,3 +352,31 @@ class TestSVsWindow:
         swapped[[40, 41]] = swapped[[41, 40]]
         with pytest.raises(StreamOrderError, match="record 41 is not after record 40"):
             s_vs_window(swapped, [2], cfg)
+
+    @pytest.mark.parametrize("matched", [True, False], ids=["matched", "unmatched"])
+    def test_a_setting_outside_the_menu_names_its_record(self, noisy_run, matched):
+        # the scan cuts and checks its stream as analyze does: a DataError,
+        # whether or not the event is matched
+        cfg, events = noisy_run
+        head = events[:20_000].copy()
+        a_pos, b_pos = match_events(head, 2)
+        paired = np.zeros(head.size, dtype=bool)
+        paired[a_pos] = paired[b_pos] = True
+        i = int(np.flatnonzero(paired == matched)[-1])
+        head["setting_index"][i] = 9
+        with pytest.raises(
+            DataError, match=f"^record {i} has setting_index 9, outside the 4-entry settings menu$"
+        ):
+            s_vs_window(head, [2, 50], cfg)
+
+    def test_the_scan_reads_what_one_pass_over_the_stream_gives(self, noisy_run):
+        cfg, events = noisy_run
+        windows = [2, 50, 50_000]
+        one_pass = []
+        for w in windows:
+            records = coincidences(events, *match_events(events, w), cfg, 2)
+            table = count_table(records, len(cfg.settings_menu), 2)
+            est = chsh_from_table(table, cfg.settings_menu)
+            one_pass.append((w, records.size, est.S, est.std_err))
+        scan = s_vs_window(events, windows, cfg)
+        assert [(p.window_ns, p.n_matched, p.S, p.std_err) for p in scan] == one_pass

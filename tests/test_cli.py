@@ -700,8 +700,13 @@ class TestReport:
             ("chsh_per_slice.csv", lambda text: text[:-12]),
             ("curve.csv", lambda text: text[:20]),
             ("curve.csv", lambda text: text.splitlines(keepends=True)[0]),
+            # the seed no longer matches config_sha256, as analyze finds
+            ("manifest.json", lambda text: json.dumps({**json.loads(text), "seed": 999})),
         ],
-        ids=["verdict-not-json", "manifest-cut", "chsh-cut", "curve-cut", "curve-no-rows"],
+        ids=[
+            "verdict-not-json", "manifest-cut", "chsh-cut", "curve-cut", "curve-no-rows",
+            "edited-seed",
+        ],
     )
     def test_malformed_input_exits_3(self, sim_dir, capsys, name, damage):
         assert main(["analyze", "--in", str(sim_dir)]) == 0

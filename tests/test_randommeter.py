@@ -373,7 +373,6 @@ def synthetic_curve(rates, n=500):
             rejected = i < k
             fake.append(
                 RandomnessReport(
-                    sequence_id=f"s{slice_index}-{i}",
                     results=(TestResult("monobit", 0.0, 0.0 if rejected else 0.5, rejected),),
                     overall_rejected=rejected,
                     compression_ratio=1.0,

@@ -37,7 +37,7 @@ from bellrm import (
 )
 from bellrm import btag
 from bellrm.btag import PIECE_RECORDS
-from bellrm.pipeline import cut_at_gaps
+from bellrm.timetags import cut_at_gaps
 
 REP = 1e6  # Hz; 1000 ns period in these tests
 
