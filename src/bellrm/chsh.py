@@ -32,7 +32,7 @@ from .models import (
 )
 from .source import CHSH_MENU, RunConfig
 from .streams import substream
-from .timetags import coincidence_parts
+from .timetags import COINC_DTYPE, coincidence_parts
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -88,16 +88,17 @@ def _menu_indices_for_pair(settings_menu, pair) -> list[int]:
 
 
 def count_table(records: np.ndarray, n_settings: int, n_slices: int) -> np.ndarray:
-    """Integer table ``counts[slice, setting, bit_a, bit_b]`` of the records.
+    """Integer table ``counts[slice, setting, bit_a, bit_b]`` of every record.
 
-    Slices 0 .. n_slices - 1 are rows 0 .. n_slices - 1 and records outside
-    every slice (slice -1) are the last row, so ``counts[-1]`` reads them;
-    records whose setting is -1 are left out.  One ``np.bincount`` builds it
+    Slices 0 .. n_slices - 1 are rows 0 .. n_slices - 1 and slice -1 the
+    last row, ``counts[-1]``; menu entries are the columns and setting -1
+    (a cross-pulse pair the menu lacks) the last, ``counts[:, -1]``, so
+    ``counts.sum()`` counts every record.  One ``np.bincount`` builds it
     from an int32 key, offset so that slice -1 is row 0 and setting -1
-    column 0; row 0 is then rolled to the end and column 0 dropped.  A
-    table whose key would pass 2^31 - 1 is refused.  Every slice index
-    must lie in [-1, n_slices) and every setting index in [-1, n_settings);
-    a value outside is counted in another cell or fails the build.
+    column 0; both are then rolled to the end.  A table whose key would
+    pass 2^31 - 1 is refused.  Every slice index must lie in [-1, n_slices)
+    and every setting index in [-1, n_settings); a value outside is counted
+    in another cell or fails the build.
     """
     rows, cols = n_slices + 1, n_settings + 1
     if rows * cols * 4 > 2**31:
@@ -113,7 +114,7 @@ def count_table(records: np.ndarray, n_settings: int, n_slices: int) -> np.ndarr
     key += 2 * records["bit_a"]
     key += records["bit_b"]
     counts = np.bincount(key, minlength=rows * cols * 4).reshape(rows, cols, 2, 2)
-    return np.roll(counts[:, 1:], -1, axis=0)
+    return np.roll(counts, -1, axis=(0, 1))
 
 
 def chsh_from_table(
@@ -166,7 +167,10 @@ def s_vs_window(events: np.ndarray, windows_ns, run: RunConfig) -> list[WindowSc
     """Measured S(W) on a merged event stream plus the uncorrelated-accidentals prediction.
 
     ``events`` is a stream of the run ``run`` that ``coincidence_parts``
-    takes (or refuses: a ``DataError``); S pools every slice.  The prediction
+    takes, or refuses with a ``DataError`` as ``analyze`` does: also a
+    window wider than every gap in ``timetags.MAX_GAPLESS_RECORDS`` (2^20)
+    consecutive records.  S pools every slice; ``n_matched`` counts every
+    record, setting -1 included.  The prediction
     anchors on the smallest window: the matched pairs there are taken as
     true coincidences, per-station leftover rates give the
     accidental-pair rate 2*rA*rB*W*T, and a survival factor
@@ -181,15 +185,14 @@ def s_vs_window(events: np.ndarray, windows_ns, run: RunConfig) -> list[WindowSc
     if run.run_duration_s <= 0:
         raise ConfigError("run_duration_s must be > 0")
 
+    n_menu = len(run.settings_menu)
     measured = []
     for w in windows:
-        table = np.zeros((3, len(run.settings_menu), 2, 2), dtype=np.int64)
-        n_matched = 0
+        table = count_table(np.empty(0, dtype=COINC_DTYPE), n_menu, 2)
         for records in coincidence_parts(events, run, w, 2):
-            table += count_table(records, len(run.settings_menu), 2)
-            n_matched += records.size
+            table += count_table(records, n_menu, 2)
         est = chsh_from_table(table, run.settings_menu)  # all rows: both slices and -1
-        measured.append((w, n_matched, est.S, est.std_err))
+        measured.append((w, int(table.sum()), est.S, est.std_err))
 
     w0, n0, s0, se0 = measured[0]
     t_run = float(run.run_duration_s)

@@ -4,9 +4,9 @@
 ``btag.BtagFile``, and returns everything the ``analyze`` command writes;
 ``AnalysisConfig`` holds the parameters.  It reads the coincidence records
 part by part from ``timetags.coincidence_parts`` and keeps, between parts,
-only the integer CHSH count table and two counts (coincidences, and records
-outside the pulse).  S is computed per slice from the count table at the
-four standard CHSH pairs (see :mod:`bellrm.chsh`).
+only the integer count table of every record: the coincidences and the
+records outside the pulse are its sums.  S is computed per slice from the
+table at the four standard CHSH pairs (see :mod:`bellrm.chsh`).
 
 The battery runs in one worker process beside the matcher, so the two
 share the machine's two cores.  ``analyze_events`` forks it (the ``fork``
@@ -37,7 +37,7 @@ from .chsh import chsh_from_table, count_table
 from .errors import ConfigError, IncompleteSettingsError, WorkerError, require_finite
 from .randommeter import BatteryConfig, classify_scenario, curve_from_reports, run_battery
 from .source import RunConfig
-from .timetags import coincidence_parts, sequence_partition, slice_sequences
+from .timetags import COINC_DTYPE, coincidence_parts, sequence_partition, slice_sequences
 
 
 @dataclass
@@ -162,8 +162,7 @@ def analyze_events(events, run: RunConfig, analysis: AnalysisConfig):
     analysis.validate()  # before n_slices sizes the tables
     n_menu = len(run.settings_menu)
     n_slices = analysis.n_slices
-    counts = np.zeros((n_slices + 1, n_menu, 2, 2), dtype=np.int64)
-    n_coincidences = n_out_of_pulse = 0
+    counts = count_table(np.empty(0, dtype=COINC_DTYPE), n_menu, n_slices)
 
     # imported here: simulate and report never pay for it
     import multiprocessing
@@ -176,8 +175,6 @@ def analyze_events(events, run: RunConfig, analysis: AnalysisConfig):
     try:
         for records in coincidence_parts(events, run, analysis.window_ns, n_slices):
             counts += count_table(records, n_menu, n_slices)
-            n_coincidences += records.size
-            n_out_of_pulse += int(np.count_nonzero(records["slice_index"] < 0))
             sequences = slice_sequences(records, n_slices).items()
             _send(conn, worker, {key: bits for key, bits in sequences if bits.size})
         _send(conn, worker, None)
@@ -199,5 +196,6 @@ def analyze_events(events, run: RunConfig, analysis: AnalysisConfig):
     # validate has already refused fewer than two slices, and
     # classify_scenario tests the halves only once each holds sequences.
     curve = curve_from_reports(reports_by_slice, analysis.battery())
-    verdict = classify_scenario(curve, chsh_estimates, n_coincidences, n_out_of_pulse)
+    n_coincidences = int(counts.sum())
+    verdict = classify_scenario(curve, chsh_estimates, n_coincidences, int(counts[-1].sum()))
     return n_coincidences, chsh_estimates, curve, verdict, reports

@@ -99,7 +99,6 @@ def write_manifest(
 
     from .source import GENERATOR_VERSION, pulse_geometry
 
-    geo = pulse_geometry(run)
     manifest = {
         "tool": "bellrm",
         "tool_version": __version__,
@@ -111,12 +110,7 @@ def write_manifest(
             "model": model.to_dict(),
             "analysis": asdict(analysis),
         },
-        "geometry": {
-            "pulse_duration_s": geo.pulse_duration_s,
-            "rep_period_s": geo.rep_period_s,
-            "duty_cycle": geo.duty_cycle,
-            "light_time_s": geo.light_time_s,
-        },
+        "geometry": asdict(pulse_geometry(run)),
         "stats": stats.to_dict(),
         "artifacts": {
             name: {"bytes": (directory / name).stat().st_size, **fields}

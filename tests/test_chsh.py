@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bellrm import (
     CHSH_MENU,
@@ -34,6 +36,7 @@ from bellrm import (
     s_vs_window,
     write_chsh_csv,
 )
+from bellrm import timetags
 from bellrm.chsh import CHSH_SIGNS
 from bellrm.streams import substream
 
@@ -187,9 +190,9 @@ class TestCountTable:
     def test_cells_count_the_records(self, rng):
         rec = mixed_records(rng)
         table = count_table(rec, 4, 3)
-        assert table.shape == (4, 4, 2, 2)
+        assert table.shape == (4, 5, 2, 2)
         for k in (0, 1, 2, -1):
-            for s in range(4):
+            for s in (0, 1, 2, 3, -1):
                 for a in (0, 1):
                     for b in (0, 1):
                         expected = np.count_nonzero(
@@ -199,15 +202,33 @@ class TestCountTable:
                         assert table[k, s, a, b] == expected
 
     def test_sums_give_the_records_per_slice(self, rng):
-        # records with setting -1 are left out; slice -1 is the last row
+        # every record is counted: slice -1 is the last row, setting -1 the
+        # last column
         rec = mixed_records(rng)
         table = count_table(rec, 4, 3)
-        kept = rec[rec["setting_index"] >= 0]
-        per_slice = table.sum(axis=(1, 2, 3))
-        assert per_slice.tolist() == [
-            np.count_nonzero(kept["slice_index"] == k) for k in (0, 1, 2, -1)
+        slices = (0, 1, 2, -1)
+        assert table.sum(axis=(1, 2, 3)).tolist() == [
+            np.count_nonzero(rec["slice_index"] == k) for k in slices
         ]
-        assert per_slice.sum() == kept.size < rec.size
+        unset = rec[rec["setting_index"] == -1]
+        assert table[:, -1].sum(axis=(1, 2)).tolist() == [
+            np.count_nonzero(unset["slice_index"] == k) for k in slices
+        ]
+        assert unset.size > 0
+        assert table.sum() == rec.size
+
+    @given(
+        n_settings=st.integers(1, 6),
+        n_slices=st.integers(1, 5),
+        n=st.integers(0, 50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_the_table_sums_to_its_records(self, n_settings, n_slices, n, seed):
+        # an empty array gives the zero table the parts of a stream add into
+        rec = mixed_records(np.random.default_rng(seed), n, n_settings, n_slices)
+        table = count_table(rec, n_settings, n_slices)
+        assert table.shape == (n_slices + 1, n_settings + 1, 2, 2)
+        assert table.sum() == rec.size
 
     def test_pooled_estimate_counts_records_outside_every_slice(self, rng):
         rec = mixed_records(rng)
@@ -380,3 +401,29 @@ class TestSVsWindow:
             one_pass.append((w, records.size, est.S, est.std_err))
         scan = s_vs_window(events, windows, cfg)
         assert [(p.window_ns, p.n_matched, p.S, p.std_err) for p in scan] == one_pass
+
+    def test_the_scan_counts_cross_pulse_records_with_no_setting(self):
+        # the fifth entry's alpha with another entry's beta is not in the
+        # menu: such cross-pulse records have setting -1 and count as matched
+        menu = [*CHSH_MENU, (0.3, 0.7)]
+        cfg = RunConfig(seed=33, run_duration_s=1.0, dark_rate_hz=1e5, settings_menu=menu)
+        events = np.concatenate(list(iter_event_chunks(cfg, QM)))
+        windows = [2, 100, 1_000]
+        n_records, n_unset = [], 0
+        for w in windows:
+            records = coincidences(events, *match_events(events, w), cfg, 2)
+            n_records.append(records.size)
+            n_unset += int(np.count_nonzero(records["setting_index"] == -1))
+        assert n_unset > 0
+        assert [p.n_matched for p in s_vs_window(events, windows, cfg)] == n_records
+
+    def test_a_window_with_no_gap_over_the_cap_is_a_data_error(self, noisy_run, monkeypatch):
+        # each window is cut at its gaps as analyze cuts it, so the gapless
+        # cap bounds the widest window the scan takes
+        cfg, events = noisy_run
+        monkeypatch.setattr(timetags, "MAX_GAPLESS_RECORDS", 100_000)
+        with pytest.raises(
+            DataError,
+            match="^no gap wider than 1000000 ns in 131072 records from record 0$",
+        ):
+            s_vs_window(events, [2, 1_000_000], cfg)
