@@ -12,7 +12,7 @@ the synthetic data gives evidence against:
 
 import numpy as np
 
-from bellrm import ModelKind, OutcomeModel, RunConfig, iter_event_chunks
+from bellrm import EVENT_DTYPE, ModelKind, OutcomeModel, RunConfig, iter_event_chunks
 from bellrm.pipeline import AnalysisConfig, analyze_events
 
 SCENARIOS = (
@@ -29,7 +29,9 @@ for kind in SCENARIOS:
         coincidence_prob_per_pulse=0.05,
         dark_rate_hz=0.0,
     )
-    events = np.concatenate(list(iter_event_chunks(cfg, OutcomeModel(kind))))
+    # joined as raw 16-byte records: a structured concatenate copies field by field
+    chunks = iter_event_chunks(cfg, OutcomeModel(kind))
+    events = np.concatenate([c.view("V16") for c in chunks]).view(EVENT_DTYPE)
     _, chsh, curve, verdict, _ = analyze_events(events, cfg, AnalysisConfig())
 
     print("=" * 64)

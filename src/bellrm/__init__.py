@@ -25,7 +25,6 @@ _EXPORTS = {
             "ChshEstimate", "CorrelationEstimate", "ErgodicityReport", "TSIRELSON_BOUND",
             "WindowScanPoint", "chsh_from_table", "correlation_from_counts", "count_table",
             "ensemble_average", "ergodicity_gap", "model_time_average", "s_vs_window",
-            "write_chsh_csv",
         )),
         ("errors", (
             "BellrmError", "ConfigError", "DataError", "IncompleteSettingsError",

@@ -19,7 +19,7 @@ holds two records on the same nanosecond.  ``BtagFile`` reads a file by
 slices, each a read-only view of a mapping of just those records, so a
 reader copies nothing and its memory does not grow with the file.  The
 order is checked where the stream is matched (``timetags.match_events``).
-``BtagWriter`` writes a file through ``atomic_open``, so a file appears
+``BtagWriter`` writes a file through ``rundir.atomic_open``, so a file appears
 whole or not at all, and hashes the record region (byte 32 to the end)
 as it writes it.  The header is a function of the record count, patched
 in last, so no digest covers it: ``BtagFile`` checks every header byte
@@ -39,8 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_open
 from .errors import IntegrityError
+from .rundir import STATION_LETTERS, atomic_open
 
 MAGIC = b"BTAG"
 VERSION = 1
@@ -53,7 +53,6 @@ PIECE_RECORDS = 65_536
 
 STATION_A = 0
 STATION_B = 1
-STATION_LETTERS = {STATION_A: "A", STATION_B: "B"}
 
 EVENT_DTYPE = np.dtype(
     [

@@ -9,18 +9,17 @@ up by angle in the run's settings menu; a menu without one of them has no
 CHSH estimate.  The records come from ``timetags.coincidences``, the one
 builder of a coincidence's slice and setting.  :func:`s_vs_window` takes
 the merged event stream instead, and adds up the count tables of the
-parts ``timetags.coincidence_parts`` yields once per window.
+parts ``timetags.coincidence_parts`` yields once per window.  The module
+computes only: ``rundir`` writes the estimates to ``chsh_per_slice.csv``.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import atomic_open
 from .btag import STATION_B
 from .errors import ConfigError, IncompleteSettingsError, UndefinedStatisticError
 from .models import (
@@ -325,27 +324,3 @@ def ergodicity_gap(
             )
         )
     return reports
-
-
-# --------------------------------------------------------------------------
-# CSV emission
-# --------------------------------------------------------------------------
-
-
-def write_chsh_csv(path, estimates: list[ChshEstimate]) -> None:
-    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["slice_index", "n_records", "S", "std_err", "E_ab", "E_ab_prime", "E_a_prime_b", "E_a_prime_b_prime"]
-        )
-        for est in estimates:
-            writer.writerow(
-                [
-                    est.slice_index if est.slice_index is not None else "",
-                    est.n_records,
-                    f"{est.S:.6f}",
-                    f"{est.std_err:.6f}",
-                ]
-                + [f"{c.E:.6f}" for c in est.correlations]
-            )
-

@@ -11,36 +11,30 @@ BELLRM_DARK_RATE_HZ, BELLRM_SLICES); command-line flags win over both.
 Exit codes: 0 ok, 2 configuration error or an output path that cannot be
 written, 3 data error, 4 the battery worker of ``analyze`` died (the
 message names its exit code).  The analysis itself lives in
-:mod:`bellrm.pipeline`, and the run directory's files and manifest in
-:mod:`bellrm.rundir`.
+:mod:`bellrm.pipeline`, and the run directory's files, their formats and
+the manifest in :mod:`bellrm.rundir`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
-import math
 import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
-from .atomic import atomic_open
 from .errors import ConfigError, DataError, WorkerError
 from .rundir import (
-    ANALYSIS_OUTPUTS, CHSH_FILENAME, COMBINED_FILENAME, CSV_FILENAME, CURVE_FILENAME,
-    EVENTS_FILENAME, REPORT_OUTPUTS, SEQUENCES_FILENAME, SUMMARY_FILENAME, VERDICT_FILENAME,
-    load_config, read_json, read_manifest, read_seed, write_manifest,
+    ANALYSIS_OUTPUTS, CSV_FILENAME, EVENTS_FILENAME, REPORT_OUTPUTS, load_config,
+    read_manifest, summarize_runs, write_analysis, write_manifest, write_report,
 )
 
-# btag, source, models, pipeline, chsh and randommeter (all on numpy) are
-# imported inside the functions that use them, so that report, --version,
-# --help and argument errors start without them.
+# btag, source, models and pipeline (all on numpy) are imported inside the
+# functions that use them, so that report, --version, --help and argument
+# errors start without them.
 ENV_PREFIX = "BELLRM_"
-CURVE_NUMBERS = ("rejection_rate", "ci_low", "ci_high", "mean_compression_ratio", "randomness_level")
 
 # (environment key, config key) of each analysis value; each analyze
 # flag's dest is its environment key
@@ -158,9 +152,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     from .btag import BtagFile
-    from .chsh import write_chsh_csv
     from .pipeline import analyze_events
-    from .randommeter import write_curve_csv, write_reports_csv, write_verdict_json
     from .source import RunConfig
 
     in_dir = Path(getattr(args, "in"))
@@ -174,13 +166,7 @@ def cmd_analyze(args) -> int:
                 events, run, analysis
             )
         with writing_to(in_dir):
-            # no new output may stand beside an old one if a write fails
-            for name in (*REPORT_OUTPUTS, *ANALYSIS_OUTPUTS):
-                (in_dir / name).unlink(missing_ok=True)
-            write_chsh_csv(in_dir / CHSH_FILENAME, chsh_estimates)
-            write_reports_csv(in_dir / SEQUENCES_FILENAME, reports)
-            write_curve_csv(in_dir / CURVE_FILENAME, curve)
-            write_verdict_json(in_dir / VERDICT_FILENAME, verdict)
+            write_analysis(in_dir, chsh_estimates, reports, curve, verdict)
 
     print(
         f"analyze: {n_coincidences} coincidences, {sum(map(len, reports.values()))} sequences, "
@@ -189,95 +175,13 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _read_csv_rows(path: Path, numeric: tuple[str, ...]) -> list[dict]:
-    """Rows of an analysis CSV, each complete, with slice_index and ``numeric`` numbers."""
-    try:
-        text = path.read_text(encoding="utf-8")
-        rows = list(csv.DictReader(io.StringIO(text)))
-    except (OSError, ValueError, csv.Error) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if not text.endswith("\n"):
-        raise DataError(f"{path} ends in the middle of a line")
-    for line, row in enumerate(rows, start=2):
-        if None in row or None in row.values():
-            raise DataError(f"{path}: line {line} does not have one value per column")
-        for name in ("slice_index", *numeric):
-            try:
-                float(row[name])
-            except (KeyError, ValueError):
-                raise DataError(f"{path}: line {line} has no number in column {name}") from None
-    return rows
-
-
 def cmd_report(args) -> int:
     run_dirs = [Path(p) for p in getattr(args, "in")]
-    missing = []
-    for d in run_dirs:
-        for name in (CHSH_FILENAME, CURVE_FILENAME, VERDICT_FILENAME):
-            if not (d / name).exists():
-                missing.append(str(d / name))
-    if missing:
-        raise DataError("missing analysis outputs: " + ", ".join(sorted(missing)))
-
+    summary, combined_rows = summarize_runs(run_dirs)
     out_dir = Path(args.out) if args.out else run_dirs[0]
     with writing_to(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-    summary_lines = []
-    combined_rows = []
-    for d in run_dirs:
-        verdict = read_json(d / VERDICT_FILENAME, DataError, "a bellrm verdict")
-        if not isinstance(verdict.get("label"), str):
-            raise DataError(f"{d / VERDICT_FILENAME} has no verdict label")
-        chsh_rows = {
-            row["slice_index"]: row
-            for row in _read_csv_rows(d / CHSH_FILENAME, ("S", "std_err"))
-        }
-        curve_rows = _read_csv_rows(d / CURVE_FILENAME, CURVE_NUMBERS)
-        if not curve_rows:
-            raise DataError(f"{d / CURVE_FILENAME} holds no slices")
-        seed = read_seed(d)
-        summary_lines.append(f"run: {d.name}" + (f" (seed {seed})" if seed != "" else ""))
-        for row in curve_rows:
-            s_row = chsh_rows.get(row["slice_index"])
-            s_text = f"S = {float(s_row['S']):.4f} +/- {float(s_row['std_err']):.4f}" if s_row else "S = n/a"
-            # a slice without sequences has nan for every curve number: it
-            # reads n/a and leaves its cells empty, as a slice without S does
-            numbers = {name: float(row[name]) for name in CURVE_NUMBERS}
-            r, compression = numbers["rejection_rate"], numbers["mean_compression_ratio"]
-            r_text = (
-                "R = n/a" if math.isnan(r)
-                else f"R = {r:.3f} [{numbers['ci_low']:.3f}, {numbers['ci_high']:.3f}]"
-            )
-            c_text = "n/a" if math.isnan(compression) else f"{compression:.3f}"
-            summary_lines.append(
-                f"  slice {row['slice_index']}: {s_text}, {r_text}, compression {c_text}"
-            )
-            combined_rows.append(
-                {
-                    "run": d.name,
-                    "slice_index": row["slice_index"],
-                    "S": s_row["S"] if s_row else "",
-                    "S_std_err": s_row["std_err"] if s_row else "",
-                    **{
-                        name: "" if math.isnan(value) else row[name]
-                        for name, value in numbers.items()
-                    },
-                }
-            )
-        summary_lines.append(f"  verdict: {verdict['label']}")
-        summary_lines.append("")
-
-    summary_path = out_dir / SUMMARY_FILENAME
-    combined_path = out_dir / COMBINED_FILENAME
-    with writing_to(out_dir):
-        with atomic_open(summary_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(summary_lines))
-        with atomic_open(combined_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["run", "slice_index", "S", "S_std_err", *CURVE_NUMBERS]
-            )
-            writer.writeheader()
-            writer.writerows(combined_rows)
+        summary_path, combined_path = write_report(out_dir, summary, combined_rows)
     print(f"report: wrote {summary_path} and {combined_path}")
     return 0
 

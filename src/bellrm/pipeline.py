@@ -1,7 +1,7 @@
 """The analysis pipeline: coincidence records -> battery and CHSH -> verdict.
 
 ``analyze_events`` takes a merged event stream, an array or a
-``btag.BtagFile``, and returns everything the ``analyze`` command writes;
+``btag.BtagFile``, and returns everything ``rundir.write_analysis`` writes;
 ``AnalysisConfig`` holds the parameters.  It reads the coincidence records
 part by part from ``timetags.coincidence_parts`` and keeps, between parts,
 only the integer count table of every record: the coincidences and the

@@ -7,7 +7,7 @@ battery (monobit, runs, block frequency, serial, cumulative sums, all at
 significance alpha_sig).  A dictionary-compression ratio is reported
 alongside as a complexity estimate.  Verdicts about which property the
 data falsifies come from contrasting R between the first and second
-pulse halves.
+pulse halves.  ``rundir`` writes the reports, the curve and the verdict.
 
 The p-values need only three special functions: ``math.erfc``, the normal
 CDF :func:`ndtr` built on it, and the regularized upper incomplete gamma
@@ -16,8 +16,6 @@ CDF :func:`ndtr` built on it, and the regularized upper incomplete gamma
 
 from __future__ import annotations
 
-import json
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,8 +23,6 @@ from enum import Enum
 
 import numpy as np
 
-from .atomic import atomic_open
-from .btag import STATION_LETTERS
 from .errors import ConfigError, InsufficientLengthError, UndefinedStatisticError
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -458,8 +454,6 @@ def _unclassifiable(
             f"no data in any slice: all {n_coincidences} matched coincidences "
             "fall outside the pulse"
         )
-    if curve.n_slices < 2:
-        return "fewer than two slices"
     for reading in curve.readings:
         if not reading.sufficient:
             return f"slice {reading.slice_index} has too few sequences"
@@ -530,75 +524,3 @@ def classify_scenario(
         per_slice_S=per_slice_s,
         per_slice_R=per_slice_r,
     )
-
-
-# --------------------------------------------------------------------------
-# CSV / JSON emission
-# --------------------------------------------------------------------------
-
-
-def write_reports_csv(path, reports) -> None:
-    """One row per report of ``{(slice_index, station): [report, ...]}``, in
-    its order; report k of station A in slice 0 is sequence ``A0-k``."""
-    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["sequence_id", "slice_index", "station"]
-            + [f"p_{name}" for name in BatteryConfig.TEST_NAMES]
-            + ["overall_rejected", "compression_ratio"]
-        )
-        for (slice_index, station), key_reports in reports.items():
-            letter = STATION_LETTERS[station]
-            for k, report in enumerate(key_reports):
-                pvals = report.p_values()
-                writer.writerow(
-                    [f"{letter}{slice_index}-{k}", slice_index, letter]
-                    + [
-                        "" if math.isnan(pvals[name]) else f"{pvals[name]:.6g}"
-                        for name in BatteryConfig.TEST_NAMES
-                    ]
-                    + [int(report.overall_rejected), f"{report.compression_ratio:.6f}"]
-                )
-
-
-def write_curve_csv(path, curve: RandommeterCurve) -> None:
-    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "slice_index", "n_sequences", "rejection_rate", "ci_low", "ci_high",
-                "mean_compression_ratio", "randomness_level", "sufficient",
-            ]
-        )
-        for r in curve.readings:
-            writer.writerow(
-                [
-                    r.slice_index, r.n_sequences,
-                    f"{r.rejection_rate:.6f}", f"{r.ci_low:.6f}", f"{r.ci_high:.6f}",
-                    f"{r.mean_compression_ratio:.6f}", f"{r.randomness_level:.6f}",
-                    int(r.sufficient),
-                ]
-            )
-
-
-def write_verdict_json(path, verdict: ScenarioVerdict) -> None:
-    def _clean(x):
-        if isinstance(x, float) and not math.isfinite(x):
-            return None
-        return x
-
-    obj = {
-        "label": verdict.label.value,
-        "contrast_z": _clean(verdict.z),
-        "p_value": _clean(verdict.p_value),
-        "r_first_half": _clean(verdict.r_first_half),
-        "r_second_half": _clean(verdict.r_second_half),
-        "n_first_half": verdict.n_first_half,
-        "n_second_half": verdict.n_second_half,
-        "per_slice_S": [_clean(s) for s in verdict.per_slice_S],
-        "per_slice_R": [_clean(r) for r in verdict.per_slice_R],
-        "reason": verdict.reason,
-    }
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")

@@ -1,4 +1,7 @@
-"""The run directory: its file names, its manifest and the config reader.
+"""The run directory: its file names and formats, its manifest and the config reader.
+
+Every file of a run but ``events.btag`` and its CSV mirror (:mod:`bellrm.btag`)
+is written and read here, each through :func:`atomic_open`.
 
 The manifest's ``config_sha256`` binds the configuration that fixes the
 bytes of ``events.btag`` to the run, so ``analyze`` refuses a manifest
@@ -12,19 +15,25 @@ for a run's own files.  The module loads no numpy; only ``simulate`` calls
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
+import math
+import os
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .atomic import atomic_open
 from .errors import BellrmError, ConfigError, DataError, IntegrityError
 
 if TYPE_CHECKING:
+    from .chsh import ChshEstimate
     from .models import OutcomeModel
     from .pipeline import AnalysisConfig
+    from .randommeter import RandommeterCurve, ScenarioVerdict
     from .source import RunConfig, RunStats
 
 EVENTS_FILENAME = "events.btag"
@@ -34,6 +43,35 @@ ANALYSIS_OUTPUTS = CHSH_FILENAME, SEQUENCES_FILENAME, CURVE_FILENAME, VERDICT_FI
     "chsh_per_slice.csv", "sequences.csv", "curve.csv", "verdict.json"
 )
 REPORT_OUTPUTS = SUMMARY_FILENAME, COMBINED_FILENAME = ("summary.txt", "combined_curves.csv")
+
+#: the letter of each station, indexed by ``btag.STATION_A`` (0) and ``btag.STATION_B`` (1)
+STATION_LETTERS = "AB"
+#: the ``SliceReading`` numbers that ``curve.csv`` and ``combined_curves.csv`` carry
+CURVE_NUMBERS = ("rejection_rate", "ci_low", "ci_high", "mean_compression_ratio", "randomness_level")
+CURVE_COLUMNS = ("slice_index", "n_sequences", *CURVE_NUMBERS, "sufficient")
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """``open`` a temporary file beside ``path`` that replaces ``path`` on a clean exit.
+
+    If the block raises, the temporary file is removed and ``path`` keeps
+    whatever it held before, so a reader never sees a partial file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    """Write a CSV file of ``header`` and ``rows``."""
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
 
 
 def read_json(path: Path, error: type[BellrmError], what: str) -> dict:
@@ -182,3 +220,165 @@ def read_manifest(directory: Path) -> tuple[dict, dict, Path]:
             min(size, events_bytes),
         )
     return run_dict, analysis_dict, events_path
+
+
+def write_chsh_csv(path: Path, estimates: list[ChshEstimate]) -> None:
+    """``chsh_per_slice.csv``: one row per slice's CHSH estimate."""
+    _write_csv(
+        path,
+        ("slice_index", "n_records", "S", "std_err",
+         "E_ab", "E_ab_prime", "E_a_prime_b", "E_a_prime_b_prime"),
+        (
+            [est.slice_index, est.n_records, f"{est.S:.6f}", f"{est.std_err:.6f}",
+             *(f"{c.E:.6f}" for c in est.correlations)]
+            for est in estimates
+        ),
+    )
+
+
+def write_reports_csv(path: Path, reports: dict) -> None:
+    """``sequences.csv``: one row per report of ``{(slice_index, station):
+    [report, ...]}``, in its order; report k of station A in slice 0 is
+    sequence ``A0-k``."""
+    from .randommeter import BatteryConfig  # analyze, the only caller, has loaded it
+
+    names = BatteryConfig.TEST_NAMES
+    _write_csv(
+        path,
+        ("sequence_id", "slice_index", "station", *(f"p_{name}" for name in names),
+         "overall_rejected", "compression_ratio"),
+        (
+            [f"{STATION_LETTERS[station]}{slice_index}-{k}", slice_index, STATION_LETTERS[station],
+             *("" if math.isnan(p) else f"{p:.6g}" for p in map(report.p_values().get, names)),
+             int(report.overall_rejected), f"{report.compression_ratio:.6f}"]
+            for (slice_index, station), key_reports in reports.items()
+            for k, report in enumerate(key_reports)
+        ),
+    )
+
+
+def write_curve_csv(path: Path, curve: RandommeterCurve) -> None:
+    """``curve.csv``: one row per ``SliceReading``, its numbers to six decimals."""
+    _write_csv(
+        path,
+        CURVE_COLUMNS,
+        (
+            [f"{getattr(r, name):.6f}" if name in CURVE_NUMBERS else int(getattr(r, name))
+             for name in CURVE_COLUMNS]
+            for r in curve.readings
+        ),
+    )
+
+
+def write_verdict_json(path: Path, verdict: ScenarioVerdict) -> None:
+    """``verdict.json``; a number that is not finite is written as null."""
+    def number(x):
+        return None if isinstance(x, float) and not math.isfinite(x) else x
+
+    obj = {
+        "label": verdict.label.value,
+        "contrast_z": number(verdict.z),
+        "p_value": number(verdict.p_value),
+        "r_first_half": number(verdict.r_first_half),
+        "r_second_half": number(verdict.r_second_half),
+        "n_first_half": verdict.n_first_half,
+        "n_second_half": verdict.n_second_half,
+        "per_slice_S": [number(s) for s in verdict.per_slice_S],
+        "per_slice_R": [number(r) for r in verdict.per_slice_R],
+        "reason": verdict.reason,
+    }
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
+def write_analysis(directory: Path, estimates, reports, curve, verdict) -> None:
+    """Write the four outputs of ``analyze``, each analysis and report output
+    removed first, so that no new one stands beside an old one if a write fails."""
+    for name in (*REPORT_OUTPUTS, *ANALYSIS_OUTPUTS):
+        (directory / name).unlink(missing_ok=True)
+    write_chsh_csv(directory / CHSH_FILENAME, estimates)
+    write_reports_csv(directory / SEQUENCES_FILENAME, reports)
+    write_curve_csv(directory / CURVE_FILENAME, curve)
+    write_verdict_json(directory / VERDICT_FILENAME, verdict)
+
+
+def _read_csv_rows(path: Path, numeric: tuple[str, ...]) -> list[dict]:
+    """Rows of an analysis CSV, each complete, with slice_index and ``numeric`` numbers."""
+    try:
+        text = path.read_text(encoding="utf-8")
+        rows = list(csv.DictReader(io.StringIO(text)))
+    except (OSError, ValueError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if not text.endswith("\n"):
+        raise DataError(f"{path} ends in the middle of a line")
+    for line, row in enumerate(rows, start=2):
+        if None in row or None in row.values():
+            raise DataError(f"{path}: line {line} does not have one value per column")
+        for name in ("slice_index", *numeric):
+            try:
+                float(row[name])
+            except (KeyError, ValueError):
+                raise DataError(f"{path}: line {line} has no number in column {name}") from None
+    return rows
+
+
+def summarize_runs(run_dirs: list[Path]) -> tuple[str, list[list]]:
+    """The text of ``summary.txt`` and the rows of ``combined_curves.csv`` of
+    the analyzed ``run_dirs``; an analysis output that is missing, cut
+    short or not numeric where a number belongs raises a ``DataError``."""
+    missing = []
+    for d in run_dirs:
+        for name in (CHSH_FILENAME, CURVE_FILENAME, VERDICT_FILENAME):
+            if not (d / name).exists():
+                missing.append(str(d / name))
+    if missing:
+        raise DataError("missing analysis outputs: " + ", ".join(sorted(missing)))
+
+    summary_lines = []
+    combined_rows = []
+    for d in run_dirs:
+        verdict = read_json(d / VERDICT_FILENAME, DataError, "a bellrm verdict")
+        if not isinstance(verdict.get("label"), str):
+            raise DataError(f"{d / VERDICT_FILENAME} has no verdict label")
+        chsh_rows = {
+            row["slice_index"]: row
+            for row in _read_csv_rows(d / CHSH_FILENAME, ("S", "std_err"))
+        }
+        curve_rows = _read_csv_rows(d / CURVE_FILENAME, CURVE_NUMBERS)
+        if not curve_rows:
+            raise DataError(f"{d / CURVE_FILENAME} holds no slices")
+        seed = read_seed(d)
+        summary_lines.append(f"run: {d.name}" + (f" (seed {seed})" if seed != "" else ""))
+        for row in curve_rows:
+            s_row = chsh_rows.get(row["slice_index"])
+            s_text = f"S = {float(s_row['S']):.4f} +/- {float(s_row['std_err']):.4f}" if s_row else "S = n/a"
+            # a slice without sequences has nan for every curve number: it
+            # reads n/a and leaves its cells empty, as a slice without S does
+            numbers = {name: float(row[name]) for name in CURVE_NUMBERS}
+            r, compression = numbers["rejection_rate"], numbers["mean_compression_ratio"]
+            r_text = (
+                "R = n/a" if math.isnan(r)
+                else f"R = {r:.3f} [{numbers['ci_low']:.3f}, {numbers['ci_high']:.3f}]"
+            )
+            c_text = "n/a" if math.isnan(compression) else f"{compression:.3f}"
+            summary_lines.append(
+                f"  slice {row['slice_index']}: {s_text}, {r_text}, compression {c_text}"
+            )
+            combined_rows.append(
+                [d.name, row["slice_index"], *(s_row[k] if s_row else "" for k in ("S", "std_err")),
+                 *("" if math.isnan(value) else row[name] for name, value in numbers.items())]
+            )
+        summary_lines.append(f"  verdict: {verdict['label']}")
+        summary_lines.append("")
+    return "\n".join(summary_lines), combined_rows
+
+
+def write_report(directory: Path, summary: str, rows: list[list]) -> tuple[Path, Path]:
+    """Write ``summary.txt`` and the ``rows`` of ``combined_curves.csv``; returns their paths."""
+    summary_path = directory / SUMMARY_FILENAME
+    combined_path = directory / COMBINED_FILENAME
+    with atomic_open(summary_path, "w", encoding="utf-8") as fh:
+        fh.write(summary)
+    _write_csv(combined_path, ("run", "slice_index", "S", "S_std_err", *CURVE_NUMBERS), rows)
+    return summary_path, combined_path

@@ -359,7 +359,7 @@ def slice_sequences(records: np.ndarray, n_slices: int) -> dict[tuple[int, int],
 
 
 def sequence_partition(bits: np.ndarray, target_length: int) -> list[np.ndarray]:
-    """Split into consecutive non-overlapping blocks; remainder discarded."""
+    """Split into consecutive non-overlapping blocks; the caller keeps the remainder."""
     if target_length < 100:
         raise ConfigError("target_length must be >= 100")
     bits = np.asarray(bits)

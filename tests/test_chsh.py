@@ -34,10 +34,10 @@ from bellrm import (
     qm_correlation,
     same_angle,
     s_vs_window,
-    write_chsh_csv,
 )
 from bellrm import timetags
 from bellrm.chsh import CHSH_SIGNS
+from bellrm.rundir import write_chsh_csv
 from bellrm.streams import substream
 
 PI = math.pi

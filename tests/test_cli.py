@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 import bellrm
 import bellrm.source
 from bellrm import BtagFile, BtagWriter, RunConfig
-from bellrm.atomic import atomic_open
 from bellrm.cli import main
+from bellrm.rundir import atomic_open
 
 BASE_CONFIG = {
     "run": {

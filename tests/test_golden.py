@@ -7,7 +7,11 @@ were last rewritten.  ``test_the_paper_default_run_keeps_its_bytes``
 runs the paper's default 300 s, 1 MHz experiment (seed 808) through
 ``simulate``, ``analyze`` and ``report`` and checks the verdict, its
 counts and the digests of all seven outputs, recorded before the
-matcher was split from the coincidence builder.  A change that claims
+matcher was split from the coincidence builder.
+``test_a_run_without_sequences_keeps_its_bytes`` pins the outputs of a
+0.05 s default run, too short for one sequence: ``nan`` curve cells,
+``null`` verdict numbers, a header-only ``sequences.csv``, ``R = n/a``
+and empty ``combined_curves.csv`` cells.  A change that claims
 byte-identical outputs must keep these; a deliberate output change
 updates them and says so.
 """
@@ -84,6 +88,15 @@ PAPER_DEFAULT_GOLDEN = {
     "combined_curves.csv": "62bb5c3904211b45e688d147ea3306292e0b3ebf955bdbad25dd9ce08df02939",
 }
 
+NO_SEQUENCE_GOLDEN = {
+    "chsh_per_slice.csv": "c3230396e23234d787f79b177a64aa47fc36885b6f6849c80c0ec5b79642cc85",
+    "sequences.csv": "88b841d60e42787ea406deb4cc12b5219a94b4d9f0596c792fd701005d0af22b",
+    "curve.csv": "2fe6474c8400978d204326c6b836004f9ccced74f2d128cee57c1a81e48a6dcc",
+    "verdict.json": "0de55203f667a3593d7f2129fec6629d79770a4c01b6bf07c7f33f78e15c198c",
+    "summary.txt": "657ffd01ca89da65fd5a78d96bc4c21b877e153b897f3aa0a0ee18f7f039aff3",
+    "combined_curves.csv": "be152f37503e753b9e7274e8885b5a7cebdf62daa60194d9a1d0b7ecf9cf1d4c",
+}
+
 
 def _digests(run_dir, names=OUTPUTS):
     return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in names}
@@ -127,3 +140,22 @@ def test_the_paper_default_run_keeps_its_bytes(tmp_path, monkeypatch, capsys):
     assert json.loads((run_dir / "verdict.json").read_text())["label"] == "REALISM_FALSE"
     assert _digests(run_dir, PAPER_DEFAULT_GOLDEN) == PAPER_DEFAULT_GOLDEN
     (run_dir / "events.btag").unlink()  # 1.15 GB; pytest keeps recent temporary directories
+
+
+def test_a_run_without_sequences_keeps_its_bytes(tmp_path, monkeypatch, capsys):
+    _clear_bellrm_env(monkeypatch)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"run": {"seed": 1, "run_duration_s": 0.05}}))
+    run_dir = tmp_path / "nosequence"  # report writes the directory's name into its outputs
+    assert main(["simulate", "--config", str(config_path), "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--in", str(run_dir)]) == 0
+    assert capsys.readouterr().out == (
+        "analyze: 1007 coincidences, 0 sequences, verdict INCONCLUSIVE\n"
+    )
+    assert main(["report", "--in", str(run_dir)]) == 0
+    verdict = json.loads((run_dir / "verdict.json").read_text())
+    assert (verdict["label"], verdict["reason"]) == (
+        "INCONCLUSIVE", "slice 0 has too few sequences"
+    )
+    assert _digests(run_dir, NO_SEQUENCE_GOLDEN) == NO_SEQUENCE_GOLDEN

@@ -38,12 +38,12 @@ from bellrm import (
     run_battery,
     sequence_partition,
     slice_sequences,
-    write_chsh_csv,
 )
 from bellrm import btag, pipeline, timetags
 from bellrm.btag import STATION_A, STATION_B
 from bellrm.cli import main
 from bellrm.pipeline import AnalysisConfig, analyze_events
+from bellrm.rundir import write_chsh_csv
 from bellrm.timetags import _effective_setting_table, cut_at_gaps
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from bellrm import (
     BatteryConfig,
     ConfigError,
     InsufficientLengthError,
+    RandommeterCurve,
     UndefinedStatisticError,
     Verdict,
     block_frequency_test,
@@ -460,6 +462,19 @@ class TestClassifyScenario:
         assert verdict.n_first_half == verdict.n_second_half == 0
         assert verdict.per_slice_S == (2.8, 2.8)
         assert verdict.per_slice_R == (0.95, 0.05)
+
+    @pytest.mark.parametrize("slice_indices", [(0,), (1, 2)])
+    def test_readings_of_one_half_give_inconclusive(self, slice_indices):
+        # one reading, or two that both lie in the second half of a
+        # two-slice curve: no contrast between the halves can be made
+        reading = synthetic_curve([0.05, 0.05]).readings[0]
+        curve = RandommeterCurve(
+            tuple(dataclasses.replace(reading, slice_index=k) for k in slice_indices)
+        )
+        chsh = [make_chsh(k, 2.8) for k in slice_indices]
+        verdict = classify_scenario(curve, chsh, self.MATCHED, 0)
+        assert verdict.label is Verdict.INCONCLUSIVE
+        assert verdict.reason == "slices do not cover both pulse halves"
 
     def test_four_slices_pool_into_halves(self):
         chsh = [make_chsh(k, 2.8) for k in range(4)]
