@@ -10,7 +10,7 @@ of constant or short-period input.
 
 import numpy as np
 
-from bellrm import BatteryConfig, compression_ratio, run_battery
+from bellrm import STATION_A, BatteryConfig, compression_ratio, run_battery
 from bellrm.models import scenario_pattern
 from bellrm.randommeter import curve_from_reports
 
@@ -30,8 +30,9 @@ print("rejections over %d full-entropy sequences of %d bits:" % (n_seq, length))
 for name, k in per_test.items():
     print("  %-16s %3d  (%.3f, target %.2f)" % (name, k, k / n_seq, cfg.alpha_sig))
 
-# the curve wants two slices; the second is left empty
-reading = curve_from_reports({0: reports, 1: []}, cfg).readings[0]
+# the curve reads a {(slice, station): reports} map of at least two
+# slices: every report goes to slice 0, and slice 1 is left empty
+reading = curve_from_reports({(0, STATION_A): reports, (1, STATION_A): []}, cfg)[0]
 print(
     "compound rate %.3f  [%.3f, %.3f];  independence approximation %.3f"
     % (reading.rejection_rate, reading.ci_low, reading.ci_high, cfg.false_alarm_rate)

@@ -37,7 +37,7 @@ for kind in SCENARIOS:
     print("=" * 64)
     print("generator:", kind.value)
     print("  slice |    S    | R (not-random rate) | compression")
-    for reading, est in zip(curve.readings, chsh):
+    for reading, est in zip(curve, chsh):
         print(
             "    %d   | %.4f  |  %.3f [%.3f-%.3f]  |   %.3f"
             % (

@@ -38,10 +38,10 @@ _EXPORTS = {
         )),
         ("pipeline", ("AnalysisConfig", "analyze_events")),
         ("randommeter", (
-            "BatteryConfig", "RandomnessReport", "RandommeterCurve", "ScenarioVerdict",
-            "SliceReading", "TestResult", "Verdict", "block_frequency_test",
-            "classify_scenario", "compression_ratio", "cusum_test", "monobit_test",
-            "run_battery", "runs_test", "serial_test", "two_proportion_z", "wilson_interval",
+            "BatteryConfig", "RandomnessReport", "ScenarioVerdict", "SliceReading",
+            "TestResult", "Verdict", "block_frequency_test", "classify_scenario",
+            "compression_ratio", "cusum_test", "monobit_test", "run_battery", "runs_test",
+            "serial_test", "two_proportion_z", "wilson_interval",
         )),
         ("source", (
             "CHSH_MENU", "PulseGeometry", "RunConfig", "RunStats", "iter_event_chunks",

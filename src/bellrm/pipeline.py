@@ -19,7 +19,9 @@ buffer is the only queue, so a slow worker holds the parent back.  Per
 and runs ``run_battery`` on each, so the blocks are the ones a cut of the
 whole stream gives.  After the end marker it sends the reports back
 grouped per (slice, station), in block order, so the outputs are those of
-a serial run.  Memory is bounded by the windows in use and, in the
+a serial run: ``sequences.csv`` is written from that map, and
+``randommeter.curve_from_reports`` reads it as it is into the curve, one
+reading per slice.  Memory is bounded by the windows in use and, in the
 worker, less than a block per (slice, station), not by the run's length.
 A battery exception is raised again in the parent; a worker that dies
 ends the analysis with a ``WorkerError`` naming its exit code; the worker
@@ -152,9 +154,10 @@ def analyze_events(events, run: RunConfig, analysis: AnalysisConfig):
 
     Returns (n_coincidences, chsh_estimates, curve, verdict, reports), where
     ``reports`` maps every (slice, station), slice by slice and A before B,
-    to its battery reports in block order.  CHSH estimates cover the slices
-    that could be estimated, and a slice without one makes the verdict
-    INCONCLUSIVE.  A ``DataError`` of ``timetags.coincidence_parts`` ends
+    to its battery reports in block order, and ``curve`` is the tuple of
+    one ``SliceReading`` per slice, in order, built from it.  CHSH estimates
+    cover the slices that could be estimated, and a slice without one makes
+    the verdict INCONCLUSIVE.  A ``DataError`` of ``timetags.coincidence_parts`` ends
     the analysis.  It forks the battery worker, so call it from a process
     with no other thread running: a forked child holds only the calling
     thread.
@@ -183,9 +186,6 @@ def analyze_events(events, run: RunConfig, analysis: AnalysisConfig):
         conn.close()
         worker.join()
 
-    reports_by_slice = {
-        s: reports[s, STATION_A] + reports[s, STATION_B] for s in range(n_slices)
-    }
     chsh_estimates = []
     for slice_index in range(n_slices):
         try:
@@ -193,9 +193,7 @@ def analyze_events(events, run: RunConfig, analysis: AnalysisConfig):
         except IncompleteSettingsError:
             pass  # classify_scenario answers INCONCLUSIVE for this slice
 
-    # validate has already refused fewer than two slices, and
-    # classify_scenario tests the halves only once each holds sequences.
-    curve = curve_from_reports(reports_by_slice, analysis.battery())
+    curve = curve_from_reports(reports, analysis.battery())
     n_coincidences = int(counts.sum())
     verdict = classify_scenario(curve, chsh_estimates, n_coincidences, int(counts[-1].sum()))
     return n_coincidences, chsh_estimates, curve, verdict, reports

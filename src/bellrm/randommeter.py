@@ -361,30 +361,28 @@ class SliceReading:
     sufficient: bool
 
 
-@dataclass(frozen=True)
-class RandommeterCurve:
-    readings: tuple
-
-    @property
-    def n_slices(self) -> int:
-        return len(self.readings)
-
-
-def curve_from_reports(reports_by_slice: dict, config: BatteryConfig) -> RandommeterCurve:
-    """Aggregate per-sequence battery reports into the per-slice curve.
+def curve_from_reports(reports: dict, config: BatteryConfig) -> tuple:
+    """One ``SliceReading`` per slice 0 .. n - 1, in order, from the battery
+    worker's ``{(slice, station): [report, ...]}``; each slice pools its
+    stations' reports in the map's order.  A map whose slices are not
+    0 .. n - 1 with n >= 2 raises a ``ConfigError``.
 
     The derived randomness level rescales R so that the battery's
     false-alarm rate reads 1.0 (fully random) and R = 1 reads 0.0; it is
     the same information plotted in the orientation of a randomness dial.
     """
-    if len(reports_by_slice) < 2:
-        raise ConfigError("randommeter curve needs at least 2 slices")
+    by_slice = {}
+    for (slice_index, _station), key_reports in reports.items():
+        by_slice.setdefault(slice_index, []).extend(key_reports)
+    if len(by_slice) < 2 or sorted(by_slice) != list(range(len(by_slice))):
+        raise ConfigError(
+            f"randommeter curve needs slices 0 .. n - 1 with n >= 2, got {sorted(by_slice)}"
+        )
     fa = config.false_alarm_rate
     readings = []
-    for slice_index in sorted(reports_by_slice):
-        reports = reports_by_slice[slice_index]
-        n = len(reports)
-        k = sum(r.overall_rejected for r in reports)
+    for slice_index, slice_reports in sorted(by_slice.items()):
+        n = len(slice_reports)
+        k = sum(r.overall_rejected for r in slice_reports)
         if n == 0:
             readings.append(
                 SliceReading(slice_index, 0, 0, math.nan, math.nan, math.nan, math.nan, math.nan, False)
@@ -401,12 +399,12 @@ def curve_from_reports(reports_by_slice: dict, config: BatteryConfig) -> Randomm
                 rejection_rate=rate,
                 ci_low=lo,
                 ci_high=hi,
-                mean_compression_ratio=float(np.mean([r.compression_ratio for r in reports])),
+                mean_compression_ratio=float(np.mean([r.compression_ratio for r in slice_reports])),
                 randomness_level=level,
                 sufficient=n >= MIN_SEQUENCES_PER_SLICE,
             )
         )
-    return RandommeterCurve(tuple(readings))
+    return tuple(readings)
 
 
 class Verdict(Enum):
@@ -444,7 +442,7 @@ def two_proportion_z(k1: int, n1: int, k2: int, n2: int) -> tuple[float, float]:
 
 
 def _unclassifiable(
-    curve: RandommeterCurve, s_by_slice: dict, n_coincidences: int, n_out_of_pulse: int
+    curve: tuple, s_by_slice: dict, n_coincidences: int, n_out_of_pulse: int
 ) -> str:
     """Why :func:`classify_scenario` must answer INCONCLUSIVE, or "" if it need not."""
     if n_coincidences == 0:
@@ -454,7 +452,7 @@ def _unclassifiable(
             f"no data in any slice: all {n_coincidences} matched coincidences "
             "fall outside the pulse"
         )
-    for reading in curve.readings:
+    for reading in curve:
         if not reading.sufficient:
             return f"slice {reading.slice_index} has too few sequences"
         est = s_by_slice.get(reading.slice_index)
@@ -465,13 +463,13 @@ def _unclassifiable(
                 f"slice {reading.slice_index}: S = {est.S:.3f} does not exceed 2 "
                 f"at {S_SIGMAS:.0f} sigma"
             )
-    if len({2 * r.slice_index + 1 < curve.n_slices for r in curve.readings}) < 2:
+    if len(curve) < 2:
         return "slices do not cover both pulse halves"
     return ""
 
 
 def classify_scenario(
-    curve: RandommeterCurve, chsh_per_slice, n_coincidences: int, n_out_of_pulse: int
+    curve: tuple, chsh_per_slice, n_coincidences: int, n_out_of_pulse: int
 ) -> ScenarioVerdict:
     """Decide which property the run gives evidence against.
 
@@ -489,9 +487,9 @@ def classify_scenario(
     s_by_slice = {est.slice_index: est for est in chsh_per_slice}
     per_slice_s = tuple(
         s_by_slice[r.slice_index].S if r.slice_index in s_by_slice else math.nan
-        for r in curve.readings
+        for r in curve
     )
-    per_slice_r = tuple(r.rejection_rate for r in curve.readings)
+    per_slice_r = tuple(r.rejection_rate for r in curve)
 
     reason = _unclassifiable(curve, s_by_slice, n_coincidences, n_out_of_pulse)
     if reason:
@@ -500,13 +498,10 @@ def classify_scenario(
             per_slice_s, per_slice_r, reason,
         )
 
-    n = curve.n_slices
-    first = [r for r in curve.readings if 2 * r.slice_index + 1 < n]
-    second = [r for r in curve.readings if 2 * r.slice_index + 1 >= n]
-    k1 = sum(r.n_rejected for r in first)
-    n1 = sum(r.n_sequences for r in first)
-    k2 = sum(r.n_rejected for r in second)
-    n2 = sum(r.n_sequences for r in second)
+    half = len(curve) // 2  # an odd count's middle slice is in the second half
+    first, second = curve[:half], curve[half:]
+    k1, k2 = (sum(r.n_rejected for r in readings) for readings in (first, second))
+    n1, n2 = (sum(r.n_sequences for r in readings) for readings in (first, second))
     z, p = two_proportion_z(k1, n1, k2, n2)
 
     if p < HALVES_SIGNIFICANCE:

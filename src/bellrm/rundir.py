@@ -33,7 +33,7 @@ if TYPE_CHECKING:
     from .chsh import ChshEstimate
     from .models import OutcomeModel
     from .pipeline import AnalysisConfig
-    from .randommeter import RandommeterCurve, ScenarioVerdict
+    from .randommeter import ScenarioVerdict, SliceReading
     from .source import RunConfig, RunStats
 
 EVENTS_FILENAME = "events.btag"
@@ -257,15 +257,15 @@ def write_reports_csv(path: Path, reports: dict) -> None:
     )
 
 
-def write_curve_csv(path: Path, curve: RandommeterCurve) -> None:
-    """``curve.csv``: one row per ``SliceReading``, its numbers to six decimals."""
+def write_curve_csv(path: Path, curve: tuple[SliceReading, ...]) -> None:
+    """``curve.csv``: one row per ``SliceReading`` of ``curve``, its numbers to six decimals."""
     _write_csv(
         path,
         CURVE_COLUMNS,
         (
             [f"{getattr(r, name):.6f}" if name in CURVE_NUMBERS else int(getattr(r, name))
              for name in CURVE_COLUMNS]
-            for r in curve.readings
+            for r in curve
         ),
     )
 
@@ -325,8 +325,10 @@ def _read_csv_rows(path: Path, numeric: tuple[str, ...]) -> list[dict]:
 
 def summarize_runs(run_dirs: list[Path]) -> tuple[str, list[list]]:
     """The text of ``summary.txt`` and the rows of ``combined_curves.csv`` of
-    the analyzed ``run_dirs``; an analysis output that is missing, cut
-    short or not numeric where a number belongs raises a ``DataError``."""
+    the analyzed ``run_dirs``; each run's verdict line carries the verdict's
+    reason, if it has one.  An analysis output that is missing, cut short or
+    not numeric where a number belongs, or a reason that is not text, raises
+    a ``DataError``."""
     missing = []
     for d in run_dirs:
         for name in (CHSH_FILENAME, CURVE_FILENAME, VERDICT_FILENAME):
@@ -341,6 +343,9 @@ def summarize_runs(run_dirs: list[Path]) -> tuple[str, list[list]]:
         verdict = read_json(d / VERDICT_FILENAME, DataError, "a bellrm verdict")
         if not isinstance(verdict.get("label"), str):
             raise DataError(f"{d / VERDICT_FILENAME} has no verdict label")
+        reason = verdict.get("reason", "")
+        if not isinstance(reason, str):
+            raise DataError(f"{d / VERDICT_FILENAME} has a reason that is not text")
         chsh_rows = {
             row["slice_index"]: row
             for row in _read_csv_rows(d / CHSH_FILENAME, ("S", "std_err"))
@@ -369,7 +374,7 @@ def summarize_runs(run_dirs: list[Path]) -> tuple[str, list[list]]:
                 [d.name, row["slice_index"], *(s_row[k] if s_row else "" for k in ("S", "std_err")),
                  *("" if math.isnan(value) else row[name] for name, value in numbers.items())]
             )
-        summary_lines.append(f"  verdict: {verdict['label']}")
+        summary_lines.append(f"  verdict: {verdict['label']}" + (f" ({reason})" if reason else ""))
         summary_lines.append("")
     return "\n".join(summary_lines), combined_rows
 

@@ -37,7 +37,6 @@ from bellrm import (
     serial_test,
     wilson_interval,
 )
-from bellrm.cli import main
 from bellrm.models import PI
 from bellrm.pipeline import AnalysisConfig, analyze_events
 from bellrm.streams import substream
@@ -84,14 +83,8 @@ def test_criterion_01_geometry():
     report(1, ok, f"duty cycle {duty_rounded:.4f} (120 ns) / {duty_default:.4f} (2L/c), {elapsed:.3f} s")
 
 
-def test_criterion_02_throughput_point(tmp_path):
-    config = {"run": {"seed": 808}, "model": {"kind": "QM_NONLOCAL"}}
-    cfg_path = tmp_path / "default_run.json"
-    cfg_path.write_text(json.dumps(config))
-    out = tmp_path / "full_run"
-    t0 = time.perf_counter()
-    code = main(["simulate", "--config", str(cfg_path), "--out", str(out)])
-    elapsed = time.perf_counter() - t0
+def test_criterion_02_throughput_point(paper_default_run):
+    out, code, elapsed = paper_default_run  # the default 300 s run, seed 808
     manifest = json.loads((out / "manifest.json").read_text())
     pairs = manifest["stats"]["n_coincidence_pairs"]
     target = 6_000_000

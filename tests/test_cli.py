@@ -681,8 +681,7 @@ class TestReport:
         assert main(["report", "--in", str(sim_dir)]) == 0
         summary = (sim_dir / "summary.txt").read_text()
         verdict_lines = [l for l in summary.splitlines() if l.strip().startswith("verdict:")]
-        assert len(verdict_lines) == 1
-        assert "LOCALITY_FALSE" in verdict_lines[0]
+        assert verdict_lines == ["  verdict: LOCALITY_FALSE"]  # a classified run gives no reason
         assert (sim_dir / "combined_curves.csv").exists()
 
     def test_missing_inputs_listed(self, tmp_path, no_bellrm_env, capsys):
@@ -744,7 +743,7 @@ class TestReport:
         assert main(["report", "--in", str(sim_dir), str(short), "--out", str(out)]) == 0
         summary = (out / "summary.txt").read_text()
         assert "nan" not in summary
-        slice_lines = [line for line in summary.splitlines() if "slice" in line]
+        slice_lines = [line for line in summary.splitlines() if line.startswith("  slice ")]
         assert len(slice_lines) == 4
         for line in slice_lines[:2]:  # a run with sequences keeps its numbers
             assert "R = 0." in line and "n/a" not in line
@@ -757,6 +756,22 @@ class TestReport:
             assert all(float(row[name]) >= 0 for name in numbers)
         for row in rows[2:]:
             assert [row[name] for name in numbers] == [""] * 5 and float(row["S"]) > 2
+
+    def test_the_verdict_line_gives_an_inconclusive_runs_reason(self, tmp_path, no_bellrm_env, capsys):
+        # 0.05 s of the default run: INCONCLUSIVE, no full sequence in slice 0
+        short = tmp_path / "short"
+        cfg = write_config(tmp_path, {"run": {"seed": 1, "run_duration_s": 0.05}}, "short.json")
+        assert main(["simulate", "--config", str(cfg), "--out", str(short)]) == 0
+        assert main(["analyze", "--in", str(short)]) == 0
+        assert main(["report", "--in", str(short)]) == 0
+        summary = (short / "summary.txt").read_text()
+        assert [line for line in summary.splitlines() if "verdict:" in line] == [
+            "  verdict: INCONCLUSIVE (slice 0 has too few sequences)"
+        ]
+        capsys.readouterr()
+        (short / "verdict.json").write_text(json.dumps({"label": "INCONCLUSIVE", "reason": 5}))
+        assert main(["report", "--in", str(short)]) == 3
+        assert "has a reason that is not text" in capsys.readouterr().err
 
 
 def _run_python(code: str, *args: str) -> str:

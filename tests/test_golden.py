@@ -4,8 +4,10 @@ Each short case simulates and analyzes a 0.5 s version of one workload
 and checks the SHA-256 of ``events.btag`` and of the four analysis
 outputs against digests recorded before the matcher and the count table
 were last rewritten.  ``test_the_paper_default_run_keeps_its_bytes``
-runs the paper's default 300 s, 1 MHz experiment (seed 808) through
-``simulate``, ``analyze`` and ``report`` and checks the verdict, its
+runs the paper's default 300 s, 1 MHz experiment (seed 808), which the
+``paper_default_run`` fixture simulates once for the session (acceptance
+criterion 2 times the same run), through ``analyze`` and ``report`` and
+checks the verdict, its
 counts and the digests of all seven outputs, recorded before the
 matcher was split from the coincidence builder.
 ``test_a_run_without_sequences_keeps_its_bytes`` pins the outputs of a
@@ -93,7 +95,7 @@ NO_SEQUENCE_GOLDEN = {
     "sequences.csv": "88b841d60e42787ea406deb4cc12b5219a94b4d9f0596c792fd701005d0af22b",
     "curve.csv": "2fe6474c8400978d204326c6b836004f9ccced74f2d128cee57c1a81e48a6dcc",
     "verdict.json": "0de55203f667a3593d7f2129fec6629d79770a4c01b6bf07c7f33f78e15c198c",
-    "summary.txt": "657ffd01ca89da65fd5a78d96bc4c21b877e153b897f3aa0a0ee18f7f039aff3",
+    "summary.txt": "6e91dea0b142c97a43cf61b1033925e8454e9225eb4931bbe6d99c5df9445641",
     "combined_curves.csv": "be152f37503e753b9e7274e8885b5a7cebdf62daa60194d9a1d0b7ecf9cf1d4c",
 }
 
@@ -125,12 +127,10 @@ def test_short_workload_keeps_its_bytes(workload, tmp_path, monkeypatch):
     assert _digests(run_dir) == GOLDEN[workload]
 
 
-def test_the_paper_default_run_keeps_its_bytes(tmp_path, monkeypatch, capsys):
+def test_the_paper_default_run_keeps_its_bytes(paper_default_run, monkeypatch, capsys):
     _clear_bellrm_env(monkeypatch)
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"run": {"seed": 808}, "model": {"kind": "QM_NONLOCAL"}}))
-    run_dir = tmp_path / "run808"  # report writes the directory's name into its outputs
-    assert main(["simulate", "--config", str(config_path), "--out", str(run_dir)]) == 0
+    run_dir, code, _ = paper_default_run
+    assert code == 0
     capsys.readouterr()
     assert main(["analyze", "--in", str(run_dir)]) == 0
     assert capsys.readouterr().out == (
@@ -139,7 +139,6 @@ def test_the_paper_default_run_keeps_its_bytes(tmp_path, monkeypatch, capsys):
     assert main(["report", "--in", str(run_dir)]) == 0
     assert json.loads((run_dir / "verdict.json").read_text())["label"] == "REALISM_FALSE"
     assert _digests(run_dir, PAPER_DEFAULT_GOLDEN) == PAPER_DEFAULT_GOLDEN
-    (run_dir / "events.btag").unlink()  # 1.15 GB; pytest keeps recent temporary directories
 
 
 def test_a_run_without_sequences_keeps_its_bytes(tmp_path, monkeypatch, capsys):

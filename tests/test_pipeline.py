@@ -58,7 +58,7 @@ def test_menu_without_a_chsh_pair_is_inconclusive(tmp_path):
     events = np.concatenate(list(iter_event_chunks(cfg, model)))
     n_coincidences, chsh, curve, verdict, _ = analyze_events(events, cfg, AnalysisConfig())
     assert n_coincidences > 0 and chsh == []
-    assert all(reading.sufficient for reading in curve.readings)
+    assert all(reading.sufficient for reading in curve)
     assert verdict.label is Verdict.INCONCLUSIVE
     assert verdict.reason == "slice 0 has no CHSH estimate"
     assert len(verdict.per_slice_S) == 2 and all(math.isnan(s) for s in verdict.per_slice_S)

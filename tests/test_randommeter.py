@@ -1,15 +1,17 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from bellrm import (
+    STATION_A,
+    STATION_B,
     BatteryConfig,
     ConfigError,
     InsufficientLengthError,
-    RandommeterCurve,
     UndefinedStatisticError,
     Verdict,
     block_frequency_test,
@@ -31,16 +33,18 @@ from bellrm.randommeter import curve_from_reports, gammaincc, ndtr
 
 
 def battery_curve(sequences_by_slice, config=BatteryConfig()):
-    """Run the battery on every sequence and aggregate the reports per slice."""
+    """Run the battery on every sequence and aggregate the reports per slice,
+    all of them at station A."""
     reports = {
-        s: [run_battery(bits, config) for bits in seqs] for s, seqs in sequences_by_slice.items()
+        (s, STATION_A): [run_battery(bits, config) for bits in seqs]
+        for s, seqs in sequences_by_slice.items()
     }
     return curve_from_reports(reports, config)
 
 
 def rejection_reading(sequences):
     """Reading of one sequence set; the curve needs a second, here empty, slice."""
-    return battery_curve({0: sequences, 1: []}).readings[0]
+    return battery_curve({0: sequences, 1: []})[0]
 
 
 def entropy_bits(n, seed=0):
@@ -363,39 +367,39 @@ def make_chsh(slice_index, s_value, std_err=0.01):
     return ChshEstimate(slice_index, (corr,) * 4, s_value, std_err)
 
 
-def synthetic_curve(rates, n=500):
+def fake_report(rejected, compression=1.0):
     from bellrm.randommeter import RandomnessReport, TestResult
 
-    cfg = BatteryConfig()
-    reports = {}
-    for slice_index, rate in enumerate(rates):
-        k = round(rate * n)
-        fake = []
-        for i in range(n):
-            rejected = i < k
-            fake.append(
-                RandomnessReport(
-                    results=(TestResult("monobit", 0.0, 0.0 if rejected else 0.5, rejected),),
-                    overall_rejected=rejected,
-                    compression_ratio=1.0,
-                )
-            )
-        reports[slice_index] = fake
-    return curve_from_reports(reports, cfg)
+    return RandomnessReport(
+        results=(TestResult("monobit", 0.0, 0.0 if rejected else 0.5, rejected),),
+        overall_rejected=rejected,
+        compression_ratio=compression,
+    )
 
 
-class TestRandommeterCurve:
+def synthetic_curve(rates, n=500):
+    """A curve of ``n`` reports per slice, all at station A, a share ``rate`` rejected."""
+    return curve_from_reports(
+        {
+            (slice_index, STATION_A): [fake_report(i < round(rate * n)) for i in range(n)]
+            for slice_index, rate in enumerate(rates)
+        },
+        BatteryConfig(),
+    )
+
+
+class TestCurveFromReports:
     def test_readings_per_slice(self):
         seqs = {
             0: [entropy_bits(10_000, seed=s) for s in range(30)],
             1: [np.zeros(10_000, dtype=np.uint8)] * 30,
         }
         curve = battery_curve(seqs)
-        assert curve.n_slices == 2
-        assert curve.readings[0].rejection_rate <= 0.2
-        assert curve.readings[1].rejection_rate == 1.0
-        assert curve.readings[1].randomness_level == 0.0
-        assert all(r.sufficient for r in curve.readings)
+        assert [r.slice_index for r in curve] == [0, 1]
+        assert curve[0].rejection_rate <= 0.2
+        assert curve[1].rejection_rate == 1.0
+        assert curve[1].randomness_level == 0.0
+        assert all(r.sufficient for r in curve)
 
     def test_undersized_slice_marked_insufficient(self):
         seqs = {
@@ -403,12 +407,28 @@ class TestRandommeterCurve:
             1: [entropy_bits(10_000, seed=100 + s) for s in range(5)],
         }
         curve = battery_curve(seqs)
-        assert curve.readings[0].sufficient
-        assert not curve.readings[1].sufficient
+        assert curve[0].sufficient
+        assert not curve[1].sufficient
 
-    def test_needs_two_slices(self):
-        with pytest.raises(ConfigError):
-            battery_curve({0: [entropy_bits(10_000)] * 30})
+    def test_a_slice_pools_both_stations(self):
+        # slice 1 is listed first; the readings still come in slice order
+        reports = {
+            (1, STATION_A): [fake_report(False)] * 30,
+            (1, STATION_B): [],
+            (0, STATION_A): [fake_report(True, 0.25)] * 10,
+            (0, STATION_B): [fake_report(False, 1.0)] * 30,
+        }
+        curve = curve_from_reports(reports, BatteryConfig())
+        assert [r.slice_index for r in curve] == [0, 1]
+        assert (curve[0].n_sequences, curve[0].n_rejected) == (40, 10)
+        assert curve[0].mean_compression_ratio == float(np.mean([0.25] * 10 + [1.0] * 30))
+        assert (curve[1].n_sequences, curve[1].n_rejected) == (30, 0)
+
+    @pytest.mark.parametrize("slices", [(0,), (0, 2), (1, 2)], ids=["one", "gap", "no-slice-0"])
+    def test_refuses_slices_that_are_not_0_to_n(self, slices):
+        reports = {(s, station): [] for s in slices for station in (STATION_A, STATION_B)}
+        with pytest.raises(ConfigError, match="slices 0 .. n - 1 with n >= 2"):
+            curve_from_reports(reports, BatteryConfig())
 
 
 class TestClassifyScenario:
@@ -463,18 +483,34 @@ class TestClassifyScenario:
         assert verdict.per_slice_S == (2.8, 2.8)
         assert verdict.per_slice_R == (0.95, 0.05)
 
-    @pytest.mark.parametrize("slice_indices", [(0,), (1, 2)])
-    def test_readings_of_one_half_give_inconclusive(self, slice_indices):
-        # one reading, or two that both lie in the second half of a
-        # two-slice curve: no contrast between the halves can be made
-        reading = synthetic_curve([0.05, 0.05]).readings[0]
-        curve = RandommeterCurve(
-            tuple(dataclasses.replace(reading, slice_index=k) for k in slice_indices)
-        )
-        chsh = [make_chsh(k, 2.8) for k in slice_indices]
-        verdict = classify_scenario(curve, chsh, self.MATCHED, 0)
+    def test_readings_of_one_half_give_inconclusive(self):
+        # curve_from_reports builds no such curve; a hand-built one has no
+        # second half to contrast with
+        curve = synthetic_curve([0.05, 0.05])[:1]
+        verdict = classify_scenario(curve, [make_chsh(0, 2.8)], self.MATCHED, 0)
         assert verdict.label is Verdict.INCONCLUSIVE
         assert verdict.reason == "slices do not cover both pulse halves"
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 64), data=st.data())
+    def test_the_first_half_holds_the_slices_before_the_middle(self, n, data):
+        # slice s holds 30 + s sequences, so each half's count names its slices;
+        # the middle slice of an odd n lies in the second half
+        rejected = data.draw(st.lists(st.integers(0, 30), min_size=n, max_size=n))
+        reports = {
+            (s, STATION_A): [fake_report(i < rejected[s]) for i in range(30 + s)]
+            for s in range(n)
+        }
+        curve = curve_from_reports(reports, BatteryConfig())
+        chsh = [make_chsh(s, 2.8) for s in range(n)]
+        verdict = classify_scenario(curve, chsh, self.MATCHED, 0)
+        first = [s for s in range(n) if 2 * s + 1 < n]
+        second = [s for s in range(n) if 2 * s + 1 >= n]
+        assert verdict.label is not Verdict.INCONCLUSIVE
+        assert verdict.n_first_half == sum(30 + s for s in first)
+        assert verdict.n_second_half == sum(30 + s for s in second)
+        assert verdict.r_first_half == sum(rejected[s] for s in first) / verdict.n_first_half
+        assert verdict.r_second_half == sum(rejected[s] for s in second) / verdict.n_second_half
 
     def test_four_slices_pool_into_halves(self):
         chsh = [make_chsh(k, 2.8) for k in range(4)]
