@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .btag import STATION_B
+from . import btag
 from .errors import ConfigError, IncompleteSettingsError, UndefinedStatisticError
 from .models import (
     OutcomeModel,
@@ -162,16 +162,19 @@ class WindowScanPoint:
     S_pred: float
 
 
-def s_vs_window(events: np.ndarray, windows_ns, run: RunConfig) -> list[WindowScanPoint]:
+def s_vs_window(
+    events: np.ndarray | btag.BtagFile, windows_ns, run: RunConfig
+) -> list[WindowScanPoint]:
     """Measured S(W) on a merged event stream plus the uncorrelated-accidentals prediction.
 
-    ``events`` is a stream of the run ``run`` that ``coincidence_parts``
-    takes, or refuses with a ``DataError`` as ``analyze`` does: also a
-    window wider than every gap in ``timetags.MAX_GAPLESS_RECORDS`` (2^20)
-    consecutive records.  S pools every slice; ``n_matched`` counts every
-    record, setting -1 included.  The prediction
-    anchors on the smallest window: the matched pairs there are taken as
-    true coincidences, per-station leftover rates give the
+    ``events``, an array or a ``BtagFile`` read ``btag.PIECE_RECORDS``
+    records at a time, is a stream of the run ``run`` that
+    ``coincidence_parts`` takes, or refuses with a ``DataError`` as
+    ``analyze`` does: also a window wider than every gap in
+    ``timetags.MAX_GAPLESS_RECORDS`` (2^20) consecutive records.  S pools
+    every slice; ``n_matched`` counts every record, setting -1 included.
+    The prediction anchors on the smallest window: the matched pairs there
+    are taken as true coincidences, per-station leftover rates give the
     accidental-pair rate 2*rA*rB*W*T, and a survival factor
     exp(-(rA+rB)*W) accounts for true pairs whose partner is stolen by an
     earlier in-window accidental.  Both effects assume the out-of-pulse
@@ -195,8 +198,10 @@ def s_vs_window(events: np.ndarray, windows_ns, run: RunConfig) -> list[WindowSc
 
     w0, n0, s0, se0 = measured[0]
     t_run = float(run.run_duration_s)
-    n_b = int(np.count_nonzero(events["station"] == STATION_B))
-    rate_a = max(0.0, (events.size - n_b - n0) / t_run)
+    n_events, piece = len(events), btag.PIECE_RECORDS
+    stations = (events[i : i + piece]["station"] for i in range(0, n_events, piece))
+    n_b = sum(int(np.count_nonzero(station == btag.STATION_B)) for station in stations)
+    rate_a = max(0.0, (n_events - n_b - n0) / t_run)
     rate_b = max(0.0, (n_b - n0) / t_run)
 
     def accidental(w):

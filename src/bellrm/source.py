@@ -7,9 +7,9 @@ homogeneous dark counts.  Timestamps are quantized to 1 ns; two events
 landing on the same nanosecond at one station keep only the first
 (resolution-limited detector), with coincidence members taking priority.
 
-Generation is chunked over pulse blocks, each block fed by its own keyed
-random streams, so output is reproducible from (config, seed, block size);
-another ``chunk_pulses`` gives another stream.  Two threads share the
+Generation is chunked over blocks of ``BLOCK_PULSES`` pulses, each fed
+by its own keyed random streams, so the block size is part of how a seed
+becomes bytes, and a constant, not an argument.  Two threads share the
 work.  A one-thread executor makes every random draw, block after block
 in order, one block ahead: the SCENARIO_LOCALITY_FALSE and
 SCENARIO_ERGODICITY_FALSE samplers carry their pattern position from one
@@ -64,6 +64,8 @@ CHSH_MENU = (
 
 #: version of the seed -> bytes mapping, recorded in every manifest.
 GENERATOR_VERSION = 2
+#: pulses per block; a block has its own substreams, so another size gives another stream
+BLOCK_PULSES = 1 << 22
 
 # most settings_menu entries: analyze's n^2 int16 table of cross-pulse
 # settings takes 34 MB at this size, and 8.6 GB at the 65,536 a u16
@@ -71,7 +73,6 @@ GENERATOR_VERSION = 2
 _MAX_MENU = 4096
 
 _MAX_PULSES = 2**32 - 1
-_DEFAULT_CHUNK = 1 << 22
 # events per merged slab, about: a block is merged in time slabs of this
 # size, so the merge's sort and gather hold one slab, not the whole block
 _SLAB_EVENTS = 1 << 16
@@ -366,26 +367,21 @@ def iter_event_chunks(
     config: RunConfig,
     model: OutcomeModel,
     stats: RunStats | None = None,
-    chunk_pulses: int = _DEFAULT_CHUNK,
 ):
     """Yield merged, time-sorted event chunks covering the whole run.
 
-    Each block of ``chunk_pulses`` pulses (at least 1, or a
-    ``ConfigError``) draws from its own substreams, so the stream a seed
-    gives depends on the block size.  A chunk is a time slab of a block:
-    every event of a chunk is earlier in (timestamp, station) order than
-    every event of the next, so concatenating chunks gives the global
-    order, and the chunks of a block join into its whole-block merge, less
-    the events at or after the next block's start, which the next block
-    merges.  An empty slab is not yielded.
+    Each block of ``BLOCK_PULSES`` pulses draws from its own substreams.  A
+    chunk is a time slab of a block: every event of a chunk is earlier in
+    (timestamp, station) order than every event of the next, so
+    concatenating chunks gives the global order, and the chunks of a block
+    join into its whole-block merge, less the events at or after the next
+    block's start, which the next block merges.  An empty slab is not yielded.
 
     From the first ``next()`` on, a one-thread executor draws the next
     block while this one is merged and its chunks are consumed.  Its
     thread is joined before the generator returns, raises or is closed,
     and the exception of a failed draw is raised here.
     """
-    if chunk_pulses < 1:
-        raise ConfigError(f"chunk_pulses must be >= 1, got {chunk_pulses}")
     # imported here: --version, which loads only the package, never pays for it
     from concurrent.futures import ThreadPoolExecutor
 
@@ -397,13 +393,13 @@ def iter_event_chunks(
     if stats is None:
         stats = RunStats()
     stats.n_pulses = n_pulses
-    n_blocks = -(-n_pulses // chunk_pulses)
+    n_blocks = -(-n_pulses // BLOCK_PULSES)
     # the last block's events at or after its end, for this block to merge
     held: list = []
 
     def draw(block: int):
-        start = block * chunk_pulses
-        stop = min(start + chunk_pulses, n_pulses)
+        start = block * BLOCK_PULSES
+        stop = min(start + BLOCK_PULSES, n_pulses)
         return draws.submit(_draw_block, config, sampler, block, start, stop)
 
     with ThreadPoolExecutor(1, thread_name_prefix="bellrm-draw") as draws:
@@ -411,8 +407,8 @@ def iter_event_chunks(
         for block in range(n_blocks):
             parts = ahead.result()
             ahead = draw(block + 1) if block + 1 < n_blocks else None
-            start = block * chunk_pulses
-            stop = min(start + chunk_pulses, n_pulses)
+            start = block * BLOCK_PULSES
+            stop = min(start + BLOCK_PULSES, n_pulses)
             chunk_t0 = int(pulse_start_ns(start, rep_rate_hz))
             chunk_t1 = int(pulse_start_ns(stop, rep_rate_hz))
 

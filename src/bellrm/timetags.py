@@ -39,7 +39,8 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .btag import PIECE_RECORDS, STATION_A, STATION_B
+from . import btag
+from .btag import STATION_A, STATION_B
 from .errors import ConfigError, DataError, StreamOrderError
 from .models import same_angle
 from .source import RunConfig, pulse_geometry, pulse_start_ns
@@ -213,27 +214,23 @@ def _after_last_gap(ts: np.ndarray, window: int) -> int:
     return 0
 
 
-def cut_at_gaps(
-    events, window_ns: int, piece_records: int = PIECE_RECORDS
-) -> Iterator[tuple[int, np.ndarray]]:
+def cut_at_gaps(events, window_ns: int) -> Iterator[tuple[int, np.ndarray]]:
     """Cut a merged stream, an array or a ``BtagFile``, at gaps wider than ``window_ns``.
 
     Yields ``(first, part)``: the index of ``part[0]`` in the stream and a
     slice of it that ends at the end of the stream or before a gap wider
     than the window.  Each window starts at the first event not yet yielded,
-    holds ``piece_records`` events (fewer than one is a ``ConfigError``) and
-    is cut at its last gap.  A window without a gap grows by
-    ``piece_records`` events, so a chain is never cut; one that grows past
-    ``MAX_GAPLESS_RECORDS`` raises a ``DataError``, which bounds the memory
-    of every stream.  A step back in time is never a gap, so an order fault
-    stays inside one part, where ``match_events`` finds it.
+    holds ``btag.PIECE_RECORDS`` events and is cut at its last gap.  A
+    window without a gap grows by ``btag.PIECE_RECORDS`` events, so a chain
+    is never cut; one that grows past ``MAX_GAPLESS_RECORDS`` raises a
+    ``DataError``, which bounds the memory of every stream.  A step back in
+    time is never a gap, so an order fault stays inside one part, where
+    ``match_events`` finds it.
     """
-    if piece_records < 1:
-        raise ConfigError(f"piece_records must be >= 1, got {piece_records}")
     window, n = int(window_ns), len(events)
     first = end = 0
     while first < n:
-        end = min(end + piece_records, n)
+        end = min(end + btag.PIECE_RECORDS, n)
         part = events[first:end]
         cut = _after_last_gap(part["timestamp_ns"], window)
         if not cut and part.size > MAX_GAPLESS_RECORDS:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from bellrm import (
     CHSH_MENU,
     COINC_DTYPE,
+    BtagFile,
+    BtagWriter,
     ChshEstimate,
     ConfigError,
     DataError,
@@ -35,7 +37,7 @@ from bellrm import (
     same_angle,
     s_vs_window,
 )
-from bellrm import timetags
+from bellrm import btag, timetags
 from bellrm.chsh import CHSH_SIGNS
 from bellrm.rundir import write_chsh_csv
 from bellrm.streams import substream
@@ -401,6 +403,23 @@ class TestSVsWindow:
             one_pass.append((w, records.size, est.S, est.std_err))
         scan = s_vs_window(events, windows, cfg)
         assert [(p.window_ns, p.n_matched, p.S, p.std_err) for p in scan] == one_pass
+
+    @pytest.mark.parametrize("piece_records", [btag.PIECE_RECORDS, 1_009])
+    def test_a_written_file_scans_as_its_array(
+        self, noisy_run, tmp_path, monkeypatch, piece_records
+    ):
+        # a file is read in slices, for its parts and for its station counts;
+        # 1,009 records a slice leave a short last slice
+        cfg, events = noisy_run
+        monkeypatch.setattr(btag, "PIECE_RECORDS", piece_records)
+        assert events.size > 3 * piece_records and events.size % piece_records
+        path = tmp_path / "events.btag"
+        with BtagWriter(path) as writer:
+            writer.write(events)
+        windows = [2, 50, 5_000]
+        with BtagFile(path) as events_file:
+            from_file = s_vs_window(events_file, windows, cfg)
+        assert from_file == s_vs_window(events, windows, cfg)
 
     def test_the_scan_counts_cross_pulse_records_with_no_setting(self):
         # the fifth entry's alpha with another entry's beta is not in the

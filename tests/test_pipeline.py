@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import itertools
 import json
 import math
@@ -12,6 +11,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -144,14 +144,15 @@ def assert_cut_matches_one_pass(events, parts, window):
 
 
 @pytest.mark.parametrize("window, chain_size, n_chains", [(2, 2, 500), (100, 3, 200)])
-def test_cutting_at_every_gap_matches_one_pass(window, chain_size, n_chains):
+def test_cutting_at_every_gap_matches_one_pass(window, chain_size, n_chains, monkeypatch):
     # one-event windows: cut_at_gaps cuts at every gap wider than W; at
     # W = 100 ns the 100 kHz darks make chains of three or more events
     cfg = RunConfig(seed=43, run_duration_s=0.05, dark_rate_hz=1e5)
     events = np.concatenate(list(iter_event_chunks(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))))
     ts = events["timestamp_ns"].astype(np.int64)
     n_gaps = np.count_nonzero(np.diff(ts) > window)
-    parts = list(cut_at_gaps(events, window, piece_records=1))
+    monkeypatch.setattr(btag, "PIECE_RECORDS", 1)
+    parts = list(cut_at_gaps(events, window))
     assert_cut_matches_one_pass(events, parts, window)
     assert len(parts) == n_gaps + 1
     assert sum(part.size >= chain_size for _, part in parts) > n_chains
@@ -173,21 +174,24 @@ def test_cutting_a_file_gives_the_parts_of_the_array(tagged, piece_records, wind
     events["station"] = [k & 1 for k in keys]
     events["port_bit"] = [k % 3 == 0 for k in keys]
     events["setting_index"] = [k % 4 for k in keys]
-    in_memory = list(cut_at_gaps(events, window, piece_records))
-    with tempfile.TemporaryDirectory() as tmp:
-        with BtagFile(write_btag(Path(tmp) / "events.btag", events)) as btag_file:
-            from_file = list(cut_at_gaps(btag_file, window, piece_records))
+    # patched here, not by a fixture: a fixture is not reset between examples
+    with mock.patch.object(btag, "PIECE_RECORDS", piece_records):
+        in_memory = list(cut_at_gaps(events, window))
+        with tempfile.TemporaryDirectory() as tmp:
+            with BtagFile(write_btag(Path(tmp) / "events.btag", events)) as btag_file:
+                from_file = list(cut_at_gaps(btag_file, window))
     assert [(first, part.tobytes()) for first, part in from_file] == [
         (first, part.tobytes()) for first, part in in_memory
     ]
     assert_cut_matches_one_pass(events, from_file, window)
 
 
-def test_parts_cut_from_a_file_are_read_only_views_of_a_mapping(tmp_path):
+def test_parts_cut_from_a_file_are_read_only_views_of_a_mapping(tmp_path, monkeypatch):
     cfg = RunConfig(seed=43, run_duration_s=0.05, dark_rate_hz=1e5)
     events = np.concatenate(list(iter_event_chunks(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))))
+    monkeypatch.setattr(btag, "PIECE_RECORDS", 1000)
     with BtagFile(write_btag(tmp_path / "events.btag", events)) as btag_file:
-        parts = list(cut_at_gaps(btag_file, 2, piece_records=1000))
+        parts = list(cut_at_gaps(btag_file, 2))
     assert len(parts) > 10
     for _, part in parts:
         assert not part.flags.writeable and not part.flags.owndata
@@ -202,7 +206,7 @@ def test_parts_cut_from_a_file_are_read_only_views_of_a_mapping(tmp_path):
     assert_cut_matches_one_pass(events, parts, 2)
 
 
-def test_a_gapless_run_longer_than_a_window_grows_the_window(tmp_path):
+def test_a_gapless_run_longer_than_a_window_grows_the_window(tmp_path, monkeypatch):
     # lone events, then 3,000 events each 1-2 ns after the last, then lone
     # events again; in windows of 500 the chain spans seven windows
     rng = np.random.default_rng(7)
@@ -216,8 +220,9 @@ def test_a_gapless_run_longer_than_a_window_grows_the_window(tmp_path):
     events["pulse_index"] = t // 1000
     events["station"] = rng.integers(0, 2, t.size)
     events["port_bit"] = rng.integers(0, 2, t.size)
+    monkeypatch.setattr(btag, "PIECE_RECORDS", 500)
     with BtagFile(write_btag(tmp_path / "events.btag", events)) as btag_file:
-        parts = list(cut_at_gaps(btag_file, 2, piece_records=500))
+        parts = list(cut_at_gaps(btag_file, 2))
     assert_cut_matches_one_pass(events, parts, 2)
     chain = [(first, part.size) for first, part in parts if part.size >= 3000]
     assert len(chain) == 1
@@ -230,10 +235,10 @@ def test_a_gapless_run_past_the_cap_in_a_file_exits_3(tmp_path, monkeypatch, cap
     # refused, and a window that grows 7 records at a time is refused at 105
     run = gapless_run(tmp_path, monkeypatch, 110)
     monkeypatch.setattr(timetags, "MAX_GAPLESS_RECORDS", 100)
-    with BtagFile(run / "events.btag") as events:
-        assert [first for first, _ in cut_at_gaps(events[:100], 2, 7)] == [0]
+    with BtagFile(run / "events.btag") as events, mock.patch.object(btag, "PIECE_RECORDS", 7):
+        assert [first for first, _ in cut_at_gaps(events[:100], 2)] == [0]
         with pytest.raises(DataError, match="^no gap wider than 2 ns in 105 records from"):
-            list(cut_at_gaps(events, 2, 7))
+            list(cut_at_gaps(events, 2))
     capsys.readouterr()
     with time_limit(60):
         assert main(["analyze", "--in", str(run)]) == 3
@@ -319,13 +324,6 @@ def test_a_gapless_stream_past_the_cap_exits_3_in_bounded_memory(
     assert_no_child_left()
 
 
-def cut_in_windows_of(monkeypatch, piece_records):
-    """Make ``analyze_events`` cut its stream in windows of ``piece_records`` records."""
-    monkeypatch.setattr(
-        timetags, "cut_at_gaps", functools.partial(cut_at_gaps, piece_records=piece_records)
-    )
-
-
 def test_reading_in_small_pieces_gives_the_same_analysis(tmp_path, monkeypatch):
     # the file cut in windows of 1,000 records, against the array in memory
     cfg = RunConfig(
@@ -336,7 +334,7 @@ def test_reading_in_small_pieces_gives_the_same_analysis(tmp_path, monkeypatch):
     events = np.concatenate(list(iter_event_chunks(cfg, model)))
     analysis = AnalysisConfig(window_ns=5)
     whole = analyze_events(events, cfg, analysis)
-    cut_in_windows_of(monkeypatch, 1000)
+    monkeypatch.setattr(btag, "PIECE_RECORDS", 1000)
     with BtagFile(write_btag(tmp_path / "events.btag", events)) as btag_file:
         windows = analyze_events(btag_file, cfg, analysis)
     assert whole[0] > 0 and sum(map(len, whole[4].values())) >= 16
@@ -352,7 +350,7 @@ def test_the_settings_table_is_built_once_per_analysis(monkeypatch):
     )
     events = np.concatenate(list(iter_event_chunks(cfg, OutcomeModel(ModelKind.QM_NONLOCAL))))
     analysis = AnalysisConfig(window_ns=5)
-    cut_in_windows_of(monkeypatch, events.size // 5)
+    monkeypatch.setattr(btag, "PIECE_RECORDS", events.size // 5)
     n_parts = len(list(timetags.cut_at_gaps(events, analysis.window_ns)))
     assert n_parts >= 3
     _effective_setting_table.cache_clear()
@@ -428,7 +426,7 @@ def test_the_worker_reports_what_a_serial_battery_gives(n_pulses, monkeypatch):
     # 1,500 pulses: no full block anywhere
     cfg = RunConfig(seed=51, run_duration_s=n_pulses * 1e-6)
     events = pairs_in_slices_0_and_2(n_pulses)
-    cut_in_windows_of(monkeypatch, -(-events.size // 7))
+    monkeypatch.setattr(btag, "PIECE_RECORDS", -(-events.size // 7))
     assert len(list(timetags.cut_at_gaps(events, WORKER_ANALYSIS.window_ns))) >= 7
     with time_limit(60):
         reports = analyze_events(events, cfg, WORKER_ANALYSIS)[4]
@@ -449,7 +447,7 @@ def test_a_data_error_in_a_later_part_reaps_the_worker(monkeypatch):
     cfg = RunConfig(seed=51, run_duration_s=6_400e-6)
     events = pairs_in_slices_0_and_2(6_400)
     events["setting_index"][-3] = 7  # after the first full blocks went to the worker
-    cut_in_windows_of(monkeypatch, -(-events.size // 7))
+    monkeypatch.setattr(btag, "PIECE_RECORDS", -(-events.size // 7))
     with time_limit(60), pytest.raises(
         DataError, match=f"record {events.size - 3} has setting_index 7"
     ):
@@ -469,7 +467,7 @@ def test_a_battery_exception_comes_back_unchanged(monkeypatch):
     monkeypatch.setattr(pipeline, "run_battery", fails_on_the_second_block)
     cfg = RunConfig(seed=51, run_duration_s=6_400e-6)
     events = pairs_in_slices_0_and_2(6_400)
-    cut_in_windows_of(monkeypatch, -(-events.size // 7))
+    monkeypatch.setattr(btag, "PIECE_RECORDS", -(-events.size // 7))
     with time_limit(60), pytest.raises(
         ZeroDivisionError, match="^battery failed on the second block$"
     ):
@@ -482,7 +480,7 @@ def test_a_dead_worker_ends_the_analysis_with_its_exit_code(monkeypatch):
     monkeypatch.setattr(pipeline, "run_battery", lambda *args, **kwargs: os._exit(7))
     cfg = RunConfig(seed=51, run_duration_s=6_400e-6)
     events = pairs_in_slices_0_and_2(6_400)
-    cut_in_windows_of(monkeypatch, -(-events.size // 7))
+    monkeypatch.setattr(btag, "PIECE_RECORDS", -(-events.size // 7))
     with time_limit(60), pytest.raises(WorkerError, match="exited with code 7"):
         analyze_events(events, cfg, WORKER_ANALYSIS)
     assert_no_child_left()

@@ -1,3 +1,4 @@
+import inspect
 import math
 import threading
 import tracemalloc
@@ -188,12 +189,24 @@ class TestGenerateRun:
 
     def test_same_chunking_replays_the_stream(self):
         cfg = small_config(detection_prob_per_pulse=0.05, dark_rate_hz=100.0)
-        fine = np.concatenate(list(iter_event_chunks(cfg, QM, chunk_pulses=1 << 22)))
+        fine = np.concatenate(list(iter_event_chunks(cfg, QM)))
         assert fine.size > 0
-        # each block has its own substreams, so only the same chunk size
+        # each block has its own substreams, so only the same block size
         # gives the same stream
-        same = np.concatenate(list(iter_event_chunks(cfg, QM, chunk_pulses=1 << 22)))
+        same = np.concatenate(list(iter_event_chunks(cfg, QM)))
         assert np.array_equal(fine, same)
+
+    def test_another_block_size_gives_another_stream(self, monkeypatch):
+        # the size is read at call time, and no argument of the generator
+        # can set it: a run's config and seed fix its stream
+        assert "chunk_pulses" not in inspect.signature(iter_event_chunks).parameters
+        cfg = small_config(detection_prob_per_pulse=0.05, dark_rate_hz=100.0)
+        whole = np.concatenate(list(iter_event_chunks(cfg, QM)))
+        assert cfg.n_pulses <= source.BLOCK_PULSES
+        monkeypatch.setattr(source, "BLOCK_PULSES", 100_000)
+        blocks = np.concatenate(list(iter_event_chunks(cfg, QM)))
+        assert np.array_equal(blocks, np.concatenate(list(iter_event_chunks(cfg, QM))))
+        assert not np.array_equal(whole, blocks)
 
     def test_events_time_ordered_and_strict_per_station(self):
         cfg = small_config(detection_prob_per_pulse=0.05, dark_rate_hz=1000.0)
@@ -278,12 +291,13 @@ class TestHitOffsets:
         expected = n * np.append(stats.geom.pmf(np.arange(1, k + 1), p), stats.geom.sf(k, p))
         assert stats.chisquare(observed, expected).pvalue > 0.001
 
-    def test_block_edges_hit_at_rate_p(self):
+    def test_block_edges_hit_at_rate_p(self, monkeypatch):
         # 1000 blocks of 1000 pulses: an off-by-one at a block edge would
         # starve or double the first or the last pulse of every block
         p = 0.3
         cfg = small_config(coincidence_prob_per_pulse=p)
-        chunks = iter_event_chunks(cfg, QM, chunk_pulses=1000)
+        monkeypatch.setattr(source, "BLOCK_PULSES", 1000)
+        chunks = iter_event_chunks(cfg, QM)
         offsets = np.concatenate([c["pulse_index"][c["station"] == 0] for c in chunks]) % 1000
         n_blocks = cfg.n_pulses // 1000
         sigma = math.sqrt(n_blocks * p * (1 - p))
@@ -367,7 +381,8 @@ def test_one_sort_merge_equals_two_stage_merge(monkeypatch):
     monkeypatch.setattr(source, "_merge", recording)
     cfg = small_config(run_duration_s=0.2, detection_prob_per_pulse=0.1, dark_rate_hz=3e6)
     run_stats = RunStats()
-    list(source.iter_event_chunks(cfg, QM, run_stats, chunk_pulses=50_000))
+    monkeypatch.setattr(source, "BLOCK_PULSES", 50_000)
+    list(source.iter_event_chunks(cfg, QM, run_stats))
     for parts_a, parts_b, (events, dropped) in seen:
         expected, expected_dropped = two_stage_merge(parts_a, parts_b)
         assert events.tobytes() == expected.tobytes()
@@ -384,7 +399,7 @@ def test_one_sort_merge_equals_two_stage_merge(monkeypatch):
 # and samples the pairs with the mask-based sampler of ``sampler_oracle``.
 
 
-def iter_event_chunks_before(config, model, stats, chunk_pulses):
+def iter_event_chunks_before(config, model, stats):
     geo = pulse_geometry(config)
     duration_ns = geo.pulse_duration_ns
     n_pulses = config.n_pulses
@@ -396,8 +411,9 @@ def iter_event_chunks_before(config, model, stats, chunk_pulses):
     p_single = config.detection_prob_per_pulse
     p_coinc = config.coincidence_prob_per_pulse
 
-    for block, start in enumerate(range(0, n_pulses, chunk_pulses)):
-        stop = min(start + chunk_pulses, n_pulses)
+    block_pulses = source.BLOCK_PULSES
+    for block, start in enumerate(range(0, n_pulses, block_pulses)):
+        stop = min(start + block_pulses, n_pulses)
         m = stop - start
         chunk_t0 = int(pulse_start_ns(start, config.rep_rate_hz))
         chunk_t1 = int(pulse_start_ns(stop, config.rep_rate_hz))
@@ -489,7 +505,7 @@ def iter_event_chunks_before(config, model, stats, chunk_pulses):
         *((kind, {"settings_menu": EDGE_MENU}) for kind in ModelKind),
     ],
 )
-def test_generator_equals_the_one_with_a_guard_per_category(kind, run):
+def test_generator_equals_the_one_with_a_guard_per_category(kind, run, monkeypatch):
     # 100 Hz darks put about 0.1 dark per block and station: most blocks draw
     # none at station A and then draw station B's from the same stream
     cfg = RunConfig(
@@ -504,8 +520,9 @@ def test_generator_equals_the_one_with_a_guard_per_category(kind, run):
     )
     model = OutcomeModel(kind)
     got_stats, want_stats = RunStats(), RunStats()
-    got = list(iter_event_chunks(cfg, model, got_stats, chunk_pulses=1000))
-    want = list(iter_event_chunks_before(cfg, model, want_stats, chunk_pulses=1000))
+    monkeypatch.setattr(source, "BLOCK_PULSES", 1000)
+    got = list(iter_event_chunks(cfg, model, got_stats))
+    want = list(iter_event_chunks_before(cfg, model, want_stats))
     assert [e.tobytes() for e in got] == [e.tobytes() for e in want]
     assert got_stats == want_stats
     assert got_stats.n_pulses == 50_000
@@ -514,7 +531,7 @@ def test_generator_equals_the_one_with_a_guard_per_category(kind, run):
 
 
 @pytest.mark.parametrize(
-    "kind, run, chunk_pulses",
+    "kind, run, block_pulses",
     [
         # thousands of same-ns repeats: one block of 20 slabs, and 4 of 5
         (ModelKind.QM_NONLOCAL, {"run_duration_s": 0.2, "dark_rate_hz": 3e6}, 1 << 22),
@@ -529,12 +546,13 @@ def test_generator_equals_the_one_with_a_guard_per_category(kind, run):
         ),
     ],
 )
-def test_slab_merge_equals_a_whole_block_merge(kind, run, chunk_pulses):
+def test_slab_merge_equals_a_whole_block_merge(kind, run, block_pulses, monkeypatch):
     cfg = RunConfig(**{"seed": 101, **run})
     model = OutcomeModel(kind)
     got_stats, want_stats = RunStats(), RunStats()
-    got = list(iter_event_chunks(cfg, model, got_stats, chunk_pulses=chunk_pulses))
-    want = list(iter_event_chunks_before(cfg, model, want_stats, chunk_pulses))
+    monkeypatch.setattr(source, "BLOCK_PULSES", block_pulses)
+    got = list(iter_event_chunks(cfg, model, got_stats))
+    want = list(iter_event_chunks_before(cfg, model, want_stats))
     assert len(got) > len(want)  # several slabs per block
     assert np.concatenate(got).tobytes() == np.concatenate(want).tobytes()
     assert got_stats == want_stats
@@ -555,8 +573,9 @@ def test_an_event_on_the_next_block_start_stays_in_its_block(monkeypatch):
         coincidence_prob_per_pulse=0.5,
     )
     got_stats, old_stats = RunStats(), RunStats()
-    got = np.concatenate(list(iter_event_chunks(cfg, QM, got_stats, chunk_pulses=1002)))
-    old = np.concatenate(list(iter_event_chunks_before(cfg, QM, old_stats, 1002)))
+    monkeypatch.setattr(source, "BLOCK_PULSES", 1002)
+    got = np.concatenate(list(iter_event_chunks(cfg, QM, got_stats)))
+    old = np.concatenate(list(iter_event_chunks_before(cfg, QM, old_stats)))
     block_starts = pulse_start_ns(np.arange(1002, cfg.n_pulses, 1002), cfg.rep_rate_hz)
     on_next_start = (old["pulse_index"] % 1002 == 1001) & np.isin(
         old["timestamp_ns"], block_starts
@@ -592,7 +611,7 @@ def test_an_event_on_the_next_block_start_stays_in_its_block(monkeypatch):
 def test_two_default_blocks_draw_in_bounded_memory():
     # one block's draws and one slab's merge, not a whole block's merge:
     # merging each block whole peaked at 70 MiB on this run
-    cfg = RunConfig(seed=101, run_duration_s=2 * (1 << 22) / 1e6)
+    cfg = RunConfig(seed=101, run_duration_s=2 * source.BLOCK_PULSES / 1e6)
     tracemalloc.start()
     try:
         n_events = 0
@@ -612,7 +631,13 @@ def test_two_default_blocks_draw_in_bounded_memory():
 THREAD_RUN = small_config(run_duration_s=0.01, detection_prob_per_pulse=0.1, dark_rate_hz=100.0)
 
 
-def test_a_run_consumed_to_the_end_leaves_no_thread(monkeypatch):
+@pytest.fixture
+def blocks_of_1000(monkeypatch):
+    """Generate in blocks of 1,000 pulses: THREAD_RUN draws ten."""
+    monkeypatch.setattr(source, "BLOCK_PULSES", 1000)
+
+
+def test_a_run_consumed_to_the_end_leaves_no_thread(monkeypatch, blocks_of_1000):
     drawn_on = []
 
     def recording(rng, p, m):
@@ -627,7 +652,7 @@ def test_a_run_consumed_to_the_end_leaves_no_thread(monkeypatch):
     hit_offsets = source._hit_offsets
     monkeypatch.setattr(source, "_hit_offsets", recording)
     before = threading.enumerate()
-    chunks = list(iter_event_chunks(THREAD_RUN, QM, chunk_pulses=1000))
+    chunks = list(iter_event_chunks(THREAD_RUN, QM))
     assert threading.enumerate() == before
     assert len(chunks) == 10
     assert len(drawn_on) == 30  # pairs and two singles per block
@@ -636,15 +661,15 @@ def test_a_run_consumed_to_the_end_leaves_no_thread(monkeypatch):
     assert {alive for _, alive in drawn_on} == {1}
 
 
-def test_a_generator_closed_after_its_first_chunk_leaves_no_thread():
+def test_a_generator_closed_after_its_first_chunk_leaves_no_thread(blocks_of_1000):
     before = threading.enumerate()
-    chunks = iter_event_chunks(THREAD_RUN, QM, chunk_pulses=1000)
+    chunks = iter_event_chunks(THREAD_RUN, QM)
     assert next(chunks).size > 0
     chunks.close()
     assert threading.enumerate() == before
 
 
-def test_a_draw_that_raises_in_block_2_leaves_no_thread(monkeypatch):
+def test_a_draw_that_raises_in_block_2_leaves_no_thread(monkeypatch, blocks_of_1000):
     calls = []
 
     def fails_in_block_2(rng, p, m):
@@ -656,7 +681,7 @@ def test_a_draw_that_raises_in_block_2_leaves_no_thread(monkeypatch):
     hit_offsets = source._hit_offsets
     monkeypatch.setattr(source, "_hit_offsets", fails_in_block_2)
     before = threading.enumerate()
-    chunks = iter_event_chunks(THREAD_RUN, QM, chunk_pulses=1000)
+    chunks = iter_event_chunks(THREAD_RUN, QM)
     assert next(chunks).size > 0
     with pytest.raises(ValueError, match="^no hits in block 2$") as raised:
         for _ in chunks:
@@ -671,7 +696,7 @@ def test_a_run_without_pulses_leaves_no_thread():
     assert threading.enumerate() == before
 
 
-def test_a_merge_that_raises_mid_run_leaves_no_thread(monkeypatch):
+def test_a_merge_that_raises_mid_run_leaves_no_thread(monkeypatch, blocks_of_1000):
     drawing, released = threading.Event(), threading.Event()
     draws, merges = [], []
 
@@ -694,18 +719,10 @@ def test_a_merge_that_raises_mid_run_leaves_no_thread(monkeypatch):
     monkeypatch.setattr(source, "_hit_offsets", waits_in_block_3)
     monkeypatch.setattr(source, "_merge", fails_in_block_2)
     before = threading.enumerate()
-    chunks = iter_event_chunks(THREAD_RUN, QM, chunk_pulses=1000)
+    chunks = iter_event_chunks(THREAD_RUN, QM)
     with pytest.raises(ValueError, match="^merge failed in block 2$") as raised:
         for _ in chunks:
             pass
     assert type(raised.value) is ValueError
     assert threading.enumerate() == before
     assert len(draws) == 12  # block 3 was drawn to its end, and no block after it
-
-
-@pytest.mark.parametrize("chunk_pulses", [0, -5])
-def test_a_block_of_fewer_than_one_pulse_is_refused(chunk_pulses):
-    run_stats = RunStats()
-    with pytest.raises(ConfigError, match=f"^chunk_pulses must be >= 1, got {chunk_pulses}$"):
-        next(iter_event_chunks(THREAD_RUN, QM, run_stats, chunk_pulses=chunk_pulses))
-    assert run_stats == RunStats()

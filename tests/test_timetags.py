@@ -880,31 +880,39 @@ class TestBtagFormat:
             with pytest.raises(TypeError, match="slices of consecutive records"):
                 events[::2]
 
-    @pytest.mark.parametrize("piece_records", [0, -1])
-    def test_piece_of_fewer_than_one_record_rejected(self, tmp_path, rng, piece_records):
-        # 0 would grow no window, -1 would shrink it
+    def test_each_window_holds_the_piece_size_read_at_call_time(
+        self, tmp_path, rng, monkeypatch
+    ):
+        # a gap after every event: each window of 10 is cut at its last
+        # gap, so 9 events are yielded and the next window starts at the 10th
+        ev = self.events(rng)
+        ev["timestamp_ns"] = np.arange(ev.size) * 10
+        ev["pulse_index"] = ev["timestamp_ns"] // 1000
         path = tmp_path / "events.btag"
         with BtagWriter(path) as writer:
-            writer.write(self.events(rng))
-        with BtagFile(path) as events, pytest.raises(
-            ConfigError, match="piece_records must be >= 1"
-        ):
-            next(cut_at_gaps(events, 2, piece_records=piece_records))
+            writer.write(ev)
+        monkeypatch.setattr(btag, "PIECE_RECORDS", 10)
+        with BtagFile(path) as events:
+            parts = [(first, part.size) for first, part in cut_at_gaps(events, 2)]
+        assert parts == [(9 * k, 9) for k in range(11)] + [(99, 1)]
 
-    def test_bad_field_in_a_later_piece_reports_its_offset_in_the_file(self, tmp_path, rng):
+    def test_bad_field_in_a_later_piece_reports_its_offset_in_the_file(
+        self, tmp_path, rng, monkeypatch
+    ):
         path = tmp_path / "events.btag"
         ev = self.events(rng)
         ev["port_bit"][61] = 2
         with BtagWriter(path) as writer:
             writer.write(ev)
+        monkeypatch.setattr(btag, "PIECE_RECORDS", 20)
         with BtagFile(path) as events, pytest.raises(
             IntegrityError, match="record 61 has station"
         ) as err:
-            list(cut_at_gaps(events, 2, piece_records=20))
+            list(cut_at_gaps(events, 2))
         assert err.value.offset == 32 + 61 * 16
 
     def test_bad_field_in_a_window_that_grew_names_the_lowest_bad_record(
-        self, tmp_path, rng
+        self, tmp_path, rng, monkeypatch
     ):
         # 100 events 1 ns apart: no gap, so the window grows 7 records at a
         # time; records 30 and 33 are bad, and 30 is found when the window
@@ -915,10 +923,11 @@ class TestBtagFormat:
         path = tmp_path / "events.btag"
         with BtagWriter(path) as writer:
             writer.write(ev)
+        monkeypatch.setattr(btag, "PIECE_RECORDS", 7)
         with BtagFile(path) as events, pytest.raises(
             IntegrityError, match="record 30 has station .* and port_bit 2"
         ) as err:
-            list(cut_at_gaps(events, 2, piece_records=7))
+            list(cut_at_gaps(events, 2))
         assert err.value.offset == 32 + 30 * 16
 
     def test_bad_magic_rejected(self, tmp_path, rng):
