@@ -927,10 +927,12 @@ def test_failed_write_leaves_the_old_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["verdict.json"]
 
 
-def _run_cli(args: list[str]) -> subprocess.CompletedProcess:
-    """``python -m bellrm.cli`` in a child, whose stderr shows any traceback."""
+def _run_cli(args: list[str], bellrm_env: dict | None = None) -> subprocess.CompletedProcess:
+    """``python -m bellrm.cli`` in a child, whose stderr shows any traceback.
+    Of the BELLRM_ environment it sees only ``bellrm_env``."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {k: v for k, v in os.environ.items() if not k.startswith("BELLRM_")}
+    env.update(bellrm_env or {})
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "bellrm.cli", *args], env=env, capture_output=True, text=True
@@ -956,6 +958,42 @@ def test_an_output_path_that_cannot_be_written_exits_2(sim_dir, command):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "configuration error: cannot write" in proc.stderr and str(path) in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "run, env",
+    [
+        ({"seed": 1, "run_duration_s": 5, "dark_rate_hz": 1e10}, {}),
+        ({"seed": 1, "rep_rate_hz": 0.001, "run_duration_s": 1e6, "pulse_duration_s": 1e-7}, {}),
+        ({"seed": 1, "run_duration_s": 5}, {"BELLRM_DARK_RATE_HZ": "1e10"}),
+    ],
+)
+def test_darks_beyond_the_block_cap_exit_2_before_touching_the_directory(tmp_path, run, env):
+    # drawn at once, these darks would not fit in memory
+    out = tmp_path / "out"
+    proc = _run_cli(
+        ["simulate", "--config", str(write_config(tmp_path, {"run": run})), "--out", str(out)],
+        env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert "more than 4194304: a block's darks are drawn at once" in proc.stderr
+    assert not out.exists()
+
+
+def test_darks_just_under_the_block_cap_simulate(tmp_path):
+    run = {
+        "seed": 1, "run_duration_s": 4.194304, "dark_rate_hz": 0.999e6,
+        "detection_prob_per_pulse": 0.0, "coincidence_prob_per_pulse": 0.0,
+    }
+    out = tmp_path / "out"
+    proc = _run_cli(
+        ["simulate", "--config", str(write_config(tmp_path, {"run": run})), "--out", str(out)]
+    )
+    assert proc.returncode == 0, proc.stderr
+    n_events = json.loads((out / "manifest.json").read_text())["stats"]["n_events"]
+    assert abs(n_events - 2 * 0.999 * 2**22) < 10_000
 
 
 def test_a_failed_analysis_write_leaves_no_new_output_beside_an_old_one(sim_dir, capsys):

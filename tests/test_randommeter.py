@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import special, stats
 
 from bellrm import (
     STATION_A,
@@ -29,7 +29,7 @@ from bellrm import (
 from bellrm import randommeter
 from bellrm.chsh import ChshEstimate
 from bellrm.models import scenario_pattern
-from bellrm.randommeter import curve_from_reports, gammaincc, ndtr
+from bellrm.randommeter import chi2_tail, curve_from_reports, ndtr
 
 
 def battery_curve(sequences_by_slice, config=BatteryConfig()):
@@ -537,7 +537,7 @@ class TestTwoProportion:
 
 
 class TestSpecialFunctions:
-    """The standard-library p-value functions against scipy.special."""
+    """The standard-library p-value functions against scipy."""
 
     def test_erfc(self):
         y = np.linspace(0.0, 26.0, 2601)  # erfc(26) ~ 6e-296
@@ -552,9 +552,11 @@ class TestSpecialFunctions:
     @pytest.mark.parametrize(
         "a", [0.5, 1, 1.5, 2, 4, 8, 10, 10.5, 39, 39.5, 100.5, 625, 1000, 2047.5, 4000]
     )
-    def test_gammaincc(self, a):
-        # odd block counts give a half-integer a; x runs from 0 past a into
-        # the far tail, where Q falls to about 1e-290
+    def test_chi2_tail(self, a):
+        # the chi-square tail on 2a degrees of freedom at 2x is the upper
+        # incomplete gamma Q(a, x); odd block counts give a half-integer a,
+        # and x runs from 0 past a into the far tail, where Q falls to
+        # about 1e-290
         xs = [0.0, 1e-8, 0.1, 0.5 * a, max(0.0, a - math.sqrt(a)), a, a + 0.5, a + 1, a + 1.01]
         x = a + math.sqrt(a)
         while special.gammaincc(a, x) > 1e-290:
@@ -562,9 +564,25 @@ class TestSpecialFunctions:
             x = 1.3 * x + 1.0
         for x in xs:
             ref = special.gammaincc(a, x)
-            assert abs(gammaincc(a, x) - ref) <= 1e-10 * ref, (a, x)
+            assert abs(chi2_tail(2 * x, 2 * a) - ref) <= 1e-10 * ref, (a, x)
 
-    def test_gammaincc_outside_its_domain(self):
-        assert math.isnan(gammaincc(2.0, -1e-12))
-        assert math.isnan(gammaincc(0.0, 1.0))
-        assert gammaincc(2.0, math.inf) == 0.0
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 300),
+        st.floats(0.0, 2000.0, allow_nan=False, allow_infinity=False),
+    )
+    def test_chi2_tail_against_scipy(self, dof, statistic):
+        p = chi2_tail(statistic, dof)
+        assert 0.0 <= p <= 1.0
+        ref = stats.chi2.sf(statistic, dof)
+        if ref > 1e-290:
+            assert abs(p - ref) <= 1e-10 * ref, (dof, statistic, p, ref)
+
+    def test_chi2_tail_outside_its_domain(self):
+        assert math.isnan(chi2_tail(-1e-12, 4))
+        assert math.isnan(chi2_tail(1.0, 0))
+        assert math.isnan(chi2_tail(1.0, 2.5))
+        assert math.isnan(chi2_tail(4.0, math.inf))
+        assert math.isnan(chi2_tail(math.nan, 4))
+        assert chi2_tail(math.inf, 4) == 0.0
+        assert chi2_tail(0.0, 3) == 1.0

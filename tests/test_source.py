@@ -130,6 +130,21 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             small_config(run_duration_s=5e3, rep_rate_hz=1e6)
 
+    def test_darks_of_one_block_are_capped(self):
+        # a block's darks are drawn at once: 2^22 per station at most, the
+        # block's dark rate times its span, which a short run shortens
+        block_s = source.BLOCK_PULSES / 1e6
+        small_config(run_duration_s=block_s, dark_rate_hz=1e6)
+        small_config(run_duration_s=2 * block_s, dark_rate_hz=1e6)
+        small_config(run_duration_s=0.01, dark_rate_hz=4e8)
+        with pytest.raises(ConfigError, match=r"4\.194e\+06 dark counts per station .* "
+                           r"more than 4194304: a block's darks are drawn at once"):
+            small_config(run_duration_s=block_s, dark_rate_hz=1.000001e6)
+        with pytest.raises(ConfigError, match=r"1e\+08 dark counts per station"):
+            small_config(
+                rep_rate_hz=0.001, run_duration_s=1e6, pulse_duration_s=1e-7, dark_rate_hz=100.0
+            )
+
 
 class TestPulseArithmetic:
     def test_start_and_index_are_inverse(self):
