@@ -48,8 +48,8 @@ _EXPORTS = {
             "pulse_geometry", "pulse_index_of", "pulse_start_ns", "simulate_to_btag",
         )),
         ("timetags", (
-            "COINC_DTYPE", "coincidences", "match_events", "sequence_partition",
-            "slice_index_of", "slice_sequences",
+            "COINC_DTYPE", "coincidences", "match_events", "slice_index_of",
+            "slice_sequences",
         )),
     )
     for name in names

@@ -47,8 +47,9 @@ VERSION = 1
 HEADER_SIZE = 32
 RECORD_SIZE = 16
 # Records in a window of timetags.cut_at_gaps (its first, and each step it
-# grows by) and in a slice write_csv or chsh.s_vs_window reads: 1 MiB, small
-# next to the interpreter and numpy, large enough that work stays in numpy.
+# grows by), in a slice write_csv or chsh.s_vs_window reads, and in one of the
+# generator's merge slabs, about: 1 MiB, small next to the interpreter and
+# numpy, large enough that work stays in numpy.
 PIECE_RECORDS = 65_536
 
 STATION_A = 0

@@ -15,9 +15,9 @@ the start-up pages) before it maps the first window, and sends it each
 part's non-empty ``timetags.slice_sequences`` over one pipe; the pipe's
 buffer is the only queue, so a slow worker holds the parent back.  Per
 (slice, station) the worker keeps the bits not yet in a full
-``sequence_length`` block, cuts blocks with ``timetags.sequence_partition``
-and runs ``run_battery`` on each, so the blocks are the ones a cut of the
-whole stream gives.  After the end marker it sends the reports back
+``sequence_length`` block, cuts the rest into consecutive blocks of that
+length and runs ``run_battery`` on each, so the blocks are the ones a cut
+of the whole stream gives.  After the end marker it sends the reports back
 grouped per (slice, station), in block order, so the outputs are those of
 a serial run: ``sequences.csv`` is written from that map, and
 ``randommeter.curve_from_reports`` reads it as it is into the curve, one
@@ -39,7 +39,7 @@ from .chsh import chsh_from_table, count_table
 from .errors import ConfigError, IncompleteSettingsError, WorkerError, require_finite
 from .randommeter import BatteryConfig, classify_scenario, curve_from_reports, run_battery
 from .source import RunConfig
-from .timetags import COINC_DTYPE, coincidence_parts, sequence_partition, slice_sequences
+from .timetags import COINC_DTYPE, coincidence_parts, slice_sequences
 
 
 @dataclass
@@ -114,8 +114,9 @@ def _battery_worker(conn, parent_conn, analysis: AnalysisConfig) -> None:
         while (sequences := conn.recv()) is not None:
             for key, part_bits in sequences.items():
                 bits = np.concatenate([pending.get(key, part_bits[:0]), part_bits])
-                blocks = sequence_partition(bits, length)
-                pending[key] = bits[len(blocks) * length :].copy()
+                cut = bits.size - bits.size % length
+                pending[key] = bits[cut:].copy()
+                blocks = bits[:cut].reshape(-1, length)
                 reports[key].extend(run_battery(block, battery) for block in blocks)
     except EOFError:
         return

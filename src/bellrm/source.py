@@ -46,6 +46,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from . import btag
 from .btag import EVENT_DTYPE, STATION_A, STATION_B, BtagWriter
 from .errors import ConfigError, require_finite
 from .models import PI, OutcomeModel, PairSampler, normalize_angle
@@ -76,9 +77,6 @@ _MAX_PULSES = 2**32 - 1
 # most darks per station in one block, drawn at once: 1 MHz of darks at 1 MHz
 # pulses.  A one-block run at the cap peaks at 267 MB RSS, against 56 MB at 100 Hz
 _MAX_BLOCK_DARKS = 1 << 22
-# events per merged slab, about: a block is merged in time slabs of this
-# size, so the merge's sort and gather hold one slab, not the whole block
-_SLAB_EVENTS = 1 << 16
 
 
 @dataclass
@@ -145,8 +143,15 @@ class RunConfig:
                 f"{_MAX_MENU}: analyze builds an n^2 table of cross-pulse settings "
                 "for a menu of n entries"
             )
-        if self.n_pulses > _MAX_PULSES:
+        # n_pulses > _MAX_PULSES, read before rounding, which an infinite product fails
+        if self.run_duration_s * self.rep_rate_hz >= _MAX_PULSES + 0.5:
             raise ConfigError("run too long: pulse index would overflow 32 bits")
+        # the last period's end as pulse_start_ns computes it; _merge sorts 2t + station
+        if self.n_pulses * (1e9 / self.rep_rate_hz) >= 2**62:
+            raise ConfigError(
+                f"run_duration_s {self.run_duration_s:g} at rep_rate_hz {self.rep_rate_hz:g} "
+                "ends past 2^62 ns (about 146 years): the merge keys 2t + station in an int64"
+            )
         block_darks = self.dark_rate_hz * min(self.n_pulses, BLOCK_PULSES) / self.rep_rate_hz
         if block_darks > _MAX_BLOCK_DARKS:
             raise ConfigError(
@@ -437,7 +442,7 @@ def iter_event_chunks(
             # block's, ahead of them, so a repeat across the block edge keeps
             # the first event.  The last block keeps them all.
             parts = held + parts
-            n_slabs = -(-sum(t.size for _, t, *_ in parts) // _SLAB_EVENTS)
+            n_slabs = -(-sum(t.size for _, t, *_ in parts) // btag.PIECE_RECORDS)
             span = chunk_t1 - chunk_t0
             edges = np.array(
                 [chunk_t0 + span * k // n_slabs for k in range(1, n_slabs)], dtype=np.int64

@@ -28,8 +28,7 @@ setting.  :func:`coincidence_parts` is the one walk from a stream to its
 records, which ``analyze`` and the S(W) scan read: it checks each part's
 settings against the menu, matches it and builds its records.
 :func:`slice_sequences` splits the records into one bit sequence per
-(slice, station) in a single sort, and :func:`sequence_partition` cuts a
-sequence into the bit blocks the randomness battery tests.
+(slice, station) in a single sort.
 """
 
 from __future__ import annotations
@@ -353,14 +352,3 @@ def slice_sequences(records: np.ndarray, n_slices: int) -> dict[tuple[int, int],
         for s in range(n_slices)
         for station in (STATION_A, STATION_B)
     }
-
-
-def sequence_partition(bits: np.ndarray, target_length: int) -> list[np.ndarray]:
-    """Split into consecutive non-overlapping blocks; the caller keeps the remainder."""
-    if target_length < 100:
-        raise ConfigError("target_length must be >= 100")
-    bits = np.asarray(bits)
-    n_blocks = bits.size // target_length
-    return [
-        bits[k * target_length : (k + 1) * target_length] for k in range(n_blocks)
-    ]

@@ -996,6 +996,52 @@ def test_darks_just_under_the_block_cap_simulate(tmp_path):
     assert abs(n_events - 2 * 0.999 * 2**22) < 10_000
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        # 100 and 9 periods of 1e18 ns: a time past 2^62 ns overflows the
+        # merge's int64 key, and came out with 2^63 added, out of time order
+        {"seed": 1, "rep_rate_hz": 1e-9, "run_duration_s": 1e11, "dark_rate_hz": 0,
+         "coincidence_prob_per_pulse": 0.5},
+        {"seed": 1, "rep_rate_hz": 1e-9, "run_duration_s": 9.2e9, "dark_rate_hz": 0,
+         "coincidence_prob_per_pulse": 0.5},
+        # one period of 1e310 ns, infinite as a float
+        {"seed": 1, "rep_rate_hz": 1e-301, "pulse_duration_s": 1e300,
+         "run_duration_s": 1e301, "dark_rate_hz": 0},
+    ],
+)
+def test_pulse_times_past_2_to_62_ns_exit_2_before_touching_the_directory(tmp_path, run):
+    out = tmp_path / "out"
+    proc = _run_cli(
+        ["simulate", "--config", str(write_config(tmp_path, {"run": run})), "--out", str(out)]
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert "ends past 2^62 ns (about 146 years)" in proc.stderr
+    assert not out.exists()
+
+
+def test_pulse_times_just_under_2_to_62_ns_simulate_and_analyze(tmp_path):
+    # 4 pulses filling their 1e18 ns periods: events up to 4e18 ns
+    run = {
+        "seed": 1, "rep_rate_hz": 1e-9, "run_duration_s": 4.4e9, "pulse_duration_s": 1e9,
+        "dark_rate_hz": 0, "coincidence_prob_per_pulse": 0.9,
+    }
+    out = tmp_path / "out"
+    config = str(write_config(tmp_path, {"run": run}))
+    proc = _run_cli(["simulate", "--config", config, "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    with BtagFile(out / "events.btag") as events:
+        events = events[:]
+    t, pulse = events["timestamp_ns"], events["pulse_index"].astype(np.uint64)
+    assert np.all(t[1:] >= t[:-1])
+    assert np.all((pulse * 10**18 <= t) & (t < (pulse + 1) * 10**18))
+    assert t.max() > 3 * 10**18
+    proc = _run_cli(["analyze", "--in", str(out)])
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_a_failed_analysis_write_leaves_no_new_output_beside_an_old_one(sim_dir, capsys):
     assert main(["analyze", "--in", str(sim_dir)]) == 0
     assert main(["report", "--in", str(sim_dir)]) == 0

@@ -36,7 +36,6 @@ from bellrm import (
     iter_event_chunks,
     match_events,
     run_battery,
-    sequence_partition,
     slice_sequences,
 )
 from bellrm import btag, pipeline, timetags
@@ -101,6 +100,16 @@ def test_n_slices_must_fit_the_int16_slice_index():
     assert AnalysisConfig.from_dict({"n_slices": 32767}).n_slices == 32767
     with pytest.raises(ConfigError, match="analysis.n_slices must be <= 32767"):
         AnalysisConfig.from_dict({"n_slices": 32768})
+
+
+def test_sequence_length_must_hold_the_battery():
+    # at block_size 128 the block frequency test needs 20 blocks of it
+    accepted = AnalysisConfig.from_dict({"block_size": 128, "sequence_length": 2560})
+    assert accepted.sequence_length == 2560
+    with pytest.raises(
+        ConfigError, match="analysis.sequence_length must be >= 2560 for the configured battery"
+    ):
+        AnalysisConfig.from_dict({"block_size": 128, "sequence_length": 2559})
 
 
 @pytest.mark.parametrize("value", ["0.01", True, math.nan, math.inf])
@@ -411,10 +420,11 @@ def serial_reports(events, cfg, analysis):
     per (slice, station) of one pass over the whole stream."""
     a_pos, b_pos = match_events(events, analysis.window_ns)
     records = coincidences(events, a_pos, b_pos, cfg, analysis.n_slices)
+    length = analysis.sequence_length
     return {
         key: [
             run_battery(block, analysis.battery())
-            for block in sequence_partition(bits, analysis.sequence_length)
+            for block in bits[: len(bits) // length * length].reshape(-1, length)
         ]
         for key, bits in slice_sequences(records, analysis.n_slices).items()
     }

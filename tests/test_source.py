@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from bellrm import source
+from bellrm import btag, source
 from bellrm import (
     CHSH_MENU,
     EVENT_DTYPE,
@@ -129,6 +129,25 @@ class TestRunConfig:
     def test_pulse_index_must_fit_32_bits(self):
         with pytest.raises(ConfigError):
             small_config(run_duration_s=5e3, rep_rate_hz=1e6)
+        # round() sends 2^32 - 0.5 to 2^32, and cannot round an infinite product
+        small_config(rep_rate_hz=1.0, run_duration_s=math.nextafter(2**32 - 0.5, 0))
+        for run_duration_s, rep_rate_hz in ((2**32 - 0.5, 1.0), (1e300, 1e300)):
+            with pytest.raises(ConfigError, match="pulse index would overflow 32 bits"):
+                small_config(run_duration_s=run_duration_s, rep_rate_hz=rep_rate_hz)
+
+    def test_pulse_times_end_before_2_to_62_ns(self):
+        # the merge sorts 2t + station in an int64
+        rate = 1e9 / 2**62  # one period of exactly 2^62 ns
+        small_config(rep_rate_hz=math.nextafter(rate, 1), run_duration_s=1 / rate)
+        small_config(rep_rate_hz=1e-9, run_duration_s=4.4e9)  # 4 pulses, to 4e18 ns
+        for run in (
+            {"rep_rate_hz": rate, "run_duration_s": 1 / rate},
+            {"rep_rate_hz": 1e-9, "run_duration_s": 9.2e9},
+            {"rep_rate_hz": 1e-9, "run_duration_s": 1e11},
+            {"rep_rate_hz": 1e-301, "pulse_duration_s": 1e300, "run_duration_s": 1e301},
+        ):
+            with pytest.raises(ConfigError, match=r"ends past 2\^62 ns \(about 146 years\)"):
+                small_config(**run)
 
     def test_darks_of_one_block_are_capped(self):
         # a block's darks are drawn at once: 2^22 per station at most, the
@@ -579,7 +598,7 @@ def test_an_event_on_the_next_block_start_stays_in_its_block(monkeypatch):
     # where the next block's first pulse can put one too.  The stream must
     # be the one a merge of the whole run gives: the old stream sorted again
     # on (t, station), stable, keeping the first of each repeat.
-    monkeypatch.setattr(source, "_SLAB_EVENTS", 64)
+    monkeypatch.setattr(btag, "PIECE_RECORDS", 64)
     cfg = RunConfig(
         seed=101,
         run_duration_s=4e-4,

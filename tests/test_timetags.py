@@ -30,7 +30,6 @@ from bellrm import (
     match_events,
     pulse_geometry,
     same_angle,
-    sequence_partition,
     slice_index_of,
     slice_sequences,
     write_csv,
@@ -742,25 +741,6 @@ def test_slice_sequences_equal_one_mask_per_key(case):
     for (s, station), bits in sequences.items():
         assert bits.dtype == np.uint8
         assert bits.tolist() == extract_sequence(records, station, s).tolist()
-
-
-class TestSequencePartition:
-    def test_six_megabit_run_yields_600_blocks(self):
-        bits = np.zeros(6 * 10**6, dtype=np.uint8)
-        assert len(sequence_partition(bits, 10**4)) == 600
-
-    def test_remainder_discarded(self):
-        assert sequence_partition(np.zeros(9999, dtype=np.uint8), 10**4) == []
-
-    def test_partition_reproduces_prefix(self):
-        bits = (np.arange(2 * 10**4) % 3 == 0).astype(np.uint8)
-        blocks = sequence_partition(bits, 10**4)
-        assert len(blocks) == 2
-        assert np.array_equal(np.concatenate(blocks), bits[: 2 * 10**4])
-
-    def test_minimum_length_enforced(self):
-        with pytest.raises(ConfigError):
-            sequence_partition(np.zeros(1000, dtype=np.uint8), 99)
 
 
 class TestBtagFormat:
