@@ -24,7 +24,7 @@ def sampled_correlation(model, delta, rng):
     sampler = PairSampler(model, 1, [(delta, 0.0)])
     bits_a, bits_b = sampler.sample(
         np.zeros(N, dtype=np.intp), np.arange(N) * 1000,
-        np.zeros(N, dtype=np.int64), 100, rng,
+        np.zeros(N, dtype=np.int64), 50, rng,
     )
     return float(np.mean(np.where(bits_a == bits_b, 1.0, -1.0)))
 
@@ -34,7 +34,7 @@ def sampled_chsh(model, rng):
     s = 0.0
     for k, sign in enumerate((1, -1, 1, 1)):
         bits_a, bits_b = sampler.sample(
-            np.full(N, k), np.arange(N) * 1000, np.zeros(N, dtype=np.int64), 100, rng,
+            np.full(N, k), np.arange(N) * 1000, np.zeros(N, dtype=np.int64), 50, rng,
         )
         s += sign * float(np.mean(np.where(bits_a == bits_b, 1.0, -1.0)))
     return abs(s)

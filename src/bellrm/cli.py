@@ -79,15 +79,17 @@ def _section(obj: dict, name: str, default: dict) -> dict:
 
 
 def effective_configs(obj: dict, flags: dict):
-    """The run, model and analysis configs of a config file, each section
-    overridden by the environment and then by ``flags`` (``seed``)."""
+    """The run, model and analysis configs of a config file, checked together, each
+    section overridden by the environment and then by ``flags`` (``seed``)."""
     from .models import OutcomeModel
-    from .source import RunConfig
+    from .source import RunConfig, pulse_geometry
 
     run_keys = [(name, name) for name in RunConfig.__dataclass_fields__]
     run = RunConfig.from_dict(_overridden(_section(obj, "run", {}), run_keys, flags))
     model = OutcomeModel.from_dict(_section(obj, "model", {"kind": "QM_NONLOCAL"}))
-    return run, model, analysis_config(_section(obj, "analysis", {}), flags)
+    analysis = analysis_config(_section(obj, "analysis", {}), flags)
+    pulse_geometry(run).first_half_slices(analysis.n_slices)
+    return run, model, analysis
 
 
 @contextmanager

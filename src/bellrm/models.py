@@ -270,11 +270,11 @@ class PairSampler:
         settings: np.ndarray,
         pulse_start_ns: np.ndarray,
         within_pulse_ns: np.ndarray,
-        pulse_duration_ns: int,
+        second_half_ns: int,
         rng: np.random.Generator,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Outcome bits for a batch of coincident pulses, in time order, given
-        each pair's menu index, its pulse's start and its place in the pulse."""
+        """Outcome bits of a batch of coincident pulses in time order, from each pair's
+        menu index, pulse start and ns in the pulse (second half from ``second_half_ns``)."""
         kind = self.model.kind
 
         if kind is ModelKind.QM_NONLOCAL or kind is ModelKind.SCENARIO_REALISM_FALSE:
@@ -286,9 +286,7 @@ class PairSampler:
             return local_hv_bit(lam, alphas), local_hv_bit(lam, betas)
 
         if kind in (ModelKind.SCENARIO_LOCALITY_FALSE, ModelKind.SCENARIO_ERGODICITY_FALSE):
-            # Second pulse half starts at duration/2; boundary goes to the
-            # later half, mirroring the slice rule.
-            in_second = 2 * np.asarray(within_pulse_ns, dtype=np.int64) >= pulse_duration_ns
+            in_second = np.asarray(within_pulse_ns) >= second_half_ns
             halves = np.flatnonzero(~in_second), np.flatnonzero(in_second)
             entropy, deterministic = (
                 halves if kind is ModelKind.SCENARIO_LOCALITY_FALSE else halves[::-1]

@@ -38,7 +38,7 @@ from .btag import STATION_A, STATION_B
 from .chsh import chsh_from_table, count_table
 from .errors import ConfigError, IncompleteSettingsError, WorkerError, require_finite
 from .randommeter import BatteryConfig, classify_scenario, curve_from_reports, run_battery
-from .source import RunConfig
+from .source import RunConfig, pulse_geometry
 from .timetags import COINC_DTYPE, coincidence_parts, slice_sequences
 
 
@@ -166,6 +166,7 @@ def analyze_events(events, run: RunConfig, analysis: AnalysisConfig):
     analysis.validate()  # before n_slices sizes the tables
     n_menu = len(run.settings_menu)
     n_slices = analysis.n_slices
+    n_first = pulse_geometry(run).first_half_slices(n_slices)  # refuses before the fork
     counts = count_table(np.empty(0, dtype=COINC_DTYPE), n_menu, n_slices)
 
     # imported here: simulate and report never pay for it
@@ -195,6 +196,6 @@ def analyze_events(events, run: RunConfig, analysis: AnalysisConfig):
             pass  # classify_scenario answers INCONCLUSIVE for this slice
 
     curve = curve_from_reports(reports, analysis.battery())
-    n_coincidences = int(counts.sum())
-    verdict = classify_scenario(curve, chsh_estimates, n_coincidences, int(counts[-1].sum()))
+    n_coincidences, n_out = int(counts.sum()), int(counts[-1].sum())
+    verdict = classify_scenario(curve, n_first, chsh_estimates, n_coincidences, n_out)
     return n_coincidences, chsh_estimates, curve, verdict, reports

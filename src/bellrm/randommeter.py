@@ -431,7 +431,7 @@ def two_proportion_z(k1: int, n1: int, k2: int, n2: int) -> tuple[float, float]:
 
 
 def _unclassifiable(
-    curve: tuple, s_by_slice: dict, n_coincidences: int, n_out_of_pulse: int
+    curve: tuple, n_first: int, s_by_slice: dict, n_coincidences: int, n_out_of_pulse: int
 ) -> str:
     """Why :func:`classify_scenario` must answer INCONCLUSIVE, or "" if it need not."""
     if n_coincidences == 0:
@@ -452,13 +452,13 @@ def _unclassifiable(
                 f"slice {reading.slice_index}: S = {est.S:.3f} does not exceed 2 "
                 f"at {S_SIGMAS:.0f} sigma"
             )
-    if len(curve) < 2:
+    if not 0 < n_first < len(curve):
         return "slices do not cover both pulse halves"
     return ""
 
 
 def classify_scenario(
-    curve: tuple, chsh_per_slice, n_coincidences: int, n_out_of_pulse: int
+    curve: tuple, n_first: int, chsh_per_slice, n_coincidences: int, n_out_of_pulse: int
 ) -> ScenarioVerdict:
     """Decide which property the run gives evidence against.
 
@@ -466,9 +466,10 @@ def classify_scenario(
     pulse (``n_out_of_pulse`` of the ``n_coincidences`` fall outside every
     slice), and every slice has a sufficient reading and violates the
     classical bound (S > 2 at >= ``S_SIGMAS``); otherwise INCONCLUSIVE,
-    with no contrast statistic and no half counts.  The rejection rates of
-    the two pulse halves are then contrasted with a two-proportion test at
-    ``HALVES_SIGNIFICANCE``: a significantly larger R in the first half
+    with no contrast statistic and no half counts.  The pulse halves, the
+    first ``n_first`` slices (``PulseGeometry.first_half_slices``) and the
+    rest, then have their rejection rates contrasted by a two-proportion test
+    at ``HALVES_SIGNIFICANCE``: a significantly larger R in the first half
     means ERGODICITY_FALSE, significantly smaller means LOCALITY_FALSE, and
     no detectable contrast means REALISM_FALSE (constant reading).  This is
     evidence, not proof.
@@ -480,15 +481,14 @@ def classify_scenario(
     )
     per_slice_r = tuple(r.rejection_rate for r in curve)
 
-    reason = _unclassifiable(curve, s_by_slice, n_coincidences, n_out_of_pulse)
+    reason = _unclassifiable(curve, n_first, s_by_slice, n_coincidences, n_out_of_pulse)
     if reason:
         return ScenarioVerdict(
             Verdict.INCONCLUSIVE, math.nan, math.nan, math.nan, math.nan, 0, 0,
             per_slice_s, per_slice_r, reason,
         )
 
-    half = len(curve) // 2  # an odd count's middle slice is in the second half
-    first, second = curve[:half], curve[half:]
+    first, second = curve[:n_first], curve[n_first:]
     k1, k2 = (sum(r.n_rejected for r in readings) for readings in (first, second))
     n1, n2 = (sum(r.n_sequences for r in readings) for readings in (first, second))
     z, p = two_proportion_z(k1, n1, k2, n2)

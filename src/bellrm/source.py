@@ -213,6 +213,24 @@ class PulseGeometry:
     def pulse_duration_ns(self) -> int:
         return max(1, int(round(self.pulse_duration_s * 1e9)))
 
+    @property
+    def second_half_ns(self) -> int:
+        return -(-self.pulse_duration_ns // 2)  # ceil(D / 2), the second half's first ns
+
+    def first_half_slices(self, n_slices: int) -> int:
+        """How many leading slices of ``n_slices`` lie wholly before ``second_half_ns``."""
+        if n_slices > self.pulse_duration_ns:
+            raise ConfigError(
+                f"analysis.n_slices {n_slices} is more than the {self.pulse_duration_ns} "
+                "whole ns of the pulse: a slice would hold none"
+            )
+        if n_slices * self.pulse_duration_ns >= 2**63:
+            raise ConfigError(
+                f"analysis.n_slices {n_slices} times the {self.pulse_duration_ns} ns pulse "
+                "reaches 2^63: a record's slice is n_slices times its ns in an int64"
+            )
+        return self.second_half_ns * n_slices // self.pulse_duration_ns
+
 
 def pulse_geometry(config: RunConfig) -> PulseGeometry:
     """Pulse-train geometry; the default pulse length is 2L/c."""
@@ -345,7 +363,7 @@ def _draw_block(
     The blocks of a run must be drawn in order, one at a time: the pattern
     scenarios' ``sampler`` carries its position from block to block.
     """
-    duration_ns = pulse_geometry(config).pulse_duration_ns
+    geo = pulse_geometry(config)
     rep_rate_hz = config.rep_rate_hz
     seed = config.seed
     m = stop - start
@@ -353,9 +371,9 @@ def _draw_block(
     rng = substream(seed, "coincidence", block)
     pulses = _hit_pulses(rng, config.coincidence_prob_per_pulse, start, m)
     t = pulse_start_ns(pulses, rep_rate_hz)
-    within = rng.integers(0, duration_ns, pulses.size)
+    within = rng.integers(0, geo.pulse_duration_ns, pulses.size)
     settings = per_pulse_choice(seed, "settings", pulses, len(config.settings_menu))
-    bits_a, bits_b = sampler.sample(settings, t, within, duration_ns, rng)
+    bits_a, bits_b = sampler.sample(settings, t, within, geo.second_half_ns, rng)
     t += within
     del within  # as large as the pairs, and not needed in the merge
     parts = [(STATION_A, t, pulses, bits_a, settings), (STATION_B, t, pulses, bits_b, settings)]
@@ -364,7 +382,7 @@ def _draw_block(
         rng = substream(seed, label, block)
         pulses = _hit_pulses(rng, config.detection_prob_per_pulse, start, m)
         t = pulse_start_ns(pulses, rep_rate_hz)
-        t += rng.integers(0, duration_ns, pulses.size)
+        t += rng.integers(0, geo.pulse_duration_ns, pulses.size)
         parts.append((station, t, pulses, _fair_bits(rng, t.size)))
 
     rng = substream(seed, "dark", block)

@@ -21,12 +21,12 @@ mapping) that match one by one as the whole stream does.
 
 :func:`coincidences` turns matched positions into the records everything
 downstream reads, ``COINC_DTYPE``: pulse slice, effective setting and the
-two bits, six bytes each.  It is the one place that checks that both
-events lie in their own pulse's window, and that gives a coincidence its
-slice (through :func:`slice_index_of`, the boundary rule) and its
-setting.  :func:`coincidence_parts` is the one walk from a stream to its
-records, which ``analyze`` and the S(W) scan read: it checks each part's
-settings against the menu, matches it and builds its records.
+two bits, six bytes each.  It alone checks that both events lie in their
+own pulse's window, and gives a coincidence its setting and its slice
+(:func:`slice_index_of`; ``analyze`` checks its slicing first, with
+``PulseGeometry.first_half_slices``).  :func:`coincidence_parts`, the
+one walk from a stream to its records for ``analyze`` and the S(W) scan,
+checks each part's settings, matches it and builds its records.
 :func:`slice_sequences` splits the records into one bit sequence per
 (slice, station) in a single sort.
 """
@@ -327,10 +327,6 @@ def slice_index_of(
     to the later slice.  Times outside the pulse window get the sentinel
     slice -1 and are excluded from per-slice sequences.
     """
-    if n_slices < 2:
-        raise ConfigError("n_slices must be >= 2 (first/second pulse half)")
-    if n_slices > 32767:
-        raise ConfigError("n_slices too large")
     idx = (n_slices * within_pulse_ns) // pulse_duration_ns
     idx[(within_pulse_ns < 0) | (within_pulse_ns >= pulse_duration_ns)] = -1
     return idx.astype(np.int16)

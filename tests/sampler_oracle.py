@@ -5,8 +5,11 @@ six masked gathers and scatters per batch, and the pattern bits are
 gathered through ``(offset + arange(k)) % period``.  Each pair's flip
 probability is ``sin(alpha - beta) ** 2`` of its own two angles, gathered
 from the menu pair by pair, so the oracle also checks the sampler's
-per-entry table.  Its bits, and its pattern position after every batch,
-are the ones ``PairSampler.sample`` must give.
+per-entry table.  It takes the pulse's whole-ns length D, not its half
+edge, and puts a pair in the second half when 2 * within >= D, a rule
+written apart from ``PulseGeometry.second_half_ns`` = ceil(D / 2).  Its
+bits, and its pattern position after every batch, are the ones
+``PairSampler.sample`` must give.
 """
 
 import math

@@ -60,7 +60,7 @@ def sample_chsh(model, n_per_pair, seed):
     for k in range(len(CHSH_MENU)):
         bits_a, bits_b = sampler.sample(
             np.full(n_per_pair, k), np.arange(n_per_pair) * 1000,
-            np.zeros(n_per_pair, dtype=np.int64), 100, rng,
+            np.zeros(n_per_pair, dtype=np.int64), 50, rng,
         )
         rec = np.zeros(n_per_pair, dtype=COINC_DTYPE)
         rec["bit_a"], rec["bit_b"], rec["setting_index"] = bits_a, bits_b, k

@@ -66,7 +66,7 @@ def sampled_records(model, n_per_pair, seed, menu=CHSH_MENU, slices=None):
             np.full(n_per_pair, k),
             np.arange(n_per_pair) * 1000,
             np.zeros(n_per_pair, dtype=np.int64),
-            100,
+            50,
             rng,
         )
         parts.append(records_from_bits(bits_a, bits_b, np.full(n_per_pair, k), slices))
@@ -96,7 +96,7 @@ class TestCorrelationEstimate:
         n = 10**6
         bits_a, bits_b = sampler.sample(
             np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.int64),
-            np.zeros(n, dtype=np.int64), 100, substream(21, "corr"),
+            np.zeros(n, dtype=np.int64), 50, substream(21, "corr"),
         )
         est = correlation_from_counts(*joint_counts(bits_a, bits_b))
         assert est.E == pytest.approx(math.sqrt(2) / 2, abs=0.003)

@@ -1038,8 +1038,58 @@ def test_pulse_times_just_under_2_to_62_ns_simulate_and_analyze(tmp_path):
     assert np.all(t[1:] >= t[:-1])
     assert np.all((pulse * 10**18 <= t) & (t < (pulse + 1) * 10**18))
     assert t.max() > 3 * 10**18
+    # 10 slices of the 1e18 ns pulse would pass 2^63 in the per-record multiply
+    proc = _run_cli(["analyze", "--in", str(out), "--slices", "10"])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+    assert "times the 1000000000000000000 ns pulse reaches 2^63" in proc.stderr
+    assert sorted(p.name for p in out.iterdir()) == ["events.btag", "manifest.json"]
     proc = _run_cli(["analyze", "--in", str(out)])
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "run, analysis, message",
+    [
+        # one 4e18 ns pulse: 4 slices of it pass 2^63 in the per-record multiply
+        ({"seed": 8, "rep_rate_hz": 2.5e-10, "run_duration_s": 4e9, "pulse_duration_s": 4e9,
+          "dark_rate_hz": 0, "coincidence_prob_per_pulse": 0.9}, {"n_slices": 4},
+         "analysis.n_slices 4 times the 4000000000000000000 ns pulse reaches 2^63"),
+        # a 0.3 ns pulse at 3 GHz, and a 0.4 ns one, are 1 whole ns: slice 1
+        # would hold none, and the 0.3 ns pulses share their integer starts
+        ({"seed": 1, "rep_rate_hz": 3e9, "pulse_duration_s": 0.3e-9, "run_duration_s": 0.002,
+          "coincidence_prob_per_pulse": 0.1, "detection_prob_per_pulse": 0.1,
+          "dark_rate_hz": 0}, {},
+         "analysis.n_slices 2 is more than the 1 whole ns of the pulse"),
+        ({"seed": 1, "pulse_duration_s": 0.4e-9, "run_duration_s": 2}, {"n_slices": 2},
+         "analysis.n_slices 2 is more than the 1 whole ns of the pulse"),
+    ],
+    ids=["4e18-ns-at-4-slices", "0.3-ns-at-3-GHz", "0.4-ns-at-2-slices"],
+)
+def test_a_pulse_the_analysis_cannot_slice_exits_2_before_touching_the_directory(
+    tmp_path, run, analysis, message
+):
+    out = tmp_path / "out"
+    config = write_config(tmp_path, {"run": run, "analysis": analysis})
+    proc = _run_cli(["simulate", "--config", str(config), "--out", str(out)])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert message in proc.stderr
+    assert not out.exists()
+
+
+def test_two_slices_of_a_2_ns_pulse_at_500_mhz_simulate_and_analyze(tmp_path):
+    run = {"seed": 1, "rep_rate_hz": 5e8, "pulse_duration_s": 2e-9, "run_duration_s": 0.002}
+    out = tmp_path / "out"
+    config = write_config(tmp_path, {"run": run, "analysis": {"n_slices": 2}})
+    proc = _run_cli(["simulate", "--config", str(config), "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    proc = _run_cli(["analyze", "--in", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    with open(out / "chsh_per_slice.csv") as fh:
+        records = {r["slice_index"]: int(r["n_records"]) for r in csv.DictReader(fh)}
+    assert records.keys() == {"0", "1"} and min(records.values()) > 1000
 
 
 def test_a_failed_analysis_write_leaves_no_new_output_beside_an_old_one(sim_dir, capsys):

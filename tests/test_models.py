@@ -10,9 +10,11 @@ from bellrm import (
     ModelKind,
     OutcomeModel,
     PairSampler,
+    RunConfig,
     UnsupportedModelError,
     local_hv_bit,
     normalize_angle,
+    pulse_geometry,
     qm_correlation,
     sawtooth_correlation,
     scenario_pattern,
@@ -30,20 +32,21 @@ NONERG = OutcomeModel(ModelKind.NONERGODIC)
 
 def sample_pairs(model, alphas, betas, start_ns, rng):
     """Bits of one PairSampler batch whose menu holds one entry per pair;
-    every pair at the start of a 100 ns pulse."""
+    every pair at the start of a 100 ns pulse, whose second half starts at 50 ns."""
     alphas = np.asarray(alphas, dtype=np.float64)
     menu = np.stack([alphas, np.broadcast_to(betas, alphas.shape)], axis=1)
     return PairSampler(model, 1, menu).sample(
         np.arange(alphas.size), np.broadcast_to(start_ns, alphas.shape),
-        np.zeros(alphas.size, dtype=np.int64), 100, rng,
+        np.zeros(alphas.size, dtype=np.int64), 50, rng,
     )
 
 
-def sample_setting(sampler, k, n, rng, start_ns=0, within_ns=0, duration_ns=100):
-    """Bits of ``n`` pairs that all take menu entry ``k`` of ``sampler``."""
+def sample_setting(sampler, k, n, rng, start_ns=0, within_ns=0, second_half_ns=50):
+    """Bits of ``n`` pairs that all take menu entry ``k`` of ``sampler``; by
+    default in a 100 ns pulse, whose second half starts at 50 ns."""
     return sampler.sample(
         np.full(n, k), np.broadcast_to(start_ns, (n,)),
-        np.broadcast_to(within_ns, (n,)), duration_ns, rng,
+        np.broadcast_to(within_ns, (n,)), second_half_ns, rng,
     )
 
 
@@ -302,19 +305,24 @@ class TestScenarioPattern:
         ],
         ids=["no-pairs", "one-half-per-batch", "past-the-period"],
     )
-    def test_sampler_equals_the_masked_sampler(self, kind, batches):
-        # an 8 ns pulse: within 0-3 is the first half, 4-7 the second
-        duration = 8
+    @pytest.mark.parametrize("duration", [8, 7])
+    def test_sampler_equals_the_masked_sampler(self, kind, batches, duration):
+        # an 8 ns pulse: within 0-3 is the first half, 4-7 the second, and so
+        # for a 7 ns one; the oracle keeps the rule 2 * within >= D, and the
+        # sampler reads ceil(D / 2) from the pulse geometry
+        second_half = pulse_geometry(
+            RunConfig(seed=1, run_duration_s=0.0, pulse_duration_s=duration * 1e-9)
+        ).second_half_ns
         model = OutcomeModel(kind)
         for menu in (CHSH_MENU, EDGE_MENU):
             sampler, masked = PairSampler(model, 37, menu), MaskedPairSampler(model, 37, menu)
             for i, batch in enumerate(batches):
                 within = np.array(batch, dtype=np.int64)
                 settings = substream(37, "settings", i).integers(0, 4, within.size)
-                args = (settings.astype(np.uint16), within * 1000, within, duration)
+                args = (settings.astype(np.uint16), within * 1000, within)
                 pos = sampler._pattern_pos
-                got = sampler.sample(*args, substream(37, "pairs", i))
-                want = masked.sample(*args, substream(37, "pairs", i))
+                got = sampler.sample(*args, second_half, substream(37, "pairs", i))
+                want = masked.sample(*args, duration, substream(37, "pairs", i))
                 for g, w in zip(got, want):
                     assert g.dtype == np.uint8 and g.size == within.size
                     assert np.array_equal(g, w)

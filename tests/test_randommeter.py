@@ -436,66 +436,69 @@ class TestClassifyScenario:
     MATCHED = 1_000_000  # coincidences behind the curve and S
 
     def test_larger_first_half_rejection_means_ergodicity_false(self):
-        verdict = classify_scenario(synthetic_curve([0.95, 0.05]), self.CHSH_OK, self.MATCHED, 0)
+        verdict = classify_scenario(synthetic_curve([0.95, 0.05]), 1, self.CHSH_OK, self.MATCHED, 0)
         assert verdict.label is Verdict.ERGODICITY_FALSE
         assert verdict.z > 0
 
     def test_smaller_first_half_rejection_means_locality_false(self):
-        verdict = classify_scenario(synthetic_curve([0.05, 0.60]), self.CHSH_OK, self.MATCHED, 0)
+        verdict = classify_scenario(synthetic_curve([0.05, 0.60]), 1, self.CHSH_OK, self.MATCHED, 0)
         assert verdict.label is Verdict.LOCALITY_FALSE
         assert verdict.z < 0
 
     def test_flat_curve_means_realism_false(self):
-        verdict = classify_scenario(synthetic_curve([0.05, 0.05]), self.CHSH_OK, self.MATCHED, 0)
+        verdict = classify_scenario(synthetic_curve([0.05, 0.05]), 1, self.CHSH_OK, self.MATCHED, 0)
         assert verdict.label is Verdict.REALISM_FALSE
         assert verdict.p_value > 0.01
 
     def test_classical_s_gives_inconclusive(self):
         chsh = [make_chsh(0, 2.8), make_chsh(1, 1.99)]
-        verdict = classify_scenario(synthetic_curve([0.95, 0.05]), chsh, self.MATCHED, 0)
+        verdict = classify_scenario(synthetic_curve([0.95, 0.05]), 1, chsh, self.MATCHED, 0)
         assert verdict.label is Verdict.INCONCLUSIVE
         assert "does not exceed 2" in verdict.reason
 
     def test_marginal_s_below_five_sigma_gives_inconclusive(self):
         chsh = [make_chsh(0, 2.8), make_chsh(1, 2.02, std_err=0.01)]
-        verdict = classify_scenario(synthetic_curve([0.95, 0.05]), chsh, self.MATCHED, 0)
+        verdict = classify_scenario(synthetic_curve([0.95, 0.05]), 1, chsh, self.MATCHED, 0)
         assert verdict.label is Verdict.INCONCLUSIVE
 
     def test_insufficient_slice_gives_inconclusive(self):
         curve = synthetic_curve([0.95, 0.05], n=10)
-        verdict = classify_scenario(curve, self.CHSH_OK, self.MATCHED, 0)
+        verdict = classify_scenario(curve, 1, self.CHSH_OK, self.MATCHED, 0)
         assert verdict.label is Verdict.INCONCLUSIVE
 
     def test_missing_chsh_gives_inconclusive(self):
         chsh = [make_chsh(0, 2.8)]
-        verdict = classify_scenario(synthetic_curve([0.95, 0.05]), chsh, self.MATCHED, 0)
+        verdict = classify_scenario(synthetic_curve([0.95, 0.05]), 1, chsh, self.MATCHED, 0)
         assert verdict.label is Verdict.INCONCLUSIVE
 
     def test_no_coincidences_give_no_data_first(self):
         # a curve and S that classify as ERGODICITY_FALSE with coincidences
         curve = synthetic_curve([0.95, 0.05])
-        classified = classify_scenario(curve, self.CHSH_OK, self.MATCHED, 0)
+        classified = classify_scenario(curve, 1, self.CHSH_OK, self.MATCHED, 0)
         assert classified.label is Verdict.ERGODICITY_FALSE
-        verdict = classify_scenario(curve, self.CHSH_OK, 0, 0)
+        verdict = classify_scenario(curve, 1, self.CHSH_OK, 0, 0)
         assert verdict.label is Verdict.INCONCLUSIVE
         assert verdict.reason == "no data: no coincidences matched"
         assert verdict.n_first_half == verdict.n_second_half == 0
         assert verdict.per_slice_S == (2.8, 2.8)
         assert verdict.per_slice_R == (0.95, 0.05)
 
-    def test_readings_of_one_half_give_inconclusive(self):
-        # curve_from_reports builds no such curve; a hand-built one has no
-        # second half to contrast with
-        curve = synthetic_curve([0.05, 0.05])[:1]
-        verdict = classify_scenario(curve, [make_chsh(0, 2.8)], self.MATCHED, 0)
+    @pytest.mark.parametrize(
+        "n_slices, n_first", [(1, 1), (2, 0), (2, 2)], ids=["one-slice", "none-first", "all-first"]
+    )
+    def test_readings_of_one_half_give_inconclusive(self, n_slices, n_first):
+        # analyze splits no curve so; a hand-built split has no half to contrast with
+        curve = synthetic_curve([0.05, 0.05])[:n_slices]
+        chsh = [make_chsh(s, 2.8) for s in range(n_slices)]
+        verdict = classify_scenario(curve, n_first, chsh, self.MATCHED, 0)
         assert verdict.label is Verdict.INCONCLUSIVE
         assert verdict.reason == "slices do not cover both pulse halves"
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 64), data=st.data())
-    def test_the_first_half_holds_the_slices_before_the_middle(self, n, data):
-        # slice s holds 30 + s sequences, so each half's count names its slices;
-        # the middle slice of an odd n lies in the second half
+    def test_the_first_half_holds_the_first_n_first_slices(self, n, data):
+        # slice s holds 30 + s sequences, so each half's count names its slices
+        n_first = data.draw(st.integers(1, n - 1))
         rejected = data.draw(st.lists(st.integers(0, 30), min_size=n, max_size=n))
         reports = {
             (s, STATION_A): [fake_report(i < rejected[s]) for i in range(30 + s)]
@@ -503,9 +506,8 @@ class TestClassifyScenario:
         }
         curve = curve_from_reports(reports, BatteryConfig())
         chsh = [make_chsh(s, 2.8) for s in range(n)]
-        verdict = classify_scenario(curve, chsh, self.MATCHED, 0)
-        first = [s for s in range(n) if 2 * s + 1 < n]
-        second = [s for s in range(n) if 2 * s + 1 >= n]
+        verdict = classify_scenario(curve, n_first, chsh, self.MATCHED, 0)
+        first, second = range(n_first), range(n_first, n)
         assert verdict.label is not Verdict.INCONCLUSIVE
         assert verdict.n_first_half == sum(30 + s for s in first)
         assert verdict.n_second_half == sum(30 + s for s in second)
@@ -514,7 +516,8 @@ class TestClassifyScenario:
 
     def test_four_slices_pool_into_halves(self):
         chsh = [make_chsh(k, 2.8) for k in range(4)]
-        verdict = classify_scenario(synthetic_curve([0.9, 0.9, 0.05, 0.05]), chsh, self.MATCHED, 0)
+        curve = synthetic_curve([0.9, 0.9, 0.05, 0.05])
+        verdict = classify_scenario(curve, 2, chsh, self.MATCHED, 0)
         assert verdict.label is Verdict.ERGODICITY_FALSE
         assert verdict.n_first_half == 1000
         assert verdict.n_second_half == 1000

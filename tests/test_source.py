@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 import threading
 import tracemalloc
 
@@ -72,6 +73,40 @@ class TestPulseGeometry:
         with pytest.raises(ConfigError, match="pulse_duration_s must be positive"):
             small_config(**kwargs)
         assert small_config(run_duration_s=0.0, **kwargs).n_pulses == 0
+
+    @pytest.mark.parametrize(
+        "pulse_s, n_slices, second_half_ns, n_first",
+        [
+            (None, 2, 67, 1),  # the default 133 ns pulse
+            (None, 3, 67, 1),  # slice 1 holds 44-88 ns, across the half edge
+            (None, 133, 67, 67),  # one slice per ns: 0-66 ns are first-half
+            (3e-9, 3, 2, 2),
+            (2e-9, 2, 1, 1),
+            (1.5e-9, 2, 1, 1),  # rounds to 2 ns
+        ],
+    )
+    def test_the_half_edge_and_the_first_half_slices(
+        self, pulse_s, n_slices, second_half_ns, n_first
+    ):
+        geo = pulse_geometry(small_config(pulse_duration_s=pulse_s))
+        assert geo.second_half_ns == second_half_ns
+        assert geo.first_half_slices(n_slices) == n_first
+
+    @pytest.mark.parametrize(
+        "run, n_slices, message",
+        [
+            ({"pulse_duration_s": 1.4e-9}, 2, "n_slices 2 is more than the 1 whole ns of"),
+            ({}, 134, "n_slices 134 is more than the 133 whole ns of the pulse: a slice"),
+            (
+                {"rep_rate_hz": 2.5e-10, "run_duration_s": 4e9, "pulse_duration_s": 4e9},
+                3, "n_slices 3 times the 4000000000000000000 ns pulse reaches 2^63",
+            ),
+        ],
+    )
+    def test_a_slicing_the_pulse_cannot_hold_is_refused(self, run, n_slices, message):
+        geo = pulse_geometry(small_config(**run))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            geo.first_half_slices(n_slices)
 
     def test_overfull_duty_cycle_rejected(self):
         with pytest.raises(ConfigError):

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bellrm import (
+    AnalysisConfig,
     BtagFile,
     BtagWriter,
     CHSH_MENU,
@@ -19,6 +20,7 @@ from bellrm import (
     IntegrityError,
     ModelKind,
     OutcomeModel,
+    PairSampler,
     RunConfig,
     STATION_A,
     STATION_B,
@@ -595,6 +597,15 @@ class TestPulseWindow:
                 self.records([start + offset], [pulse, pulse], run)
 
 
+def geometry_of(duration_ns):
+    """The geometry of a run with no pulses whose pulse lasts ``duration_ns``."""
+    run = RunConfig(
+        seed=0, run_duration_s=0.0, rep_rate_hz=1e9 / duration_ns,
+        pulse_duration_s=duration_ns * 1e-9,
+    )
+    return pulse_geometry(run)
+
+
 class TestSliceIndexOf:
     DURATION = 100
 
@@ -613,8 +624,9 @@ class TestSliceIndexOf:
         assert self.matched_slices([120, 500], 2).tolist() == [-1, -1]
 
     def test_requires_at_least_two_slices(self):
-        with pytest.raises(ConfigError):
-            self.matched_slices([1], 1)
+        # checked where the analysis config is read, not per record
+        with pytest.raises(ConfigError, match="analysis.n_slices must be >= 2"):
+            AnalysisConfig.from_dict({"n_slices": 1})
 
     def test_refinement_consistency(self):
         two = self.matched_slices(range(100), 2)
@@ -629,18 +641,56 @@ class TestSliceIndexOf:
         total_by_slice = sum(int(np.count_nonzero(sliced == k)) for k in range(4))
         assert total_by_slice == in_pulse
 
+    @settings(max_examples=300, deadline=None)
     @given(
-        duration=st.integers(1, 10**4),
-        n_slices=st.integers(2, 64),
-        within=st.integers(-10**4, 2 * 10**4),
+        duration=st.one_of(st.integers(1, 10**4), st.integers(1, 2**62)),
+        n_slices=st.one_of(st.integers(2, 64), st.integers(2, 32767)),
+        offset=st.integers(0, 2**62),
+        within=st.integers(-(2**62), 2**62),
     )
-    def test_slices_partition_the_pulse(self, duration, n_slices, within):
-        k = int(slice_index_of(np.array([within]), n_slices, duration)[0])
-        if 0 <= within < duration:
-            assert 0 <= k < n_slices
-            assert k * duration <= n_slices * within < (k + 1) * duration
-        else:
-            assert k == -1
+    @example(duration=2**62 - 1, n_slices=2, offset=2**62 - 2, within=-1)
+    @example(duration=(2**63 - 1) // 32767, n_slices=32767, offset=2**62, within=2**62)
+    def test_slices_partition_the_pulse(self, duration, n_slices, offset, within):
+        geo = geometry_of(duration)
+        d = geo.pulse_duration_ns
+        if n_slices > d or n_slices * d >= 2**63:
+            with pytest.raises(ConfigError, match=f"analysis.n_slices {n_slices} "):
+                geo.first_half_slices(n_slices)
+            return
+        geo.first_half_slices(n_slices)
+        # slice k is [e_k, e_k+1), e_k = ceil(k * D / n), in exact Python ints
+        edges = [-(-k * d // n_slices) for k in range(n_slices + 1)]
+        assert all(lo < hi for lo, hi in zip(edges, edges[1:]))  # at least 1 ns each
+        firsts = slice_index_of(np.array(edges[:-1], dtype=np.int64), n_slices, d)
+        lasts = slice_index_of(np.array(edges[1:], dtype=np.int64) - 1, n_slices, d)
+        assert firsts.tolist() == lasts.tolist() == list(range(n_slices))
+        for w in (offset % d, within):
+            k = int(slice_index_of(np.array([w]), n_slices, d)[0])
+            assert k == (n_slices * w // d if 0 <= w < d else -1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pulse=st.integers(2, 200).flatmap(lambda d: st.tuples(st.just(d), st.integers(2, d))))
+    @example(pulse=(3, 3))
+    @example(pulse=(133, 133))
+    def test_the_first_half_slices_are_those_the_sampler_draws_first_half(self, pulse):
+        # a LOCALITY_FALSE sampler draws a pair from its pattern, one step
+        # each, exactly when the pair is in the second half
+        duration, n_slices = pulse
+        geo = geometry_of(duration)
+        sampler = PairSampler(OutcomeModel(ModelKind.SCENARIO_LOCALITY_FALSE), 1, CHSH_MENU)
+        rng = np.random.default_rng(1)
+        drawn_second = np.zeros(duration, dtype=bool)
+        for within in range(duration):
+            step = sampler._pattern_pos
+            sampler.sample(
+                np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.int64),
+                np.array([within]), geo.second_half_ns, rng,
+            )
+            drawn_second[within] = sampler._pattern_pos > step
+        slices = slice_index_of(np.arange(duration), n_slices, duration)
+        all_first = [not drawn_second[slices == k].any() for k in range(n_slices)]
+        n_first = geo.first_half_slices(n_slices)
+        assert all_first == [k < n_first for k in range(n_slices)]
 
     @given(n_slices=st.integers(2, 64), q=st.integers(1, 200), data=st.data())
     def test_record_on_a_boundary_goes_to_the_later_slice(self, n_slices, q, data):
@@ -652,11 +702,10 @@ class TestSliceIndexOf:
         assert sliced.tolist()[0] < k
 
     def test_loophole_free_boundary_is_light_time(self):
-        # first half of a 2L/c pulse ends at L/c
-        cfg = RunConfig(seed=1, run_duration_s=0.0)
-        geo = pulse_geometry(cfg)
-        half_ns = geo.pulse_duration_ns / 2
-        assert abs(half_ns - geo.light_time_s * 1e9) <= 1.0
+        # the second half of the default 2L/c pulse starts on the first whole
+        # ns at or after L/c = 66.71 ns
+        geo = pulse_geometry(RunConfig(seed=1, run_duration_s=0.0))
+        assert geo.second_half_ns == math.ceil(geo.light_time_s * 1e9) == 67
 
 
 class TestSequences:
