@@ -38,7 +38,7 @@ _EXPORTS = {
         )),
         ("pipeline", ("AnalysisConfig", "analyze_events")),
         ("randommeter", (
-            "BatteryConfig", "RandomnessReport", "ScenarioVerdict", "SliceReading",
+            "RandomnessReport", "ScenarioVerdict", "SliceReading",
             "TestResult", "Verdict", "block_frequency_test", "classify_scenario",
             "compression_ratio", "cusum_test", "monobit_test", "run_battery", "runs_test",
             "serial_test", "two_proportion_z", "wilson_interval",

@@ -99,7 +99,8 @@ class OutcomeModel:
       drift_period_s   (NONERGODIC)  - period of the hidden-angle drift.
       period           (SCENARIO_*)  - length in bits of the compressible
                                        deterministic pattern.
-    :meth:`from_dict` refuses any other parameter and any out-of-range value.
+    Building one raises a ``ConfigError`` on any other parameter or an
+    out-of-range value.
     """
 
     kind: ModelKind
@@ -113,18 +114,11 @@ class OutcomeModel:
     def scenario_period(self) -> int:
         return int(self.parameters.get("period", DEFAULT_SCENARIO_PERIOD))
 
-    @staticmethod
-    def from_dict(obj: dict) -> "OutcomeModel":
-        try:
-            kind = ModelKind(obj["kind"])
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"unknown model kind in {obj!r}") from exc
-        params = obj.get("parameters", {})
-        if not isinstance(params, dict):
-            raise ConfigError(f"model parameters must be a JSON object, got {params!r}")
-        unknown = set(params) - KIND_PARAMETERS.get(kind, frozenset())
+    def __post_init__(self):
+        params = self.parameters
+        unknown = set(params) - KIND_PARAMETERS.get(self.kind, frozenset())
         if unknown:
-            raise ConfigError(f"model {kind.value} takes no parameters {sorted(unknown)}")
+            raise ConfigError(f"model {self.kind.value} takes no parameters {sorted(unknown)}")
         if "period" in params:
             period = params["period"]
             if isinstance(period, bool) or not isinstance(period, int) or period < 2 or period % 2:
@@ -141,6 +135,16 @@ class OutcomeModel:
             require_finite("model parameter drift_period_s", drift)
             if drift <= 0:
                 raise ConfigError(f"model parameter drift_period_s must be > 0, got {drift!r}")
+
+    @staticmethod
+    def from_dict(obj: dict) -> "OutcomeModel":
+        try:
+            kind = ModelKind(obj["kind"])
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"unknown model kind in {obj!r}") from exc
+        params = obj.get("parameters", {})
+        if not isinstance(params, dict):
+            raise ConfigError(f"model parameters must be a JSON object, got {params!r}")
         return OutcomeModel(kind, dict(params))
 
     def to_dict(self) -> dict:

@@ -1,8 +1,9 @@
 """The analysis pipeline: coincidence records -> battery and CHSH -> verdict.
 
 ``analyze_events`` takes a merged event stream, an array or a
-``btag.BtagFile``, and returns everything ``rundir.write_analysis`` writes;
-``AnalysisConfig`` holds the parameters.  It reads the coincidence records
+``btag.BtagFile``, and returns everything ``rundir.write_analysis`` writes.
+``AnalysisConfig`` holds the parameters, the battery's three included, and
+checks them when it is built.  ``analyze_events`` reads the coincidence records
 part by part from ``timetags.coincidence_parts`` and keeps, between parts,
 only the integer count table of every record: the coincidences and the
 records outside the pulse are its sums.  S is computed per slice from the
@@ -37,13 +38,17 @@ import numpy as np
 from .btag import STATION_A, STATION_B
 from .chsh import chsh_from_table, count_table
 from .errors import ConfigError, IncompleteSettingsError, WorkerError, require_finite
-from .randommeter import BatteryConfig, classify_scenario, curve_from_reports, run_battery
+from .randommeter import (
+    classify_scenario, curve_from_reports, min_sequence_length, run_battery,
+)
 from .source import RunConfig, pulse_geometry
 from .timetags import COINC_DTYPE, coincidence_parts, slice_sequences
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnalysisConfig:
+    """The analysis parameters, checked when built: a bad value raises a ``ConfigError``."""
+
     n_slices: int = 2
     window_ns: int = 2
     alpha_sig: float = 0.01
@@ -51,7 +56,7 @@ class AnalysisConfig:
     block_size: int = 128
     serial_m: int = 4
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("n_slices", "window_ns", "sequence_length", "block_size", "serial_m"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -69,27 +74,19 @@ class AnalysisConfig:
             raise ConfigError("analysis.block_size must be >= 2")
         if self.serial_m < 2:
             raise ConfigError("analysis.serial_m must be >= 2")
-        battery = self.battery()
-        if self.sequence_length < battery.min_length:
+        min_length = min_sequence_length(self.block_size, self.serial_m)
+        if self.sequence_length < min_length:
             raise ConfigError(
-                f"analysis.sequence_length must be >= {battery.min_length} "
+                f"analysis.sequence_length must be >= {min_length} "
                 "for the configured battery"
             )
 
-    def battery(self) -> BatteryConfig:
-        return BatteryConfig(
-            alpha_sig=self.alpha_sig, block_size=self.block_size, serial_m=self.serial_m
-        )
-
     @staticmethod
     def from_dict(obj: dict) -> "AnalysisConfig":
-        known = set(AnalysisConfig.__dataclass_fields__)
-        unknown = set(obj) - known
+        unknown = set(obj) - set(AnalysisConfig.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown analysis fields: {sorted(unknown)}")
-        cfg = AnalysisConfig(**obj)
-        cfg.validate()
-        return cfg
+        return AnalysisConfig(**obj)
 
 
 def _battery_worker(conn, parent_conn, analysis: AnalysisConfig) -> None:
@@ -105,7 +102,10 @@ def _battery_worker(conn, parent_conn, analysis: AnalysisConfig) -> None:
 
     parent_conn.close()  # the parent's end: EOF here once the parent closes it
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt stops the parent
-    battery, length = analysis.battery(), analysis.sequence_length
+    length = analysis.sequence_length
+    battery = dict(
+        alpha_sig=analysis.alpha_sig, block_size=analysis.block_size, serial_m=analysis.serial_m
+    )
     pending = {}  # per (slice, station), the bits short of a full block
     reports = {
         (s, station): [] for s in range(analysis.n_slices) for station in (STATION_A, STATION_B)
@@ -117,7 +117,7 @@ def _battery_worker(conn, parent_conn, analysis: AnalysisConfig) -> None:
                 cut = bits.size - bits.size % length
                 pending[key] = bits[cut:].copy()
                 blocks = bits[:cut].reshape(-1, length)
-                reports[key].extend(run_battery(block, battery) for block in blocks)
+                reports[key].extend(run_battery(block, **battery) for block in blocks)
     except EOFError:
         return
     except Exception as exc:
@@ -163,7 +163,6 @@ def analyze_events(events, run: RunConfig, analysis: AnalysisConfig):
     with no other thread running: a forked child holds only the calling
     thread.
     """
-    analysis.validate()  # before n_slices sizes the tables
     n_menu = len(run.settings_menu)
     n_slices = analysis.n_slices
     n_first = pulse_geometry(run).first_half_slices(n_slices)  # refuses before the fork
@@ -195,7 +194,7 @@ def analyze_events(events, run: RunConfig, analysis: AnalysisConfig):
         except IncompleteSettingsError:
             pass  # classify_scenario answers INCONCLUSIVE for this slice
 
-    curve = curve_from_reports(reports, analysis.battery())
+    curve = curve_from_reports(reports, analysis.alpha_sig)
     n_coincidences, n_out = int(counts.sum()), int(counts[-1].sum())
     verdict = classify_scenario(curve, n_first, chsh_estimates, n_coincidences, n_out)
     return n_coincidences, chsh_estimates, curve, verdict, reports

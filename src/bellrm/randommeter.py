@@ -3,11 +3,14 @@
 A sequence can never be certified random, only demonstrated not-random,
 so the meter reading is the *rejection rate* R: the fraction of
 fixed-length sequences flagged by at least one test of a small, fixed
-battery (monobit, runs, block frequency, serial, cumulative sums, all at
-significance alpha_sig).  A dictionary-compression ratio is reported
-alongside as a complexity estimate.  Verdicts about which property the
-data falsifies come from contrasting R between the first and second
-pulse halves.  ``rundir`` writes the reports, the curve and the verdict.
+battery (``TEST_NAMES``: monobit, runs, block frequency, serial,
+cumulative sums, all at significance alpha_sig).  ``run_battery`` takes
+the battery's three parameters, alpha_sig, block_size and serial_m, as
+arguments, as each test does; ``false_alarm_rate`` and
+``min_sequence_length`` give the two numbers they fix.  A
+dictionary-compression ratio is reported alongside as a complexity
+estimate.  Verdicts about which property the data falsifies come from
+contrasting R between the first and second pulse halves.  ``rundir`` writes the reports, the curve and the verdict.
 
 The p-values need only three special functions: ``math.erfc``, the normal
 CDF :func:`ndtr` built on it, and the chi-square tail :func:`chi2_tail`,
@@ -256,26 +259,18 @@ def compression_ratio(bits) -> float:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BatteryConfig:
-    alpha_sig: float = 0.01
-    block_size: int = 128
-    serial_m: int = 4
+#: the battery's tests, in the order ``run_battery`` reports them.
+TEST_NAMES = ("monobit", "runs", "block_frequency", "serial", "cusum")
 
-    TEST_NAMES = ("monobit", "runs", "block_frequency", "serial", "cusum")
 
-    @property
-    def n_tests(self) -> int:
-        return len(self.TEST_NAMES)
+def false_alarm_rate(alpha_sig: float) -> float:
+    """Compound any-test false-alarm level of the battery assuming independence."""
+    return 1.0 - (1.0 - alpha_sig) ** len(TEST_NAMES)
 
-    @property
-    def false_alarm_rate(self) -> float:
-        """Compound any-test false-alarm level assuming independence."""
-        return 1.0 - (1.0 - self.alpha_sig) ** self.n_tests
 
-    @property
-    def min_length(self) -> int:
-        return max(100, 20 * self.block_size, 1 << (self.serial_m + 2), 1000)
+def min_sequence_length(block_size: int, serial_m: int) -> int:
+    """The shortest sequence every test of the battery and the compression ratio accept."""
+    return max(100, 20 * block_size, 1 << (serial_m + 2), 1000)
 
 
 @dataclass(frozen=True)
@@ -288,19 +283,21 @@ class RandomnessReport:
         return {r.test_name: r.p_value for r in self.results}
 
 
-def run_battery(bits, config: BatteryConfig = BatteryConfig()) -> RandomnessReport:
+def run_battery(
+    bits, *, alpha_sig: float = 0.01, block_size: int = 128, serial_m: int = 4
+) -> RandomnessReport:
     """All five tests plus the compression ratio for one sequence.
 
     Overall rejection is any-test-rejects with no multiplicity correction;
-    the implied compound false-alarm level is config.false_alarm_rate.
+    the implied compound false-alarm level is ``false_alarm_rate(alpha_sig)``.
     """
     bits = _as_bits(bits).view(_CheckedBits)
     results = (
-        monobit_test(bits, config.alpha_sig),
-        runs_test(bits, config.alpha_sig),
-        block_frequency_test(bits, config.block_size, config.alpha_sig),
-        serial_test(bits, config.serial_m, config.alpha_sig),
-        cusum_test(bits, config.alpha_sig),
+        monobit_test(bits, alpha_sig),
+        runs_test(bits, alpha_sig),
+        block_frequency_test(bits, block_size, alpha_sig),
+        serial_test(bits, serial_m, alpha_sig),
+        cusum_test(bits, alpha_sig),
     )
     return RandomnessReport(
         results=results,
@@ -350,15 +347,16 @@ class SliceReading:
     sufficient: bool
 
 
-def curve_from_reports(reports: dict, config: BatteryConfig) -> tuple:
+def curve_from_reports(reports: dict, alpha_sig: float) -> tuple:
     """One ``SliceReading`` per slice 0 .. n - 1, in order, from the battery
     worker's ``{(slice, station): [report, ...]}``; each slice pools its
     stations' reports in the map's order.  A map whose slices are not
     0 .. n - 1 with n >= 2 raises a ``ConfigError``.
 
     The derived randomness level rescales R so that the battery's
-    false-alarm rate reads 1.0 (fully random) and R = 1 reads 0.0; it is
-    the same information plotted in the orientation of a randomness dial.
+    false-alarm rate at ``alpha_sig`` reads 1.0 (fully random) and R = 1
+    reads 0.0; it is the same information plotted in the orientation of a
+    randomness dial.
     """
     by_slice = {}
     for (slice_index, _station), key_reports in reports.items():
@@ -367,7 +365,7 @@ def curve_from_reports(reports: dict, config: BatteryConfig) -> tuple:
         raise ConfigError(
             f"randommeter curve needs slices 0 .. n - 1 with n >= 2, got {sorted(by_slice)}"
         )
-    fa = config.false_alarm_rate
+    fa = false_alarm_rate(alpha_sig)
     readings = []
     for slice_index, slice_reports in sorted(by_slice.items()):
         n = len(slice_reports)
@@ -434,6 +432,8 @@ def _unclassifiable(
     curve: tuple, n_first: int, s_by_slice: dict, n_coincidences: int, n_out_of_pulse: int
 ) -> str:
     """Why :func:`classify_scenario` must answer INCONCLUSIVE, or "" if it need not."""
+    if not 0 < n_first < len(curve):  # the config alone decides it, so it comes first
+        return "slices do not cover both pulse halves"
     if n_coincidences == 0:
         return "no data: no coincidences matched"
     if n_out_of_pulse == n_coincidences:
@@ -452,8 +452,6 @@ def _unclassifiable(
                 f"slice {reading.slice_index}: S = {est.S:.3f} does not exceed 2 "
                 f"at {S_SIGMAS:.0f} sigma"
             )
-    if not 0 < n_first < len(curve):
-        return "slices do not cover both pulse halves"
     return ""
 
 
@@ -462,17 +460,18 @@ def classify_scenario(
 ) -> ScenarioVerdict:
     """Decide which property the run gives evidence against.
 
-    Preconditions: the run matched at least one coincidence inside the
-    pulse (``n_out_of_pulse`` of the ``n_coincidences`` fall outside every
+    Preconditions: the first ``n_first`` slices
+    (``PulseGeometry.first_half_slices``) are some but not all of the
+    curve, the run matched at least one coincidence inside the pulse
+    (``n_out_of_pulse`` of the ``n_coincidences`` fall outside every
     slice), and every slice has a sufficient reading and violates the
     classical bound (S > 2 at >= ``S_SIGMAS``); otherwise INCONCLUSIVE,
     with no contrast statistic and no half counts.  The pulse halves, the
-    first ``n_first`` slices (``PulseGeometry.first_half_slices``) and the
-    rest, then have their rejection rates contrasted by a two-proportion test
-    at ``HALVES_SIGNIFICANCE``: a significantly larger R in the first half
-    means ERGODICITY_FALSE, significantly smaller means LOCALITY_FALSE, and
-    no detectable contrast means REALISM_FALSE (constant reading).  This is
-    evidence, not proof.
+    first ``n_first`` slices and the rest, then have their rejection rates
+    contrasted by a two-proportion test at ``HALVES_SIGNIFICANCE``: a
+    significantly larger R in the first half means ERGODICITY_FALSE,
+    significantly smaller means LOCALITY_FALSE, and no detectable contrast
+    means REALISM_FALSE (constant reading).  This is evidence, not proof.
     """
     s_by_slice = {est.slice_index: est for est in chsh_per_slice}
     per_slice_s = tuple(

@@ -240,9 +240,8 @@ def write_reports_csv(path: Path, reports: dict) -> None:
     """``sequences.csv``: one row per report of ``{(slice_index, station):
     [report, ...]}``, in its order; report k of station A in slice 0 is
     sequence ``A0-k``."""
-    from .randommeter import BatteryConfig  # analyze, the only caller, has loaded it
+    from .randommeter import TEST_NAMES as names  # analyze, the only caller, has loaded it
 
-    names = BatteryConfig.TEST_NAMES
     _write_csv(
         path,
         ("sequence_id", "slice_index", "station", *(f"p_{name}" for name in names),

@@ -215,10 +215,14 @@ class PulseGeometry:
 
     @property
     def second_half_ns(self) -> int:
-        return -(-self.pulse_duration_ns // 2)  # ceil(D / 2), the second half's first ns
+        """The second half's first ns: the first whole ns at or after the light time L/c,
+        exact in integers (``fractions`` would load ``decimal`` into every command)."""
+        num, den = self.light_time_s.as_integer_ratio()
+        return -(-num * 10**9 // den)
 
     def first_half_slices(self, n_slices: int) -> int:
-        """How many leading slices of ``n_slices`` lie wholly before ``second_half_ns``."""
+        """How many leading slices of ``n_slices`` lie wholly before ``second_half_ns``:
+        all of them when the pulse ends by it."""
         if n_slices > self.pulse_duration_ns:
             raise ConfigError(
                 f"analysis.n_slices {n_slices} is more than the {self.pulse_duration_ns} "
@@ -229,7 +233,7 @@ class PulseGeometry:
                 f"analysis.n_slices {n_slices} times the {self.pulse_duration_ns} ns pulse "
                 "reaches 2^63: a record's slice is n_slices times its ns in an int64"
             )
-        return self.second_half_ns * n_slices // self.pulse_duration_ns
+        return min(n_slices, self.second_half_ns * n_slices // self.pulse_duration_ns)
 
 
 def pulse_geometry(config: RunConfig) -> PulseGeometry:

@@ -5,10 +5,9 @@ six masked gathers and scatters per batch, and the pattern bits are
 gathered through ``(offset + arange(k)) % period``.  Each pair's flip
 probability is ``sin(alpha - beta) ** 2`` of its own two angles, gathered
 from the menu pair by pair, so the oracle also checks the sampler's
-per-entry table.  It takes the pulse's whole-ns length D, not its half
-edge, and puts a pair in the second half when 2 * within >= D, a rule
-written apart from ``PulseGeometry.second_half_ns`` = ceil(D / 2).  Its
-bits, and its pattern position after every batch, are the ones
+per-entry table.  Like the sampler it takes the second half's first ns
+and puts a pair in the second half when within >= that edge.  Its bits,
+and its pattern position after every batch, are the ones
 ``PairSampler.sample`` must give.
 """
 
@@ -54,7 +53,7 @@ class MaskedPairSampler:
             self._pattern = None
         self._pattern_pos = 0
 
-    def sample(self, settings, pulse_start_ns, within_pulse_ns, pulse_duration_ns, rng):
+    def sample(self, settings, pulse_start_ns, within_pulse_ns, second_half_ns, rng):
         kind = self.model.kind
         alphas = self._menu[settings, 0]
         betas = self._menu[settings, 1]
@@ -68,7 +67,7 @@ class MaskedPairSampler:
             lam = hidden_angles(self.model, np.asarray(pulse_start_ns) * 1e-9, rng)
             return local_hv_bit(lam, alphas), local_hv_bit(lam, betas)
 
-        in_second = 2 * np.asarray(within_pulse_ns, dtype=np.int64) >= pulse_duration_ns
+        in_second = np.asarray(within_pulse_ns, dtype=np.int64) >= second_half_ns
         deterministic = in_second if kind is ModelKind.SCENARIO_LOCALITY_FALSE else ~in_second
         bits_a = np.empty(k, dtype=np.uint8)
         bits_b = np.empty(k, dtype=np.uint8)

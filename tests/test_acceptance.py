@@ -16,7 +16,6 @@ from scipy import stats
 from bellrm import (
     CHSH_MENU,
     EVENT_DTYPE,
-    BatteryConfig,
     ModelKind,
     OutcomeModel,
     PairSampler,
@@ -39,6 +38,7 @@ from bellrm import (
 )
 from bellrm.models import PI
 from bellrm.pipeline import AnalysisConfig, analyze_events
+from bellrm.randommeter import false_alarm_rate
 from bellrm.streams import substream
 from bellrm.timetags import COINC_DTYPE
 
@@ -171,7 +171,6 @@ def test_criterion_05_sequence_identity():
 def test_criterion_06_randommeter_calibration():
     # frozen full-entropy source; 1000 sequences of 1e4 bits
     gen = np.random.Generator(np.random.PCG64(20260808))
-    cfg = BatteryConfig()
     tests = (monobit_test, runs_test, block_frequency_test, serial_test, cusum_test)
     n_seq = 1000
     k_reject = np.zeros(5, dtype=int)
@@ -189,17 +188,17 @@ def test_criterion_06_randommeter_calibration():
         k_compound += any_reject
 
     individual_ok = all(
-        wilson_interval(int(k), n_seq)[0] <= cfg.alpha_sig <= wilson_interval(int(k), n_seq)[1]
+        wilson_interval(int(k), n_seq)[0] <= 0.01 <= wilson_interval(int(k), n_seq)[1]
         for k in k_reject
     )
     ks_ok = all(stats.kstest(p, "uniform").pvalue > 0.01 for p in p_values)
     lo, hi = wilson_interval(k_compound, n_seq)
-    compound_ok = lo <= cfg.false_alarm_rate <= hi
+    compound_ok = lo <= false_alarm_rate(0.01) <= hi
     ok = individual_ok and ks_ok and compound_ok
     report(
         6, ok,
         f"per-test rejections {k_reject.tolist()}/1000 (0.01 in Wilson CI), "
-        f"compound {k_compound}/1000 vs 1-0.99^5 = {cfg.false_alarm_rate:.4f} "
+        f"compound {k_compound}/1000 vs 1-0.99^5 = {false_alarm_rate(0.01):.4f} "
         f"in CI [{lo:.4f}, {hi:.4f}], p-value KS uniform at 1%",
     )
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import bellrm
 import bellrm.source
-from bellrm import BtagFile, BtagWriter, RunConfig
+from bellrm import BtagFile, BtagWriter, ConfigError, ModelKind, OutcomeModel, RunConfig
 from bellrm.cli import main
 from bellrm.rundir import atomic_open
 
@@ -54,13 +54,6 @@ def config_digest(manifest):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.fixture
-def no_bellrm_env(monkeypatch):
-    for key in list(os.environ):
-        if key.startswith("BELLRM_"):
-            monkeypatch.delenv(key)
-
-
 def fail_generation_after_one_block(monkeypatch):
     generate = bellrm.source.iter_event_chunks
 
@@ -73,11 +66,38 @@ def fail_generation_after_one_block(monkeypatch):
 
 
 @pytest.fixture
-def sim_dir(tmp_path, no_bellrm_env):
+def sim_dir(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     return out
+
+
+# each bad model parameter and a part of the message that refuses it
+BAD_MODEL_PARAMETERS = pytest.mark.parametrize(
+    "kind, parameters, message",
+    [
+        ("SCENARIO_LOCALITY_FALSE", {"period": "x"}, "period must be an even integer >= 2"),
+        ("SCENARIO_LOCALITY_FALSE", {"period": 2.5}, "period must be an even integer >= 2"),
+        ("SCENARIO_LOCALITY_FALSE", {"period": True}, "period must be an even integer >= 2"),
+        ("SCENARIO_LOCALITY_FALSE", {"period": 3}, "period must be an even integer >= 2"),
+        ("SCENARIO_LOCALITY_FALSE", {"period": 0}, "period must be an even integer >= 2"),
+        ("SCENARIO_LOCALITY_FALSE", {"period": 2**24 + 2}, "period must be at most 16777216"),
+        ("SCENARIO_ERGODICITY_FALSE", {"period": 10**15}, "period must be at most 16777216"),
+        ("NONERGODIC", {"drift_period_s": "x"}, "drift_period_s must be a finite number"),
+        ("NONERGODIC", {"drift_period_s": float("nan")}, "drift_period_s must be a finite number"),
+        ("NONERGODIC", {"drift_period_s": 0}, "drift_period_s must be > 0"),
+        ("NONERGODIC", {"drift_period_s": -1}, "drift_period_s must be > 0"),
+        ("SCENARIO_LOCALITY_FALSE", {"drift_period_s": 1}, "takes no parameters ['drift_period_s']"),
+        ("QM_NONLOCAL", {"perod": 4}, "takes no parameters ['perod']"),
+    ],
+    ids=[
+        "period-string", "period-float", "period-bool", "period-odd", "period-zero",
+        "period-past-cap", "period-1e15",
+        "drift-string", "drift-nan", "drift-zero", "drift-negative", "drift-on-scenario",
+        "misspelt-parameter",
+    ],
+)
 
 
 class TestSimulate:
@@ -95,7 +115,7 @@ class TestSimulate:
             "bytes": len(data), "records_sha256": hashlib.sha256(data[32:]).hexdigest()
         }
 
-    def test_byte_identical_replay(self, tmp_path, no_bellrm_env):
+    def test_byte_identical_replay(self, tmp_path):
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         main(["simulate", "--config", str(cfg), "--out", str(out1)])
@@ -103,7 +123,7 @@ class TestSimulate:
         assert sha256(out1 / "events.btag") == sha256(out2 / "events.btag")
 
     def test_a_manifest_with_a_whole_file_digest_replays_but_does_not_analyze(
-        self, sim_dir, tmp_path, no_bellrm_env, capsys
+        self, sim_dir, tmp_path, capsys
     ):
         # manifests written before the record-region digest recorded the
         # SHA-256 of the whole file, and none recorded config_sha256
@@ -129,7 +149,7 @@ class TestSimulate:
         assert sorted(p.name for p in sim_dir.iterdir()) == ["events.btag", "manifest.json"]
         assert main(["analyze", "--in", str(out)]) == 0
 
-    def test_manifest_is_a_valid_config(self, sim_dir, tmp_path, no_bellrm_env):
+    def test_manifest_is_a_valid_config(self, sim_dir, tmp_path):
         # re-running from the manifest reproduces the file bit for bit
         out = tmp_path / "replay"
         code = main(
@@ -150,14 +170,14 @@ class TestSimulate:
         echoed = manifest["config"]["run"]
         assert RunConfig.from_dict(echoed).to_dict() == echoed
 
-    def test_seed_flag_overrides(self, tmp_path, no_bellrm_env):
+    def test_seed_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "seeded"
         main(["simulate", "--config", str(cfg), "--out", str(out), "--seed", "123"])
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 123
 
-    def test_env_override(self, tmp_path, no_bellrm_env, monkeypatch):
+    def test_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BELLRM_SEED", "4242")
         monkeypatch.setenv("BELLRM_RUN_DURATION_S", "0.5")
         cfg = write_config(tmp_path)
@@ -167,7 +187,7 @@ class TestSimulate:
         assert manifest["seed"] == 4242
         assert manifest["config"]["run"]["run_duration_s"] == 0.5
 
-    def test_zero_duration_yields_empty_valid_file(self, tmp_path, no_bellrm_env):
+    def test_zero_duration_yields_empty_valid_file(self, tmp_path):
         obj = json.loads(json.dumps(BASE_CONFIG))
         obj["run"]["run_duration_s"] = 0.0
         cfg = write_config(tmp_path, obj)
@@ -176,7 +196,7 @@ class TestSimulate:
         with BtagFile(out / "events.btag") as events:
             assert len(events) == 0 and events[:].size == 0
 
-    def test_invalid_config_exits_2(self, tmp_path, no_bellrm_env, capsys):
+    def test_invalid_config_exits_2(self, tmp_path, capsys):
         obj = json.loads(json.dumps(BASE_CONFIG))
         obj["run"]["detection_prob_per_pulse"] = 0.9
         cfg = write_config(tmp_path, obj)
@@ -184,7 +204,7 @@ class TestSimulate:
         assert code == 2
         assert "detection_prob_per_pulse" in capsys.readouterr().err
 
-    def test_menu_beyond_its_settings_table_exits_2(self, tmp_path, no_bellrm_env, capsys):
+    def test_menu_beyond_its_settings_table_exits_2(self, tmp_path, capsys):
         menu = [[0.001 * k, 0.0] for k in range(4097)]
         run = {**BASE_CONFIG["run"], "run_duration_s": 0.01}
         out = tmp_path / "x"
@@ -220,7 +240,7 @@ class TestSimulate:
         ],
     )
     def test_malformed_config_shape_exits_2(
-        self, tmp_path, no_bellrm_env, monkeypatch, capsys, config, menu_env, message
+        self, tmp_path, monkeypatch, capsys, config, menu_env, message
     ):
         if menu_env is not None:
             monkeypatch.setenv("BELLRM_SETTINGS_MENU", menu_env)
@@ -229,32 +249,9 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not (out / "events.btag").exists()
 
-    @pytest.mark.parametrize(
-        "kind, parameters, message",
-        [
-            ("SCENARIO_LOCALITY_FALSE", {"period": "x"}, "period must be an even integer >= 2"),
-            ("SCENARIO_LOCALITY_FALSE", {"period": 2.5}, "period must be an even integer >= 2"),
-            ("SCENARIO_LOCALITY_FALSE", {"period": True}, "period must be an even integer >= 2"),
-            ("SCENARIO_LOCALITY_FALSE", {"period": 3}, "period must be an even integer >= 2"),
-            ("SCENARIO_LOCALITY_FALSE", {"period": 0}, "period must be an even integer >= 2"),
-            ("SCENARIO_LOCALITY_FALSE", {"period": 2**24 + 2}, "period must be at most 16777216"),
-            ("SCENARIO_ERGODICITY_FALSE", {"period": 10**15}, "period must be at most 16777216"),
-            ("NONERGODIC", {"drift_period_s": "x"}, "drift_period_s must be a finite number"),
-            ("NONERGODIC", {"drift_period_s": float("nan")}, "drift_period_s must be a finite number"),
-            ("NONERGODIC", {"drift_period_s": 0}, "drift_period_s must be > 0"),
-            ("NONERGODIC", {"drift_period_s": -1}, "drift_period_s must be > 0"),
-            ("SCENARIO_LOCALITY_FALSE", {"drift_period_s": 1}, "takes no parameters ['drift_period_s']"),
-            ("QM_NONLOCAL", {"perod": 4}, "takes no parameters ['perod']"),
-        ],
-        ids=[
-            "period-string", "period-float", "period-bool", "period-odd", "period-zero",
-            "period-past-cap", "period-1e15",
-            "drift-string", "drift-nan", "drift-zero", "drift-negative", "drift-on-scenario",
-            "misspelt-parameter",
-        ],
-    )
+    @BAD_MODEL_PARAMETERS
     def test_bad_model_parameter_exits_2(
-        self, tmp_path, no_bellrm_env, capsys, kind, parameters, message
+        self, tmp_path, capsys, kind, parameters, message
     ):
         obj = json.loads(json.dumps(BASE_CONFIG))
         obj["run"]["run_duration_s"] = 0.01
@@ -266,7 +263,13 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not (out / "events.btag").exists()
 
-    def test_good_model_parameters_are_kept(self, tmp_path, no_bellrm_env):
+    @BAD_MODEL_PARAMETERS
+    def test_a_model_built_directly_refuses_a_bad_parameter(self, kind, parameters, message):
+        with pytest.raises(ConfigError) as refused:
+            OutcomeModel(ModelKind(kind), parameters)
+        assert message in str(refused.value)
+
+    def test_good_model_parameters_are_kept(self, tmp_path):
         obj = json.loads(json.dumps(BASE_CONFIG))
         obj["run"]["run_duration_s"] = 0.01
         for model in (
@@ -280,7 +283,7 @@ class TestSimulate:
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["config"]["model"] == model
 
-    def test_missing_config_exits_2(self, tmp_path, no_bellrm_env):
+    def test_missing_config_exits_2(self, tmp_path):
         assert (
             main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")])
             == 2
@@ -291,7 +294,7 @@ class TestSimulate:
         [(b"{", "Expecting property name"), (b"\xff\xfe{}", "can't decode byte 0xff")],
         ids=["not-json", "not-utf-8"],
     )
-    def test_unreadable_config_exits_2(self, tmp_path, no_bellrm_env, capsys, data, message):
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, data, message):
         cfg = tmp_path / "config.json"
         cfg.write_bytes(data)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
@@ -299,7 +302,7 @@ class TestSimulate:
         assert line.startswith(f"configuration error: {cfg} is not a bellrm config: ")
         assert message in line
 
-    def test_csv_mirror_flag(self, tmp_path, no_bellrm_env):
+    def test_csv_mirror_flag(self, tmp_path):
         obj = json.loads(json.dumps(BASE_CONFIG))
         obj["run"]["run_duration_s"] = 0.05
         cfg = write_config(tmp_path, obj)
@@ -342,7 +345,7 @@ class TestSimulate:
         ],
     )
     def test_non_finite_float_override_exits_2(
-        self, tmp_path, no_bellrm_env, monkeypatch, capsys, key, value, field
+        self, tmp_path, monkeypatch, capsys, key, value, field
     ):
         monkeypatch.setenv(key, value)
         out = tmp_path / "x"
@@ -350,7 +353,7 @@ class TestSimulate:
         assert f"{field} must be a finite number" in capsys.readouterr().err
         assert not (out / "events.btag").exists()
 
-    def test_failed_simulate_leaves_no_partial_file(self, tmp_path, no_bellrm_env, monkeypatch):
+    def test_failed_simulate_leaves_no_partial_file(self, tmp_path, monkeypatch):
         fail_generation_after_one_block(monkeypatch)
         out = tmp_path / "failed"
         with pytest.raises(RuntimeError, match="generator failed"):
@@ -387,7 +390,7 @@ class TestSimulate:
         [("serial_m", -5), ("serial_m", 0), ("serial_m", 1), ("block_size", 0), ("block_size", 1)],
     )
     def test_battery_parameter_below_two_exits_2(
-        self, tmp_path, no_bellrm_env, capsys, field, value
+        self, tmp_path, capsys, field, value
     ):
         # a run too short to fill a block would never reach the battery
         obj = json.loads(json.dumps(BASE_CONFIG))
@@ -410,7 +413,7 @@ class TestSimulate:
         assert {"chsh_per_slice.csv", "sequences.csv", "curve.csv", "verdict.json"} <= set(before)
         assert {p.name: p.read_bytes() for p in sim_dir.iterdir()} == before
 
-    def test_locked_directory_exits_3(self, tmp_path, no_bellrm_env):
+    def test_locked_directory_exits_3(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "locked"
         out.mkdir()
@@ -427,6 +430,22 @@ class TestAnalyze:
         assert verdict["label"] == "LOCALITY_FALSE"
         assert verdict["r_first_half"] < verdict["r_second_half"]
         assert all(s > 2.7 for s in verdict["per_slice_S"])
+
+    def test_a_pulse_that_ends_before_the_light_time_is_inconclusive(self, tmp_path):
+        # a 30 ns pulse at 20 m ends before L/c = 66.71 ns: every slice lies
+        # in the first half, so there is no second half to contrast it with
+        run = {"seed": 3, "run_duration_s": 0.05, "pulse_duration_s": 3e-8}
+        config = write_config(tmp_path, {"run": run})
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["analyze", "--in", str(out)]) == 0
+        assert main(["report", "--in", str(out)]) == 0
+        verdict = json.loads((out / "verdict.json").read_text())
+        assert (verdict["label"], verdict["reason"]) == (
+            "INCONCLUSIVE", "slices do not cover both pulse halves"
+        )
+        summary = (out / "summary.txt").read_text()
+        assert "verdict: INCONCLUSIVE (slices do not cover both pulse halves)" in summary
 
     def test_sequences_csv_shape(self, sim_dir):
         main(["analyze", "--in", str(sim_dir)])
@@ -448,7 +467,7 @@ class TestAnalyze:
         assert coarse["0"] == fine["0"] + fine["1"]
         assert coarse["1"] == fine["2"] + fine["3"]
 
-    def test_empty_run_is_inconclusive(self, tmp_path, no_bellrm_env):
+    def test_empty_run_is_inconclusive(self, tmp_path):
         obj = json.loads(json.dumps(BASE_CONFIG))
         obj["run"]["run_duration_s"] = 0.0
         cfg = write_config(tmp_path, obj)
@@ -459,7 +478,7 @@ class TestAnalyze:
         assert verdict["label"] == "INCONCLUSIVE"
         assert "no data" in verdict["reason"]
 
-    def test_run_without_coincidences_is_inconclusive(self, tmp_path, no_bellrm_env):
+    def test_run_without_coincidences_is_inconclusive(self, tmp_path):
         obj = json.loads(json.dumps(BASE_CONFIG))
         obj["run"].update(run_duration_s=1.0, coincidence_prob_per_pulse=0.0, dark_rate_hz=1000.0)
         out = tmp_path / "darks"
@@ -472,7 +491,7 @@ class TestAnalyze:
         assert verdict["reason"] == "no data: no coincidences matched"
 
     def test_run_with_every_coincidence_outside_the_pulse_is_inconclusive(
-        self, tmp_path, no_bellrm_env, capsys
+        self, tmp_path, capsys
     ):
         # every event moved 500 ns later: past the end of its 133 ns pulse,
         # but before the next pulse starts, where a dark of its pulse may lie
@@ -500,7 +519,7 @@ class TestAnalyze:
             "no data in any slice: all 10002 matched coincidences fall outside the pulse"
         )
 
-    def test_a_manifest_of_another_rep_rate_exits_3(self, tmp_path, no_bellrm_env, capsys):
+    def test_a_manifest_of_another_rep_rate_exits_3(self, tmp_path, capsys):
         # twice the run's rep rate: each pulse index then starts half as
         # late, and every event lies past the start of its pulse's successor
         cfg = write_config(tmp_path, {"run": {"seed": 1, "run_duration_s": 0.5}})
@@ -517,7 +536,7 @@ class TestAnalyze:
         assert not (out / "verdict.json").exists()
 
     def test_overrides_take_the_file_then_the_environment_then_the_flag(
-        self, tmp_path, no_bellrm_env, monkeypatch, capsys
+        self, tmp_path, monkeypatch, capsys
     ):
         def curve_rows(run):
             return len((run / "curve.csv").read_text().splitlines()) - 1
@@ -669,7 +688,7 @@ class TestAnalyze:
         assert "missing" in capsys.readouterr().err
         assert not (sim_dir / ".lock").exists()
 
-    def test_missing_manifest_exits_3(self, tmp_path, no_bellrm_env):
+    def test_missing_manifest_exits_3(self, tmp_path):
         empty = tmp_path / "nothing"
         empty.mkdir()
         assert main(["analyze", "--in", str(empty)]) == 3
@@ -684,7 +703,7 @@ class TestReport:
         assert verdict_lines == ["  verdict: LOCALITY_FALSE"]  # a classified run gives no reason
         assert (sim_dir / "combined_curves.csv").exists()
 
-    def test_missing_inputs_listed(self, tmp_path, no_bellrm_env, capsys):
+    def test_missing_inputs_listed(self, tmp_path, capsys):
         bare = tmp_path / "bare"
         bare.mkdir()
         assert main(["report", "--in", str(bare)]) == 3
@@ -715,7 +734,7 @@ class TestReport:
         assert str(path) in capsys.readouterr().err
         assert not (sim_dir / "summary.txt").exists()
 
-    def test_two_runs_merge_in_order(self, tmp_path, no_bellrm_env):
+    def test_two_runs_merge_in_order(self, tmp_path):
         cfg = write_config(tmp_path)
         dirs = []
         for name, seed in (("alpha", 5), ("beta", 6)):
@@ -732,7 +751,7 @@ class TestReport:
         verdicts = [l for l in summary.splitlines() if l.strip().startswith("verdict:")]
         assert len(verdicts) == 2
 
-    def test_a_slice_without_sequences_reads_n_a(self, sim_dir, tmp_path, no_bellrm_env):
+    def test_a_slice_without_sequences_reads_n_a(self, sim_dir, tmp_path):
         # 0.05 s of the default run: about 1,000 coincidences, no full sequence
         short = tmp_path / "short"
         cfg = write_config(tmp_path, {"run": {"seed": 1, "run_duration_s": 0.05}}, "short.json")
@@ -757,7 +776,7 @@ class TestReport:
         for row in rows[2:]:
             assert [row[name] for name in numbers] == [""] * 5 and float(row["S"]) > 2
 
-    def test_the_verdict_line_gives_an_inconclusive_runs_reason(self, tmp_path, no_bellrm_env, capsys):
+    def test_the_verdict_line_gives_an_inconclusive_runs_reason(self, tmp_path, capsys):
         # 0.05 s of the default run: INCONCLUSIVE, no full sequence in slice 0
         short = tmp_path / "short"
         cfg = write_config(tmp_path, {"run": {"seed": 1, "run_duration_s": 0.05}}, "short.json")
@@ -827,7 +846,7 @@ print(code, before, 'numpy' in sys.modules)
     ],
 )
 def test_only_simulate_and_analyze_load_numpy(
-    analyzed_run, tmp_path, no_bellrm_env, command, loads_numpy
+    analyzed_run, tmp_path, command, loads_numpy
 ):
     args = {
         "report": ["report", "--in", str(analyzed_run), "--out", str(tmp_path / "report")],
@@ -868,7 +887,7 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss * 1024)
 def _peak_rss_bytes(args: list[str]) -> int:
     """ru_maxrss of a Python child run with ``args``, in bytes."""
     src = Path(__file__).resolve().parent.parent / "src"
-    env = {k: v for k, v in os.environ.items() if not k.startswith("BELLRM_")}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", PEAK_RSS_OF_CHILD, *args],
@@ -879,7 +898,7 @@ def _peak_rss_bytes(args: list[str]) -> int:
     return int(peak)
 
 
-def test_analyze_memory_does_not_grow_with_the_file(tmp_path, no_bellrm_env):
+def test_analyze_memory_does_not_grow_with_the_file(tmp_path):
     # a 10 s default run: about 38 MB of events.btag; analyze reads it in
     # pieces, so it needs well under half of that above the bare start-up,
     # which loads the modules (and numpy) that analyze loads
@@ -928,11 +947,10 @@ def test_failed_write_leaves_the_old_file(tmp_path):
 
 
 def _run_cli(args: list[str], bellrm_env: dict | None = None) -> subprocess.CompletedProcess:
-    """``python -m bellrm.cli`` in a child, whose stderr shows any traceback.
-    Of the BELLRM_ environment it sees only ``bellrm_env``."""
+    """``python -m bellrm.cli`` in a child, whose stderr shows any traceback,
+    with ``bellrm_env`` added to its environment."""
     src = Path(__file__).resolve().parent.parent / "src"
-    env = {k: v for k, v in os.environ.items() if not k.startswith("BELLRM_")}
-    env.update(bellrm_env or {})
+    env = {**os.environ, **(bellrm_env or {})}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "bellrm.cli", *args], env=env, capture_output=True, text=True
@@ -1163,15 +1181,11 @@ JSON_VALUES = st.one_of(
 def analyzed_run(tmp_path_factory):
     """A small run where every event is matched, analyzed and reported once."""
     root = tmp_path_factory.mktemp("damage")
-    saved = {key: os.environ.pop(key) for key in list(os.environ) if key.startswith("BELLRM_")}
-    try:
-        run = root / "run"
-        config = write_config(root, DAMAGE_CONFIG)
-        assert main(["simulate", "--config", str(config), "--out", str(run)]) == 0
-        assert main(["analyze", "--in", str(run)]) == 0
-        assert main(["report", "--in", str(run)]) == 0
-    finally:
-        os.environ.update(saved)
+    run = root / "run"
+    config = write_config(root, DAMAGE_CONFIG)
+    assert main(["simulate", "--config", str(config), "--out", str(run)]) == 0
+    assert main(["analyze", "--in", str(run)]) == 0
+    assert main(["report", "--in", str(run)]) == 0
     return run
 
 
@@ -1188,7 +1202,7 @@ def analyzed_run(tmp_path_factory):
 @example(damage=("events.btag", 32 + 3 * 16 + 11, 255))  # record 3's pulse past the run
 @example(damage=("manifest.json", ("config", "run", "rep_rate_hz"), 2e6))
 def test_one_damaged_byte_or_field_ends_in_an_exit_code(
-    analyzed_run, no_bellrm_env, capsys, damage
+    analyzed_run, capsys, damage
 ):
     # exit 0 stays legal: no check yet compares events.btag with its
     # digest, and an edited analysis section is legal
@@ -1247,7 +1261,7 @@ def _swap_menu_entries_1_and_3(config):
     ],
     ids=["menu-1-3-swapped", "separation-19", "separation-21", "model-kind"],
 )
-def test_an_edited_run_or_model_section_exits_3(analyzed_run, no_bellrm_env, capsys, edit):
+def test_an_edited_run_or_model_section_exits_3(analyzed_run, capsys, edit):
     # each edit leaves every event inside its pulse's window; only the
     # config digest tells that the events were generated with another config
     with tempfile.TemporaryDirectory() as tmp:
@@ -1263,7 +1277,7 @@ def test_an_edited_run_or_model_section_exits_3(analyzed_run, no_bellrm_env, cap
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
-def test_an_edited_analysis_section_still_analyzes(analyzed_run, no_bellrm_env):
+def test_an_edited_analysis_section_still_analyzes(analyzed_run):
     with tempfile.TemporaryDirectory() as tmp:
         run = _edited_copy(analyzed_run, tmp, lambda config: config["analysis"].update(n_slices=4))
         assert main(["analyze", "--in", str(run)]) == 0
@@ -1271,7 +1285,7 @@ def test_an_edited_analysis_section_still_analyzes(analyzed_run, no_bellrm_env):
 
 
 @pytest.mark.parametrize("offset", range(16, 32))
-def test_a_damaged_reserved_header_byte_exits_3(analyzed_run, no_bellrm_env, capsys, offset):
+def test_a_damaged_reserved_header_byte_exits_3(analyzed_run, capsys, offset):
     # the manifest's digest covers the records only, so the header is
     # checked byte by byte
     with tempfile.TemporaryDirectory() as tmp:

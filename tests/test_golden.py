@@ -20,7 +20,6 @@ updates them and says so.
 
 import hashlib
 import json
-import os
 
 import pytest
 
@@ -104,15 +103,8 @@ def _digests(run_dir, names=OUTPUTS):
     return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in names}
 
 
-def _clear_bellrm_env(monkeypatch):
-    for key in list(os.environ):
-        if key.startswith("BELLRM_"):
-            monkeypatch.delenv(key)
-
-
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_short_workload_keeps_its_bytes(workload, tmp_path, monkeypatch):
-    _clear_bellrm_env(monkeypatch)
+def test_short_workload_keeps_its_bytes(workload, tmp_path):
     run, kind, analysis = WORKLOADS[workload]
     config = {
         "run": {**PAPER_RUN, **run},
@@ -127,8 +119,7 @@ def test_short_workload_keeps_its_bytes(workload, tmp_path, monkeypatch):
     assert _digests(run_dir) == GOLDEN[workload]
 
 
-def test_the_paper_default_run_keeps_its_bytes(paper_default_run, monkeypatch, capsys):
-    _clear_bellrm_env(monkeypatch)
+def test_the_paper_default_run_keeps_its_bytes(paper_default_run, capsys):
     run_dir, code, _ = paper_default_run
     assert code == 0
     capsys.readouterr()
@@ -141,8 +132,7 @@ def test_the_paper_default_run_keeps_its_bytes(paper_default_run, monkeypatch, c
     assert _digests(run_dir, PAPER_DEFAULT_GOLDEN) == PAPER_DEFAULT_GOLDEN
 
 
-def test_a_run_without_sequences_keeps_its_bytes(tmp_path, monkeypatch, capsys):
-    _clear_bellrm_env(monkeypatch)
+def test_a_run_without_sequences_keeps_its_bytes(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"run": {"seed": 1, "run_duration_s": 0.05}}))
     run_dir = tmp_path / "nosequence"  # report writes the directory's name into its outputs

@@ -307,12 +307,15 @@ class TestScenarioPattern:
     )
     @pytest.mark.parametrize("duration", [8, 7])
     def test_sampler_equals_the_masked_sampler(self, kind, batches, duration):
-        # an 8 ns pulse: within 0-3 is the first half, 4-7 the second, and so
-        # for a 7 ns one; the oracle keeps the rule 2 * within >= D, and the
-        # sampler reads ceil(D / 2) from the pulse geometry
+        # at 1 m, L/c = 3.34 ns: within 0-3 is the first half, and 4-7 of an
+        # 8 ns pulse the second, and so for a 7 ns one
         second_half = pulse_geometry(
-            RunConfig(seed=1, run_duration_s=0.0, pulse_duration_s=duration * 1e-9)
+            RunConfig(
+                seed=1, run_duration_s=0.0, station_separation_m=1.0,
+                pulse_duration_s=duration * 1e-9,
+            )
         ).second_half_ns
+        assert second_half == 4
         model = OutcomeModel(kind)
         for menu in (CHSH_MENU, EDGE_MENU):
             sampler, masked = PairSampler(model, 37, menu), MaskedPairSampler(model, 37, menu)
@@ -322,7 +325,7 @@ class TestScenarioPattern:
                 args = (settings.astype(np.uint16), within * 1000, within)
                 pos = sampler._pattern_pos
                 got = sampler.sample(*args, second_half, substream(37, "pairs", i))
-                want = masked.sample(*args, duration, substream(37, "pairs", i))
+                want = masked.sample(*args, second_half, substream(37, "pairs", i))
                 for g, w in zip(got, want):
                     assert g.dtype == np.uint8 and g.size == within.size
                     assert np.array_equal(g, w)
@@ -332,7 +335,7 @@ class TestScenarioPattern:
                     bits_a, bits_b = got
                     assert np.array_equal(bits_a[settings == 0], bits_b[settings == 0])
                     assert np.all(bits_a[settings == 1] != bits_b[settings == 1])
-                in_second = int(np.count_nonzero(2 * within >= duration))
+                in_second = int(np.count_nonzero(within >= second_half))
                 n_deterministic = {
                     ModelKind.SCENARIO_LOCALITY_FALSE: in_second,
                     ModelKind.SCENARIO_ERGODICITY_FALSE: within.size - in_second,

@@ -93,6 +93,9 @@ def test_per_slice_chsh_equals_one_table_of_one_pass():
 def test_integer_fields_reject_other_types(field, value):
     with pytest.raises(ConfigError, match=f"analysis.{field} must be an integer"):
         AnalysisConfig.from_dict({field: value})
+    # built directly, the config is checked the same way
+    with pytest.raises(ConfigError, match=f"analysis.{field} must be an integer"):
+        AnalysisConfig(**{field: value})
 
 
 def test_n_slices_must_fit_the_int16_slice_index():
@@ -242,7 +245,7 @@ def test_a_gapless_run_longer_than_a_window_grows_the_window(tmp_path, monkeypat
 def test_a_gapless_run_past_the_cap_in_a_file_exits_3(tmp_path, monkeypatch, capsys):
     # at a cap of 100 records: 100 gapless records are one part, 110 are
     # refused, and a window that grows 7 records at a time is refused at 105
-    run = gapless_run(tmp_path, monkeypatch, 110)
+    run = gapless_run(tmp_path, 110)
     monkeypatch.setattr(timetags, "MAX_GAPLESS_RECORDS", 100)
     with BtagFile(run / "events.btag") as events, mock.patch.object(btag, "PIECE_RECORDS", 7):
         assert [first for first, _ in cut_at_gaps(events[:100], 2)] == [0]
@@ -260,7 +263,7 @@ def test_a_gapless_run_past_the_cap_in_a_file_exits_3(tmp_path, monkeypatch, cap
 
 def test_a_file_that_shrinks_while_analyze_runs_exits_3(tmp_path, monkeypatch, capsys):
     # shrunk after its size was checked, before the first window is mapped
-    run = gapless_run(tmp_path, monkeypatch, 10)
+    run = gapless_run(tmp_path, 10)
 
     class ShrinksOnOpen(BtagFile):
         def __init__(self, path):
@@ -279,14 +282,11 @@ def test_a_file_that_shrinks_while_analyze_runs_exits_3(tmp_path, monkeypatch, c
     assert_no_child_left()
 
 
-def gapless_run(tmp_path, monkeypatch, n_records):
+def gapless_run(tmp_path, n_records):
     """A run directory whose events.btag holds ``n_records`` events 1 ns
     apart, so no step is wider than the default 2 ns window.  Only the
     second event is at station B: the one chain holds one pair and the
     matcher resolves it in one lockstep pass."""
-    for key in list(os.environ):
-        if key.startswith("BELLRM_"):
-            monkeypatch.delenv(key)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"run": {"seed": 1, "run_duration_s": 0.0}}))
     run = tmp_path / "run"
@@ -302,19 +302,17 @@ def gapless_run(tmp_path, monkeypatch, n_records):
     return run
 
 
-def test_a_gapless_stream_at_the_cap_analyzes(tmp_path, monkeypatch, capsys):
-    run = gapless_run(tmp_path, monkeypatch, timetags.MAX_GAPLESS_RECORDS)
+def test_a_gapless_stream_at_the_cap_analyzes(tmp_path, capsys):
+    run = gapless_run(tmp_path, timetags.MAX_GAPLESS_RECORDS)
     with time_limit(120):
         assert main(["analyze", "--in", str(run)]) == 0
     assert "analyze: 1 coincidences, 0 sequences" in capsys.readouterr().out
     assert_no_child_left()
 
 
-def test_a_gapless_stream_past_the_cap_exits_3_in_bounded_memory(
-    tmp_path, monkeypatch, capsys
-):
+def test_a_gapless_stream_past_the_cap_exits_3_in_bounded_memory(tmp_path, capsys):
     cap = timetags.MAX_GAPLESS_RECORDS
-    run = gapless_run(tmp_path, monkeypatch, cap + 1)
+    run = gapless_run(tmp_path, cap + 1)
     capsys.readouterr()
     tracemalloc.start()
     try:
@@ -423,7 +421,10 @@ def serial_reports(events, cfg, analysis):
     length = analysis.sequence_length
     return {
         key: [
-            run_battery(block, analysis.battery())
+            run_battery(
+                block, alpha_sig=analysis.alpha_sig, block_size=analysis.block_size,
+                serial_m=analysis.serial_m,
+            )
             for block in bits[: len(bits) // length * length].reshape(-1, length)
         ]
         for key, bits in slice_sequences(records, analysis.n_slices).items()
@@ -469,10 +470,10 @@ def test_a_battery_exception_comes_back_unchanged(monkeypatch):
     battery = pipeline.run_battery
     calls = itertools.count(1)  # counted in the forked worker, which inherits the patch
 
-    def fails_on_the_second_block(bits, config):
+    def fails_on_the_second_block(bits, **params):
         if next(calls) == 2:
             raise ZeroDivisionError("battery failed on the second block")
-        return battery(bits, config)
+        return battery(bits, **params)
 
     monkeypatch.setattr(pipeline, "run_battery", fails_on_the_second_block)
     cfg = RunConfig(seed=51, run_duration_s=6_400e-6)
@@ -512,12 +513,9 @@ def _python(code: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_only_analyze_imports_multiprocessing(tmp_path, monkeypatch):
+def test_only_analyze_imports_multiprocessing(tmp_path):
     # simulate and report never fork, so they must not pay for the import;
     # analyze, last, shows the check can see it
-    for key in list(os.environ):
-        if key.startswith("BELLRM_"):
-            monkeypatch.delenv(key)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(WORKER_CONFIG))
     analyzed, fresh, report = tmp_path / "analyzed", tmp_path / "fresh", tmp_path / "report"
@@ -534,10 +532,7 @@ def test_only_analyze_imports_multiprocessing(tmp_path, monkeypatch):
     assert proc.stdout.strip().splitlines()[-1] == "[False, False, False, True]"
 
 
-def test_a_dead_worker_ends_analyze_in_one_line_with_exit_4(tmp_path, monkeypatch):
-    for key in list(os.environ):
-        if key.startswith("BELLRM_"):
-            monkeypatch.delenv(key)
+def test_a_dead_worker_ends_analyze_in_one_line_with_exit_4(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(WORKER_CONFIG))
     run = tmp_path / "run"

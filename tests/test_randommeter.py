@@ -9,7 +9,6 @@ from scipy import special, stats
 from bellrm import (
     STATION_A,
     STATION_B,
-    BatteryConfig,
     ConfigError,
     InsufficientLengthError,
     UndefinedStatisticError,
@@ -32,14 +31,14 @@ from bellrm.models import scenario_pattern
 from bellrm.randommeter import chi2_tail, curve_from_reports, ndtr
 
 
-def battery_curve(sequences_by_slice, config=BatteryConfig()):
+def battery_curve(sequences_by_slice):
     """Run the battery on every sequence and aggregate the reports per slice,
     all of them at station A."""
     reports = {
-        (s, STATION_A): [run_battery(bits, config) for bits in seqs]
+        (s, STATION_A): [run_battery(bits) for bits in seqs]
         for s, seqs in sequences_by_slice.items()
     }
-    return curve_from_reports(reports, config)
+    return curve_from_reports(reports, 0.01)
 
 
 def rejection_reading(sequences):
@@ -384,7 +383,7 @@ def synthetic_curve(rates, n=500):
             (slice_index, STATION_A): [fake_report(i < round(rate * n)) for i in range(n)]
             for slice_index, rate in enumerate(rates)
         },
-        BatteryConfig(),
+        0.01,
     )
 
 
@@ -418,7 +417,7 @@ class TestCurveFromReports:
             (0, STATION_A): [fake_report(True, 0.25)] * 10,
             (0, STATION_B): [fake_report(False, 1.0)] * 30,
         }
-        curve = curve_from_reports(reports, BatteryConfig())
+        curve = curve_from_reports(reports, 0.01)
         assert [r.slice_index for r in curve] == [0, 1]
         assert (curve[0].n_sequences, curve[0].n_rejected) == (40, 10)
         assert curve[0].mean_compression_ratio == float(np.mean([0.25] * 10 + [1.0] * 30))
@@ -428,7 +427,7 @@ class TestCurveFromReports:
     def test_refuses_slices_that_are_not_0_to_n(self, slices):
         reports = {(s, station): [] for s in slices for station in (STATION_A, STATION_B)}
         with pytest.raises(ConfigError, match="slices 0 .. n - 1 with n >= 2"):
-            curve_from_reports(reports, BatteryConfig())
+            curve_from_reports(reports, 0.01)
 
 
 class TestClassifyScenario:
@@ -504,7 +503,7 @@ class TestClassifyScenario:
             (s, STATION_A): [fake_report(i < rejected[s]) for i in range(30 + s)]
             for s in range(n)
         }
-        curve = curve_from_reports(reports, BatteryConfig())
+        curve = curve_from_reports(reports, 0.01)
         chsh = [make_chsh(s, 2.8) for s in range(n)]
         verdict = classify_scenario(curve, n_first, chsh, self.MATCHED, 0)
         first, second = range(n_first), range(n_first, n)

@@ -75,20 +75,25 @@ class TestPulseGeometry:
         assert small_config(run_duration_s=0.0, **kwargs).n_pulses == 0
 
     @pytest.mark.parametrize(
-        "pulse_s, n_slices, second_half_ns, n_first",
+        "separation_m, pulse_s, n_slices, second_half_ns, n_first",
         [
-            (None, 2, 67, 1),  # the default 133 ns pulse
-            (None, 3, 67, 1),  # slice 1 holds 44-88 ns, across the half edge
-            (None, 133, 67, 67),  # one slice per ns: 0-66 ns are first-half
-            (3e-9, 3, 2, 2),
-            (2e-9, 2, 1, 1),
-            (1.5e-9, 2, 1, 1),  # rounds to 2 ns
+            (20.0, None, 2, 67, 1),  # the default 133 ns pulse; L/c = 66.71 ns
+            (20.0, None, 3, 67, 1),  # slice 1 holds 44-88 ns, across the half edge
+            (20.0, None, 133, 67, 67),  # one slice per ns: 0-66 ns are first-half
+            (20.0, 120e-9, 120, 67, 67),  # the edge is L/c, not the pulse's middle
+            (20.0, 30e-9, 2, 67, 2),  # the pulse ends before L/c: no second half
+            (0.0, 50e-9, 2, 0, 0),  # no separation: no first half
+            (0.5, 3e-9, 3, 2, 2),  # L/c = 1.67 ns
+            (0.2, 2e-9, 2, 1, 1),  # L/c = 0.67 ns
+            (0.2, 1.5e-9, 2, 1, 1),  # rounds to 2 ns
         ],
     )
     def test_the_half_edge_and_the_first_half_slices(
-        self, pulse_s, n_slices, second_half_ns, n_first
+        self, separation_m, pulse_s, n_slices, second_half_ns, n_first
     ):
-        geo = pulse_geometry(small_config(pulse_duration_s=pulse_s))
+        geo = pulse_geometry(
+            small_config(station_separation_m=separation_m, pulse_duration_s=pulse_s)
+        )
         assert geo.second_half_ns == second_half_ns
         assert geo.first_half_slices(n_slices) == n_first
 
@@ -498,7 +503,9 @@ def iter_event_chunks_before(config, model, stats):
             within = rng_c.integers(0, duration_ns, k)
             t = starts + within
             settings = per_pulse_choice(seed, "settings", pulses, n_menu)
-            bits_a, bits_b = sampler.sample(settings, starts, within, duration_ns, rng_c)
+            bits_a, bits_b = sampler.sample(
+                settings, starts, within, geo.second_half_ns, rng_c
+            )
             parts_a.append((t, pulses, bits_a, settings))
             parts_b.append((t, pulses, bits_b, settings))
             stats.n_coincidence_pairs += k
@@ -563,10 +570,17 @@ def iter_event_chunks_before(config, model, stats):
         (ModelKind.SCENARIO_LOCALITY_FALSE, {"coincidence_prob_per_pulse": 0.001}),
         (ModelKind.SCENARIO_ERGODICITY_FALSE, {"coincidence_prob_per_pulse": 0.001}),
         (ModelKind.SCENARIO_REALISM_FALSE, {}),
-        # a 7 ns pulse puts within 0-3 in the first half and 4-6 in the
-        # second, so the halves' pair counts differ block by block
-        (ModelKind.SCENARIO_LOCALITY_FALSE, {"pulse_duration_s": 7e-9}),
-        (ModelKind.SCENARIO_ERGODICITY_FALSE, {"pulse_duration_s": 7e-9}),
+        # a 7 ns pulse at 1 m (L/c = 3.34 ns) puts within 0-3 in the first
+        # half and 4-6 in the second, so the halves' pair counts differ
+        # block by block
+        (
+            ModelKind.SCENARIO_LOCALITY_FALSE,
+            {"pulse_duration_s": 7e-9, "station_separation_m": 1.0},
+        ),
+        (
+            ModelKind.SCENARIO_ERGODICITY_FALSE,
+            {"pulse_duration_s": 7e-9, "station_separation_m": 1.0},
+        ),
         # a 1 ns pulse puts every pair in the first half: one half has none
         (ModelKind.SCENARIO_LOCALITY_FALSE, {"pulse_duration_s": 1e-9}),
         (ModelKind.SCENARIO_ERGODICITY_FALSE, {"pulse_duration_s": 1e-9}),

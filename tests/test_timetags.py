@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -597,11 +598,11 @@ class TestPulseWindow:
                 self.records([start + offset], [pulse, pulse], run)
 
 
-def geometry_of(duration_ns):
+def geometry_of(duration_ns, separation_m=20.0):
     """The geometry of a run with no pulses whose pulse lasts ``duration_ns``."""
     run = RunConfig(
         seed=0, run_duration_s=0.0, rep_rate_hz=1e9 / duration_ns,
-        pulse_duration_s=duration_ns * 1e-9,
+        pulse_duration_s=duration_ns * 1e-9, station_separation_m=separation_m,
     )
     return pulse_geometry(run)
 
@@ -669,14 +670,24 @@ class TestSliceIndexOf:
             assert k == (n_slices * w // d if 0 <= w < d else -1)
 
     @settings(max_examples=150, deadline=None)
-    @given(pulse=st.integers(2, 200).flatmap(lambda d: st.tuples(st.just(d), st.integers(2, d))))
-    @example(pulse=(3, 3))
-    @example(pulse=(133, 133))
-    def test_the_first_half_slices_are_those_the_sampler_draws_first_half(self, pulse):
+    @given(
+        pulse=st.integers(2, 200).flatmap(lambda d: st.tuples(st.just(d), st.integers(2, d))),
+        separation_m=st.floats(0.0, 70.0),
+    )
+    @example(pulse=(3, 3), separation_m=0.5)
+    @example(pulse=(133, 133), separation_m=20.0)
+    @example(pulse=(30, 2), separation_m=20.0)  # the pulse ends before L/c
+    @example(pulse=(50, 2), separation_m=0.0)  # L/c = 0: no first half
+    def test_the_first_half_slices_are_those_the_sampler_draws_first_half(
+        self, pulse, separation_m
+    ):
+        # the second half starts on the first whole ns at or after L/c, and
         # a LOCALITY_FALSE sampler draws a pair from its pattern, one step
         # each, exactly when the pair is in the second half
         duration, n_slices = pulse
-        geo = geometry_of(duration)
+        geo = geometry_of(duration, separation_m)
+        light_ns = Fraction(geo.light_time_s) * 10**9
+        assert geo.second_half_ns - 1 < light_ns <= geo.second_half_ns
         sampler = PairSampler(OutcomeModel(ModelKind.SCENARIO_LOCALITY_FALSE), 1, CHSH_MENU)
         rng = np.random.default_rng(1)
         drawn_second = np.zeros(duration, dtype=bool)
